@@ -2,14 +2,17 @@
 
 Pure states and density operators over m qubits with a big-endian index
 convention (qubit 0 is the most significant bit), local phase evolution
-generated by single-qubit Z terms, Kraus channels with both exact density
-action and trajectory sampling, projective measurement, and a two-largest-
-eigenvalues solver that switches to power iteration on large operators.
+generated by single-qubit Z terms, noise channels that are mixtures of
+unitaries and sample trajectories from a state-independent branch law,
+one joint measurement of any set of qubits in per-qubit bases, seeded
+random streams, and a two-largest-eigenvalues solver that switches to
+power iteration on large operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +28,7 @@ __all__ = [
     "make_dicke",
     "make_target",
     "evolve_phases",
-    "projective_measure",
-    "measure_qubit",
+    "measure",
     "standard_channel",
     "eig_top2",
 ]
@@ -97,23 +99,44 @@ class RngStream:
     """Deterministic random stream addressed by a seed and a spawn key.
 
     ``substream(*ids)`` derives an independent child stream; equal
-    (seed, key) pairs always reproduce the same draws.
+    (seed, key) pairs always reproduce the same draws. The root stream
+    (empty key) draws from PCG64 seeded by SeedSequence(seed). A stream with
+    key (..., i) is item i of its parent: a Philox generator keyed by a seed
+    sequence that the parent builds once, with its counter starting at
+    i * 2^192. Sibling streams therefore never overlap, and making one
+    builds no SeedSequence.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
         self._gen: np.random.Generator | None = None
+        self._parent: RngStream | None = None
+        self._item_seq: np.random.SeedSequence | None = None
 
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
-            self._gen = np.random.default_rng(ss)
+            if self.key:
+                parent = self._parent or RngStream(self.seed, self.key[:-1])
+                bits = np.random.Philox(parent._items(), counter=[0, 0, 0, self.key[-1]])
+            else:
+                bits = np.random.PCG64(np.random.SeedSequence(self.seed))
+            self._gen = np.random.Generator(bits)
         return self._gen
 
+    def _items(self) -> np.random.SeedSequence:
+        """The seed sequence that keys this stream's one-id substreams."""
+        if self._item_seq is None:
+            # a pool of 8 words keeps the key apart from this stream's own PCG64 seed
+            self._item_seq = np.random.SeedSequence(self.seed, spawn_key=self.key, pool_size=8)
+        return self._item_seq
+
     def substream(self, *ids: int) -> "RngStream":
-        return RngStream(self.seed, self.key + tuple(int(i) for i in ids))
+        child = RngStream(self.seed, self.key + ids)
+        if len(ids) == 1:
+            child._parent = self
+        return child
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, key={self.key})"
@@ -165,57 +188,58 @@ def evolve_phases(state: PureState, omegas: Sequence[float], t: float) -> PureSt
     return PureState(m, state.amps * np.exp(-1j * phase))
 
 
-def projective_measure(
-    state: PureState, projectors: Sequence[np.ndarray], rng: np.random.Generator
-) -> tuple[int, PureState, float]:
-    """Sample an outcome from a complete projective measurement.
+def measure(
+    amps: np.ndarray,
+    qubits: Sequence[int],
+    rng: np.random.Generator,
+    bases: Sequence[np.ndarray] | None = None,
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Measure several qubits of a normalized amplitude vector at once.
 
-    Returns (outcome index, post-measurement state, outcome probability).
-    The projectors must sum to the identity within 1e-10.
+    ``bases[j]`` is a 2x2 matrix whose orthonormal rows are the kets measured
+    on ``qubits[j]``; without ``bases`` every listed qubit is measured in Z.
+    One uniform draw picks a basis state from |amplitude|^2; its bits on the
+    listed qubits follow their joint marginal law and are the outcome. The
+    vector is then projected onto that outcome and renormalized. Returns the
+    outcome bits in the order of ``qubits`` and the post-measurement
+    amplitudes, each measured qubit left in its outcome ket.
     """
-    dim = state.dim
-    total = sum(np.asarray(p, dtype=np.complex128) for p in projectors)
-    if np.max(np.abs(total - np.eye(dim))) > 1e-10:
-        raise ValueError("projectors do not sum to the identity within 1e-10")
-    probs = np.array([state.expectation(p) for p in projectors])
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    outcome = int(rng.choice(len(projectors), p=probs))
-    post = np.asarray(projectors[outcome]) @ state.amps
-    prob = float(probs[outcome])
-    return outcome, PureState(state.num_qubits, post / np.linalg.norm(post)), prob
+    m = amps.shape[0].bit_length() - 1
+    if bases is not None:
+        for q, rows in zip(qubits, bases):
+            amps = _apply_local(rows.conj(), amps, q)
+    weights = np.abs(amps)
+    weights *= weights
+    cum = weights.cumsum()
+    drawn = min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), cum.size - 1)
+    # block fixes each measured axis to its bit in the drawn basis state
+    block = [slice(None)] * m
+    for q in qubits:
+        block[q] = (drawn >> (m - 1 - q)) & 1
+    block = tuple(block)
+    psi = amps.reshape((2,) * m)
+    post = np.zeros(psi.shape, dtype=np.complex128)
+    post[block] = psi[block] * (1.0 / math.sqrt(weights.reshape(psi.shape)[block].sum()))
+    post = post.reshape(-1)
+    if bases is not None:
+        for q, rows in zip(qubits, bases):
+            post = _apply_local(rows.T, post, q)
+    return tuple(block[q] for q in qubits), post
 
 
-def measure_qubit(
-    state: PureState, qubit: int, basis_kets: np.ndarray, rng: np.random.Generator
-) -> tuple[int, PureState, float]:
-    """Measure one qubit in the orthonormal basis given by the rows of
-    ``basis_kets`` (2x2). Returns (outcome, post-measurement state, prob).
-    """
-    m = state.num_qubits
-    if not 0 <= qubit < m:
-        raise ValueError(f"qubit index {qubit} out of range for {m} qubits")
-    kets = np.asarray(basis_kets, dtype=np.complex128)
-    if kets.shape != (2, 2) or np.max(np.abs(kets @ kets.conj().T - np.eye(2))) > 1e-10:
-        raise ValueError("basis_kets must be a 2x2 matrix with orthonormal rows")
-    psi = state.amps.reshape(2 ** qubit, 2, 2 ** (m - qubit - 1))
-    # overlap[o] = <v_o | psi> on the measured axis
-    overlap = np.einsum("os,asb->oab", kets.conj(), psi)
-    probs = np.array([np.vdot(c, c).real for c in overlap])
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    outcome = int(rng.choice(2, p=probs))
-    coeff = overlap[outcome] / np.sqrt(probs[outcome])
-    post = (kets[outcome][None, :, None] * coeff[:, None, :]).reshape(-1)
-    return outcome, PureState(m, post), float(probs[outcome])
+def _apply_local(u: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply the 2x2 matrix u to one qubit of an amplitude vector."""
+    return (u @ amps.reshape(1 << qubit, 2, -1)).reshape(-1)
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map given by Kraus operators, applied per qubit or globally.
+    """Mixture of unitaries, K_j = sqrt(w_j) U_j, applied per qubit or globally.
 
     ``per_qubit`` channels carry 2x2 operators applied independently to
-    every qubit; global channels carry full 2^m x 2^m operators.
+    every qubit; global channels carry full 2^m x 2^m operators. Kraus sets
+    that are not a mixture of unitaries (K_j^dag K_j != w_j I) are rejected,
+    because trajectories draw each branch from the fixed weights w_j.
     """
 
     label: str
@@ -231,8 +255,27 @@ class KrausChannel:
             if k.shape != (dim, dim):
                 raise ValueError(f"Kraus operator has shape {k.shape}, expected ({dim}, {dim})")
         object.__setattr__(self, "ops", ops)
-        if self.completeness_defect() > 1e-12:
+        diag = np.diag_indices(dim)
+        weights = []
+        for k in ops:
+            gram = k.conj().T @ k
+            weights.append(np.trace(gram).real / dim)
+            gram[diag] -= weights[-1]
+            if np.max(np.abs(gram)) > 1e-12:
+                raise ValueError("Kraus operator is not sqrt(w) times a unitary within 1e-12")
+        if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError("Kraus operators do not satisfy sum K^dag K = I within 1e-12")
+        # branch j happens with probability w_j; None marks an identity branch
+        unitaries = []
+        for k, w in zip(ops, weights):
+            u = k / np.sqrt(w) if w > 0 else None
+            if u is not None and np.max(np.abs(u - np.eye(dim))) <= 1e-12:
+                u = None
+            unitaries.append(u)
+        cum = np.cumsum(weights)
+        object.__setattr__(self, "_cum", cum / cum[-1])
+        object.__setattr__(self, "_unitaries", tuple(unitaries))
+        object.__setattr__(self, "_moves", np.array([u is not None for u in unitaries]))
 
     def completeness_defect(self) -> float:
         dim = self.ops[0].shape[0]
@@ -240,43 +283,22 @@ class KrausChannel:
         return float(np.max(np.abs(total - np.eye(dim))))
 
     def apply_to_pure(self, state: PureState, rng: np.random.Generator) -> PureState:
-        """Sample one trajectory: pick a Kraus branch per application site
-        with probability ||K psi||^2 and renormalize.
-        """
-        m = state.num_qubits
-        amps = state.amps
-        if self.per_qubit:
-            for q in range(m):
-                psi = amps.reshape(2 ** q, 2, 2 ** (m - q - 1))
-                branches = [np.einsum("st,atb->asb", k, psi).reshape(-1) for k in self.ops]
-                probs = np.array([np.vdot(b, b).real for b in branches])
-                probs = np.clip(probs, 0.0, None)
-                probs /= probs.sum()
-                j = int(rng.choice(len(branches), p=probs))
-                amps = branches[j] / np.sqrt(probs[j])
-        else:
-            branches = [k @ amps for k in self.ops]
-            probs = np.array([np.vdot(b, b).real for b in branches])
-            probs = np.clip(probs, 0.0, None)
-            probs /= probs.sum()
-            j = int(rng.choice(len(branches), p=probs))
-            amps = branches[j] / np.sqrt(probs[j])
-        return PureState(m, amps)
+        """Sample one trajectory.
 
-    def apply_to_density(self, rho: DensityOperator) -> DensityOperator:
-        """Exact channel action rho -> sum_j K_j rho K_j^dag."""
-        m = rho.num_qubits
-        mat = rho.mat
-        if self.per_qubit:
-            for q in range(m):
-                embedded = [
-                    np.kron(np.kron(np.eye(2 ** q), k), np.eye(2 ** (m - q - 1)))
-                    for k in self.ops
-                ]
-                mat = sum(e @ mat @ e.conj().T for e in embedded)
-        else:
-            mat = sum(k @ mat @ k.conj().T for k in self.ops)
-        return DensityOperator(m, mat)
+        Branch j happens with probability w_j whatever the state, so one
+        uniform draw per application site picks every branch at once and
+        only the non-identity unitaries act. A channel whose branches are all
+        the identity draws nothing and returns ``state`` itself.
+        """
+        if not self._moves.any():
+            return state
+        m = state.num_qubits
+        branches = np.searchsorted(self._cum, rng.random(m if self.per_qubit else 1), side="right")
+        amps = state.amps
+        for site in self._moves[branches].nonzero()[0]:
+            u = self._unitaries[branches[site]]
+            amps = _apply_local(u, amps, site) if self.per_qubit else u @ amps
+        return state if amps is state.amps else PureState(m, amps)
 
 
 def standard_channel(kind: str, strength: float, n: int, q0: float | None = None) -> KrausChannel:

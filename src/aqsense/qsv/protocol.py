@@ -23,6 +23,7 @@ from ..qcore import (
     RngStream,
     evolve_phases,
     make_target,
+    measure,
 )
 from ..sensing import Povm, SensingScenario, estimate_angles
 from .complexity import sample_complexity
@@ -137,34 +138,14 @@ class RobustResult:
     transcripts: tuple[SessionTranscript, ...]
 
 
-def _measure_z(amps: np.ndarray, qubit: int, rng: np.random.Generator):
-    """Z-measure one qubit of a raw amplitude vector; returns (bit, post)."""
-    psi = amps.reshape(2 ** qubit, 2, -1)
-    p0 = float(np.square(np.abs(psi[:, 0, :])).sum())
-    p1 = float(np.square(np.abs(psi[:, 1, :])).sum())
-    out = 0 if rng.random() * (p0 + p1) < p0 else 1
-    post = np.zeros_like(psi)
-    post[:, out, :] = psi[:, out, :] / np.sqrt(p0 if out == 0 else p1)
-    return out, post.reshape(-1)
-
-
-def _measure_basis(amps: np.ndarray, qubit: int, rows: np.ndarray, rng: np.random.Generator):
-    """Measure one qubit in the orthonormal basis given by the rows (2x2)."""
-    psi = amps.reshape(2 ** qubit, 2, -1)
-    overlap = np.einsum("os,asb->oab", rows.conj(), psi)
-    p0 = float(np.square(np.abs(overlap[0])).sum())
-    p1 = float(np.square(np.abs(overlap[1])).sum())
-    out = 0 if rng.random() * (p0 + p1) < p0 else 1
-    coeff = overlap[out] / np.sqrt(p0 if out == 0 else p1)
-    post = (rows[out][None, :, None] * coeff[:, None, :]).reshape(-1)
-    return out, post
-
-
 def _ghz_rows(r: int, x_conj: bool) -> np.ndarray:
     """Basis for an untrusted party: rows S^r Z^o |+> (o = 0, 1)."""
     phase = 1j ** r
     rows = np.array([[1.0, phase], [1.0, -phase]], dtype=np.complex128) / _SQ2
     return rows[:, ::-1] if x_conj else rows
+
+
+_GHZ_ROWS = {(r, x): _ghz_rows(r, x) for r in (0, 1) for x in (False, True)}
 
 
 def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
@@ -177,47 +158,31 @@ def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
     measurement by Pauli X.
     """
     if p > 0.0 and rng.random() < p:
-        outcomes = []
-        for q in parties:
-            out, amps = _measure_z(amps, q, rng)
-            outcomes.append(out)
+        outcomes, _ = measure(amps, parties, rng)
         accept = len(set(outcomes)) == 1
-        sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": outcomes, "x_conj": x_conj}
+        sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": list(outcomes), "x_conj": x_conj}
         return accept, sub
     k_pos = int(rng.integers(len(parties)))
-    r_vals = [0] * len(parties)
-    o_vals = [0] * len(parties)
-    r_k = 0
-    o_xor = 0
-    total_r = 0
-    for pos, q in enumerate(parties):
-        if pos == k_pos:
-            continue
-        r = int(rng.integers(2))
-        out, amps = _measure_basis(amps, q, _ghz_rows(r, x_conj), rng)
-        r_vals[pos] = r
-        o_vals[pos] = out
-        r_k ^= r
-        o_xor ^= out
-        total_r += r
-    total_r += r_k
-    assert total_r % 2 == 0, "sum of phase settings must be even"
-    e = (o_xor + total_r // 2) % 2
+    others = parties[:k_pos] + parties[k_pos + 1:]
+    settings = int(rng.integers(1 << len(others)))
+    r_others = [(settings >> j) & 1 for j in range(len(others))]
+    o_others, amps = measure(amps, others, rng, [_GHZ_ROWS[r, x_conj] for r in r_others])
+    r_k = sum(r_others) % 2
+    total_r = sum(r_others) + r_k
+    e = (sum(o_others) + total_r // 2) % 2
     sign = (-1.0) ** e * 1j ** r_k
     accept_ket = np.array([np.sqrt(lam0), sign * np.sqrt(lam1)], dtype=np.complex128)
     if x_conj:
         accept_ket = accept_ket[::-1]
     accept_ket /= np.linalg.norm(accept_ket)
     reject_ket = np.array([-np.conj(accept_ket[1]), np.conj(accept_ket[0])])
-    o_k, amps = _measure_basis(amps, parties[k_pos], np.array([accept_ket, reject_ket]), rng)
-    r_vals[k_pos] = r_k
-    o_vals[k_pos] = o_k
+    (o_k,), _ = measure(amps, [parties[k_pos]], rng, [np.array([accept_ket, reject_ket])])
     sub = {
         "type": "ghz",
         "a": 1,
         "k": parties[k_pos],
-        "r": r_vals,
-        "o": o_vals,
+        "r": r_others[:k_pos] + [r_k] + r_others[k_pos:],
+        "o": list(o_others[:k_pos]) + [o_k] + list(o_others[k_pos:]),
         "x_conj": x_conj,
     }
     return o_k == 0, sub
@@ -236,37 +201,28 @@ def _run_dicke_protocol(amps, parties, k, rng):
         j += 1
     pair = sorted((parties[i], parties[j]))
     rest = [q for q in parties if q not in pair]
-    o_rest = []
-    for q in rest:
-        out, amps = _measure_z(amps, q, rng)
-        o_rest.append(out)
+    o_rest, amps = measure(amps, rest, rng)
     s_rest = sum(o_rest)
     pair_basis = None
     pair_outcomes = None
     accept = False
     if s_rest in (k, k - 2):
         pair_basis = "Z"
-        pair_outcomes = []
-        for q in pair:
-            out, amps = _measure_z(amps, q, rng)
-            pair_outcomes.append(out)
+        pair_outcomes, _ = measure(amps, pair, rng)
         want = 0 if s_rest == k else 1
-        accept = pair_outcomes[0] == want and pair_outcomes[1] == want
+        accept = pair_outcomes == (want, want)
     elif s_rest == k - 1:
         pair_basis = "X"
-        pair_outcomes = []
-        for q in pair:
-            out, amps = _measure_basis(amps, q, _X_ROWS, rng)
-            pair_outcomes.append(out)
+        pair_outcomes, _ = measure(amps, pair, rng, [_X_ROWS, _X_ROWS])
         accept = pair_outcomes[0] == pair_outcomes[1]
     sub = {
         "type": "dicke",
         "k": k,
         "pair": pair,
-        "o_rest": o_rest,
+        "o_rest": list(o_rest),
         "s_rest": s_rest,
         "pair_basis": pair_basis,
-        "pair_outcomes": pair_outcomes,
+        "pair_outcomes": None if pair_outcomes is None else list(pair_outcomes),
     }
     return accept, sub
 
@@ -307,11 +263,8 @@ def verify_copy(
         amps = _sample_pure_component(copy, rng)
     else:
         amps = np.asarray(copy.amps, dtype=np.complex128)
-    subset = tuple(int(q) for q in np.sort(rng.permutation(m)[:n]))
-    z_outcomes = []
-    for q in subset:
-        out, amps = _measure_z(amps, q, rng)
-        z_outcomes.append(out)
+    subset = tuple(sorted(rng.permutation(m)[:n].tolist()))
+    z_outcomes, amps = measure(amps, subset, rng)
     total = sum(z_outcomes)
     parties = [q for q in range(m) if q not in subset]
     if total == 0:
@@ -323,7 +276,7 @@ def verify_copy(
     else:
         branch = "ii"
         accept, sub = _run_dicke_protocol(amps, parties, n - total, rng)
-    return CopyVerdict(copy_index, subset, tuple(z_outcomes), branch, sub, accept)
+    return CopyVerdict(copy_index, subset, z_outcomes, branch, sub, accept)
 
 
 def verify_batch(
@@ -334,8 +287,8 @@ def verify_batch(
     """Verify plan.M copies drawn from source; accept iff every copy accepts.
 
     Copies are drawn lazily and verification stops at the first rejection.
-    Each copy gets its own substream, so a verdict does not depend on how
-    many copies were consumed before it.
+    Copy i draws from rng.substream(i), so a verdict depends only on (seed,
+    key, i) and not on how many copies were consumed before it.
     """
     it = iter(source)
     verdicts = []
@@ -390,9 +343,10 @@ def run_robust_protocol(
     attempt = 0
     completed = 0
     while completed < rounds:
-        noise_gen = rng.substream(attempt, 0).gen
+        streams = rng.substream(attempt)
+        noise_gen = streams.substream(0).gen
         source = (noise.apply_to_pure(target, noise_gen) for _ in range(plan.M))
-        ok, transcript = verify_batch(source, plan, rng.substream(attempt, 1))
+        ok, transcript = verify_batch(source, plan, streams.substream(1))
         transcripts.append(transcript)
         if not ok:
             restarts += 1
@@ -407,7 +361,7 @@ def run_robust_protocol(
         evolved = evolve_phases(sense_copy, omegas, scenario.t)
         probs = np.clip(povm.probabilities(evolved), 0.0, None)
         probs /= probs.sum()
-        outcome = int(rng.substream(attempt, 2).gen.choice(4, p=probs))
+        outcome = int(streams.substream(2).gen.choice(4, p=probs))
         counts[outcome] += 1
         completed += 1
         attempt += 1

@@ -1,8 +1,9 @@
-"""Brute-force oracles shared by the strategy-operator test modules.
+"""Brute-force oracles shared by the test modules.
 
 These rebuild the acceptance operators by enumerating every verifier
 choice (measurement settings and outcomes) from first principles, with no
-closed-form shortcuts, so agreement with the library is a real check.
+closed-form shortcuts, so agreement with the library is a real check. The
+exact Kraus-sum action of a noise channel checks its sampled trajectories.
 """
 
 import itertools
@@ -94,3 +95,15 @@ def x_conjugate_dense(mat, m):
     dim = 2 ** m
     perm = np.arange(dim) ^ (dim - 1)
     return mat[np.ix_(perm, perm)]
+
+
+def kraus_density(channel, mat):
+    """Exact channel action rho -> sum_j K_j rho K_j^dag, with per-qubit
+    operators kron-embedded on every qubit in turn."""
+    m = channel.num_qubits
+    if not channel.per_qubit:
+        return sum(k @ mat @ k.conj().T for k in channel.ops)
+    for q in range(m):
+        embedded = [np.kron(np.kron(np.eye(2 ** q), k), np.eye(2 ** (m - q - 1))) for k in channel.ops]
+        mat = sum(e @ mat @ e.conj().T for e in embedded)
+    return mat

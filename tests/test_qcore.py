@@ -1,12 +1,14 @@
 """Tests for states, evolution, channels, measurement, and the eigensolver.
 
 Oracles: closed-form amplitude vectors, brute-force amplitude sums for
-partial measurements, dense numpy diagonalization for eig_top2, and exact
+partial measurements, the exact Kraus-sum density for channel
+trajectories, dense numpy diagonalization for eig_top2, and exact
 binomial outcome distributions for the sampling law.
 """
 
 import numpy as np
 import pytest
+from oracles import kraus_density
 
 from aqsense.qcore import (
     DensityOperator,
@@ -18,8 +20,7 @@ from aqsense.qcore import (
     make_dicke,
     make_ghz,
     make_target,
-    measure_qubit,
-    projective_measure,
+    measure,
     standard_channel,
 )
 from aqsense.symcomb import WeightBasis, binom, johnson_adjacency, sector_projector
@@ -170,8 +171,8 @@ class TestChannels:
     def test_coherent_mix_exact_fidelity(self):
         st = make_target(3, 0.33)
         ch = standard_channel("coherent_mix", 0.67, 3, q0=0.33)
-        rho = ch.apply_to_density(DensityOperator.from_pure(st))
-        fid = st.expectation(rho.mat)
+        rho = kraus_density(ch, DensityOperator.from_pure(st).mat)
+        fid = st.expectation(rho)
         assert fid == pytest.approx(0.33, abs=1e-12)
 
     def test_coherent_mix_trajectory_statistics(self):
@@ -184,23 +185,44 @@ class TestChannels:
 
     def test_dephase_density_trace_preserved(self):
         st = make_target(3, 0.4)
-        rho = standard_channel("dephase", 0.5, 3).apply_to_density(DensityOperator.from_pure(st))
-        assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
+        rho = kraus_density(standard_channel("dephase", 0.5, 3), DensityOperator.from_pure(st).mat)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_unitary_mixture_rejected(self):
+        # amplitude damping is trace preserving but not a mixture of unitaries
+        g = 0.3
+        ops = (np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="unitary"):
+            KrausChannel("amplitude_damping", g, 6, ops, per_qubit=True)
+
+    def test_incomplete_mixture_rejected(self):
+        with pytest.raises(ValueError, match="sum K"):
+            KrausChannel("lossy", 0.5, 6, (0.5 * np.eye(2),), per_qubit=True)
+
+    @pytest.mark.parametrize(
+        "kind, strength", [("dephase", 0.3), ("depolarize", 0.2), ("coherent_mix", 0.4)]
+    )
+    def test_trajectory_average_matches_exact_density(self, kind, strength):
+        # the mean of |psi><psi| over trajectories is the Kraus-sum density,
+        # entry by entry within 4 sigma of the trajectory spread
+        n, q0, trials = 3, 0.33, 20000
+        st = make_target(n, q0)
+        ch = standard_channel(kind, strength, n, q0=q0)
+        exact = kraus_density(ch, DensityOperator.from_pure(st).mat)
+        gen = RngStream(12).gen
+        amps = np.array([ch.apply_to_pure(st, gen).amps for _ in range(trials)])
+        mean = amps.T @ amps.conj() / trials
+        power = np.abs(amps) ** 2
+        second = power.T @ power / trials
+        sigma = np.sqrt(np.clip(second - np.abs(mean) ** 2, 0.0, None) / trials)
+        assert np.all(np.abs(mean - exact) <= 4 * sigma + 1e-10)
 
 
 class TestMeasurement:
     def test_zero_state_z_measure(self):
-        st = PureState(1, np.array([1.0, 0.0]))
-        outcome, post, prob = projective_measure(
-            st, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], RngStream(5).gen
-        )
-        assert outcome == 0 and prob == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(post.amps, st.amps, atol=1e-14)
-
-    def test_incomplete_projectors_rejected(self):
-        st = PureState(1, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            projective_measure(st, [np.diag([1.0, 0.0])], RngStream(5).gen)
+        outcomes, post = measure(np.array([1.0, 0.0], dtype=complex), [0], RngStream(5).gen)
+        assert outcomes == (0,)
+        np.testing.assert_allclose(post, [1.0, 0.0], atol=1e-14)
 
     def test_dicke_weight_distribution_first_three(self):
         # weight distribution of the first three qubits of |D_6^3> is
@@ -212,30 +234,51 @@ class TestMeasurement:
             exact = binom(3, l) ** 2 / binom(6, 3)
             prob = st.expectation(projs[l])
             assert prob == pytest.approx(exact, abs=1e-13)
-        # and the sampler must draw from exactly that distribution
+        # and one joint draw of the three qubits must follow exactly that law
         counts = np.zeros(4)
         for _ in range(20000):
-            outcome, _, _ = projective_measure(st, projs, gen)
-            counts[outcome] += 1
+            outcomes, _ = measure(st.amps, (0, 1, 2), gen)
+            counts[sum(outcomes)] += 1
         for l in range(4):
             pexact = binom(3, l) ** 2 / binom(6, 3)
             sigma = np.sqrt(pexact * (1 - pexact) / 20000)
             assert abs(counts[l] / 20000 - pexact) < 4 * sigma
 
-    def test_measure_qubit_collapse(self):
-        st = make_ghz(2)
-        z_basis = np.eye(2, dtype=complex)
-        outcome, post, prob = measure_qubit(st, 0, z_basis, RngStream(2).gen)
-        assert prob == pytest.approx(0.5, abs=1e-14)
+    def test_ghz_collapse(self):
+        outcomes, post = measure(make_ghz(2).amps, [0], RngStream(2).gen)
         expected = np.zeros(4, dtype=complex)
-        expected[0 if outcome == 0 else 3] = 1.0
-        np.testing.assert_allclose(post.amps, expected, atol=1e-14)
+        expected[0 if outcomes == (0,) else 3] = 1.0
+        np.testing.assert_allclose(post, expected, atol=1e-14)
 
-    def test_measure_qubit_x_basis(self):
-        st = PureState(1, np.array([1, 1]) / np.sqrt(2))
+    def test_x_basis(self):
         x_basis = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        outcome, post, prob = measure_qubit(st, 0, x_basis, RngStream(2).gen)
-        assert outcome == 0 and prob == pytest.approx(1.0, abs=1e-14)
+        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+        outcomes, post = measure(plus, [0], RngStream(2).gen, [x_basis])
+        assert outcomes == (0,)
+        np.testing.assert_allclose(post, plus, atol=1e-14)
+
+    def test_joint_collapse_matches_brute_force(self):
+        # outcomes come back in the listed (unsorted) order, and the
+        # unmeasured qubits keep the brute-force conditional state
+        gen = RngStream(4).gen
+        amps = gen.normal(size=16) + 1j * gen.normal(size=16)
+        amps /= np.linalg.norm(amps)
+        for _ in range(20):
+            outcomes, post = measure(amps, (2, 0), gen)
+            sub, _ = collapse_subset(amps, 4, (2, 0), outcomes)
+            kept, norm = collapse_subset(post, 4, (2, 0), outcomes)
+            assert norm == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(kept, sub, atol=1e-12)
+
+    def test_basis_outcome_leaves_its_ket(self):
+        # a Y-basis outcome projects onto that row's ket and leaves it on the qubit
+        y_basis = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
+        psi = make_ghz(3).amps.reshape(2, 2, 2)
+        outcomes, post = measure(psi.reshape(-1), [1], RngStream(6).gen, [y_basis])
+        ket = y_basis[outcomes[0]]
+        rest = np.einsum("abc,b->ac", psi, ket.conj())
+        rest /= np.linalg.norm(rest)
+        np.testing.assert_allclose(post, np.einsum("ac,b->abc", rest, ket).reshape(-1), atol=1e-12)
 
 
 class TestEigTop2:
@@ -293,3 +336,10 @@ class TestRngStream:
         a = RngStream(9).substream(4).gen.random(3)
         b = RngStream(9).substream(4).gen.random(3)
         np.testing.assert_array_equal(a, b)
+
+    def test_substream_depends_only_on_seed_and_key(self):
+        a = RngStream(9).substream(2).substream(4).gen.random(3)
+        b = RngStream(9, (2, 4)).gen.random(3)
+        c = RngStream(9).substream(2, 4).gen.random(3)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)

@@ -209,6 +209,18 @@ class TestVerifyBatch:
         assert len(transcript.verdicts) == plan.M
         assert all(v.accept for v in transcript.verdicts)
 
+    def test_verdict_depends_only_on_its_copy_stream(self):
+        # copy i of a 283-copy session equals verify_copy on copy i alone with
+        # copy i's own generator, so no verdict depends on the copies before it
+        plan = VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01)
+        assert plan.M == 283
+        copy = make_target(3, 0.33)
+        accept, transcript = verify_batch((copy for _ in range(plan.M)), plan, RngStream(36, (5,)))
+        assert accept and len(transcript.verdicts) == plan.M
+        for i in (0, 141, 282):
+            alone = verify_copy(copy, 3, 0.33, 0.0, RngStream(36, (5, i)).gen, copy_index=i)
+            assert transcript.verdicts[i].as_record() == alone.as_record()
+
     def test_zero_copy_plan_accepts_vacuously(self):
         plan = VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01, M=0)
         accept, transcript = verify_batch(iter(()), plan, RngStream(32))
