@@ -5,8 +5,8 @@ convention (qubit 0 is the most significant bit), local phase evolution
 generated by single-qubit Z terms, noise channels that are mixtures of
 unitaries and sample trajectories from a state-independent branch law,
 one joint measurement of any set of qubits in per-qubit bases, seeded
-random streams, and a two-largest-eigenvalues solver that switches to
-power iteration on large operators.
+random streams, and the two largest eigenvalues of a Hermitian matrix by
+dense diagonalization.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def evolve_phases(state: PureState, omegas: Sequence[float], t: float) -> PureSt
         raise ValueError(f"omegas has shape {omegas.shape}, expected ({m},)")
     idx = np.arange(2 ** m)
     phase = np.zeros(2 ** m)
-    for q in range(m):
+    # a qubit with zero frequency picks up no phase, so only the others cost a pass
+    for q in np.flatnonzero(omegas):
         bit = (idx >> (m - 1 - q)) & 1
         phase += np.where(bit == 1, 0.5, -0.5) * omegas[q] * t
     return PureState(m, state.amps * np.exp(-1j * phase))
@@ -198,11 +199,13 @@ def measure(
 
     ``bases[j]`` is a 2x2 matrix whose orthonormal rows are the kets measured
     on ``qubits[j]``; without ``bases`` every listed qubit is measured in Z.
-    One uniform draw picks a basis state from |amplitude|^2; its bits on the
-    listed qubits follow their joint marginal law and are the outcome. The
-    vector is then projected onto that outcome and renormalized. Returns the
-    outcome bits in the order of ``qubits`` and the post-measurement
-    amplitudes, each measured qubit left in its outcome ket.
+    Each listed qubit is rotated so that row o of its basis becomes |o>; one
+    uniform draw then picks a basis state from |amplitude|^2, whose bits on
+    the listed qubits follow their joint marginal law and are the outcome.
+    The vector is projected onto that outcome and renormalized but not
+    rotated back: each measured qubit is left in |o> of its rotated frame,
+    and the other qubits hold the projected conditional state. Returns the
+    outcome bits in the order of ``qubits`` and those amplitudes.
     """
     m = amps.shape[0].bit_length() - 1
     if bases is not None:
@@ -220,11 +223,7 @@ def measure(
     psi = amps.reshape((2,) * m)
     post = np.zeros(psi.shape, dtype=np.complex128)
     post[block] = psi[block] * (1.0 / math.sqrt(weights.reshape(psi.shape)[block].sum()))
-    post = post.reshape(-1)
-    if bases is not None:
-        for q, rows in zip(qubits, bases):
-            post = _apply_local(rows.T, post, q)
-    return tuple(block[q] for q in qubits), post
+    return tuple(block[q] for q in qubits), post.reshape(-1)
 
 
 def _apply_local(u: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:
@@ -276,11 +275,6 @@ class KrausChannel:
         object.__setattr__(self, "_cum", cum / cum[-1])
         object.__setattr__(self, "_unitaries", tuple(unitaries))
         object.__setattr__(self, "_moves", np.array([u is not None for u in unitaries]))
-
-    def completeness_defect(self) -> float:
-        dim = self.ops[0].shape[0]
-        total = sum(k.conj().T @ k for k in self.ops)
-        return float(np.max(np.abs(total - np.eye(dim))))
 
     def apply_to_pure(self, state: PureState, rng: np.random.Generator) -> PureState:
         """Sample one trajectory.
@@ -350,18 +344,11 @@ def standard_channel(kind: str, strength: float, n: int, q0: float | None = None
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def eig_top2(
-    op: np.ndarray,
-    dense_cutoff: int = 2048,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> tuple[float, float]:
-    """Two largest eigenvalues of a Hermitian operator.
+def eig_top2(op: np.ndarray) -> tuple[float, float]:
+    """Two largest eigenvalues of a Hermitian operator by dense diagonalization.
 
-    Dense diagonalization up to ``dense_cutoff``; beyond that, shifted power
-    iteration with deflation, converged when the residual ||Av - lv|| drops
-    below ``tol``. Raises if the input is not Hermitian within 1e-10 or the
-    iteration does not converge.
+    Raises if the input is not a square matrix of size at least 2 that is
+    Hermitian within 1e-10.
     """
     a = np.asarray(op, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -370,32 +357,5 @@ def eig_top2(
         raise ValueError("operator must be at least 2x2")
     if np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise ValueError("operator not Hermitian within 1e-10")
-    dim = a.shape[0]
-    if dim <= dense_cutoff:
-        w = np.linalg.eigvalsh(a)
-        return float(w[-1]), float(w[-2])
-
-    # shift so the algebraically largest eigenvalue dominates in magnitude
-    shift = float(np.max(np.sum(np.abs(a), axis=1))) + 1.0
-    gen = np.random.default_rng(0)
-
-    def dominant(vecs_to_deflate: list[np.ndarray]) -> tuple[float, np.ndarray]:
-        v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-        for u in vecs_to_deflate:
-            v -= u * np.vdot(u, v)
-        v /= np.linalg.norm(v)
-        for _ in range(max_iter):
-            w = a @ v + shift * v
-            for u in vecs_to_deflate:
-                w -= u * np.vdot(u, w)
-            w /= np.linalg.norm(w)
-            av = a @ w
-            lam = float(np.vdot(w, av).real)
-            if np.linalg.norm(av - lam * w) <= tol * max(1.0, abs(lam)):
-                return lam, w
-            v = w
-        raise RuntimeError("power iteration did not converge within max_iter")
-
-    lam1, v1 = dominant([])
-    lam2, _ = dominant([v1])
-    return lam1, lam2
+    w = np.linalg.eigvalsh(a)
+    return float(w[-1]), float(w[-2])

@@ -23,7 +23,6 @@ from .symcomb import binom
 __all__ = [
     "ANGLE_EXAMPLES",
     "AngleExample",
-    "ObjectiveContext",
     "OptimumReport",
     "beta_p0",
     "gamma_eta",
@@ -61,28 +60,6 @@ ANGLE_EXAMPLES: tuple[AngleExample, ...] = (
     AngleExample("K", np.pi / 2, -np.pi / 3),
     AngleExample("L", 2 * np.pi / 3, -np.pi / 3),
 )
-
-
-@dataclass(frozen=True)
-class ObjectiveContext:
-    """Angle-dependent coefficients entering the Dicke-bound minimizer."""
-
-    n: int
-    theta_plus: float
-    theta_minus: float
-    gamma: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
-
-    @classmethod
-    def from_angles(cls, n: int, theta_plus: float, theta_minus: float) -> "ObjectiveContext":
-        gamma, eta = gamma_eta(n, theta_plus, theta_minus)
-        return cls(n, theta_plus, theta_minus, gamma, eta)
 
 
 @dataclass(frozen=True)
@@ -125,6 +102,11 @@ def gamma_eta(n: int, theta_plus: float, theta_minus: float) -> tuple[float, flo
     return float(gamma), float(eta)
 
 
+def _q_beta(n: int) -> float:
+    """Branch crossing of the p = 0 strategy eigenvalue, 4(n-1)/(C(2n,n) + 8n - 6)."""
+    return 4.0 * (n - 1) / (binom(2 * n, n) + 8 * n - 6)
+
+
 def q_landmarks(n: int, theta_plus: float, theta_minus: float) -> tuple[float, float, float]:
     """The three landmark weights (q_min, q_beta, q_G).
 
@@ -136,8 +118,7 @@ def q_landmarks(n: int, theta_plus: float, theta_minus: float) -> tuple[float, f
     gamma, eta = gamma_eta(n, theta_plus, theta_minus)
     ratio = eta / gamma
     q_g = float(np.sqrt(ratio * (1 + ratio)) - ratio)
-    q_beta = 4.0 * (n - 1) / (binom(2 * n, n) + 8 * n - 6)
-    return q_min(n), q_beta, q_g
+    return q_min(n), _q_beta(n), q_g
 
 
 def beta_p0(n: int, q0):
@@ -152,9 +133,8 @@ def beta_p0(n: int, q0):
     if np.any(q < q_min(n)) or np.any(q >= 1.0):
         raise ValueError(f"q0 must lie in [{q_min(n)}, 1), got {q0}")
     c = float(binom(2 * n, n))
-    q_beta = 4.0 * (n - 1) / (c + 8 * n - 6)
     denom = 2.0 + (c - 2.0) * q
-    value = np.where(q < q_beta, 1.0 - 1.0 / (2 * n - 1) - 2.0 * q / denom, c * q / denom)
+    value = np.where(q < _q_beta(n), 1.0 - 1.0 / (2 * n - 1) - 2.0 * q / denom, c * q / denom)
     return value if value.ndim else float(value)
 
 

@@ -380,6 +380,29 @@ def assemble_strategy_bruteforce(n: int, q0: float, p: float) -> StrategyOperato
     )
 
 
+def _block_coefficients(n: int, q0: float, p: float):
+    """Closed-form block coefficients of the subset-averaged strategy.
+
+    Returns (a, b, c, d, alpha, omega3): a on the weight-0 and 2n scalars,
+    b I + c J(2n,n) on the weight-n block, d on every entry of the couplings
+    between weights 0, n and 2n, alpha on the identity blocks of weights n-1
+    and n+1, and omega3[l-1] on the identity blocks of weights l and 2n-l
+    for l = 1..n-2, strictly decreasing in l.
+    """
+    lam0, lam1 = lambda_map(n, q0)
+    c_big = binom(2 * n, n)
+    a = p + (1 - p) * lam0
+    b = (3 * n - 2) / (2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
+    c = 1.0 / (2 * n * (2 * n - 1))
+    d = (1 - p) * np.sqrt(lam0 * lam1) / c_big
+    alpha = (n + 1) * (1.0 / (4 * (2 * n - 1)) + (1 - p) / c_big * (1 - 1.0 / n - (1 - 2.0 / n) * lam0))
+    omega3 = tuple(
+        (1 - p) / (n * c_big) * binom(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1))
+        for l in range(1, n - 1)
+    )
+    return a, b, c, d, alpha, omega3
+
+
 def assemble_strategy_decomposed(
     n: int, q0: float, p: float
 ) -> tuple[StrategyOperator, StrategyOperator, StrategyOperator]:
@@ -387,14 +410,9 @@ def assemble_strategy_decomposed(
     pieces: the GHZ/Dicke core on weights {0, n, 2n}, the adjacent-weight
     piece on {n-1, n+1}, and the diagonal remainder on the other weights.
     """
-    lam0, lam1 = lambda_map(n, q0)
+    a, b, c, d, alpha, omega3_values = _block_coefficients(n, q0, p)
     m = 2 * n
     c_big = binom(m, n)
-
-    a = p + (1 - p) * lam0
-    b = (3 * n - 2) / (2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
-    c = 1.0 / (2 * n * (2 * n - 1))
-    d = (1 - p) * np.sqrt(lam0 * lam1) / c_big
 
     omega1 = StrategyOperator(
         m,
@@ -407,19 +425,17 @@ def assemble_strategy_decomposed(
         },
     )
 
-    alpha = (n + 1) * (1.0 / (4 * (2 * n - 1)) + (1 - p) / c_big * (1 - 1.0 / n - (1 - 2.0 / n) * lam0))
     omega2 = StrategyOperator(
         m,
         {
             (n - 1, n - 1): alpha * np.eye(binom(m, n - 1)),
             (n + 1, n + 1): alpha * np.eye(binom(m, n + 1)),
-            (n - 1, n + 1): containment_adjacency(m, n - 1, n + 1) / (2 * n * (2 * n - 1)),
+            (n - 1, n + 1): containment_adjacency(m, n - 1, n + 1) * c,
         },
     )
 
     blocks3: dict[tuple[int, int], np.ndarray] = {}
-    for l in range(1, n - 1):
-        coeff = (1 - p) / (n * c_big) * binom(m - l, n) * (n * lam0 - l * (2 * lam0 - 1))
+    for l, coeff in enumerate(omega3_values, start=1):
         blocks3[(l, l)] = coeff * np.eye(binom(m, l))
         blocks3[(m - l, m - l)] = coeff * np.eye(binom(m, l))
     omega3 = StrategyOperator(m, blocks3)

@@ -17,7 +17,6 @@ from typing import Iterable
 import numpy as np
 
 from ..qcore import (
-    DensityOperator,
     KrausChannel,
     PureState,
     RngStream,
@@ -227,24 +226,15 @@ def _run_dicke_protocol(amps, parties, k, rng):
     return accept, sub
 
 
-def _sample_pure_component(rho: DensityOperator, rng: np.random.Generator) -> np.ndarray:
-    """Draw one eigenvector of rho with probability its eigenvalue."""
-    vals, vecs = np.linalg.eigh(rho.mat)
-    weights = np.clip(vals, 0.0, None)
-    weights /= weights.sum()
-    j = int(rng.choice(len(weights), p=weights))
-    return np.ascontiguousarray(vecs[:, j])
-
-
 def verify_copy(
-    copy: PureState | DensityOperator,
+    copy: PureState,
     n: int,
     q0: float,
     p: float,
     rng: np.random.Generator,
     copy_index: int = 0,
 ) -> CopyVerdict:
-    """Run the per-copy verification measurement on one 2n-qubit copy.
+    """Run the per-copy verification measurement on one pure 2n-qubit copy.
 
     A uniformly random half R of the qubits is Z-measured; the total
     excitation count on R selects the subprotocol run on the other half:
@@ -259,12 +249,8 @@ def verify_copy(
     m = 2 * n
     if copy.num_qubits != m:
         raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")
-    if isinstance(copy, DensityOperator):
-        amps = _sample_pure_component(copy, rng)
-    else:
-        amps = np.asarray(copy.amps, dtype=np.complex128)
     subset = tuple(sorted(rng.permutation(m)[:n].tolist()))
-    z_outcomes, amps = measure(amps, subset, rng)
+    z_outcomes, amps = measure(copy.amps, subset, rng)
     total = sum(z_outcomes)
     parties = [q for q in range(m) if q not in subset]
     if total == 0:
@@ -280,7 +266,7 @@ def verify_copy(
 
 
 def verify_batch(
-    source: Iterable[PureState | DensityOperator],
+    source: Iterable[PureState],
     plan: VerificationPlan,
     rng: RngStream,
 ) -> tuple[bool, SessionTranscript]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..qcore import eig_top2, make_target
 from ..symcomb import binom, johnson_eigenvalue
-from .operators import assemble_strategy_decomposed, lambda_map
+from .operators import _block_coefficients, assemble_strategy_decomposed
 
 __all__ = [
     "SpectralSummary",
@@ -72,12 +72,7 @@ def omega3_profile(n: int, q0: float, p: float = 0.0) -> tuple[float, ...]:
     Value at l: (1-p)/(n C(2n,n)) * C(2n-l, n) * [n lambda0 - l(2 lambda0 - 1)];
     strictly decreasing in l.
     """
-    lam0, _ = lambda_map(n, q0)
-    c_big = binom(2 * n, n)
-    return tuple(
-        (1 - p) / (n * c_big) * binom(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1))
-        for l in range(1, n - 1)
-    )
+    return _block_coefficients(n, q0, p)[-1]
 
 
 def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = False) -> SpectralSummary:
@@ -89,14 +84,9 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
-    lam0, lam1 = lambda_map(n, q0)
+    a, b, c, d, alpha2, omega3_values = _block_coefficients(n, q0, p)
     m = 2 * n
     c_big = binom(m, n)
-
-    a = p + (1 - p) * lam0
-    b = (3 * n - 2) / (2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
-    c = 1.0 / (2 * n * (2 * n - 1))
-    d = (1 - p) * np.sqrt(lam0 * lam1) / c_big
 
     # 2x2 reduction on span{(|0..0>+|1..1>)/sqrt2, uniform weight-n vector}
     s_mid = b + c * n * n
@@ -118,23 +108,18 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
     beta = max(lambda_a, lambda_bc1)
     nu = 1.0 - beta
 
-    alpha2 = (n + 1) * (1.0 / (4 * (2 * n - 1)) + (1 - p) / c_big * (1 - 1.0 / n - (1 - 2.0 / n) * lam0))
     lambda1_omega2 = alpha2 + (n + 1) / (4 * (2 * n - 1))
-
-    omega3_values = omega3_profile(n, q0, p)
     lambda1_omega3 = omega3_values[0]
 
     residuals: dict[str, float] | None = None
     if check_numeric:
         o1, o2, o3 = assemble_strategy_decomposed(n, q0, p)
-        comp1 = o1.component_matrix((0, n, m))
-        top1, second1 = eig_top2(comp1)
-        w1 = np.linalg.eigvalsh(comp1)
+        w1 = np.linalg.eigvalsh(o1.component_matrix((0, n, m)))
         top2, _ = eig_top2(o2.component_matrix((n - 1, n + 1)))
         top3 = float(np.max(o3.eigenvalues()))
         residuals = {
-            "lambda_plus": abs(lambda_plus - top1),
-            "beta": abs(beta - second1),
+            "lambda_plus": abs(lambda_plus - w1[-1]),
+            "beta": abs(beta - w1[-2]),
             "lambda_a": float(np.min(np.abs(w1 - lambda_a))),
             "lambda_bc1": float(np.min(np.abs(w1 - lambda_bc1))),
             "lambda_minus": float(np.min(np.abs(w1 - lambda_minus))),

@@ -105,8 +105,9 @@ class Povm:
     """The four-outcome measurement: two GHZ-sector projectors, the Dicke
     projector, and the remainder.
 
-    Holds the three rank-1 kets; dense operators are built lazily. Call
-    ``validate`` to check completeness and positivity (``build_povm`` does).
+    Holds the three orthonormal rank-1 kets; the fourth element, the
+    identity minus their projectors, is never built. Call ``validate`` to
+    check the kets (``build_povm`` does).
     """
 
     def __init__(self, n: int, kets: Sequence[np.ndarray] | None = None):
@@ -118,16 +119,6 @@ class Povm:
             ghz_minus[-1] = -ghz_minus[-1]
             kets = (ghz_plus, ghz_minus, make_dicke(m, n).amps)
         self.kets = tuple(np.asarray(k, dtype=np.complex128) for k in kets)
-        self._operators: tuple[np.ndarray, ...] | None = None
-
-    @property
-    def operators(self) -> tuple[np.ndarray, ...]:
-        if self._operators is None:
-            dim = 2 ** (2 * self.n)
-            projs = [np.outer(k, k.conj()) for k in self.kets]
-            projs.append(np.eye(dim) - sum(projs))
-            self._operators = tuple(projs)
-        return self._operators
 
     def probabilities(self, state: PureState) -> np.ndarray:
         """Outcome probabilities via inner products, no dense operators."""
@@ -135,13 +126,15 @@ class Povm:
         return np.append(p, 1.0 - p.sum())
 
     def validate(self) -> None:
-        dim = 2 ** (2 * self.n)
-        total = sum(self.operators)
-        if np.max(np.abs(total - np.eye(dim))) > 1e-12:
-            raise ValueError("POVM elements do not sum to the identity within 1e-12")
-        for j, op in enumerate(self.operators):
-            if np.linalg.eigvalsh(op).min() < -1e-10:
-                raise ValueError(f"POVM element {j + 1} is not positive semidefinite")
+        """Check that the kets' Gram matrix is the identity within 1e-12.
+
+        Orthonormal kets give orthogonal rank-1 projectors, so the remainder
+        is a projector too: all four elements are positive and sum to I.
+        """
+        kets = np.array(self.kets)
+        gram = kets.conj() @ kets.T
+        if np.max(np.abs(gram - np.eye(len(kets)))) > 1e-12:
+            raise ValueError("POVM kets are not orthonormal within 1e-12")
 
 
 def build_povm(n: int) -> Povm:

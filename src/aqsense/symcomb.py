@@ -39,9 +39,9 @@ def _weight_indices(m: int, k: int) -> np.ndarray:
 class WeightBasis:
     """The set B_{m,k} of m-bit strings with Hamming weight k.
 
-    Provides the rank/unrank bijection onto 0..C(m,k)-1 in lexicographic
-    order.  Elements are represented as integers (big-endian bit strings);
-    `rank` also accepts the literal bit-string form.
+    ``indices`` lists the elements as integers (big-endian bit strings) in
+    lexicographic order, so an element's rank in 0..C(m,k)-1 is its
+    position there.
     """
 
     m: int
@@ -58,28 +58,6 @@ class WeightBasis:
     @property
     def size(self) -> int:
         return int(self.indices.size)
-
-    def rank(self, x: int | str) -> int:
-        """Position of x within B_{m,k}; rejects inputs of the wrong weight."""
-        if isinstance(x, str):
-            if len(x) != self.m or set(x) - {"0", "1"}:
-                raise ValueError(f"not an {self.m}-bit string: {x!r}")
-            x = int(x, 2)
-        if not 0 <= x < 2 ** self.m:
-            raise ValueError(f"index {x} outside the {self.m}-bit register")
-        if bin(x).count("1") != self.k:
-            raise ValueError(f"weight of {x:0{self.m}b} is not {self.k}")
-        pos = int(np.searchsorted(self.indices, x))
-        return pos
-
-    def unrank(self, i: int) -> int:
-        """Inverse of rank."""
-        if not 0 <= i < self.size:
-            raise ValueError(f"rank {i} out of range 0..{self.size - 1}")
-        return int(self.indices[i])
-
-    def to_string(self, x: int) -> str:
-        return format(x, f"0{self.m}b")
 
 
 def _bit_columns(indices: np.ndarray, m: int) -> np.ndarray:

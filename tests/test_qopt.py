@@ -8,7 +8,6 @@ import pytest
 from aqsense.qopt import (
     ANGLE_EXAMPLES,
     AngleExample,
-    ObjectiveContext,
     OptimumReport,
     beta_p0,
     gamma_eta,
@@ -57,17 +56,6 @@ class TestGammaEta:
     def test_boundary_collapse(self):
         gamma, eta = gamma_eta(3, 0.0, 0.0)
         assert gamma == 0.0 and eta == 0.0
-
-    def test_context_carries_the_pair(self):
-        ctx = ObjectiveContext.from_angles(4, np.pi / 2, -np.pi / 4)
-        assert (ctx.gamma, ctx.eta) == gamma_eta(4, np.pi / 2, -np.pi / 4)
-        assert ctx.n == 4 and ctx.gamma > 0.0 and ctx.eta >= 0.0
-
-    def test_context_rejects_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            ObjectiveContext(3, np.pi / 4, -np.pi / 6, gamma=0.0, eta=0.5)
-        with pytest.raises(ValueError):
-            ObjectiveContext(3, np.pi / 4, -np.pi / 6, gamma=1.0, eta=-0.5)
 
 
 class TestLandmarks:

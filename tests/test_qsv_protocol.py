@@ -187,8 +187,12 @@ class TestVerifyCopy:
         mat = 0.5 * np.outer(t_amps, t_amps.conj()) + 0.5 * np.outer(g_amps, g_amps.conj())
         rho = DensityOperator(2 * n, mat)
         expected = strategy_expectation(n, q0, 0.0, rho)
+        # each copy is the target or the GHZ state with the mixture's weight 1/2
+        components = (make_target(n, q0), make_ghz(2 * n))
         gen = RngStream(26).gen
-        hits = sum(verify_copy(rho, n, q0, 0.0, gen).accept for _ in range(trials))
+        hits = sum(
+            verify_copy(components[gen.integers(2)], n, q0, 0.0, gen).accept for _ in range(trials)
+        )
         freq = hits / trials
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert abs(freq - expected) < 4 * sigma

@@ -47,23 +47,28 @@ def fisher_inverse(n, q0, theta_plus, theta_minus, h=1e-6):
     return np.linalg.inv(info)
 
 
+def dense_elements(povm):
+    """The four POVM elements as dense matrices, built from the kets."""
+    projs = [np.outer(k, k.conj()) for k in povm.kets]
+    projs.append(np.eye(projs[0].shape[0]) - sum(projs))
+    return projs
+
+
 class TestPovm:
     def test_completeness(self):
-        povm = build_povm(3)
-        total = sum(povm.operators)
+        total = sum(dense_elements(build_povm(3)))
         np.testing.assert_allclose(total, np.eye(64), atol=1e-12)
 
     def test_e2_orthogonal_to_ghz(self):
-        povm = build_povm(3)
-        assert make_ghz(6).expectation(povm.operators[1]) == pytest.approx(0.0, abs=1e-14)
+        e2 = dense_elements(build_povm(3))[1]
+        assert make_ghz(6).expectation(e2) == pytest.approx(0.0, abs=1e-14)
 
     def test_e4_positive(self):
-        povm = build_povm(3)
-        assert np.linalg.eigvalsh(povm.operators[3]).min() >= -1e-12
+        e4 = dense_elements(build_povm(3))[3]
+        assert np.linalg.eigvalsh(e4).min() >= -1e-12
 
     def test_first_three_rank_one(self):
-        povm = build_povm(3)
-        for op in povm.operators[:3]:
+        for op in dense_elements(build_povm(3))[:3]:
             assert np.trace(op).real == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(op @ op, op, atol=1e-12)
 
@@ -73,12 +78,18 @@ class TestPovm:
         amps = rng.normal(size=64) + 1j * rng.normal(size=64)
         st = PureState(6, amps / np.linalg.norm(amps))
         fast = povm.probabilities(st)
-        dense = np.array([st.expectation(op) for op in povm.operators])
+        dense = np.array([st.expectation(op) for op in dense_elements(povm)])
         np.testing.assert_allclose(fast, dense, atol=1e-13)
 
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             build_povm(2)
+
+    def test_non_orthonormal_kets_rejected(self):
+        # |GHZ+> and |0...0> overlap, so I minus the projectors is not positive
+        ghz, zero = make_ghz(6).amps, np.eye(64)[0]
+        with pytest.raises(ValueError, match="orthonormal"):
+            Povm(3, kets=(ghz, zero, build_povm(3).kets[2])).validate()
 
 
 class TestAnalyticProbs:
