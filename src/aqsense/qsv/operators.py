@@ -69,7 +69,10 @@ class StrategyOperator:
 
     ``blocks`` maps (j, k) with j <= k to the matrix acting from sector k
     into sector j (shape C(m,j) x C(m,k)); the (k, j) block is implied by
-    Hermiticity. Diagonal blocks must be Hermitian.
+    Hermiticity. Diagonal blocks must be Hermitian. A real block is stored
+    as float64 and a complex one as complex128; ``dtype`` is the common
+    type of the blocks, which the dense matrices built from them share, so
+    a strategy with real blocks is diagonalized in real arithmetic.
     """
 
     def __init__(self, num_qubits: int, blocks: Mapping[tuple[int, int], np.ndarray]):
@@ -79,7 +82,8 @@ class StrategyOperator:
         for (j, k), block in blocks.items():
             if not (0 <= j <= k <= m):
                 raise ValueError(f"sector pair ({j}, {k}) out of range for {m} qubits")
-            arr = np.asarray(block, dtype=np.complex128)
+            arr = np.asarray(block)
+            arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
             expected = (binom(m, j), binom(m, k))
             if arr.shape != expected:
                 raise ValueError(f"block ({j}, {k}) has shape {arr.shape}, expected {expected}")
@@ -87,6 +91,7 @@ class StrategyOperator:
                 raise ValueError(f"diagonal block ({j}, {j}) not Hermitian within 1e-12")
             stored[(j, k)] = arr
         self.blocks = stored
+        self.dtype = np.result_type(np.float64, *stored.values())
         self._bases: dict[int, WeightBasis] = {}
 
     def basis(self, w: int) -> WeightBasis:
@@ -127,7 +132,7 @@ class StrategyOperator:
         sizes = [self.basis(w).size for w in group]
         offsets = dict(zip(group, np.concatenate([[0], np.cumsum(sizes)[:-1]])))
         dim = int(np.sum(sizes))
-        out = np.zeros((dim, dim), dtype=np.complex128)
+        out = np.zeros((dim, dim), dtype=self.dtype)
         for (j, k), block in self.blocks.items():
             if j not in offsets or k not in offsets:
                 continue
@@ -141,9 +146,16 @@ class StrategyOperator:
         """Spectrum over the stored sectors, sorted ascending.
 
         With ``include_zero_sectors`` the exact zeros from unrepresented
-        weight sectors are appended, giving the full 2^m spectrum.
+        weight sectors are appended, giving the full 2^m spectrum. A
+        component whose matrix is exactly diagonal contributes its diagonal
+        without an eigensolver.
         """
-        parts = [np.linalg.eigvalsh(self.component_matrix(g)) for g in self.component_groups()]
+        parts = []
+        for group in self.component_groups():
+            mat = self.component_matrix(group)
+            diag = np.diagonal(mat).real
+            diagonal = np.count_nonzero(mat) == np.count_nonzero(diag)
+            parts.append(diag if diagonal else np.linalg.eigvalsh(mat))
         vals = np.concatenate(parts) if parts else np.empty(0)
         if include_zero_sectors:
             covered = sum(self.basis(w).size for w in self.weights)
@@ -152,7 +164,7 @@ class StrategyOperator:
 
     def to_dense(self) -> np.ndarray:
         dim = 2 ** self.num_qubits
-        out = np.zeros((dim, dim), dtype=np.complex128)
+        out = np.zeros((dim, dim), dtype=self.dtype)
         for (j, k), block in self.blocks.items():
             rows = self.basis(j).indices
             cols = self.basis(k).indices
@@ -220,7 +232,7 @@ class StrategyOperator:
         new_blocks: dict[tuple[int, int], np.ndarray] = {}
         for (j, k), block in self.blocks.items():
             nj, nk = m - j, m - k
-            permuted = np.zeros((binom(m, nj), binom(m, nk)), dtype=np.complex128)
+            permuted = np.zeros((binom(m, nj), binom(m, nk)), dtype=block.dtype)
             permuted[np.ix_(perms[j], perms[k])] = block
             if nj <= nk:
                 key, arr = (nj, nk), permuted
@@ -245,7 +257,7 @@ class StrategyOperator:
         Only diagonal blocks and the declared cross-sector couplings are
         kept; any residual weight elsewhere above ``atol`` is an error.
         """
-        mat = np.asarray(mat, dtype=np.complex128)
+        mat = np.asarray(mat)
         dim = 2 ** num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
@@ -280,8 +292,10 @@ def q_min(n: int) -> float:
 def lambda_map(n: int, q0: float) -> tuple[float, float]:
     """Squared amplitudes of the post-selected GHZ-like state.
 
-    lambda0 = C q0 / (C q0 + 2 q1) with C = C(2n,n); requires
-    q0 >= q_min(n) so that lambda0 >= 1/2.
+    lambda0 = C q0 / (C q0 + 2 q1) and lambda1 = 2 q1 / (C q0 + 2 q1)
+    with C = C(2n,n); requires q0 >= q_min(n) so that lambda0 >= 1/2.
+    lambda1 is not formed as 1 - lambda0, which rounds to 0 once C q0
+    passes about 1e16 (n >= 30 at q0 = 0.33).
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
@@ -290,8 +304,8 @@ def lambda_map(n: int, q0: float) -> tuple[float, float]:
     if q0 < q_min(n):
         raise ValueError(f"q0={q0} below the admissible minimum {q_min(n)}")
     c = binom(2 * n, n)
-    lam0 = c * q0 / (c * q0 + 2 * (1.0 - q0))
-    return lam0, 1.0 - lam0
+    denom = c * q0 + 2 * (1.0 - q0)
+    return c * q0 / denom, 2 * (1.0 - q0) / denom
 
 
 def strategy_ghz_like(m: int, p: float, lambda0: float) -> StrategyOperator:
@@ -383,8 +397,9 @@ def assemble_strategy_bruteforce(n: int, q0: float, p: float) -> StrategyOperato
 def _block_coefficients(n: int, q0: float, p: float):
     """Closed-form block coefficients of the subset-averaged strategy.
 
-    Returns (a, b, c, d, alpha, omega3): a on the weight-0 and 2n scalars,
-    b I + c J(2n,n) on the weight-n block, d on every entry of the couplings
+    Returns (lam0, lam1, a, b, c, d, alpha, omega3): the ``lambda_map`` pair,
+    a on the weight-0 and 2n scalars, b I + c J(2n,n) on the weight-n
+    block, d on every entry of the couplings
     between weights 0, n and 2n, alpha on the identity blocks of weights n-1
     and n+1, and omega3[l-1] on the identity blocks of weights l and 2n-l
     for l = 1..n-2, strictly decreasing in l.
@@ -400,7 +415,7 @@ def _block_coefficients(n: int, q0: float, p: float):
         (1 - p) / (n * c_big) * binom(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1))
         for l in range(1, n - 1)
     )
-    return a, b, c, d, alpha, omega3
+    return lam0, lam1, a, b, c, d, alpha, omega3
 
 
 def assemble_strategy_decomposed(
@@ -410,7 +425,7 @@ def assemble_strategy_decomposed(
     pieces: the GHZ/Dicke core on weights {0, n, 2n}, the adjacent-weight
     piece on {n-1, n+1}, and the diagonal remainder on the other weights.
     """
-    a, b, c, d, alpha, omega3_values = _block_coefficients(n, q0, p)
+    _, _, a, b, c, d, alpha, omega3_values = _block_coefficients(n, q0, p)
     m = 2 * n
     c_big = binom(m, n)
 

@@ -4,18 +4,22 @@ The strategy splits into three sector-disjoint pieces; the second-largest
 eigenvalue (hence the spectral gap) comes from the GHZ/Dicke core, whose
 two coupled eigenvalues follow from a 2x2 reduction on the symmetric
 subspace. Everything here is exact arithmetic on the block coefficients;
-``check_numeric`` diagonalizes the assembled blocks as a cross-check.
+``check_numeric`` diagonalizes the assembled blocks as a cross-check, in
+real arithmetic: the core block with a dense solve, the bipartite piece
+through the Gram matrix of its coupling, the diagonal remainder by reading
+off its diagonal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..qcore import eig_top2, make_target
 from ..symcomb import binom, johnson_eigenvalue
-from .operators import _block_coefficients, assemble_strategy_decomposed
+from .operators import StrategyOperator, _block_coefficients, assemble_strategy_decomposed
 
 __all__ = [
     "SpectralSummary",
@@ -32,8 +36,9 @@ class SpectralSummary:
     a, b, c, d are the block coefficients of the GHZ/Dicke core; the
     lambda_* fields are its eigenvalues (lambda_plus = 1 on the target);
     beta is the second-largest eigenvalue of the whole strategy and
-    nu = 1 - beta the spectral gap. ``branch`` records which candidate won:
-    "a", "bc1", or "boundary" on a tie.
+    nu = 1 - beta the spectral gap, on branch "a" evaluated as (1-p) lambda1,
+    so it keeps its digits when beta rounds to 1. ``branch`` records which
+    candidate won: "a", "bc1", or "boundary" on a tie.
     """
 
     n: int
@@ -60,8 +65,8 @@ class SpectralSummary:
     def __post_init__(self) -> None:
         if abs(self.lambda_plus - 1.0) > 1e-9:
             raise ValueError(f"top eigenvalue should be 1, got {self.lambda_plus}")
-        if not self.beta < 1.0:
-            raise ValueError(f"second eigenvalue must stay below 1, got {self.beta}")
+        if not self.nu > 0.0:
+            raise ValueError(f"spectral gap must be positive, got {self.nu}")
         if abs(self.nu - (1.0 - self.beta)) > 1e-15:
             raise ValueError("gap must equal 1 - beta")
 
@@ -84,15 +89,24 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
-    a, b, c, d, alpha2, omega3_values = _block_coefficients(n, q0, p)
+    lam0, lam1, a, b, c, d, alpha2, omega3_values = _block_coefficients(n, q0, p)
     m = 2 * n
     c_big = binom(m, n)
 
-    # 2x2 reduction on span{(|0..0>+|1..1>)/sqrt2, uniform weight-n vector}
+    # 2x2 reduction on span{(|0..0>+|1..1>)/sqrt2, uniform weight-n vector}:
+    # alpha solves 2d alpha^2 - (a - s_mid) alpha - d C(2n,n) = 0. Both a and
+    # s_mid = 1 - 2(1-p) lambda0 / C(2n,n) round to 1 at large n, so a - s_mid
+    # is formed directly, the root without cancellation comes from the
+    # formula and the other from the product alpha_plus alpha_minus = -C/2.
     s_mid = b + c * n * n
-    disc = np.sqrt((s_mid - a) ** 2 + 8 * d * d * c_big)
-    alpha_plus = ((a - s_mid) + disc) / (4 * d)
-    alpha_minus = ((a - s_mid) - disc) / (4 * d)
+    a_minus_s = (1 - p) * (2 * lam0 / c_big - lam1)
+    disc = np.sqrt(a_minus_s**2 + 8 * d * d * c_big)
+    if a_minus_s >= 0:
+        alpha_plus = (a_minus_s + disc) / (4 * d)
+        alpha_minus = -c_big / (2 * alpha_plus)
+    else:
+        alpha_minus = (a_minus_s - disc) / (4 * d)
+        alpha_plus = -c_big / (2 * alpha_minus)
     lambda_plus = s_mid + 2 * d * alpha_plus
     lambda_minus = s_mid + 2 * d * alpha_minus
 
@@ -105,8 +119,12 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
         branch = "a"
     else:
         branch = "bc1"
-    beta = max(lambda_a, lambda_bc1)
-    nu = 1.0 - beta
+    # 1 - lambda_a = (1-p) lambda1 loses every digit when formed by
+    # subtraction at large n; 1 - lambda_bc1 >= 1/(2n-1) does not.
+    if lambda_a >= lambda_bc1:
+        beta, nu = lambda_a, (1 - p) * lam1
+    else:
+        beta, nu = lambda_bc1, 1.0 - lambda_bc1
 
     lambda1_omega2 = alpha2 + (n + 1) / (4 * (2 * n - 1))
     lambda1_omega3 = omega3_values[0]
@@ -115,7 +133,7 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
     if check_numeric:
         o1, o2, o3 = assemble_strategy_decomposed(n, q0, p)
         w1 = np.linalg.eigvalsh(o1.component_matrix((0, n, m)))
-        top2, _ = eig_top2(o2.component_matrix((n - 1, n + 1)))
+        top2 = _bipartite_top(o2, n - 1, n + 1)
         top3 = float(np.max(o3.eigenvalues()))
         residuals = {
             "lambda_plus": abs(lambda_plus - w1[-1]),
@@ -149,6 +167,22 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
         branch=branch,
         residuals=residuals,
     )
+
+
+def _bipartite_top(op: StrategyOperator, j: int, k: int) -> float:
+    """Top eigenvalue of the component on sectors j and k when both diagonal
+    blocks are alpha I: [[alpha I, G], [G^dag, alpha I]] has eigenvalues
+    alpha +- the singular values of G, so the top one is
+    alpha + sqrt(lambda_max(G G^dag)).
+    """
+    alpha = op.block(j, j)[0, 0]
+    for w in (j, k):
+        block = op.block(w, w)
+        if np.count_nonzero(block - alpha * np.eye(block.shape[0])):
+            raise ValueError(f"block ({w}, {w}) is not {alpha} times the identity")
+    g = op.block(j, k)
+    top, _ = eig_top2(g @ g.conj().T)
+    return float(alpha + math.sqrt(top))
 
 
 def pauli_witness_bound(n: int, q0: float) -> float:

@@ -31,8 +31,7 @@ def _weight_indices(m: int, k: int) -> np.ndarray:
     """Ascending array of all m-bit integers with Hamming weight k."""
     if k < 0 or k > m:
         return np.empty(0, dtype=np.int64)
-    vals = [sum(1 << p for p in ones) for ones in itertools.combinations(range(m), k)]
-    return np.sort(np.asarray(vals, dtype=np.int64))
+    return np.flatnonzero(np.bitwise_count(np.arange(1 << m, dtype=np.int64)) == k)
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,19 @@ def brute_dicke_dense(m, k):
     return out / len(pairs)
 
 
+def phase_evolved(amps, omegas, t):
+    """exp(-i sum_q omega_q t Z_q / 2) applied basis state by basis state:
+    index x picks up phase -(1/2) sum_q (+-omega_q t), with + where bit q
+    of x (qubit 0 most significant) is 1 and - where it is 0."""
+    m = len(omegas)
+    out = np.empty(len(amps), dtype=complex)
+    for x, amp in enumerate(amps):
+        signs = [1 if (x >> (m - 1 - q)) & 1 else -1 for q in range(m)]
+        phase = sum(s * w * t for s, w in zip(signs, omegas))
+        out[x] = amp * np.exp(-0.5j * phase)
+    return out
+
+
 def x_conjugate_dense(mat, m):
     """X^{tensor m} M X^{tensor m} by index complementation."""
     dim = 2 ** m

@@ -4,6 +4,8 @@ seeded reproducibility, and the key=value config file."""
 from __future__ import annotations
 
 import json
+import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -158,6 +160,17 @@ class TestQsvSpectrum:
         code, payload, _ = run_json(argv, capsys)
         assert code == EXIT_OK
         assert payload["beta"] == pytest.approx(analytic_spectrum(4, 0.2, 0.3).beta, rel=1e-15)
+
+    def test_large_n_gap_without_warnings(self, capsys):
+        argv = ["qsv", "spectrum", "--n", "50", "--q0", "0.33", "--p", "0.1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload, _ = run_json(argv, capsys)
+        assert code == EXIT_OK
+        assert 0 < payload["nu"] < 1e-27
+        # alpha_plus = sqrt(lambda0/lambda1) = sqrt(C q0 / (2 q1)), alpha_plus alpha_minus = -C/2
+        assert payload["alpha_plus"] == pytest.approx(np.sqrt(comb(100, 50) * 0.33 / 1.34), rel=1e-12)
+        assert payload["alpha_minus"] == pytest.approx(-np.sqrt(comb(100, 50) * 0.67 / 0.66), rel=1e-12)
 
 
 class TestQsvComplexity:

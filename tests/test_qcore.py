@@ -8,7 +8,7 @@ binomial outcome distributions for the sampling law.
 
 import numpy as np
 import pytest
-from oracles import kraus_density
+from oracles import kraus_density, phase_evolved
 
 from aqsense.qcore import (
     DensityOperator,
@@ -145,6 +145,24 @@ class TestEvolvePhases:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             evolve_phases(make_ghz(2), np.zeros(3), 1.0)
+
+    def test_matches_per_basis_state_oracle(self):
+        rng = np.random.default_rng(29)
+        for m in range(1, 11):
+            for _ in range(4):
+                amps = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+                st = PureState(m, amps / np.linalg.norm(amps))
+                omegas = rng.uniform(-3, 3, size=m) * (rng.random(m) < 0.6)
+                t = rng.uniform(0, 2)
+                out = evolve_phases(st, omegas, t)
+                expected = phase_evolved(st.amps, omegas, t)
+                np.testing.assert_allclose(out.amps, expected, rtol=0, atol=1e-14)
+
+    def test_input_state_untouched(self):
+        st = make_target(3, 0.4)
+        before = st.amps.copy()
+        evolve_phases(st, np.linspace(0.1, 0.6, 6), 1.0)
+        np.testing.assert_array_equal(st.amps, before)
 
 
 class TestChannels:

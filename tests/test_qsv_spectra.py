@@ -5,12 +5,16 @@ implementation; numeric cross-checks diagonalize the assembled sector
 blocks directly.
 """
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
 from aqsense.qcore import make_dicke, make_ghz, make_target
 from aqsense.symcomb import binom, johnson_eigenvalue, johnson_multiplicity
 from aqsense.qsv import (
+    StrategyOperator,
     analytic_spectrum,
     assemble_strategy_decomposed,
     lambda_map,
@@ -18,6 +22,7 @@ from aqsense.qsv import (
     pauli_witness_bound,
     q_min,
 )
+from aqsense.qsv.spectra import _bipartite_top
 
 
 class TestFrozenValues:
@@ -96,6 +101,88 @@ class TestNumericAgreement:
             o1, _, _ = assemble_strategy_decomposed(n, q0, p)
             st = make_target(n, q0)
             np.testing.assert_allclose(o1.apply(st.amps), st.amps, atol=1e-12)
+
+
+class TestCheckRoutes:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_gram_route_matches_full_bipartite_block(self, n, p):
+        _, o2, _ = assemble_strategy_decomposed(n, 0.33, p)
+        full = o2.component_matrix((n - 1, n + 1)).astype(np.complex128)
+        top = np.linalg.eigvalsh(full)[-1]
+        assert _bipartite_top(o2, n - 1, n + 1) == pytest.approx(top, abs=1e-12)
+
+    def test_gram_route_rejects_non_scalar_diagonal(self):
+        _, o2, _ = assemble_strategy_decomposed(3, 0.33, 0.0)
+        blocks = dict(o2.blocks)
+        blocks[(2, 2)] = blocks[(2, 2)] + np.diag(np.linspace(0, 1e-3, blocks[(2, 2)].shape[0]))
+        with pytest.raises(ValueError):
+            _bipartite_top(StrategyOperator(6, blocks), 2, 4)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_diagonal_shortcut_matches_eigvalsh(self, n):
+        _, _, o3 = assemble_strategy_decomposed(n, 0.33, 0.2)
+        dense = np.concatenate(
+            [np.linalg.eigvalsh(o3.component_matrix(g)) for g in o3.component_groups()]
+        )
+        np.testing.assert_allclose(o3.eigenvalues(), np.sort(dense), rtol=0, atol=1e-15)
+
+    def test_real_blocks_stay_real_and_complex_stay_complex(self):
+        real = StrategyOperator(2, {(0, 0): [[1]], (1, 1): np.eye(2), (0, 2): [[0.5]], (2, 2): [[1.0]]})
+        assert real.dtype == np.float64
+        assert all(b.dtype == np.float64 for b in real.blocks.values())
+        for mat in (real.component_matrix((0, 2)), real.to_dense(), real.x_conjugate().to_dense()):
+            assert mat.dtype == np.float64
+        cplx = StrategyOperator(2, {(0, 0): [[1.0]], (0, 2): [[0.5j]], (2, 2): [[1.0]]})
+        assert cplx.block(0, 2).dtype == np.complex128
+        for mat in (cplx.component_matrix((0, 2)), cplx.to_dense(), cplx.x_conjugate().to_dense()):
+            assert mat.dtype == np.complex128
+        back = StrategyOperator.from_dense(cplx.to_dense(), 2, couplings=[(0, 2)])
+        assert back.dtype == np.complex128
+        np.testing.assert_array_equal(back.to_dense(), cplx.to_dense())
+
+
+def exact_gap(n, q0, p):
+    """1 - max(lambda_a, lambda_bc1) in exact rational arithmetic."""
+    q0, p = Fraction(q0), Fraction(p)
+    c_big = comb(2 * n, n)
+    lam0 = c_big * q0 / (c_big * q0 + 2 * (1 - q0))
+    lambda_a = p + (1 - p) * lam0
+    b = Fraction(3 * n - 2, 2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
+    lambda_bc1 = b + Fraction(n * n - 2 * n, 2 * n * (2 * n - 1))
+    return 1 - max(lambda_a, lambda_bc1)
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n", [20, 30, 40, 50])
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_gap_matches_exact_rational(self, n, p):
+        for q0 in (0.33, 2 * q_min(n)):
+            s = analytic_spectrum(n, q0, p)
+            exact = exact_gap(n, q0, p)
+            assert abs(Fraction(s.nu) - exact) <= Fraction(1, 10 ** 12) * exact
+            assert s.nu == pytest.approx(1 - s.beta, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [20, 30, 40, 50])
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_core_amplitudes_match_exact_rational(self, n, p):
+        # alpha_plus^2 = lambda0/lambda1 = C q0 / (2 q1) and alpha_plus alpha_minus
+        # = -C/2, compared through the squares, which are rational; q0 = 0.9
+        # and the other two take different roots of the quadratic first
+        c_big = comb(2 * n, n)
+        for q0 in (0.33, 0.9, 2 * q_min(n)):
+            s = analytic_spectrum(n, q0, p)
+            plus_sq = c_big * Fraction(q0) / (2 * (1 - Fraction(q0)))
+            minus_sq = Fraction(c_big**2, 4) / plus_sq
+            assert s.alpha_plus > 0 > s.alpha_minus
+            assert abs(Fraction(s.alpha_plus) ** 2 - plus_sq) <= Fraction(2, 10**12) * plus_sq
+            assert abs(Fraction(s.alpha_minus) ** 2 - minus_sq) <= Fraction(2, 10**12) * minus_sq
+
+    def test_lambda1_keeps_its_digits_at_n50(self):
+        lam0, lam1 = lambda_map(50, 0.33)
+        exact = Fraction(2 * (1 - Fraction(0.33))) / (comb(100, 50) * Fraction(0.33) + 2 * (1 - Fraction(0.33)))
+        assert lam0 == 1.0
+        assert abs(Fraction(lam1) - exact) <= Fraction(1, 10 ** 14) * exact
 
 
 class TestOrderings:

@@ -73,9 +73,10 @@ class TestWeightBasis:
         assert WeightBasis(4, 2).indices[5] == 0b1100
 
     def test_indices_match_enumeration_oracle(self):
-        for m in range(1, 9):
+        for m in range(1, 15):
             for k in range(0, m + 1):
                 basis = WeightBasis(m, k)
+                assert basis.indices.dtype == np.int64
                 assert list(basis.indices) == enumerate_weight_class(m, k)
 
 
