@@ -136,6 +136,8 @@ def _parse_examples(arg: str):
 def _cmd_sense(cfg: RunConfig) -> int:
     cfg.need("n", "q0", "omega_a", "omega_b", "t")
     opt = cfg.options
+    if opt["shots"] < 0:
+        raise ValueError(f"--shots must be non-negative, got {opt['shots']}")
     scenario = SensingScenario(
         n=opt["n"],
         q0=opt["q0"],
@@ -480,6 +482,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RestartCapError as exc:
         print(f"error: restart cap exhausted: {exc}", file=sys.stderr)
         return EXIT_RESTART_CAP
+    except OverflowError as exc:
+        print(f"error: a value leaves float64 range: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

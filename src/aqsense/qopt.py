@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .qsv.operators import q_min
 from .sensing import g_minus, g_plus
@@ -34,6 +33,8 @@ __all__ = [
 ]
 
 _GRID_POINTS = 2048
+_REFINE_POINTS = 65
+_BRACKET_WIDTH = 1e-10
 _CSV_HEADER = ("n", "label", "theta_plus", "theta_minus", "q_min", "q_beta", "q_G", "q_H", "H_min")
 
 
@@ -148,51 +149,24 @@ def minimize_H(n: int, theta_plus: float, theta_minus: float) -> OptimumReport:
 
     The search runs on [q_G, 1) when the branch crossing sits below q_G;
     otherwise the whole domain [q_min, 1) is scanned and the report is
-    flagged. A coarse grid supplies a bracket that golden-section search
-    refines; a failed or non-unimodal bracket falls back to a dense scan.
+    flagged. The objective is evaluated on a 2048-point grid, then on a
+    65-point grid over the two cells around the best point (one cell at a
+    domain edge), and so on until that bracket is at most 1e-10 wide. Each
+    pass is one array evaluation; the report carries the last best point,
+    its bracket and the total number of evaluations.
     """
     qm, qb, qg = q_landmarks(n, theta_plus, theta_minus)
     warned = qb >= qg
-    lo = qm if warned else qg
-    hi = 1.0 - 1e-9
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    vals = objective_H(n, grid, theta_plus, theta_minus)
-    evaluations = grid.size
-    best = int(np.argmin(vals))
-    q_h = float(grid[best])
-    h_min = float(vals[best])
-
-    def h_of(q: float) -> float:
-        return float(objective_H(n, q, theta_plus, theta_minus))
-
-    if 0 < best < grid.size - 1:
-        bracket = (float(grid[best - 1]), float(grid[best + 1]))
-        try:
-            result = minimize_scalar(
-                h_of,
-                bracket=(grid[best - 1], grid[best], grid[best + 1]),
-                method="golden",
-                options={"xtol": 1e-10},
-            )
-        except ValueError:
-            result = None
-        if result is not None and bracket[0] <= result.x <= bracket[1] and result.fun <= h_min:
-            evaluations += int(result.nfev)
-            q_h, h_min = float(result.x), float(result.fun)
-        else:
-            fine = np.linspace(bracket[0], bracket[1], 1_000_001)
-            fvals = objective_H(n, fine, theta_plus, theta_minus)
-            evaluations += fine.size
-            j = int(np.argmin(fvals))
-            q_h, h_min = float(fine[j]), float(fvals[j])
-    else:
-        # minimum on a domain edge: refine inside the adjacent cells
+    grid = np.linspace(qm if warned else qg, 1.0 - 1e-9, _GRID_POINTS)
+    evaluations = 0
+    while True:
+        vals = objective_H(n, grid, theta_plus, theta_minus)
+        evaluations += grid.size
+        best = int(np.argmin(vals))
         bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)]))
-        fine = np.linspace(bracket[0], bracket[1], 200_001)
-        fvals = objective_H(n, fine, theta_plus, theta_minus)
-        evaluations += fine.size
-        j = int(np.argmin(fvals))
-        q_h, h_min = float(fine[j]), float(fvals[j])
+        if bracket[1] - bracket[0] <= _BRACKET_WIDTH:
+            break
+        grid = np.linspace(bracket[0], bracket[1], _REFINE_POINTS)
     return OptimumReport(
         n=n,
         theta_plus=theta_plus,
@@ -200,8 +174,8 @@ def minimize_H(n: int, theta_plus: float, theta_minus: float) -> OptimumReport:
         q_min=qm,
         q_beta=qb,
         q_G=qg,
-        q_H=q_h,
-        H_min=h_min,
+        q_H=float(grid[best]),
+        H_min=float(vals[best]),
         evaluations=evaluations,
         bracket=bracket,
         warned_full_domain=warned,

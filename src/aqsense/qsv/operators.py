@@ -428,13 +428,17 @@ def assemble_strategy_decomposed(
     _, _, a, b, c, d, alpha, omega3_values = _block_coefficients(n, q0, p)
     m = 2 * n
     c_big = binom(m, n)
+    # b I + c J formed in place: J is C(2n,n)^2, 94 MB at n = 7
+    core = johnson_adjacency(m, n)
+    core *= c
+    core.flat[:: c_big + 1] += b
 
     omega1 = StrategyOperator(
         m,
         {
             (0, 0): np.array([[a]]),
             (m, m): np.array([[a]]),
-            (n, n): b * np.eye(c_big) + c * johnson_adjacency(m, n),
+            (n, n): core,
             (0, n): d * np.ones((1, c_big)),
             (n, m): d * np.ones((c_big, 1)),
         },

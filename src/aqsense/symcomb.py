@@ -59,12 +59,6 @@ class WeightBasis:
         return int(self.indices.size)
 
 
-def _bit_columns(indices: np.ndarray, m: int) -> np.ndarray:
-    """(len(indices), m) 0/1 matrix of the bits of each index."""
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-
-
 def johnson_adjacency(m: int, k: int) -> np.ndarray:
     """Adjacency matrix of the Johnson graph on B_{m,k}.
 
@@ -73,10 +67,8 @@ def johnson_adjacency(m: int, k: int) -> np.ndarray:
     """
     if not 1 <= k <= m - 1:
         raise ValueError(f"k={k} out of range 1..{m - 1}")
-    bits = _bit_columns(_weight_indices(m, k), m)
-    common = bits @ bits.T
-    adj = (common == k - 1).astype(np.float64)
-    return adj
+    idx = _weight_indices(m, k)
+    return (np.bitwise_count(idx[:, None] & idx[None, :]) == k - 1).astype(np.float64)
 
 
 def containment_adjacency(m: int, j: int, k: int) -> np.ndarray:
@@ -87,9 +79,8 @@ def containment_adjacency(m: int, j: int, k: int) -> np.ndarray:
     """
     if not 0 <= j < k <= m:
         raise ValueError(f"need 0 <= j < k <= m, got j={j}, k={k}, m={m}")
-    bits_j = _bit_columns(_weight_indices(m, j), m)
-    bits_k = _bit_columns(_weight_indices(m, k), m)
-    return (bits_j @ bits_k.T == j).astype(np.float64)
+    rows, cols = _weight_indices(m, j), _weight_indices(m, k)
+    return (np.bitwise_count(rows[:, None] & cols[None, :]) == j).astype(np.float64)
 
 
 def johnson_eigenvalue(m: int, k: int, l: int) -> float:

@@ -3,12 +3,15 @@
 These rebuild the acceptance operators by enumerating every verifier
 choice (measurement settings and outcomes) from first principles, with no
 closed-form shortcuts, so agreement with the library is a real check. The
-exact Kraus-sum action of a noise channel checks its sampled trajectories.
+exact Kraus-sum action of a noise channel checks its sampled trajectories,
+and a dense scan of the q0 objective checks the optimizer's search.
 """
 
 import itertools
 
 import numpy as np
+
+from aqsense.qopt import objective_H
 
 SQ2 = np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / SQ2
@@ -120,3 +123,12 @@ def kraus_density(channel, mat):
         embedded = [np.kron(np.kron(np.eye(2 ** q), k), np.eye(2 ** (m - q - 1))) for k in channel.ops]
         mat = sum(e @ mat @ e.conj().T for e in embedded)
     return mat
+
+
+def dense_scan_H(n, theta_plus, theta_minus, lo, hi, points=1_000_001):
+    """Best point of objective_H on a uniform grid over [lo, hi]: returns
+    (q, H(q), grid spacing)."""
+    grid = np.linspace(lo, hi, points)
+    vals = objective_H(n, grid, theta_plus, theta_minus)
+    best = int(np.argmin(vals))
+    return float(grid[best]), float(vals[best]), float(grid[1] - grid[0])

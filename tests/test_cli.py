@@ -4,12 +4,17 @@ seeded reproducibility, and the key=value config file."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aqsense
 from aqsense.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -114,6 +119,12 @@ class TestSense:
         code, _, err = run_cli(SENSE_BASE + ["--shots", "10"], capsys)
         assert code == EXIT_USAGE
         assert "seed" in err
+
+    def test_negative_shots_is_usage(self, capsys):
+        code, out, err = run_cli(SENSE_BASE + ["--shots", "-5", "--seed", "1"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--shots" in err
 
     def test_audit_flag_reports_pass(self, capsys):
         code, payload, _ = run_json(SENSE_BASE + ["--audit"], capsys)
@@ -345,6 +356,36 @@ class TestRobust:
                 "--rounds", "-1", "--noise", "none", "--seed", "1"]
         code, _, _ = run_cli(argv, capsys)
         assert code == EXIT_USAGE
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qsv", "spectrum", "--n", "400", "--q0", "0.33"],
+            ["qsv", "spectrum", "--n", "520", "--q0", "0.33"],
+            ["qsv", "complexity", "--n", "520", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01"],
+            ["opt", "--n-min", "520", "--n-max", "520", "--out", "{tmp}/sweep.csv"],
+        ],
+    )
+    def test_large_n_is_usage(self, argv, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(aqsense.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, aqsense.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigFile:

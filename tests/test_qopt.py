@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import dense_scan_H
 
 from aqsense.qopt import (
     ANGLE_EXAMPLES,
@@ -190,6 +191,19 @@ class TestMinimize:
         assert report.q_G < report.q_beta
         assert report.warned_full_domain is True
         assert abs(report.q_H - 0.48063181775312325) < 2e-6
+
+    @pytest.mark.parametrize(
+        "n, theta_plus, theta_minus",
+        [pytest.param(n, ex.theta_plus, ex.theta_minus, id=f"{ex.label}-n{n}")
+         for n in (3, 10, 50) for ex in ANGLE_EXAMPLES if ex.label in "AFL"]
+        + [pytest.param(3, np.pi / 12, -np.pi / 6, id="full_domain-n3")],
+    )
+    def test_matches_dense_scan(self, n, theta_plus, theta_minus):
+        report = minimize_H(n, theta_plus, theta_minus)
+        lo = report.q_min if report.warned_full_domain else report.q_G
+        q_scan, h_scan, spacing = dense_scan_H(n, theta_plus, theta_minus, lo, 1 - 1e-9)
+        assert abs(report.q_H - q_scan) <= spacing
+        assert report.H_min <= h_scan * (1 + 1e-12)
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
