@@ -418,6 +418,32 @@ def _block_coefficients(n: int, q0: float, p: float):
     return lam0, lam1, a, b, c, d, alpha, omega3
 
 
+def strategy_orbits(n: int, q0: float, p: float) -> dict[tuple[int, int, int], float]:
+    """Orbit coefficients of the subset-averaged strategy: <x|Omega|y> for
+    |x| = i, |y| = j, |x AND y| = t, keyed (i, j, t); unlisted triples are 0.
+    They are the entries of the ``assemble_strategy_decomposed`` blocks.
+    """
+    _, _, a, b, c, d, alpha, omega3 = _block_coefficients(n, q0, p)
+    m = 2 * n
+    orbits = {
+        (0, 0, 0): a,
+        (m, m, m): a,
+        (n, n, n): b,
+        (n, n, n - 1): c,
+        (0, n, 0): d,
+        (n, 0, 0): d,
+        (n, m, n): d,
+        (m, n, n): d,
+        (n - 1, n - 1, n - 1): alpha,
+        (n + 1, n + 1, n + 1): alpha,
+        (n - 1, n + 1, n - 1): c,
+        (n + 1, n - 1, n - 1): c,
+    }
+    for l, coeff in enumerate(omega3, start=1):
+        orbits[(l, l, l)] = orbits[(m - l, m - l, m - l)] = coeff
+    return orbits
+
+
 def assemble_strategy_decomposed(
     n: int, q0: float, p: float
 ) -> tuple[StrategyOperator, StrategyOperator, StrategyOperator]:

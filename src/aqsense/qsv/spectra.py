@@ -3,23 +3,25 @@
 The strategy splits into three sector-disjoint pieces; the second-largest
 eigenvalue (hence the spectral gap) comes from the GHZ/Dicke core, whose
 two coupled eigenvalues follow from a 2x2 reduction on the symmetric
-subspace. Everything here is exact arithmetic on the block coefficients;
-``check_numeric`` diagonalizes the assembled blocks as a cross-check, in
-real arithmetic: the core block with a dense solve, the bipartite piece
-through the Gram matrix of its coupling, the diagonal remainder by reading
-off its diagonal.
+subspace. Everything here is exact arithmetic on the block coefficients.
+The strategy commutes with every qubit permutation, so ``check_numeric``
+diagonalizes it through Schrijver's symmetric blocks (``symmetric``): each
+piece is checked on its own rows of those blocks, which have size at most
+2n+1, at every n the closed form covers.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..qcore import eig_top2, make_target
+from ..qcore import make_target
 from ..symcomb import binom, johnson_eigenvalue
-from .operators import StrategyOperator, _block_coefficients, assemble_strategy_decomposed
+from .operators import _block_coefficients, strategy_orbits
+from .symmetric import block_spectrum, schrijver_blocks
 
 __all__ = [
     "SpectralSummary",
@@ -88,27 +90,43 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
 
     The branch condition compares the two candidates for the second-largest
     eigenvalue of the core piece; p = 1 is rejected (no gap, the condition
-    degenerates).
+    degenerates). ``check_numeric`` adds the distance of each closed-form
+    eigenvalue from the symmetric-block spectrum of its piece. Its beta
+    residual resolves the gap only while nu is well above the float64
+    spacing near 1, nu > ~1e-6 (about n <= 12 at q0 = 0.33); beyond that
+    nu rests on its closed form, which the tests check against exact
+    rational arithmetic.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     lam0, lam1, a, b, c, d, alpha2, omega3_values = _block_coefficients(n, q0, p)
     m = 2 * n
     c_big = binom(m, n)
+    # d ~ C(2n,n)^(-3/2) leaves the normal float64 range from about n = 340
+    # (and is 0 at q0 = 1); the roots below divide by it
+    if not d >= sys.float_info.min:
+        raise ValueError(
+            f"core coupling d = {float(d):.3g} at n={n}, q0={q0} is below the smallest normal float64"
+        )
 
     # 2x2 reduction on span{(|0..0>+|1..1>)/sqrt2, uniform weight-n vector}:
     # alpha solves 2d alpha^2 - (a - s_mid) alpha - d C(2n,n) = 0. Both a and
     # s_mid = 1 - 2(1-p) lambda0 / C(2n,n) round to 1 at large n, so a - s_mid
     # is formed directly, the root without cancellation comes from the
     # formula and the other from the product alpha_plus alpha_minus = -C/2.
+    # a - s_mid and d enter scaled by the power of two that brings the larger
+    # into [1/2, 1), which is exact in binary, so the squares under the root
+    # do not underflow (from about n = 150 at q0 = 0.33 they would).
     s_mid = b + c * n * n
     a_minus_s = (1 - p) * (2 * lam0 / c_big - lam1)
-    disc = np.sqrt(a_minus_s**2 + 8 * d * d * c_big)
+    e = -math.frexp(max(abs(a_minus_s), d))[1]
+    a_minus_s, d_scaled = math.ldexp(a_minus_s, e), math.ldexp(d, e)
+    disc = math.sqrt(a_minus_s**2 + 8 * d_scaled * d_scaled * c_big)
     if a_minus_s >= 0:
-        alpha_plus = (a_minus_s + disc) / (4 * d)
+        alpha_plus = (a_minus_s + disc) / (4 * d_scaled)
         alpha_minus = -c_big / (2 * alpha_plus)
     else:
-        alpha_minus = (a_minus_s - disc) / (4 * d)
+        alpha_minus = (a_minus_s - disc) / (4 * d_scaled)
         alpha_plus = -c_big / (2 * alpha_minus)
     lambda_plus = s_mid + 2 * d * alpha_plus
     lambda_minus = s_mid + 2 * d * alpha_minus
@@ -134,10 +152,13 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
 
     residuals: dict[str, float] | None = None
     if check_numeric:
-        o1, o2, o3 = assemble_strategy_decomposed(n, q0, p)
-        w1 = np.linalg.eigvalsh(o1.component_matrix((0, n, m)))
-        top2 = _bipartite_top(o2, n - 1, n + 1)
-        top3 = float(np.max(o3.eigenvalues()))
+        blocks = schrijver_blocks(m, strategy_orbits(n, q0, p))
+        vals, mults = block_spectrum(blocks, (0, n, m))
+        # each value at most twice: enough to read the top two with multiplicity
+        w1 = np.sort(np.repeat(vals, [min(mult, 2) for mult in mults]))
+        top2 = float(np.max(block_spectrum(blocks, (n - 1, n + 1))[0]))
+        rest = [w for w in range(1, m) if abs(w - n) > 1]
+        top3 = float(np.max(block_spectrum(blocks, rest)[0]))
         residuals = {
             "lambda_plus": abs(lambda_plus - w1[-1]),
             "beta": abs(beta - w1[-2]),
@@ -170,22 +191,6 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
         branch=branch,
         residuals=residuals,
     )
-
-
-def _bipartite_top(op: StrategyOperator, j: int, k: int) -> float:
-    """Top eigenvalue of the component on sectors j and k when both diagonal
-    blocks are alpha I: [[alpha I, G], [G^dag, alpha I]] has eigenvalues
-    alpha +- the singular values of G, so the top one is
-    alpha + sqrt(lambda_max(G G^dag)).
-    """
-    alpha = op.block(j, j)[0, 0]
-    for w in (j, k):
-        block = op.block(w, w)
-        if np.count_nonzero(block - alpha * np.eye(block.shape[0])):
-            raise ValueError(f"block ({w}, {w}) is not {alpha} times the identity")
-    g = op.block(j, k)
-    top, _ = eig_top2(g @ g.conj().T)
-    return float(alpha + math.sqrt(top))
 
 
 def pauli_witness_bound(n: int, q0: float) -> float:

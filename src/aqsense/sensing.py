@@ -11,6 +11,7 @@ that checks the position independence numerically.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,6 +34,7 @@ __all__ = [
     "g_plus",
     "g_minus",
     "sensitivity_bounds",
+    "placement_probabilities",
     "anonymity_audit",
 ]
 
@@ -283,6 +285,42 @@ class AuditReport:
     passed: bool
 
 
+def placement_probabilities(
+    n: int, q0: float, omega_a: float, omega_b: float, t: float, povm: Povm | None = None
+) -> np.ndarray:
+    """Outcome law of the probe for every ordered placement of omega_a at
+    qubit t1 and omega_b at qubit t2 != t1: one row per placement, ordered
+    by t1 and then t2, and one column per POVM outcome.
+
+    A qubit at frequency w scales a basis state by e^{+i w t/2} on bit 0 and
+    e^{-i w t/2} on bit 1, i.e. by p0 + (p1 - p0) bit. So with v = conj(k) psi
+    on its support and B that support's 0/1 bit matrix (qubit 0 most
+    significant, as in ``evolve_phases``), every amplitude <k|U_{t1,t2}|psi>
+    is a combination of sum(v), r = B^T v and S = B^T diag(v) B at (t1, t2):
+    one matrix product per ket in place of one evolution per placement.
+    """
+    if povm is None:
+        povm = Povm(n)
+    m = 2 * n
+    psi = make_target(n, q0).amps
+    a0, b0 = cmath.exp(0.5j * omega_a * t), cmath.exp(0.5j * omega_b * t)
+    da, db = a0.conjugate() - a0, b0.conjugate() - b0
+    shifts = np.arange(m - 1, -1, -1)
+    placed = ~np.eye(m, dtype=bool)
+    probs = []
+    for ket in povm.kets:
+        v = ket.conj() * psi
+        support = np.flatnonzero(v)
+        v = v[support]
+        bits = ((support[:, None] >> shifts) & 1).astype(float)
+        r = bits.T @ v
+        s = bits.T @ (v[:, None] * bits)
+        amp = a0 * b0 * v.sum() + a0 * db * r[None, :] + da * b0 * r[:, None] + da * db * s
+        probs.append(np.abs(amp[placed]) ** 2)
+    probs = np.array(probs).T
+    return np.column_stack([probs, 1.0 - probs.sum(axis=1)])
+
+
 def anonymity_audit(
     n: int, q0: float, omega_a: float, omega_b: float, t: float, povm: Povm | None = None
 ) -> AuditReport:
@@ -291,19 +329,6 @@ def anonymity_audit(
     between the distributions is below 1e-12. A ``povm`` override allows
     negative controls with asymmetric measurements.
     """
-    if povm is None:
-        povm = Povm(n)
-    m = 2 * n
-    probe = make_target(n, q0)
-    dists = []
-    for t1 in range(1, m + 1):
-        for t2 in range(1, m + 1):
-            if t1 == t2:
-                continue
-            omegas = np.zeros(m)
-            omegas[t1 - 1] = omega_a
-            omegas[t2 - 1] = omega_b
-            dists.append(povm.probabilities(evolve_phases(probe, omegas, t)))
-    arr = np.array(dists)
-    max_distance = float(np.max(arr.max(axis=0) - arr.min(axis=0)))
+    dists = placement_probabilities(n, q0, omega_a, omega_b, t, povm)
+    max_distance = float(np.max(dists.max(axis=0) - dists.min(axis=0)))
     return AuditReport(num_pairs=len(dists), max_distance=max_distance, passed=max_distance < 1e-12)

@@ -4,14 +4,20 @@ These rebuild the acceptance operators by enumerating every verifier
 choice (measurement settings and outcomes) from first principles, with no
 closed-form shortcuts, so agreement with the library is a real check. The
 exact Kraus-sum action of a noise channel checks its sampled trajectories,
-and a dense scan of the q0 objective checks the optimizer's search.
+and a dense scan of the q0 objective checks the optimizer's search. Dense
+routes check the symmetric-block spectra: an operator built entry by entry
+from its orbit coefficients, the Gram route on the strategy's (n-1, n+1)
+piece, and the anonymity audit's law from one evolution per placement.
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from aqsense.qcore import eig_top2, evolve_phases, make_target
 from aqsense.qopt import objective_H
+from aqsense.sensing import Povm
 
 SQ2 = np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / SQ2
@@ -132,3 +138,45 @@ def dense_scan_H(n, theta_plus, theta_minus, lo, hi, points=1_000_001):
     vals = objective_H(n, grid, theta_plus, theta_minus)
     best = int(np.argmin(vals))
     return float(grid[best]), float(vals[best]), float(grid[1] - grid[0])
+
+
+def orbit_operator_dense(m, orbits):
+    """2^m x 2^m matrix with entry (x, y) = orbits[(|x|, |y|, |x AND y|)],
+    0 for unlisted triples, filled entry by entry."""
+    dim = 2 ** m
+    out = np.zeros((dim, dim))
+    for x in range(dim):
+        for y in range(dim):
+            out[x, y] = orbits.get((x.bit_count(), y.bit_count(), (x & y).bit_count()), 0.0)
+    return out
+
+
+def bipartite_top(op, j, k):
+    """Top eigenvalue of a StrategyOperator's component on sectors j and k
+    when both diagonal blocks are alpha I: [[alpha I, G], [G^dag, alpha I]]
+    has eigenvalues alpha +- the singular values of G, so the top one is
+    alpha + sqrt(lambda_max(G G^dag)).
+    """
+    alpha = op.block(j, j)[0, 0]
+    for w in (j, k):
+        block = op.block(w, w)
+        if np.count_nonzero(block - alpha * np.eye(block.shape[0])):
+            raise ValueError(f"block ({w}, {w}) is not {alpha} times the identity")
+    g = op.block(j, k)
+    top, _ = eig_top2(g @ g.conj().T)
+    return float(alpha + math.sqrt(top))
+
+
+def placement_probabilities_by_evolution(n, q0, omega_a, omega_b, t, povm=None):
+    """One evolve_phases and one Povm.probabilities per ordered placement
+    (t1, t2), ordered by t1 and then t2."""
+    povm = povm if povm is not None else Povm(n)
+    m = 2 * n
+    probe = make_target(n, q0)
+    rows = []
+    for t1, t2 in itertools.permutations(range(m), 2):
+        omegas = np.zeros(m)
+        omegas[t1] = omega_a
+        omegas[t2] = omega_b
+        rows.append(povm.probabilities(evolve_phases(probe, omegas, t)))
+    return np.array(rows)

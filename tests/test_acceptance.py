@@ -62,14 +62,22 @@ def test_criterion_01_bruteforce_equals_decomposition():
 
 
 def test_criterion_02_spectral_formulas_match_numerics():
-    """Every closed-form eigenvalue within 1e-9 of diagonalization, plus
-    the sector orderings, on the full (n, p, q0) grid."""
+    """Every closed-form eigenvalue within 1e-9 of diagonalization, both of
+    the symmetric blocks (check_numeric) and of the dense assembled blocks,
+    plus the sector orderings, on the full (n, p, q0) grid."""
     for n in (3, 4, 5):
         for p in (0.0, 0.3):
             for q0 in (q_min(n), 0.2, 0.33, 0.6, 0.9):
                 s = analytic_spectrum(n, q0, p, check_numeric=True)
                 assert max(s.residuals.values()) <= 1e-9
-                _, _, o3 = assemble_strategy_decomposed(n, q0, p)
+                o1, o2, o3 = assemble_strategy_decomposed(n, q0, p)
+                core = np.linalg.eigvalsh(o1.component_matrix((0, n, 2 * n)))
+                assert abs(core[-1] - s.lambda_plus) <= 1e-9
+                assert abs(core[-2] - s.beta) <= 1e-9
+                for value in (s.lambda_a, s.lambda_bc1, s.lambda_minus):
+                    assert np.min(np.abs(core - value)) <= 1e-9
+                bipartite = np.linalg.eigvalsh(o2.component_matrix((n - 1, n + 1)))
+                assert abs(bipartite[-1] - s.lambda1_omega2) <= 1e-9
                 for l in range(1, n - 1):
                     top = float(np.max(np.linalg.eigvalsh(o3.component_matrix((l, 2 * n - l)))))
                     assert abs(top - s.omega3_values[l - 1]) <= 1e-9

@@ -369,13 +369,14 @@ class TestFloatRange:
         ],
     )
     def test_large_n_is_usage(self, argv, tmp_path, capsys):
+        # a RuntimeWarning raises here, so stderr holds the error line alone
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(argv, capsys)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -2,9 +2,11 @@
 
 Frozen anchors were evaluated independently (16 digits) before the
 implementation; numeric cross-checks diagonalize the assembled sector
-blocks directly.
+blocks directly, and the symmetric blocks behind ``check_numeric`` are
+checked against dense matrices built entry by entry.
 """
 
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -21,8 +23,11 @@ from aqsense.qsv import (
     omega3_profile,
     pauli_witness_bound,
     q_min,
+    spectra,
 )
-from aqsense.qsv.spectra import _bipartite_top
+from aqsense.qsv.operators import strategy_orbits
+from aqsense.qsv.symmetric import block_spectrum, schrijver_blocks
+from oracles import bipartite_top, orbit_operator_dense
 
 
 class TestFrozenValues:
@@ -110,14 +115,14 @@ class TestCheckRoutes:
         _, o2, _ = assemble_strategy_decomposed(n, 0.33, p)
         full = o2.component_matrix((n - 1, n + 1)).astype(np.complex128)
         top = np.linalg.eigvalsh(full)[-1]
-        assert _bipartite_top(o2, n - 1, n + 1) == pytest.approx(top, abs=1e-12)
+        assert bipartite_top(o2, n - 1, n + 1) == pytest.approx(top, abs=1e-12)
 
     def test_gram_route_rejects_non_scalar_diagonal(self):
         _, o2, _ = assemble_strategy_decomposed(3, 0.33, 0.0)
         blocks = dict(o2.blocks)
         blocks[(2, 2)] = blocks[(2, 2)] + np.diag(np.linspace(0, 1e-3, blocks[(2, 2)].shape[0]))
         with pytest.raises(ValueError):
-            _bipartite_top(StrategyOperator(6, blocks), 2, 4)
+            bipartite_top(StrategyOperator(6, blocks), 2, 4)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_diagonal_shortcut_matches_eigvalsh(self, n):
@@ -142,6 +147,57 @@ class TestCheckRoutes:
         np.testing.assert_array_equal(back.to_dense(), cplx.to_dense())
 
 
+def full_spectrum(blocks):
+    """Every eigenvalue of the symmetric blocks, repeated by multiplicity."""
+    vals, mults = block_spectrum(blocks)
+    return np.sort(np.repeat(vals, mults))
+
+
+class TestSymmetricRoute:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_strategy_spectrum_matches_dense_pieces(self, n, p):
+        for q0 in (q_min(n), 0.33, 0.9):
+            blocks = schrijver_blocks(2 * n, strategy_orbits(n, q0, p))
+            dense = np.concatenate([op.eigenvalues() for op in assemble_strategy_decomposed(n, q0, p)])
+            assert dense.size == 2 ** (2 * n)
+            np.testing.assert_allclose(full_spectrum(blocks), np.sort(dense), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_random_orbit_coefficients_match_entrywise_operator(self, m):
+        # independent of the strategy: any symmetric table on valid triples
+        draw = np.random.default_rng(6000 + m)
+        triples = [
+            (i, j, t)
+            for i in range(m + 1)
+            for j in range(i, m + 1)
+            for t in range(max(0, i + j - m), min(i, j) + 1)
+        ]
+        orbits = {}
+        for idx in draw.choice(len(triples), size=len(triples) // 2, replace=False):
+            i, j, t = triples[idx]
+            orbits[(i, j, t)] = orbits[(j, i, t)] = float(draw.uniform(-1, 1))
+        dense = np.linalg.eigvalsh(orbit_operator_dense(m, orbits))
+        np.testing.assert_allclose(full_spectrum(schrijver_blocks(m, orbits)), dense, rtol=0, atol=1e-12)
+
+    def test_asymmetric_table_rejected(self):
+        with pytest.raises(ValueError):
+            schrijver_blocks(4, {(1, 3, 1): 0.5})
+        with pytest.raises(ValueError):
+            schrijver_blocks(4, {(1, 1, 2): 0.5})
+
+    def test_wrong_closed_form_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(spectra, "johnson_eigenvalue", lambda m, k, l: johnson_eigenvalue(m, k, l) + 1)
+        s = analytic_spectrum(3, 0.33, 0.0, check_numeric=True)
+        assert max(s.residuals.values()) > 1e-9
+
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_check_runs_to_n50(self, p):
+        for n in (7, 12, 20, 50):
+            s = analytic_spectrum(n, 0.33, p, check_numeric=True)
+            assert max(s.residuals.values()) <= 1e-12
+
+
 def exact_gap(n, q0, p):
     """1 - max(lambda_a, lambda_bc1) in exact rational arithmetic."""
     q0, p = Fraction(q0), Fraction(p)
@@ -163,7 +219,7 @@ class TestLargeN:
             assert abs(Fraction(s.nu) - exact) <= Fraction(1, 10 ** 12) * exact
             assert s.nu == pytest.approx(1 - s.beta, abs=1e-15)
 
-    @pytest.mark.parametrize("n", [20, 30, 40, 50])
+    @pytest.mark.parametrize("n", [20, 30, 40, 50, 200, 300])
     @pytest.mark.parametrize("p", [0.0, 0.1])
     def test_core_amplitudes_match_exact_rational(self, n, p):
         # alpha_plus^2 = lambda0/lambda1 = C q0 / (2 q1) and alpha_plus alpha_minus
@@ -177,6 +233,13 @@ class TestLargeN:
             assert s.alpha_plus > 0 > s.alpha_minus
             assert abs(Fraction(s.alpha_plus) ** 2 - plus_sq) <= Fraction(2, 10**12) * plus_sq
             assert abs(Fraction(s.alpha_minus) ** 2 - minus_sq) <= Fraction(2, 10**12) * minus_sq
+
+    @pytest.mark.parametrize("n,q0", [(345, 0.33), (400, 0.33), (3, 1.0)])
+    def test_subnormal_core_coupling_rejected(self, n, q0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="smallest normal float64"):
+                analytic_spectrum(n, q0, 0.0)
 
     def test_lambda1_keeps_its_digits_at_n50(self):
         lam0, lam1 = lambda_map(50, 0.33)

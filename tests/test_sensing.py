@@ -21,10 +21,12 @@ from aqsense.sensing import (
     estimate_angles,
     g_minus,
     g_plus,
+    placement_probabilities,
     sample_run,
     sensitivity_bounds,
     simulate_probs,
 )
+from oracles import placement_probabilities_by_evolution
 
 
 def fisher_inverse(n, q0, theta_plus, theta_minus, h=1e-6):
@@ -293,3 +295,21 @@ class TestAnonymityAudit:
         report = anonymity_audit(3, 0.33, 0.3, 0.7, 1.0, povm=broken)
         assert not report.passed
         assert report.max_distance > 1e-3
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_placement_law_matches_per_placement_evolution(self, n):
+        # the broken POVM of the negative control, and a random ket whose law
+        # changes when the two fields trade places
+        povm = build_povm(n)
+        ket = np.zeros(2 ** (2 * n), dtype=complex)
+        ket[(1 << n) - 1] = ket[((1 << n) - 1) << n] = 1 / np.sqrt(2)
+        broken = Povm(n, kets=(ket, povm.kets[1], povm.kets[2]))
+        draw = np.random.default_rng(90 + n)
+        generic = draw.normal(size=ket.size) + 1j * draw.normal(size=ket.size)
+        generic = Povm(n, kets=(generic / np.linalg.norm(generic), povm.kets[1], povm.kets[2]))
+        for omega_a, omega_b, t in ((0.3, 0.7, 1.0), (1.1, 0.2, 0.9), (0.05, 1.5, 2.0)):
+            for measurement in (None, broken, generic):
+                fast = placement_probabilities(n, 0.33, omega_a, omega_b, t, povm=measurement)
+                slow = placement_probabilities_by_evolution(n, 0.33, omega_a, omega_b, t, povm=measurement)
+                assert fast.shape == (2 * n * (2 * n - 1), 4)
+                np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-13)
