@@ -129,6 +129,8 @@ def _parse_examples(arg: str):
         for label in wanted:
             if label not in _LABELS:
                 raise ValueError(f"unknown example label {label!r}")
+        if len(set(wanted)) < len(wanted):
+            raise ValueError(f"repeated example label in {arg!r}")
     by_label = {ex.label: ex for ex in ANGLE_EXAMPLES}
     return [by_label[label] for label in wanted]
 

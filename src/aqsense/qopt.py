@@ -3,8 +3,9 @@
 Combines the two estimation-variance bounds with the residual acceptance
 of imperfect copies into a single figure of merit H(q0), locates its
 landmark weights (domain minimum, eigenvalue-branch crossing, Dicke-bound
-minimizer), and minimizes H per (n, angle pair), including the sweep that
-generates the figure data.
+minimizer), and minimizes H per (n, angle pair). One minimize_H call
+searches every angle pair at one n together, so the sweep that generates
+the figure data makes one call per n.
 """
 
 from __future__ import annotations
@@ -65,27 +66,32 @@ ANGLE_EXAMPLES: tuple[AngleExample, ...] = (
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Landmark weights and the located minimum of the objective."""
+    """Landmark weights and the located minimum of the objective.
+
+    The angle-dependent fields are floats for one angle pair and arrays for
+    many (see ``minimize_H``); every check holds for each pair.
+    """
 
     n: int
-    theta_plus: float
-    theta_minus: float
+    theta_plus: float | np.ndarray
+    theta_minus: float | np.ndarray
     q_min: float
     q_beta: float
-    q_G: float
-    q_H: float
-    H_min: float
+    q_G: float | np.ndarray
+    q_H: float | np.ndarray
+    H_min: float | np.ndarray
     evaluations: int
-    bracket: tuple[float, float]
-    warned_full_domain: bool
+    bracket: tuple[float, float] | np.ndarray
+    warned_full_domain: bool | np.ndarray
 
     def __post_init__(self) -> None:
         if self.q_min > self.q_beta + 1e-15:
             raise ValueError(f"q_min={self.q_min} exceeds q_beta={self.q_beta}")
-        if not self.warned_full_domain and self.q_H < self.q_G - 1e-12:
+        restricted = ~np.asarray(self.warned_full_domain)
+        if np.any(restricted & (np.asarray(self.q_H) < np.asarray(self.q_G) - 1e-12)):
             raise ValueError("q_H fell below q_G inside the restricted search")
-        expected = float(objective_H(self.n, self.q_H, self.theta_plus, self.theta_minus))
-        if not np.isclose(self.H_min, expected, rtol=1e-9, atol=0.0):
+        expected = objective_H(self.n, self.q_H, self.theta_plus, self.theta_minus)
+        if not np.all(np.isclose(self.H_min, expected, rtol=1e-9, atol=0.0)):
             raise ValueError(f"H_min={self.H_min} does not equal the objective {expected}")
 
 
@@ -144,29 +150,53 @@ def objective_H(n: int, q0, theta_plus: float, theta_minus: float):
     return g_plus(q0) * g_minus(n, q0, theta_plus, theta_minus) * beta_p0(n, q0)
 
 
-def minimize_H(n: int, theta_plus: float, theta_minus: float) -> OptimumReport:
-    """Minimize the figure of merit over the admissible weights.
+def minimize_H(n: int, theta_plus, theta_minus) -> OptimumReport:
+    """Minimize the figure of merit over the admissible weights, for one
+    angle pair or for arrays of them (broadcast together) at one n.
 
-    The search runs on [q_G, 1) when the branch crossing sits below q_G;
-    otherwise the whole domain [q_min, 1) is scanned and the report is
-    flagged. The objective is evaluated on a 2048-point grid, then on a
+    Per pair, the search runs on [q_G, 1) when the branch crossing sits
+    below q_G; otherwise the whole domain [q_min, 1) is scanned and the pair
+    is flagged. The objective is evaluated on a 2048-point grid, then on a
     65-point grid over the two cells around the best point (one cell at a
     domain edge), and so on until that bracket is at most 1e-10 wide. Each
-    pass is one array evaluation; the report carries the last best point,
-    its bracket and the total number of evaluations.
+    pass is one array evaluation over the pairs still searching, a
+    (pairs, points) grid; a pair leaves once its own bracket is narrow
+    enough, so every pair sees exactly the grids a search of it alone would.
+
+    With scalar angles the report holds floats. With arrays, q_G, q_H,
+    H_min and warned_full_domain are arrays of the broadcast shape, bracket
+    is an array whose [0] and [1] hold the lower and upper ends, and
+    evaluations is the total over the pairs. The angles are kept as given.
     """
-    qm, qb, qg = q_landmarks(n, theta_plus, theta_minus)
+    tp, tm = np.broadcast_arrays(np.asarray(theta_plus, float), np.asarray(theta_minus, float))
+    shape, tp, tm = tp.shape, tp.ravel(), tm.ravel()
+    qm, qb = q_min(n), _q_beta(n)
+    qg = np.array([q_landmarks(n, a, b)[2] for a, b in zip(tp.tolist(), tm.tolist())])
     warned = qb >= qg
-    grid = np.linspace(qm if warned else qg, 1.0 - 1e-9, _GRID_POINTS)
+    q_h, h_min = np.empty(tp.size), np.empty(tp.size)
+    lower, upper = np.empty(tp.size), np.empty(tp.size)
+    active = np.arange(tp.size)
+    grid = np.linspace(np.where(warned, qm, qg), 1.0 - 1e-9, _GRID_POINTS, axis=-1)
     evaluations = 0
-    while True:
-        vals = objective_H(n, grid, theta_plus, theta_minus)
+    while active.size:
+        vals = objective_H(n, grid, tp[active, None], tm[active, None])
         evaluations += grid.size
-        best = int(np.argmin(vals))
-        bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)]))
-        if bracket[1] - bracket[0] <= _BRACKET_WIDTH:
-            break
-        grid = np.linspace(bracket[0], bracket[1], _REFINE_POINTS)
+        rows = np.arange(active.size)
+        best = np.argmin(vals, axis=1)
+        lo = grid[rows, np.maximum(best - 1, 0)]
+        hi = grid[rows, np.minimum(best + 1, grid.shape[1] - 1)]
+        done = hi - lo <= _BRACKET_WIDTH
+        finished = active[done]
+        q_h[finished], h_min[finished] = grid[rows, best][done], vals[rows, best][done]
+        lower[finished], upper[finished] = lo[done], hi[done]
+        active = active[~done]
+        grid = np.linspace(lo[~done], hi[~done], _REFINE_POINTS, axis=-1)
+    if shape:
+        qg, q_h, h_min, warned = (x.reshape(shape) for x in (qg, q_h, h_min, warned))
+        bracket = np.stack([lower, upper]).reshape((2,) + shape)
+    else:
+        qg, q_h, h_min, warned = float(qg[0]), float(q_h[0]), float(h_min[0]), bool(warned[0])
+        bracket = (float(lower[0]), float(upper[0]))
     return OptimumReport(
         n=n,
         theta_plus=theta_plus,
@@ -174,8 +204,8 @@ def minimize_H(n: int, theta_plus: float, theta_minus: float) -> OptimumReport:
         q_min=qm,
         q_beta=qb,
         q_G=qg,
-        q_H=float(grid[best]),
-        H_min=float(vals[best]),
+        q_H=q_h,
+        H_min=h_min,
         evaluations=evaluations,
         bracket=bracket,
         warned_full_domain=warned,
@@ -189,10 +219,12 @@ def sweep(n_min: int, n_max: int, examples: Sequence[AngleExample] | None = None
     if n_max < n_min:
         raise ValueError(f"n_max={n_max} is below n_min={n_min}")
     chosen = ANGLE_EXAMPLES if examples is None else tuple(examples)
+    theta_plus = np.array([ex.theta_plus for ex in chosen])
+    theta_minus = np.array([ex.theta_minus for ex in chosen])
     rows = []
     for n in range(n_min, n_max + 1):
-        for ex in chosen:
-            report = minimize_H(n, ex.theta_plus, ex.theta_minus)
+        report = minimize_H(n, theta_plus, theta_minus)
+        for i, ex in enumerate(chosen):
             rows.append(
                 {
                     "n": n,
@@ -201,9 +233,9 @@ def sweep(n_min: int, n_max: int, examples: Sequence[AngleExample] | None = None
                     "theta_minus": ex.theta_minus,
                     "q_min": report.q_min,
                     "q_beta": report.q_beta,
-                    "q_G": report.q_G,
-                    "q_H": report.q_H,
-                    "H_min": report.H_min,
+                    "q_G": float(report.q_G[i]),
+                    "q_H": float(report.q_H[i]),
+                    "H_min": float(report.H_min[i]),
                 }
             )
     return rows

@@ -51,6 +51,12 @@ def schrijver_blocks(m: int, orbits: Mapping[tuple[int, int, int], float]) -> li
             raise ValueError(f"({i}, {j}, {t}) is no orbit of {m} qubits")
         if orbits.get((j, i, t), 0.0) != f:
             raise ValueError(f"orbit coefficients of ({i}, {j}, {t}) and ({j}, {i}, {t}) differ")
+        if i == j == t:
+            # f times the weight-i projector: beta = C(m-2k, i-k), so the
+            # entry is exactly f
+            for k in range(min(i, m - i) + 1):
+                blocks[k][i - k, i - k] += f
+            continue
         for k in range(min(i, j, m - i, m - j) + 1):
             beta = _beta(m, i, j, t, k)
             norm = math.comb(m - 2 * k, i - k) * math.comb(m - 2 * k, j - k)

@@ -4,10 +4,12 @@ These rebuild the acceptance operators by enumerating every verifier
 choice (measurement settings and outcomes) from first principles, with no
 closed-form shortcuts, so agreement with the library is a real check. The
 exact Kraus-sum action of a noise channel checks its sampled trajectories,
-and a dense scan of the q0 objective checks the optimizer's search. Dense
-routes check the symmetric-block spectra: an operator built entry by entry
-from its orbit coefficients, the Gram route on the strategy's (n-1, n+1)
-piece, and the anonymity audit's law from one evolution per placement.
+a dense scan of the q0 objective checks the optimizer's search, and that
+search run on one angle pair at a time checks its run over many pairs at
+once. Dense routes check the symmetric-block spectra: an operator built
+entry by entry from its orbit coefficients, the Gram route on the
+strategy's (n-1, n+1) piece, and the anonymity audit's law from one
+evolution per placement.
 """
 
 import itertools
@@ -15,8 +17,9 @@ import math
 
 import numpy as np
 
+from aqsense import qopt
 from aqsense.qcore import eig_top2, evolve_phases, make_target
-from aqsense.qopt import objective_H
+from aqsense.qopt import OptimumReport, objective_H, q_landmarks
 from aqsense.sensing import Povm
 
 SQ2 = np.sqrt(2.0)
@@ -138,6 +141,37 @@ def dense_scan_H(n, theta_plus, theta_minus, lo, hi, points=1_000_001):
     vals = objective_H(n, grid, theta_plus, theta_minus)
     best = int(np.argmin(vals))
     return float(grid[best]), float(vals[best]), float(grid[1] - grid[0])
+
+
+def minimize_H_rowwise(n, theta_plus, theta_minus):
+    """minimize_H's nested-grid search on one scalar angle pair, with
+    scalar landmarks and a 1-D grid per pass. Grid sizes and the stopping
+    width are read from qopt at call time."""
+    qm, qb, qg = q_landmarks(n, theta_plus, theta_minus)
+    warned = qb >= qg
+    grid = np.linspace(qm if warned else qg, 1.0 - 1e-9, qopt._GRID_POINTS)
+    evaluations = 0
+    while True:
+        vals = objective_H(n, grid, theta_plus, theta_minus)
+        evaluations += grid.size
+        best = int(np.argmin(vals))
+        bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)]))
+        if bracket[1] - bracket[0] <= qopt._BRACKET_WIDTH:
+            break
+        grid = np.linspace(bracket[0], bracket[1], qopt._REFINE_POINTS)
+    return OptimumReport(
+        n=n,
+        theta_plus=theta_plus,
+        theta_minus=theta_minus,
+        q_min=qm,
+        q_beta=qb,
+        q_G=qg,
+        q_H=float(grid[best]),
+        H_min=float(vals[best]),
+        evaluations=evaluations,
+        bracket=bracket,
+        warned_full_domain=warned,
+    )
 
 
 def orbit_operator_dense(m, orbits):

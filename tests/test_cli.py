@@ -306,6 +306,16 @@ class TestOpt:
             code, _, _ = run_cli(argv, capsys)
             assert code == EXIT_USAGE
 
+    def test_repeated_label_is_usage(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        argv = ["opt", "--n-min", "3", "--n-max", "4", "--examples", "A,A", "--out", str(path),
+                "--self-check"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
     def test_bad_range_and_missing_out(self, tmp_path, capsys):
         path = str(tmp_path / "sweep.csv")
         code, _, _ = run_cli(["opt", "--n-min", "2", "--n-max", "3", "--out", path], capsys)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from oracles import dense_scan_H
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_scan_H, minimize_H_rowwise
 
+from aqsense import qopt
 from aqsense.qopt import (
     ANGLE_EXAMPLES,
     AngleExample,
@@ -241,6 +246,93 @@ class TestMinimize:
         # fixed theta+: H_min grows with theta- (toward zero)
         assert hmin["C"] > hmin["H"] > hmin["K"]
         assert hmin["D"] > hmin["I"] > hmin["L"]
+
+
+THETA_PLUS = np.array([ex.theta_plus for ex in ANGLE_EXAMPLES])
+THETA_MINUS = np.array([ex.theta_minus for ex in ANGLE_EXAMPLES])
+FIELDS = ("q_G", "q_H", "H_min", "warned_full_domain")
+
+
+class TestBatchedSearch:
+    def test_sweep_matches_rowwise_oracle_bit_for_bit(self):
+        rows = sweep(3, 50)
+        assert len(rows) == 48 * len(ANGLE_EXAMPLES)
+        for row in rows:
+            oracle = minimize_H_rowwise(row["n"], row["theta_plus"], row["theta_minus"])
+            assert oracle.evaluations == 2048 + 5 * 65
+            for key in ("q_min", "q_beta", "q_G", "q_H", "H_min"):
+                assert row[key] == getattr(oracle, key), (row["n"], row["label"], key)
+
+    def test_one_call_per_n_counts_every_pair(self):
+        for n in (3, 17, 50):
+            report = minimize_H(n, THETA_PLUS, THETA_MINUS)
+            assert isinstance(report.evaluations, int)
+            assert report.evaluations == len(ANGLE_EXAMPLES) * (2048 + 5 * 65)
+            for i, ex in enumerate(ANGLE_EXAMPLES):
+                oracle = minimize_H_rowwise(n, ex.theta_plus, ex.theta_minus)
+                assert tuple(report.bracket[:, i]) == oracle.bracket
+                for key in FIELDS:
+                    assert getattr(report, key)[i] == getattr(oracle, key)
+
+    def test_each_pair_stops_at_its_own_width(self, monkeypatch):
+        # at 1e-10 every pair takes five refinements; at 7e-10 the narrower
+        # domain of A (from q_G) needs one fewer than the full-domain pair
+        monkeypatch.setattr(qopt, "_BRACKET_WIDTH", 7e-10)
+        pairs = [A, (np.pi / 12, -np.pi / 6)]
+        oracles = [minimize_H_rowwise(3, *pair) for pair in pairs]
+        assert [o.evaluations for o in oracles] == [2048 + 4 * 65, 2048 + 5 * 65]
+        report = minimize_H(3, *np.array(pairs).T)
+        assert report.evaluations == sum(o.evaluations for o in oracles)
+        for i, oracle in enumerate(oracles):
+            assert tuple(report.bracket[:, i]) == oracle.bracket
+            for key in FIELDS:
+                assert getattr(report, key)[i] == getattr(oracle, key)
+
+    @pytest.mark.parametrize(
+        "n, theta_plus, theta_minus", [(3, *A), (9, *K), (3, np.pi / 12, -np.pi / 6)]
+    )
+    def test_scalar_call_is_the_rowwise_report(self, n, theta_plus, theta_minus):
+        report = minimize_H(n, theta_plus, theta_minus)
+        assert report == minimize_H_rowwise(n, theta_plus, theta_minus)
+        assert type(report.q_H) is float and type(report.warned_full_domain) is bool
+        assert type(report.bracket) is tuple
+
+    def test_array_report_rejects_one_bad_pair(self):
+        report = minimize_H(3, THETA_PLUS, THETA_MINUS)
+        q_h = report.q_H.copy()
+        q_h[5] = report.q_G[5] - 1e-6
+        h_min = report.H_min.copy()
+        h_min[5] = objective_H(3, q_h[5], THETA_PLUS[5], THETA_MINUS[5])
+        with pytest.raises(ValueError, match="below q_G"):
+            dataclasses.replace(report, q_H=q_h, H_min=h_min)
+        warned = report.warned_full_domain.copy()
+        warned[4] = True
+        with pytest.raises(ValueError, match="below q_G"):
+            dataclasses.replace(report, q_H=q_h, H_min=h_min, warned_full_domain=warned)
+        warned[5] = True
+        dataclasses.replace(report, q_H=q_h, H_min=h_min, warned_full_domain=warned)
+        h_min = report.H_min.copy()
+        h_min[7] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="does not equal the objective"):
+            dataclasses.replace(report, H_min=h_min)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 50),
+        pairs=st.lists(
+            st.tuples(st.floats(0.05, np.pi), st.floats(-np.pi / 2, -0.05)), min_size=1, max_size=6
+        ),
+    )
+    def test_array_call_equals_one_scalar_call_per_pair(self, n, pairs):
+        theta_plus, theta_minus = (np.array(side) for side in zip(*pairs))
+        report = minimize_H(n, theta_plus, theta_minus)
+        singles = [minimize_H(n, tp, tm) for tp, tm in pairs]
+        assert report.evaluations == sum(single.evaluations for single in singles)
+        for i, single in enumerate(singles):
+            assert (report.q_min, report.q_beta) == (single.q_min, single.q_beta)
+            assert tuple(report.bracket[:, i]) == single.bracket
+            for key in FIELDS:
+                assert getattr(report, key)[i] == getattr(single, key), key
 
 
 class TestSweep:

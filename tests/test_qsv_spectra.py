@@ -26,7 +26,7 @@ from aqsense.qsv import (
     spectra,
 )
 from aqsense.qsv.operators import strategy_orbits
-from aqsense.qsv.symmetric import block_spectrum, schrijver_blocks
+from aqsense.qsv.symmetric import _beta, block_spectrum, schrijver_blocks
 from oracles import bipartite_top, orbit_operator_dense
 
 
@@ -179,6 +179,13 @@ class TestSymmetricRoute:
             orbits[(i, j, t)] = orbits[(j, i, t)] = float(draw.uniform(-1, 1))
         dense = np.linalg.eigvalsh(orbit_operator_dense(m, orbits))
         np.testing.assert_allclose(full_spectrum(schrijver_blocks(m, orbits)), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_weight_projector_beta(self, m):
+        # schrijver_blocks enters an orbit (i, i, i) as f on the diagonal
+        for i in range(m + 1):
+            for k in range(min(i, m - i) + 1):
+                assert _beta(m, i, i, i, k) == comb(m - 2 * k, i - k)
 
     def test_asymmetric_table_rejected(self):
         with pytest.raises(ValueError):
