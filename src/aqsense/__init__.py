@@ -2,9 +2,9 @@
 
 Submodules:
     symcomb  -- Hamming-weight combinatorics and the Johnson graph
-    qcore    -- states, phase evolution, noise channels, measurement, eigensolver
+    qcore    -- pure states, phase evolution, noise channels, measurement, eigensolver
     sensing  -- the two-field sensing protocol: POVM, probabilities, estimators
-    qsv      -- state-verification strategies, spectra, protocols, complexity
+    qsv      -- the verification strategy, its spectra, protocols, complexity
     qopt     -- initial-state optimization study and CSV sweep
     cli      -- command-line entry point
 """

@@ -109,10 +109,12 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _parse_noise(arg: str, n: int, q0: float) -> KrausChannel:
-    """Build a channel from a kind:strength argument such as dephase:0.1."""
-    kind, _, raw = arg.partition(":")
-    strength = float(raw) if raw else 0.0
-    return standard_channel(kind, strength, n, q0=q0)
+    """Build a channel from a kind:strength argument such as dephase:0.1;
+    only kind none may omit the strength."""
+    kind, sep, raw = arg.partition(":")
+    if not sep and kind != "none":
+        raise ValueError(f"noise {arg!r} needs a strength, as in {kind}:0.1")
+    return standard_channel(kind, float(raw) if sep else 0.0, n, q0=q0)
 
 
 def _parse_examples(arg: str):

@@ -1,11 +1,11 @@
 """Minimal multi-qubit state engine.
 
-Pure states and density operators over m qubits with a big-endian index
-convention (qubit 0 is the most significant bit), local phase evolution
-generated by single-qubit Z terms, noise channels that are mixtures of
-unitaries and sample trajectories from a state-independent branch law,
-one joint measurement of any set of qubits in per-qubit bases, seeded
-random streams, and the two largest eigenvalues of a Hermitian matrix by
+Pure states over m qubits with a big-endian index convention (qubit 0 is
+the most significant bit), local phase evolution generated by
+single-qubit Z terms, noise channels that are mixtures of unitaries and
+sample trajectories from a state-independent branch law, one joint
+measurement of any set of qubits in per-qubit bases, seeded random
+streams, and the two largest eigenvalues of a Hermitian matrix by
 dense diagonalization.
 """
 
@@ -22,7 +22,6 @@ from .symcomb import WeightBasis, binom
 
 __all__ = [
     "PureState",
-    "DensityOperator",
     "KrausChannel",
     "RngStream",
     "make_ghz",
@@ -65,35 +64,6 @@ class PureState:
 
     def expectation(self, op: np.ndarray) -> float:
         return float(np.vdot(self.amps, op @ self.amps).real)
-
-    def expectation_diag(self, diag: np.ndarray) -> float:
-        return float((np.abs(self.amps) ** 2 @ diag).real)
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Trace-one positive-semidefinite operator on ``num_qubits`` qubits."""
-
-    num_qubits: int
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.mat, dtype=np.complex128)
-        dim = 2 ** self.num_qubits
-        if mat.shape != (dim, dim):
-            raise ValueError(f"density matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-            raise ValueError("density matrix not Hermitian within 1e-10")
-        if abs(np.trace(mat).real - 1.0) > 1e-10:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        return cls(state.num_qubits, np.outer(state.amps, state.amps.conj()))
-
-    def expectation(self, op: np.ndarray) -> float:
-        return float(np.trace(op @ self.mat).real)
 
 
 class RngStream:
@@ -309,13 +279,15 @@ def standard_channel(kind: str, strength: float, n: int, q0: float | None = None
     kind "coherent_mix": global unitary mixing that rotates the ideal state
     toward its in-span orthogonal complement, leaving fidelity exactly 1-s;
     requires q0.
-    kind "none": identity channel.
+    kind "none": identity channel; its strength must be 0.
     """
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"channel strength must lie in [0, 1], got {strength}")
     m = 2 * n
     eye2 = np.eye(2, dtype=np.complex128)
     if kind == "none":
+        if strength != 0.0:
+            raise ValueError(f"channel kind 'none' takes strength 0, got {strength}")
         return KrausChannel("none", 0.0, m, (eye2,), per_qubit=True)
     if kind == "dephase":
         z = np.diag([1.0, -1.0]).astype(np.complex128)

@@ -7,14 +7,10 @@ from .complexity import (
     sample_complexity_terms,
 )
 from .operators import (
-    GhzLikeParams,
     StrategyOperator,
-    assemble_strategy_bruteforce,
     assemble_strategy_decomposed,
     lambda_map,
     q_min,
-    strategy_dicke,
-    strategy_ghz_like,
 )
 from .protocol import (
     CopyVerdict,
@@ -35,7 +31,6 @@ from .spectra import (
 
 __all__ = [
     "CopyVerdict",
-    "GhzLikeParams",
     "RestartCapError",
     "RobustResult",
     "SessionTranscript",
@@ -43,7 +38,6 @@ __all__ = [
     "StrategyOperator",
     "VerificationPlan",
     "analytic_spectrum",
-    "assemble_strategy_bruteforce",
     "assemble_strategy_decomposed",
     "exact_sample_bound",
     "failure_bound",
@@ -54,8 +48,6 @@ __all__ = [
     "run_robust_protocol",
     "sample_complexity",
     "sample_complexity_terms",
-    "strategy_dicke",
-    "strategy_ghz_like",
     "verify_batch",
     "verify_copy",
 ]

@@ -6,12 +6,11 @@ used throughout: qubit 0 is the most significant bit of a basis index)
 coincides with ascending integer order.  Fixing one canonical ordering is
 what makes brute-force and closed-form operator matrices byte-comparable.
 
-Everything here is pure and reentrant; iterators are independent.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -93,39 +92,3 @@ def johnson_eigenvalue(m: int, k: int, l: int) -> float:
 def johnson_multiplicity(m: int, l: int) -> int:
     """Multiplicity C(m,l) - C(m,l-1) of the (l+1)-th largest eigenvalue."""
     return binom(m, l) - binom(m, l - 1)
-
-
-def sector_projector(num_qubits: int, qubits: tuple[int, ...], weight: int) -> np.ndarray:
-    """Diagonal of the projector onto 'the given qubits carry this weight'.
-
-    Returns an integer 0/1 vector of length 2**num_qubits (the operator is
-    diagonal in the computational basis).  A negative weight yields the zero
-    operator by convention.
-    """
-    if weight < 0 or weight > len(qubits):
-        return np.zeros(2 ** num_qubits, dtype=np.int64)
-    idx = np.arange(2 ** num_qubits, dtype=np.int64)
-    w = np.zeros(2 ** num_qubits, dtype=np.int64)
-    for q in qubits:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit {q} outside register of {num_qubits}")
-        w += (idx >> (num_qubits - 1 - q)) & 1
-    return (w == weight).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class SubsetFamily:
-    """All size-`size` subsets of {0..universe-1}, in a fixed deterministic order."""
-
-    universe: int
-    size: int
-
-    def __post_init__(self):
-        if not 0 <= self.size <= self.universe:
-            raise ValueError(f"subset size {self.size} out of range 0..{self.universe}")
-
-    def __iter__(self):
-        return itertools.combinations(range(self.universe), self.size)
-
-    def __len__(self) -> int:
-        return binom(self.universe, self.size)

@@ -2,14 +2,15 @@
 
 These rebuild the acceptance operators by enumerating every verifier
 choice (measurement settings and outcomes) from first principles, with no
-closed-form shortcuts, so agreement with the library is a real check. The
-exact Kraus-sum action of a noise channel checks its sampled trajectories,
-a dense scan of the q0 objective checks the optimizer's search, and that
-search run on one angle pair at a time checks its run over many pairs at
-once. Dense routes check the symmetric-block spectra: an operator built
-entry by entry from its orbit coefficients, the Gram route on the
-strategy's (n-1, n+1) piece, and the anonymity audit's law from one
-evolution per placement.
+closed-form shortcuts, so agreement with the library is a real check: the
+GHZ-like and Dicke sub-strategies, and from them the subset-averaged
+strategy Omega. The exact Kraus-sum action of a noise channel checks its
+sampled trajectories, a dense scan of the q0 objective checks the
+optimizer's search, and that search run on one angle pair at a time
+checks its run over many pairs at once. Dense routes check the
+symmetric-block spectra: an operator built entry by entry from its orbit
+coefficients, the Gram route on the strategy's (n-1, n+1) piece, and the
+anonymity audit's law from one evolution per placement.
 """
 
 import itertools
@@ -20,6 +21,7 @@ import numpy as np
 from aqsense import qopt
 from aqsense.qcore import eig_top2, evolve_phases, make_target
 from aqsense.qopt import OptimumReport, objective_H, q_landmarks
+from aqsense.qsv import lambda_map
 from aqsense.sensing import Povm
 
 SQ2 = np.sqrt(2.0)
@@ -100,6 +102,30 @@ def brute_dicke_dense(m, k):
                 y = x ^ (1 << (m - 1 - q1)) ^ (1 << (m - 1 - q2))
                 out[x, y] += 0.5
     return out / len(pairs)
+
+
+def brute_strategy_dense(n, q0, p):
+    """The subset-averaged strategy Omega on 2n qubits, averaged over every
+    n-subset R: the verifier Z-measures R and, on outcome weight w, runs on
+    the other n qubits the GHZ-like protocol (w = 0), its X conjugate
+    (w = n) or the Dicke protocol for n - w excitations, each of them
+    enumerated above.
+    """
+    lam0, _ = lambda_map(n, q0)
+    ghz = brute_ghz_like_dense(n, p, lam0)
+    dicke = [brute_dicke_dense(n, n - w) for w in range(1, n)]
+    by_weight = np.array([ghz, *dicke, x_conjugate_dense(ghz, n)])
+    m = 2 * n
+    idx = np.arange(2 ** m)
+    omega = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    for subset in itertools.combinations(range(m), n):
+        rest = [q for q in range(m) if q not in subset]
+        on_r = sum(((idx >> (m - 1 - q)) & 1) << (n - 1 - pos) for pos, q in enumerate(subset))
+        off_r = sum(((idx >> (m - 1 - q)) & 1) << (n - 1 - pos) for pos, q in enumerate(rest))
+        # R's outcome string is read off both sides of the entry and must agree
+        ops = by_weight[np.bitwise_count(on_r)[:, None], off_r[:, None], off_r[None, :]]
+        omega += np.where(on_r[:, None] == on_r[None, :], ops, 0.0)
+    return omega / math.comb(m, n)
 
 
 def phase_evolved(amps, omegas, t):
@@ -191,12 +217,12 @@ def bipartite_top(op, j, k):
     has eigenvalues alpha +- the singular values of G, so the top one is
     alpha + sqrt(lambda_max(G G^dag)).
     """
-    alpha = op.block(j, j)[0, 0]
+    alpha = op.blocks[(j, j)][0, 0]
     for w in (j, k):
-        block = op.block(w, w)
+        block = op.blocks[(w, w)]
         if np.count_nonzero(block - alpha * np.eye(block.shape[0])):
             raise ValueError(f"block ({w}, {w}) is not {alpha} times the identity")
-    g = op.block(j, k)
+    g = op.blocks[(j, k)]
     top, _ = eig_top2(g @ g.conj().T)
     return float(alpha + math.sqrt(top))
 

@@ -20,7 +20,6 @@ from aqsense.qopt import sweep
 from aqsense.qsv import (
     VerificationPlan,
     analytic_spectrum,
-    assemble_strategy_bruteforce,
     assemble_strategy_decomposed,
     exact_sample_bound,
     q_min,
@@ -38,27 +37,27 @@ from aqsense.sensing import (
     g_plus,
     simulate_probs,
 )
+from aqsense.qsv.operators import strategy_orbits
+from oracles import brute_strategy_dense, orbit_operator_dense
 
 
-def _full_strategy(n: int, q0: float, p: float):
-    total = None
-    for piece in assemble_strategy_decomposed(n, q0, p):
-        total = piece if total is None else total.add(piece)
-    return total
+def _full_strategy(n: int, q0: float, p: float) -> np.ndarray:
+    return sum(piece.to_dense() for piece in assemble_strategy_decomposed(n, q0, p))
 
 
 def test_criterion_01_bruteforce_equals_decomposition():
-    """Subset-averaged strategy == sum of the three sector pieces, 1e-13."""
-    for n, q0, p in ((3, 0.33, 0.0), (3, 0.2, 0.3)):
-        brute = assemble_strategy_bruteforce(n, q0, p).to_dense()
-        deco = _full_strategy(n, q0, p).to_dense()
+    """The strategy enumerated from first principles over every subset,
+    the sum of the three sector pieces and the orbit table read entry by
+    entry agree within 1e-13."""
+    for n, q0, p in ((3, 0.33, 0.0), (3, 0.2, 0.3), (4, 0.33, 0.3)):
+        start = time.perf_counter()
+        brute = brute_strategy_dense(n, q0, p)
+        deco = _full_strategy(n, q0, p)
+        orbit = orbit_operator_dense(2 * n, strategy_orbits(n, q0, p))
+        elapsed = time.perf_counter() - start
         assert np.max(np.abs(brute - deco)) <= 1e-13
-    start = time.perf_counter()
-    brute = assemble_strategy_bruteforce(4, 0.33, 0.3).to_dense()
-    deco = _full_strategy(4, 0.33, 0.3).to_dense()
-    elapsed = time.perf_counter() - start
-    assert np.max(np.abs(brute - deco)) <= 1e-13
-    assert elapsed < 60.0
+        assert np.max(np.abs(brute - orbit)) <= 1e-13
+        assert elapsed < 60.0
 
 
 def test_criterion_02_spectral_formulas_match_numerics():
@@ -115,7 +114,7 @@ def test_criterion_04_acceptance_matches_strategy_expectation():
         vec = draw.normal(size=64) + 1j * draw.normal(size=64)
         states.append(PureState(6, vec / np.linalg.norm(vec)))
     for idx, state in enumerate(states):
-        expected = omega.expectation(state)
+        expected = state.expectation(omega)
         gen = RngStream(404).substream(idx).gen
         accepted = sum(
             verify_copy(state, n, q0, p, gen, i).accept for i in range(trials)

@@ -269,6 +269,20 @@ class TestQsvVerify:
         assert code == EXIT_USAGE
         assert "sparkle" in err
 
+    @pytest.mark.parametrize("noise", ["dephase", "none:0.5"])
+    def test_noise_strength_missing_or_misplaced_is_usage(self, noise, capsys):
+        # a kind other than none must name its strength, and none takes none
+        argv = [
+            "qsv", "verify",
+            "--n", "3", "--q0", "0.33",
+            "--epsilon", "0.67", "--delta", "0.2",
+            "--noise", noise, "--seed", "1",
+        ]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestOpt:
     def test_sweep_csv_and_row_count(self, tmp_path, capsys):

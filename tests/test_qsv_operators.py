@@ -1,27 +1,37 @@
 """Tests for strategy operators: block storage, GHZ-like, Dicke, assembly.
 
 Oracles: full verifier-choice enumeration (oracles.brute_ghz_like_dense),
-pair-sum enumeration (oracles.brute_dicke_dense), dense numpy linear
-algebra, and the projection cross-check for the lambda map.
+pair-sum enumeration (oracles.brute_dicke_dense), their average over every
+subset (oracles.brute_strategy_dense), dense numpy linear algebra, and the
+projection cross-check for the lambda map.
 """
 
 import numpy as np
 import pytest
 
-from oracles import brute_dicke_dense, brute_ghz_like_dense, x_conjugate_dense
+from oracles import (
+    X_GATE,
+    brute_dicke_dense,
+    brute_ghz_like_dense,
+    brute_strategy_dense,
+    orbit_operator_dense,
+    x_conjugate_dense,
+)
 from test_qcore import collapse_subset
 
 from aqsense.qcore import make_dicke, make_ghz, make_target
 from aqsense.symcomb import binom, johnson_adjacency
 from aqsense.qsv import (
     StrategyOperator,
-    assemble_strategy_bruteforce,
     assemble_strategy_decomposed,
     lambda_map,
     q_min,
-    strategy_dicke,
-    strategy_ghz_like,
 )
+
+
+def in_unit_interval(mat):
+    w = np.linalg.eigvalsh(mat)
+    return w.min() >= -1e-10 and w.max() <= 1 + 1e-10
 
 
 class TestLambdaMap:
@@ -75,44 +85,19 @@ class TestStrategyOperator:
         assert dense[7, 0] == pytest.approx(0.1)
 
     def test_eigenvalues_match_dense(self):
+        # the coupled sectors {0, 3}, the lone sector 1 and the three exact
+        # zeros of the unrepresented weight-2 sector
         op = self.make_example()
-        full = np.sort(op.eigenvalues(include_zero_sectors=True))
+        parts = [np.linalg.eigvalsh(op.component_matrix(g)) for g in ((0, 3), (1,))]
+        full = np.sort(np.concatenate(parts + [np.zeros(3)]))
         dense = np.sort(np.linalg.eigvalsh(op.to_dense()))
         np.testing.assert_allclose(full, dense, atol=1e-12)
 
-    def test_component_groups(self):
-        op = self.make_example()
-        groups = {tuple(g) for g in op.component_groups()}
-        assert groups == {(0, 3), (1,)}
-
-    def test_expectation_and_apply_match_dense(self):
-        op = self.make_example()
-        rng = np.random.default_rng(8)
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        v /= np.linalg.norm(v)
-        dense = op.to_dense()
-        assert op.expectation_vector(v) == pytest.approx(np.vdot(v, dense @ v).real, abs=1e-13)
-        np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-13)
-
-    def test_add(self):
-        op = self.make_example()
-        two = op.add(op)
-        np.testing.assert_allclose(two.to_dense(), 2 * op.to_dense(), atol=1e-14)
-
     def test_x_conjugate_matches_dense(self):
-        op = self.make_example()
-        conj = op.x_conjugate()
-        np.testing.assert_allclose(conj.to_dense(), x_conjugate_dense(op.to_dense(), 3), atol=1e-14)
-
-    def test_from_dense_round_trip(self):
-        op = self.make_example()
-        back = StrategyOperator.from_dense(op.to_dense(), 3, couplings=[(0, 3)])
-        np.testing.assert_allclose(back.to_dense(), op.to_dense(), atol=1e-14)
-
-    def test_from_dense_rejects_undeclared_coupling(self):
-        op = self.make_example()
-        with pytest.raises(ValueError):
-            StrategyOperator.from_dense(op.to_dense(), 3, couplings=[])
+        # the index-complement oracle against X on every qubit as a matrix
+        dense = self.make_example().to_dense()
+        x3 = np.kron(np.kron(X_GATE, X_GATE), X_GATE)
+        np.testing.assert_allclose(x_conjugate_dense(dense, 3), x3 @ dense @ x3, atol=1e-14)
 
     def test_bad_block_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -127,28 +112,35 @@ class TestStrategyOperator:
 class TestGhzLike:
     @pytest.mark.parametrize("m,p,lam0", [(3, 0.0, 0.7), (3, 0.3, 0.5), (4, 0.2, 0.8312342569269522)])
     def test_matches_protocol_enumeration(self, m, p, lam0):
-        closed = strategy_ghz_like(m, p, lam0).to_dense()
-        brute = brute_ghz_like_dense(m, p, lam0)
-        np.testing.assert_allclose(closed, brute, atol=1e-13)
+        # closed form: p + (1-p)lambda_z at weights 0 and m, coupling
+        # (1-p)sqrt(lambda0 lambda1) between them, and (1-p)(lambda0 +
+        # a(1-2lambda0)/m) on every weight a (which covers 0 and m too)
+        lam1 = 1 - lam0
+        orbits = {(a, a, a): (1 - p) * (lam0 + a * (1 - 2 * lam0) / m) for a in range(m + 1)}
+        orbits[(0, 0, 0)] += p
+        orbits[(m, m, m)] += p
+        orbits[(0, m, 0)] = orbits[(m, 0, 0)] = (1 - p) * np.sqrt(lam0 * lam1)
+        closed = orbit_operator_dense(m, orbits)
+        np.testing.assert_allclose(brute_ghz_like_dense(m, p, lam0), closed, atol=1e-13)
 
     def test_unit_eigenvalue_on_ghz_like_state(self):
         for p in (0.0, 0.4, 0.9):
             lam0 = 0.72
-            op = strategy_ghz_like(3, p, lam0)
+            dense = brute_ghz_like_dense(3, p, lam0)
             v = np.zeros(8, dtype=complex)
             v[0] = np.sqrt(lam0)
             v[7] = np.sqrt(1 - lam0)
-            np.testing.assert_allclose(op.apply(v), v, atol=1e-13)
+            np.testing.assert_allclose(dense @ v, v, atol=1e-13)
 
     def test_p_one_is_z_test(self):
-        dense = strategy_ghz_like(3, 1.0, 0.6).to_dense()
+        dense = brute_ghz_like_dense(3, 1.0, 0.6)
         expected = np.zeros((8, 8))
         expected[0, 0] = expected[7, 7] = 1.0
         np.testing.assert_allclose(dense, expected, atol=1e-15)
 
     def test_spectrum_closed_form(self):
         m, p, lam0 = 3, 0.2, 0.65
-        dense = strategy_ghz_like(m, p, lam0).to_dense()
+        dense = brute_ghz_like_dense(m, p, lam0)
         expected = [1.0, p]
         for a in range(1, m):
             expected += [(1 - p) * (lam0 + a * (1 - 2 * lam0) / m)] * binom(m, a)
@@ -156,16 +148,11 @@ class TestGhzLike:
 
     def test_eigenvalues_in_unit_interval(self):
         for m, p, lam0 in [(3, 0.0, 0.5), (4, 0.3, 0.9), (5, 0.7, 0.55)]:
-            w = strategy_ghz_like(m, p, lam0).eigenvalues(include_zero_sectors=True)
-            assert w.min() >= -1e-10 and w.max() <= 1 + 1e-10
-
-    def test_lambda_below_half_rejected(self):
-        with pytest.raises(ValueError):
-            strategy_ghz_like(3, 0.0, 0.4)
+            assert in_unit_interval(brute_ghz_like_dense(m, p, lam0))
 
     def test_x_conjugate_swaps_lambdas(self):
         m, p, lam0 = 3, 0.25, 0.77
-        conj = strategy_ghz_like(m, p, lam0).x_conjugate().to_dense()
+        conj = x_conjugate_dense(brute_ghz_like_dense(m, p, lam0), m)
         brute_swapped = brute_ghz_like_dense(m, p, 1 - lam0)
         np.testing.assert_allclose(conj, brute_swapped, atol=1e-13)
 
@@ -173,64 +160,63 @@ class TestGhzLike:
 class TestDicke:
     @pytest.mark.parametrize("m,k", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2)])
     def test_matches_pair_enumeration(self, m, k):
-        closed = strategy_dicke(m, k).to_dense()
-        np.testing.assert_allclose(closed, brute_dicke_dense(m, k), atol=1e-14)
+        # closed form over the denominator m(m-1): [m(m-1) - k(m-k)] I + J(m,k)
+        # at weight k, C(m-k+1,2) I at weight k-1, C(k+1,2) I at weight k+1,
+        # and the containment coupling between weights k-1 and k+1
+        orbits = {
+            (k, k, k): m * (m - 1) - k * (m - k),
+            (k, k, k - 1): 1,
+            (k - 1, k - 1, k - 1): binom(m - k + 1, 2),
+            (k + 1, k + 1, k + 1): binom(k + 1, 2),
+            (k - 1, k + 1, k - 1): 1,
+            (k + 1, k - 1, k - 1): 1,
+        }
+        closed = orbit_operator_dense(m, orbits) / (m * (m - 1))
+        np.testing.assert_allclose(brute_dicke_dense(m, k), closed, atol=1e-14)
 
     def test_unit_eigenvalue_on_dicke_state(self):
         for m, k in [(3, 1), (4, 2), (5, 3)]:
-            op = strategy_dicke(m, k)
             v = make_dicke(m, k).amps
-            np.testing.assert_allclose(op.apply(v), v, atol=1e-13)
+            np.testing.assert_allclose(brute_dicke_dense(m, k) @ v, v, atol=1e-13)
 
     def test_eigenvalues_in_unit_interval(self):
         for m in (4, 5, 6):
             for k in range(1, m):
-                w = strategy_dicke(m, k).eigenvalues(include_zero_sectors=True)
-                assert w.min() >= -1e-10 and w.max() <= 1 + 1e-10
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            strategy_dicke(4, 0)
-        with pytest.raises(ValueError):
-            strategy_dicke(4, 4)
-        with pytest.raises(ValueError):
-            strategy_dicke(2, 1)
+                assert in_unit_interval(brute_dicke_dense(m, k))
 
 
 class TestAssemble:
     def test_bruteforce_equals_decomposed(self):
-        brute = assemble_strategy_bruteforce(3, 0.33, 0.0)
-        o1, o2, o3 = assemble_strategy_decomposed(3, 0.33, 0.0)
-        total = o1.add(o2).add(o3)
-        np.testing.assert_allclose(brute.to_dense(), total.to_dense(), atol=1e-13)
+        brute = brute_strategy_dense(3, 0.33, 0.0)
+        total = sum(o.to_dense() for o in assemble_strategy_decomposed(3, 0.33, 0.0))
+        np.testing.assert_allclose(brute, total, atol=1e-13)
 
     def test_bruteforce_equals_decomposed_nonzero_p(self):
-        brute = assemble_strategy_bruteforce(3, 0.2, 0.3)
-        o1, o2, o3 = assemble_strategy_decomposed(3, 0.2, 0.3)
-        total = o1.add(o2).add(o3)
-        np.testing.assert_allclose(brute.to_dense(), total.to_dense(), atol=1e-13)
+        brute = brute_strategy_dense(3, 0.2, 0.3)
+        total = sum(o.to_dense() for o in assemble_strategy_decomposed(3, 0.2, 0.3))
+        np.testing.assert_allclose(brute, total, atol=1e-13)
 
     def test_target_has_unit_acceptance(self):
-        omega = assemble_strategy_bruteforce(3, 0.33, 0.0)
+        omega = brute_strategy_dense(3, 0.33, 0.0)
         st = make_target(3, 0.33)
-        assert omega.expectation_vector(st.amps) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(omega.apply(st.amps), st.amps, atol=1e-12)
+        assert st.expectation(omega) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(omega @ st.amps, st.amps, atol=1e-12)
 
     def test_orthogonal_state_eigenvalue(self):
         # sqrt(q1)|GHZ> - sqrt(q0)|D> carries the lower coupled-core eigenvalue
         n, q0, p = 3, 0.33, 0.0
-        omega = assemble_strategy_bruteforce(n, q0, p)
+        omega = brute_strategy_dense(n, q0, p)
         lam0, _ = lambda_map(n, q0)
         v = np.sqrt(1 - q0) * make_ghz(6).amps - np.sqrt(q0) * make_dicke(6, 3).amps
         lam_minus = p + lam0 * (1 - p) * (1 - 2 / binom(6, 3))
         assert lam_minus == pytest.approx(0.7481108312342570, abs=1e-13)
-        np.testing.assert_allclose(omega.apply(v), lam_minus * v, atol=1e-12)
+        np.testing.assert_allclose(omega @ v, lam_minus * v, atol=1e-12)
 
     def test_components_annihilate_target(self):
         _, o2, o3 = assemble_strategy_decomposed(3, 0.33, 0.0)
         st = make_target(3, 0.33)
-        assert np.max(np.abs(o2.apply(st.amps))) < 1e-13
-        assert np.max(np.abs(o3.apply(st.amps))) < 1e-13
+        assert np.max(np.abs(o2.to_dense() @ st.amps)) < 1e-13
+        assert np.max(np.abs(o3.to_dense() @ st.amps)) < 1e-13
 
     def test_pairwise_orthogonal(self):
         o1, o2, o3 = assemble_strategy_decomposed(3, 0.4, 0.1)
@@ -247,14 +233,13 @@ class TestAssemble:
         c = binom(2 * n, n)
         for l in (1, 2):
             coeff = (1 - p) / (n * c) * binom(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1))
-            block = o3.block(l, l)
+            block = o3.blocks[(l, l)]
             np.testing.assert_allclose(block, coeff * np.eye(binom(2 * n, l)), atol=1e-14)
-            far = o3.block(2 * n - l, 2 * n - l)
+            far = o3.blocks[(2 * n - l, 2 * n - l)]
             np.testing.assert_allclose(far, coeff * np.eye(binom(2 * n, l)), atol=1e-14)
 
     def test_all_eigenvalues_in_unit_interval(self):
-        omega = assemble_strategy_bruteforce(3, 0.33, 0.0)
-        w = omega.eigenvalues(include_zero_sectors=True)
+        w = np.linalg.eigvalsh(brute_strategy_dense(3, 0.33, 0.0))
         assert w.min() >= -1e-10 and w.max() <= 1 + 1e-10
         assert w.max() == pytest.approx(1.0, abs=1e-12)
 
@@ -267,11 +252,7 @@ class TestAssemble:
         b = (3 * n - 2) / (2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
         c = 1 / (2 * n * (2 * n - 1))
         expected = b * np.eye(c_big) + c * johnson_adjacency(2 * n, n)
-        np.testing.assert_allclose(o1.block(n, n), expected, atol=1e-14)
-
-    def test_bruteforce_size_guard(self):
-        with pytest.raises(ValueError):
-            assemble_strategy_bruteforce(5, 0.33, 0.0)
+        np.testing.assert_allclose(o1.blocks[(n, n)], expected, atol=1e-14)
 
     def test_q0_pre_enforced(self):
         with pytest.raises(ValueError):

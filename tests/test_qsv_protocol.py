@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from aqsense.qcore import (
-    DensityOperator,
     PureState,
     RngStream,
     make_dicke,
@@ -33,8 +32,12 @@ from aqsense.sensing import SensingScenario, analytic_probs
 
 
 def strategy_expectation(n, q0, p, state):
-    """Independent per-copy acceptance probability Tr[Omega rho]."""
-    return sum(op.expectation(state) for op in assemble_strategy_decomposed(n, q0, p))
+    """Independent per-copy acceptance probability Tr[Omega rho] of a
+    PureState or a density matrix."""
+    omega = sum(op.to_dense() for op in assemble_strategy_decomposed(n, q0, p))
+    if isinstance(state, PureState):
+        return state.expectation(omega)
+    return float(np.trace(omega @ state).real)
 
 
 def empirical_acceptance(copy, n, q0, p, trials, seed):
@@ -185,8 +188,7 @@ class TestVerifyCopy:
         t_amps = make_target(n, q0).amps
         g_amps = make_ghz(2 * n).amps
         mat = 0.5 * np.outer(t_amps, t_amps.conj()) + 0.5 * np.outer(g_amps, g_amps.conj())
-        rho = DensityOperator(2 * n, mat)
-        expected = strategy_expectation(n, q0, 0.0, rho)
+        expected = strategy_expectation(n, q0, 0.0, mat)
         # each copy is the target or the GHZ state with the mixture's weight 1/2
         components = (make_target(n, q0), make_ghz(2 * n))
         gen = RngStream(26).gen
