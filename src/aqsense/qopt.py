@@ -3,9 +3,10 @@
 Combines the two estimation-variance bounds with the residual acceptance
 of imperfect copies into a single figure of merit H(q0), locates its
 landmark weights (domain minimum, eigenvalue-branch crossing, Dicke-bound
-minimizer), and minimizes H per (n, angle pair). One minimize_H call
-searches every angle pair at one n together, so the sweep that generates
-the figure data makes one call per n.
+minimizer), and minimizes H per (n, angle pair). H is rational in q0, so
+its minimum is a root of a cubic; one minimize_H call solves the cubics of
+every angle pair at one n together, so the sweep that generates the figure
+data makes one call per n.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-_GRID_POINTS = 2048
-_REFINE_POINTS = 65
-_BRACKET_WIDTH = 1e-10
 _CSV_HEADER = ("n", "label", "theta_plus", "theta_minus", "q_min", "q_beta", "q_G", "q_H", "H_min")
 
 
@@ -81,7 +79,6 @@ class OptimumReport:
     q_H: float | np.ndarray
     H_min: float | np.ndarray
     evaluations: int
-    bracket: tuple[float, float] | np.ndarray
     warned_full_domain: bool | np.ndarray
 
     def __post_init__(self) -> None:
@@ -95,18 +92,21 @@ class OptimumReport:
             raise ValueError(f"H_min={self.H_min} does not equal the objective {expected}")
 
 
-def gamma_eta(n: int, theta_plus: float, theta_minus: float) -> tuple[float, float]:
+def _scalar_or_array(x: np.ndarray):
+    return x if x.ndim else float(x)
+
+
+def gamma_eta(n: int, theta_plus, theta_minus):
     """Coefficients gamma and eta of the Dicke-bound minimizer.
 
     gamma = n^2 sin^2(theta-/2) + 2(n^2-n)(1 - cos(theta+/2)cos(theta-/2)),
     eta = (n-1)^2 sin^2(theta+/2); intended for theta+ in (0, pi] and
-    theta- in [-pi/2, 0).
+    theta- in [-pi/2, 0). The angles broadcast; scalars give floats.
     """
-    gamma = n ** 2 * np.sin(theta_minus / 2) ** 2 + 2 * (n ** 2 - n) * (
-        1 - np.cos(theta_plus / 2) * np.cos(theta_minus / 2)
-    )
-    eta = (n - 1) ** 2 * np.sin(theta_plus / 2) ** 2
-    return float(gamma), float(eta)
+    tp, tm = np.asarray(theta_plus, dtype=float), np.asarray(theta_minus, dtype=float)
+    gamma = n ** 2 * np.sin(tm / 2) ** 2 + 2 * (n ** 2 - n) * (1 - np.cos(tp / 2) * np.cos(tm / 2))
+    eta = (n - 1) ** 2 * np.sin(tp / 2) ** 2
+    return _scalar_or_array(gamma), _scalar_or_array(eta)
 
 
 def _q_beta(n: int) -> float:
@@ -114,18 +114,18 @@ def _q_beta(n: int) -> float:
     return 4.0 * (n - 1) / (binom(2 * n, n) + 8 * n - 6)
 
 
-def q_landmarks(n: int, theta_plus: float, theta_minus: float) -> tuple[float, float, float]:
+def q_landmarks(n: int, theta_plus, theta_minus):
     """The three landmark weights (q_min, q_beta, q_G).
 
     q_min bounds the admissible domain, q_beta marks the eigenvalue branch
-    crossing at p = 0, and q_G minimizes the theta- variance bound.
+    crossing at p = 0, and q_G minimizes the theta- variance bound. q_G
+    broadcasts over the angles like gamma_eta.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     gamma, eta = gamma_eta(n, theta_plus, theta_minus)
     ratio = eta / gamma
-    q_g = float(np.sqrt(ratio * (1 + ratio)) - ratio)
-    return q_min(n), _q_beta(n), q_g
+    return q_min(n), _q_beta(n), _scalar_or_array(np.sqrt(ratio * (1 + ratio)) - ratio)
 
 
 def beta_p0(n: int, q0):
@@ -142,7 +142,7 @@ def beta_p0(n: int, q0):
     c = float(binom(2 * n, n))
     denom = 2.0 + (c - 2.0) * q
     value = np.where(q < _q_beta(n), 1.0 - 1.0 / (2 * n - 1) - 2.0 * q / denom, c * q / denom)
-    return value if value.ndim else float(value)
+    return _scalar_or_array(value)
 
 
 def objective_H(n: int, q0, theta_plus: float, theta_minus: float):
@@ -154,49 +154,66 @@ def minimize_H(n: int, theta_plus, theta_minus) -> OptimumReport:
     """Minimize the figure of merit over the admissible weights, for one
     angle pair or for arrays of them (broadcast together) at one n.
 
-    Per pair, the search runs on [q_G, 1) when the branch crossing sits
-    below q_G; otherwise the whole domain [q_min, 1) is scanned and the pair
-    is flagged. The objective is evaluated on a 2048-point grid, then on a
-    65-point grid over the two cells around the best point (one cell at a
-    domain edge), and so on until that bracket is at most 1e-10 wide. Each
-    pass is one array evaluation over the pairs still searching, a
-    (pairs, points) grid; a pair leaves once its own bracket is narrow
-    enough, so every pair sees exactly the grids a search of it alone would.
+    Angles must lie in the sensing domain theta+ in (0, pi], theta- in
+    [-pi/2, 0), where every formula below holds; ValueError otherwise.
+
+    With f = 1 - 1/n, s = sin^2(theta-/2) and C = C(2n, n), the theta-
+    bound is g-(q) = (A q + B)/(q(1-q)) with
+    A = 1 + 2f(1 - cos(theta+/2)cos(theta-/2))/s and
+    B = f^2 sin^2(theta+/2)/s, so H(q) = (A q + B) beta(q)/(q^2 (1-q)).
+
+    Below the branch crossing q_beta, H is strictly decreasing:
+    d ln H/dq = A/(Aq+B) - 2/q + 1/(1-q) + d ln beta/dq, where
+    A/(Aq+B) <= 1/q because B >= 0, beta is decreasing on that branch, and
+    -1/q + 1/(1-q) < 0 because q < q_beta = 4(n-1)/(C+8n-6) <= 4/19 < 1/2
+    for every n >= 3. So no minimum lies below q_beta. Above it,
+    beta = C q/(2 + (C-2) q), and a stationary point of H is a real root of
+    2A(C-2) q^3 + (3B(C-2) - A(C-4)) q^2 - 2B(C-4) q - 2B = 0.
+
+    Per pair, the search starts at q_G, or at q_min (and the pair is
+    flagged) when the branch crossing sits at or above q_G. With
+    a = max(start, q_beta), H is continuous on [a, 1) and grows without
+    bound as q -> 1, so q_H is the argmin of H over a and the real roots
+    of the cubic in (a, 1): at most four evaluations per pair. The roots of
+    every pair come from one eigvals call on a stack of companion matrices.
 
     With scalar angles the report holds floats. With arrays, q_G, q_H,
-    H_min and warned_full_domain are arrays of the broadcast shape, bracket
-    is an array whose [0] and [1] hold the lower and upper ends, and
+    H_min and warned_full_domain are arrays of the broadcast shape, and
     evaluations is the total over the pairs. The angles are kept as given.
     """
     tp, tm = np.broadcast_arrays(np.asarray(theta_plus, float), np.asarray(theta_minus, float))
+    if np.any((tp <= 0.0) | (tp > np.pi)) or np.any((tm < -np.pi / 2) | (tm >= 0.0)):
+        raise ValueError(
+            f"angles must lie in theta+ in (0, pi], theta- in [-pi/2, 0), got {theta_plus}, {theta_minus}"
+        )
     shape, tp, tm = tp.shape, tp.ravel(), tm.ravel()
-    qm, qb = q_min(n), _q_beta(n)
-    qg = np.array([q_landmarks(n, a, b)[2] for a, b in zip(tp.tolist(), tm.tolist())])
+    qm, qb, qg = q_landmarks(n, tp, tm)
     warned = qb >= qg
-    q_h, h_min = np.empty(tp.size), np.empty(tp.size)
-    lower, upper = np.empty(tp.size), np.empty(tp.size)
-    active = np.arange(tp.size)
-    grid = np.linspace(np.where(warned, qm, qg), 1.0 - 1e-9, _GRID_POINTS, axis=-1)
-    evaluations = 0
-    while active.size:
-        vals = objective_H(n, grid, tp[active, None], tm[active, None])
-        evaluations += grid.size
-        rows = np.arange(active.size)
-        best = np.argmin(vals, axis=1)
-        lo = grid[rows, np.maximum(best - 1, 0)]
-        hi = grid[rows, np.minimum(best + 1, grid.shape[1] - 1)]
-        done = hi - lo <= _BRACKET_WIDTH
-        finished = active[done]
-        q_h[finished], h_min[finished] = grid[rows, best][done], vals[rows, best][done]
-        lower[finished], upper[finished] = lo[done], hi[done]
-        active = active[~done]
-        grid = np.linspace(lo[~done], hi[~done], _REFINE_POINTS, axis=-1)
+    # max(start, q_beta): q_G, or q_beta for a flagged pair
+    lowest = np.maximum(qg, qb)
+    f, s, c = 1.0 - 1.0 / n, np.sin(tm / 2) ** 2, float(binom(2 * n, n))
+    a = 1.0 + 2.0 * f * (1.0 - np.cos(tp / 2) * np.cos(tm / 2)) / s
+    b = f ** 2 * np.sin(tp / 2) ** 2 / s
+    # monic cubic q^3 + c2 q^2 + c1 q + c0, one companion matrix per pair
+    lead = 2.0 * a * (c - 2.0)
+    companion = np.zeros((tp.size, 3, 3))
+    companion[:, 0, 0] = -(3.0 * b * (c - 2.0) - a * (c - 4.0)) / lead
+    companion[:, 0, 1] = 2.0 * b * (c - 4.0) / lead
+    companion[:, 0, 2] = 2.0 * b / lead
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    inside = (roots.imag == 0.0) & (roots.real > lowest[:, None]) & (roots.real < 1.0)
+    candidates = np.concatenate([lowest[:, None], roots.real], axis=1)
+    valid = np.concatenate([np.ones((tp.size, 1), bool), inside], axis=1)
+    rows = np.nonzero(valid)[0]
+    values = np.full(candidates.shape, np.inf)
+    values[valid] = objective_H(n, candidates[valid], tp[rows], tm[rows])
+    best = (np.arange(tp.size), np.argmin(values, axis=1))
+    q_h, h_min = candidates[best], values[best]
     if shape:
         qg, q_h, h_min, warned = (x.reshape(shape) for x in (qg, q_h, h_min, warned))
-        bracket = np.stack([lower, upper]).reshape((2,) + shape)
     else:
         qg, q_h, h_min, warned = float(qg[0]), float(q_h[0]), float(h_min[0]), bool(warned[0])
-        bracket = (float(lower[0]), float(upper[0]))
     return OptimumReport(
         n=n,
         theta_plus=theta_plus,
@@ -206,8 +223,7 @@ def minimize_H(n: int, theta_plus, theta_minus) -> OptimumReport:
         q_G=qg,
         q_H=q_h,
         H_min=h_min,
-        evaluations=evaluations,
-        bracket=bracket,
+        evaluations=rows.size,
         warned_full_domain=warned,
     )
 

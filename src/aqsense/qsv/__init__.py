@@ -26,7 +26,6 @@ from .spectra import (
     SpectralSummary,
     analytic_spectrum,
     omega3_profile,
-    pauli_witness_bound,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "failure_bound",
     "lambda_map",
     "omega3_profile",
-    "pauli_witness_bound",
     "q_min",
     "run_robust_protocol",
     "sample_complexity",

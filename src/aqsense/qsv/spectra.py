@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qcore import make_target
 from ..symcomb import binom, johnson_eigenvalue
 from .operators import _block_coefficients, strategy_orbits
 from .symmetric import block_spectrum, schrijver_blocks
@@ -27,7 +26,6 @@ __all__ = [
     "SpectralSummary",
     "analytic_spectrum",
     "omega3_profile",
-    "pauli_witness_bound",
 ]
 
 
@@ -191,27 +189,3 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
         branch=branch,
         residuals=residuals,
     )
-
-
-def pauli_witness_bound(n: int, q0: float) -> float:
-    """Lower bound 2 sqrt(2 q0 q1 / C(2n,n)) on the all-X-on-one-half
-    witness expectation of the target state.
-
-    For n <= 5 the exact expectation is recomputed from the state vector
-    and the inequality is verified before returning.
-    """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
-    if not 0.0 < q0 < 1.0:
-        raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
-    bound = 2.0 * np.sqrt(2.0 * q0 * (1.0 - q0) / binom(2 * n, n))
-    if n <= 5:
-        amps = make_target(n, q0).amps
-        flip = ((1 << n) - 1) << n
-        idx = np.arange(1 << (2 * n))
-        expectation = float(np.real(np.sum(amps.conj() * amps[idx ^ flip])))
-        if expectation < bound - 1e-12:
-            raise RuntimeError(
-                f"witness self-check failed: expectation {expectation} below bound {bound}"
-            )
-    return float(bound)

@@ -5,9 +5,10 @@ choice (measurement settings and outcomes) from first principles, with no
 closed-form shortcuts, so agreement with the library is a real check: the
 GHZ-like and Dicke sub-strategies, and from them the subset-averaged
 strategy Omega. The exact Kraus-sum action of a noise channel checks its
-sampled trajectories, a dense scan of the q0 objective checks the
-optimizer's search, and that search run on one angle pair at a time
-checks its run over many pairs at once. Dense routes check the
+sampled trajectories, a dense scan of the q0 objective and a nested-grid
+search of it, one angle pair at a time, check the optimizer's closed-form
+minimum. The all-X witness bound on the target state, which only the
+tests use, lives here too. Dense routes check the
 symmetric-block spectra: an operator built entry by entry from its orbit
 coefficients, the Gram route on the strategy's (n-1, n+1) piece, and the
 anonymity audit's law from one evolution per placement.
@@ -18,17 +19,20 @@ import math
 
 import numpy as np
 
-from aqsense import qopt
 from aqsense.qcore import eig_top2, evolve_phases, make_target
 from aqsense.qopt import OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
 from aqsense.sensing import Povm
+from aqsense.symcomb import binom
 
 SQ2 = np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / SQ2
 S_GATE = np.diag([1.0, 1.0j])
 Z_GATE = np.diag([1.0, -1.0]).astype(complex)
 X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+GRID_POINTS = 2048
+REFINE_POINTS = 65
+BRACKET_WIDTH = 1e-10
 
 
 def kron_chain(vecs):
@@ -170,21 +174,22 @@ def dense_scan_H(n, theta_plus, theta_minus, lo, hi, points=1_000_001):
 
 
 def minimize_H_rowwise(n, theta_plus, theta_minus):
-    """minimize_H's nested-grid search on one scalar angle pair, with
-    scalar landmarks and a 1-D grid per pass. Grid sizes and the stopping
-    width are read from qopt at call time."""
+    """Nested-grid search of objective_H on one scalar angle pair: a
+    2048-point grid over [q_G, 1) (over [q_min, 1) when q_beta >= q_G), then
+    65-point grids over the two cells around the best point until that
+    bracket is at most 1e-10 wide."""
     qm, qb, qg = q_landmarks(n, theta_plus, theta_minus)
     warned = qb >= qg
-    grid = np.linspace(qm if warned else qg, 1.0 - 1e-9, qopt._GRID_POINTS)
+    grid = np.linspace(qm if warned else qg, 1.0 - 1e-9, GRID_POINTS)
     evaluations = 0
     while True:
         vals = objective_H(n, grid, theta_plus, theta_minus)
         evaluations += grid.size
         best = int(np.argmin(vals))
         bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)]))
-        if bracket[1] - bracket[0] <= qopt._BRACKET_WIDTH:
+        if bracket[1] - bracket[0] <= BRACKET_WIDTH:
             break
-        grid = np.linspace(bracket[0], bracket[1], qopt._REFINE_POINTS)
+        grid = np.linspace(bracket[0], bracket[1], REFINE_POINTS)
     return OptimumReport(
         n=n,
         theta_plus=theta_plus,
@@ -195,7 +200,6 @@ def minimize_H_rowwise(n, theta_plus, theta_minus):
         q_H=float(grid[best]),
         H_min=float(vals[best]),
         evaluations=evaluations,
-        bracket=bracket,
         warned_full_domain=warned,
     )
 
@@ -240,3 +244,27 @@ def placement_probabilities_by_evolution(n, q0, omega_a, omega_b, t, povm=None):
         omegas[t2] = omega_b
         rows.append(povm.probabilities(evolve_phases(probe, omegas, t)))
     return np.array(rows)
+
+
+def pauli_witness_bound(n: int, q0: float) -> float:
+    """Lower bound 2 sqrt(2 q0 q1 / C(2n,n)) on the all-X-on-one-half
+    witness expectation of the target state.
+
+    For n <= 5 the exact expectation is recomputed from the state vector
+    and the inequality is verified before returning.
+    """
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    if not 0.0 < q0 < 1.0:
+        raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
+    bound = 2.0 * np.sqrt(2.0 * q0 * (1.0 - q0) / binom(2 * n, n))
+    if n <= 5:
+        amps = make_target(n, q0).amps
+        flip = ((1 << n) - 1) << n
+        idx = np.arange(1 << (2 * n))
+        expectation = float(np.real(np.sum(amps.conj() * amps[idx ^ flip])))
+        if expectation < bound - 1e-12:
+            raise RuntimeError(
+                f"witness self-check failed: expectation {expectation} below bound {bound}"
+            )
+    return float(bound)

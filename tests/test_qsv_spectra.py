@@ -21,13 +21,12 @@ from aqsense.qsv import (
     assemble_strategy_decomposed,
     lambda_map,
     omega3_profile,
-    pauli_witness_bound,
     q_min,
     spectra,
 )
 from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.symmetric import _beta, block_spectrum, schrijver_blocks
-from oracles import bipartite_top, orbit_operator_dense
+from oracles import bipartite_top, orbit_operator_dense, pauli_witness_bound
 
 
 class TestFrozenValues:
