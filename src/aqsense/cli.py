@@ -37,6 +37,7 @@ from .sensing import (
     SensingScenario,
     analytic_probs,
     anonymity_audit,
+    check_support_budget,
     estimate_angles,
     sample_run,
     sensitivity_bounds,
@@ -170,9 +171,11 @@ def _cmd_sense(cfg: RunConfig) -> int:
         "shots": opt["shots"],
         "seed": opt["seed"],
     }
+    if opt["shots"] > 0 and opt["seed"] is None:
+        raise ValueError("a --seed is required when --shots > 0")
+    if opt["shots"] > 0 or opt["audit"]:
+        check_support_budget(scenario.n, placements=opt["audit"])
     if opt["shots"] > 0:
-        if opt["seed"] is None:
-            raise ValueError("a --seed is required when --shots > 0")
         counts = sample_run(scenario, opt["shots"], RngStream(opt["seed"]).gen)
         freq = counts / opt["shots"]
         est = estimate_angles(freq[0], freq[1], freq[2], scenario.n, scenario.q0)

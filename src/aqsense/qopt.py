@@ -4,9 +4,10 @@ Combines the two estimation-variance bounds with the residual acceptance
 of imperfect copies into a single figure of merit H(q0), locates its
 landmark weights (domain minimum, eigenvalue-branch crossing, Dicke-bound
 minimizer), and minimizes H per (n, angle pair). H is rational in q0, so
-its minimum is a root of a cubic; one minimize_H call solves the cubics of
-every angle pair at one n together, so the sweep that generates the figure
-data makes one call per n.
+its minimum is a root of a cubic; n broadcasts with the angles, and one
+minimize_H call solves the cubics of every (n, angle pair) together, so the
+sweep that generates the figure data makes one call in all. n runs up to
+N_MAX = 514, the largest n whose C(2n, n) lies inside float64 range.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .symcomb import binom
 __all__ = [
     "ANGLE_EXAMPLES",
     "AngleExample",
+    "N_MAX",
     "OptimumReport",
     "beta_p0",
     "gamma_eta",
@@ -33,6 +35,9 @@ __all__ = [
     "sweep",
     "write_sweep_csv",
 ]
+
+# largest n with C(2n, n) + 8n - 6 inside float64 range (the q_beta denominator)
+N_MAX = 514
 
 _CSV_HEADER = ("n", "label", "theta_plus", "theta_minus", "q_min", "q_beta", "q_G", "q_H", "H_min")
 
@@ -66,15 +71,16 @@ ANGLE_EXAMPLES: tuple[AngleExample, ...] = (
 class OptimumReport:
     """Landmark weights and the located minimum of the objective.
 
-    The angle-dependent fields are floats for one angle pair and arrays for
-    many (see ``minimize_H``); every check holds for each pair.
+    The pair-dependent fields are floats for one (n, angle pair) and arrays
+    for many (see ``minimize_H``); q_min and q_beta are arrays only when n
+    is. Every check holds for each pair.
     """
 
-    n: int
+    n: int | np.ndarray
     theta_plus: float | np.ndarray
     theta_minus: float | np.ndarray
-    q_min: float
-    q_beta: float
+    q_min: float | np.ndarray
+    q_beta: float | np.ndarray
     q_G: float | np.ndarray
     q_H: float | np.ndarray
     H_min: float | np.ndarray
@@ -82,7 +88,7 @@ class OptimumReport:
     warned_full_domain: bool | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.q_min > self.q_beta + 1e-15:
+        if np.any(np.asarray(self.q_min) > np.asarray(self.q_beta) + 1e-15):
             raise ValueError(f"q_min={self.q_min} exceeds q_beta={self.q_beta}")
         restricted = ~np.asarray(self.warned_full_domain)
         if np.any(restricted & (np.asarray(self.q_H) < np.asarray(self.q_G) - 1e-12)):
@@ -96,12 +102,22 @@ def _scalar_or_array(x: np.ndarray):
     return x if x.ndim else float(x)
 
 
-def gamma_eta(n: int, theta_plus, theta_minus):
+def _per_n(fn, n: np.ndarray) -> np.ndarray:
+    """fn(k) for every entry k of the integer array n, one call per distinct k."""
+    distinct, where = np.unique(n, return_inverse=True)
+    return np.array([fn(int(k)) for k in distinct])[where].reshape(n.shape)
+
+
+def _central(n: int) -> float:
+    return float(binom(2 * n, n))
+
+
+def gamma_eta(n, theta_plus, theta_minus):
     """Coefficients gamma and eta of the Dicke-bound minimizer.
 
     gamma = n^2 sin^2(theta-/2) + 2(n^2-n)(1 - cos(theta+/2)cos(theta-/2)),
     eta = (n-1)^2 sin^2(theta+/2); intended for theta+ in (0, pi] and
-    theta- in [-pi/2, 0). The angles broadcast; scalars give floats.
+    theta- in [-pi/2, 0). n and the angles broadcast; scalars give floats.
     """
     tp, tm = np.asarray(theta_plus, dtype=float), np.asarray(theta_minus, dtype=float)
     gamma = n ** 2 * np.sin(tm / 2) ** 2 + 2 * (n ** 2 - n) * (1 - np.cos(tp / 2) * np.cos(tm / 2))
@@ -114,34 +130,38 @@ def _q_beta(n: int) -> float:
     return 4.0 * (n - 1) / (binom(2 * n, n) + 8 * n - 6)
 
 
-def q_landmarks(n: int, theta_plus, theta_minus):
+def q_landmarks(n, theta_plus, theta_minus):
     """The three landmark weights (q_min, q_beta, q_G).
 
     q_min bounds the admissible domain, q_beta marks the eigenvalue branch
     crossing at p = 0, and q_G minimizes the theta- variance bound. q_G
-    broadcasts over the angles like gamma_eta.
+    broadcasts over n and the angles like gamma_eta; q_min and q_beta are
+    floats for an integer n and arrays for an array of n.
     """
-    if n < 3:
+    n_arr = np.asarray(n)
+    if np.any(n_arr < 3):
         raise ValueError(f"n must be at least 3, got {n}")
     gamma, eta = gamma_eta(n, theta_plus, theta_minus)
     ratio = eta / gamma
-    return q_min(n), _q_beta(n), _scalar_or_array(np.sqrt(ratio * (1 + ratio)) - ratio)
+    landmarks = (_scalar_or_array(_per_n(fn, n_arr)) for fn in (q_min, _q_beta))
+    return *landmarks, _scalar_or_array(np.sqrt(ratio * (1 + ratio)) - ratio)
 
 
-def beta_p0(n: int, q0):
+def beta_p0(n, q0):
     """Largest subunit strategy eigenvalue at p = 0 as a function of q0.
 
     Below the branch crossing: 1 - 1/(2n-1) - 2 q0/(2 + (C-2) q0); above:
-    C q0/(2 + (C-2) q0) with C = C(2n,n). Vectorized in q0.
+    C q0/(2 + (C-2) q0) with C = C(2n,n). Vectorized in n and q0.
     """
-    if n < 3:
+    n_arr = np.asarray(n)
+    if np.any(n_arr < 3):
         raise ValueError(f"n must be at least 3, got {n}")
     q = np.asarray(q0, dtype=float)
-    if np.any(q < q_min(n)) or np.any(q >= 1.0):
-        raise ValueError(f"q0 must lie in [{q_min(n)}, 1), got {q0}")
-    c = float(binom(2 * n, n))
+    qm, qb, c = (_per_n(fn, n_arr) for fn in (q_min, _q_beta, _central))
+    if np.any(q < qm) or np.any(q >= 1.0):
+        raise ValueError(f"q0 must lie in [q_min(n), 1), got {q0} at n = {n}")
     denom = 2.0 + (c - 2.0) * q
-    value = np.where(q < _q_beta(n), 1.0 - 1.0 / (2 * n - 1) - 2.0 * q / denom, c * q / denom)
+    value = np.where(q < qb, 1.0 - 1.0 / (2 * n_arr - 1) - 2.0 * q / denom, c * q / denom)
     return _scalar_or_array(value)
 
 
@@ -150,12 +170,13 @@ def objective_H(n: int, q0, theta_plus: float, theta_minus: float):
     return g_plus(q0) * g_minus(n, q0, theta_plus, theta_minus) * beta_p0(n, q0)
 
 
-def minimize_H(n: int, theta_plus, theta_minus) -> OptimumReport:
+def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     """Minimize the figure of merit over the admissible weights, for one
-    angle pair or for arrays of them (broadcast together) at one n.
+    (n, angle pair) or for arrays of them: n and the angles broadcast.
 
-    Angles must lie in the sensing domain theta+ in (0, pi], theta- in
-    [-pi/2, 0), where every formula below holds; ValueError otherwise.
+    n must lie in 3..N_MAX and the angles in the sensing domain
+    theta+ in (0, pi], theta- in [-pi/2, 0), where every formula below
+    holds; ValueError otherwise.
 
     With f = 1 - 1/n, s = sin^2(theta-/2) and C = C(2n, n), the theta-
     bound is g-(q) = (A q + B)/(q(1-q)) with
@@ -177,29 +198,39 @@ def minimize_H(n: int, theta_plus, theta_minus) -> OptimumReport:
     of the cubic in (a, 1): at most four evaluations per pair. The roots of
     every pair come from one eigvals call on a stack of companion matrices.
 
-    With scalar angles the report holds floats. With arrays, q_G, q_H,
-    H_min and warned_full_domain are arrays of the broadcast shape, and
-    evaluations is the total over the pairs. The angles are kept as given.
+    With scalar arguments the report holds floats. Otherwise q_G, q_H,
+    H_min and warned_full_domain are arrays of the broadcast shape, so are
+    q_min and q_beta when n is an array, and evaluations is the total over
+    the pairs. n and the angles are kept as given.
     """
-    tp, tm = np.broadcast_arrays(np.asarray(theta_plus, float), np.asarray(theta_minus, float))
+    n_all, tp, tm = np.broadcast_arrays(
+        np.asarray(n), np.asarray(theta_plus, float), np.asarray(theta_minus, float)
+    )
+    if np.any((n_all < 3) | (n_all > N_MAX)):
+        raise ValueError(
+            f"n must lie in 3..{N_MAX} (C(2n, n) leaves float64 range above {N_MAX}), got {n}"
+        )
     if np.any((tp <= 0.0) | (tp > np.pi)) or np.any((tm < -np.pi / 2) | (tm >= 0.0)):
         raise ValueError(
             f"angles must lie in theta+ in (0, pi], theta- in [-pi/2, 0), got {theta_plus}, {theta_minus}"
         )
-    shape, tp, tm = tp.shape, tp.ravel(), tm.ravel()
-    qm, qb, qg = q_landmarks(n, tp, tm)
+    shape, ns, tp, tm = tp.shape, n_all.ravel(), tp.ravel(), tm.ravel()
+    qm, qb, qg = q_landmarks(ns, tp, tm)
     warned = qb >= qg
     # max(start, q_beta): q_G, or q_beta for a flagged pair
     lowest = np.maximum(qg, qb)
-    f, s, c = 1.0 - 1.0 / n, np.sin(tm / 2) ** 2, float(binom(2 * n, n))
+    f, s, c = 1.0 - 1.0 / ns, np.sin(tm / 2) ** 2, _per_n(_central, ns)
     a = 1.0 + 2.0 * f * (1.0 - np.cos(tp / 2) * np.cos(tm / 2)) / s
     b = f ** 2 * np.sin(tp / 2) ** 2 / s
-    # monic cubic q^3 + c2 q^2 + c1 q + c0, one companion matrix per pair
-    lead = 2.0 * a * (c - 2.0)
+    # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
+    # a power of two scales it exactly and keeps every product in range
+    scale = np.ldexp(1.0, -np.frexp(c)[1])
+    c_2, c_4 = c * scale - 2.0 * scale, c * scale - 4.0 * scale
+    lead = 2.0 * a * c_2
     companion = np.zeros((tp.size, 3, 3))
-    companion[:, 0, 0] = -(3.0 * b * (c - 2.0) - a * (c - 4.0)) / lead
-    companion[:, 0, 1] = 2.0 * b * (c - 4.0) / lead
-    companion[:, 0, 2] = 2.0 * b / lead
+    companion[:, 0, 0] = -(3.0 * b * c_2 - a * c_4) / lead
+    companion[:, 0, 1] = 2.0 * b * c_4 / lead
+    companion[:, 0, 2] = 2.0 * b * scale / lead
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     roots = np.linalg.eigvals(companion)
     inside = (roots.imag == 0.0) & (roots.real > lowest[:, None]) & (roots.real < 1.0)
@@ -207,54 +238,50 @@ def minimize_H(n: int, theta_plus, theta_minus) -> OptimumReport:
     valid = np.concatenate([np.ones((tp.size, 1), bool), inside], axis=1)
     rows = np.nonzero(valid)[0]
     values = np.full(candidates.shape, np.inf)
-    values[valid] = objective_H(n, candidates[valid], tp[rows], tm[rows])
+    values[valid] = objective_H(ns[rows], candidates[valid], tp[rows], tm[rows])
     best = (np.arange(tp.size), np.argmin(values, axis=1))
     q_h, h_min = candidates[best], values[best]
-    if shape:
-        qg, q_h, h_min, warned = (x.reshape(shape) for x in (qg, q_h, h_min, warned))
-    else:
-        qg, q_h, h_min, warned = float(qg[0]), float(q_h[0]), float(h_min[0]), bool(warned[0])
+
+    def as_given(x):
+        return x.reshape(shape) if shape else x[0].item()
+
     return OptimumReport(
         n=n,
         theta_plus=theta_plus,
         theta_minus=theta_minus,
-        q_min=qm,
-        q_beta=qb,
-        q_G=qg,
-        q_H=q_h,
-        H_min=h_min,
+        q_min=as_given(qm) if np.ndim(n) else qm[0].item(),
+        q_beta=as_given(qb) if np.ndim(n) else qb[0].item(),
+        q_G=as_given(qg),
+        q_H=as_given(q_h),
+        H_min=as_given(h_min),
         evaluations=rows.size,
-        warned_full_domain=warned,
+        warned_full_domain=as_given(warned),
     )
 
 
 def sweep(n_min: int, n_max: int, examples: Sequence[AngleExample] | None = None) -> list[dict]:
-    """One optimization row per (n, example) pair; deterministic."""
+    """One optimization row per (n, example) pair, from one minimize_H call
+    over all of them; deterministic."""
     if n_min < 3:
         raise ValueError(f"n_min must be at least 3, got {n_min}")
     if n_max < n_min:
         raise ValueError(f"n_max={n_max} is below n_min={n_min}")
+    if n_max > N_MAX:
+        raise ValueError(
+            f"n_max={n_max} exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)"
+        )
     chosen = ANGLE_EXAMPLES if examples is None else tuple(examples)
-    theta_plus = np.array([ex.theta_plus for ex in chosen])
-    theta_minus = np.array([ex.theta_minus for ex in chosen])
-    rows = []
-    for n in range(n_min, n_max + 1):
-        report = minimize_H(n, theta_plus, theta_minus)
-        for i, ex in enumerate(chosen):
-            rows.append(
-                {
-                    "n": n,
-                    "label": ex.label,
-                    "theta_plus": ex.theta_plus,
-                    "theta_minus": ex.theta_minus,
-                    "q_min": report.q_min,
-                    "q_beta": report.q_beta,
-                    "q_G": float(report.q_G[i]),
-                    "q_H": float(report.q_H[i]),
-                    "H_min": float(report.H_min[i]),
-                }
-            )
-    return rows
+    ns = np.repeat(np.arange(n_min, n_max + 1), len(chosen))
+    count = n_max - n_min + 1
+    theta_plus = np.tile([ex.theta_plus for ex in chosen], count)
+    theta_minus = np.tile([ex.theta_minus for ex in chosen], count)
+    report = minimize_H(ns, theta_plus, theta_minus)
+    columns = [getattr(report, key).tolist() for key in _CSV_HEADER[4:]]
+    return [
+        {"n": n, "label": ex.label, "theta_plus": ex.theta_plus, "theta_minus": ex.theta_minus,
+         **dict(zip(_CSV_HEADER[4:], values))}
+        for n, ex, values in zip(ns.tolist(), chosen * count, zip(*columns))
+    ]
 
 
 def write_sweep_csv(rows: Sequence[dict], path) -> None:

@@ -7,6 +7,12 @@ theta+ = (w1+w2)t and theta- = (w1-w2)t, never the positions. This module
 provides the measurement, the outcome law (closed form and simulated), a
 sampler, plug-in estimators, Cramer-Rao sensitivity bounds, and an audit
 that checks the position independence numerically.
+
+The probe and the measurement kets live on the C(2n,n) + 2 basis states of
+weight 0, n and 2n, so the simulated law never builds a 2^(2n) vector: each
+ket is kept as its support (indices and amplitudes), and the probe and its
+phases are evaluated on those indices only. The simulated law is a second
+route to the closed form, by state evolution restricted to the supports.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PureState, evolve_phases, make_dicke, make_ghz, make_target
+from .qcore import PureState
+from .symcomb import WeightBasis, binom
 
 __all__ = [
     "GhzCollapseError",
@@ -29,6 +36,8 @@ __all__ = [
     "build_povm",
     "analytic_probs",
     "simulate_probs",
+    "SUPPORT_BYTES_LIMIT",
+    "check_support_budget",
     "sample_run",
     "estimate_angles",
     "g_plus",
@@ -107,36 +116,59 @@ class Povm:
     """The four-outcome measurement: two GHZ-sector projectors, the Dicke
     projector, and the remainder.
 
-    Holds the three orthonormal rank-1 kets; the fourth element, the
-    identity minus their projectors, is never built. Call ``validate`` to
-    check the kets (``build_povm`` does).
+    Holds the three orthonormal rank-1 kets, each as its support: a pair
+    (indices, amplitudes) with the basis indices ascending and the
+    complex128 amplitudes on them. The protocol's kets are built on
+    {0, 2^(2n) - 1} and the weight-n indices; kets passed in as 2^(2n)
+    vectors (such as negative controls) are reduced to their nonzero
+    entries once. The fourth element, the identity minus the projectors, is
+    never built. Call ``validate`` to check the kets (``build_povm`` does).
     """
 
     def __init__(self, n: int, kets: Sequence[np.ndarray] | None = None):
         self.n = n
         m = 2 * n
         if kets is None:
-            ghz_plus = make_ghz(m).amps
-            ghz_minus = ghz_plus.copy()
-            ghz_minus[-1] = -ghz_minus[-1]
-            kets = (ghz_plus, ghz_minus, make_dicke(m, n).amps)
-        self.kets = tuple(np.asarray(k, dtype=np.complex128) for k in kets)
+            ends = np.array([0, (1 << m) - 1], dtype=np.int64)
+            half = 1 / np.sqrt(2)
+            dicke = WeightBasis(m, n).indices
+            self.kets = (
+                (ends, np.array([half, half], dtype=np.complex128)),
+                (ends, np.array([half, -half], dtype=np.complex128)),
+                (dicke, np.full(dicke.size, 1 / np.sqrt(dicke.size), dtype=np.complex128)),
+            )
+        else:
+            supports = []
+            for ket in kets:
+                ket = np.asarray(ket, dtype=np.complex128)
+                idx = np.flatnonzero(ket)
+                supports.append((idx, ket[idx]))
+            self.kets = tuple(supports)
 
     def probabilities(self, state: PureState) -> np.ndarray:
-        """Outcome probabilities via inner products, no dense operators."""
-        p = np.array([abs(np.vdot(k, state.amps)) ** 2 for k in self.kets])
-        return np.append(p, 1.0 - p.sum())
+        """Outcome probabilities of a dense state, gathered on each ket's support."""
+        return _with_remainder([np.vdot(amps, state.amps[idx]) for idx, amps in self.kets])
 
     def validate(self) -> None:
         """Check that the kets' Gram matrix is the identity within 1e-12.
 
         Orthonormal kets give orthogonal rank-1 projectors, so the remainder
         is a projector too: all four elements are positive and sum to I.
+        Each entry is an inner product over the two supports' common indices.
         """
-        kets = np.array(self.kets)
-        gram = kets.conj() @ kets.T
-        if np.max(np.abs(gram - np.eye(len(kets)))) > 1e-12:
+        gram = np.zeros((len(self.kets), len(self.kets)), dtype=np.complex128)
+        for i, (idx_a, a) in enumerate(self.kets):
+            for j, (idx_b, b) in enumerate(self.kets):
+                _, at_a, at_b = np.intersect1d(idx_a, idx_b, assume_unique=True, return_indices=True)
+                gram[i, j] = np.vdot(a[at_a], b[at_b])
+        if np.max(np.abs(gram - np.eye(len(self.kets)))) > 1e-12:
             raise ValueError("POVM kets are not orthonormal within 1e-12")
+
+
+def _with_remainder(amplitudes) -> np.ndarray:
+    """The four outcome probabilities from the three kets' amplitudes."""
+    p = np.array([abs(a) ** 2 for a in amplitudes])
+    return np.append(p, 1.0 - p.sum())
 
 
 def build_povm(n: int) -> Povm:
@@ -191,19 +223,66 @@ def analytic_probs(n: int, q0: float, theta_plus: float, theta_minus: float) -> 
     return OutcomeDistribution(float(p1), float(p2), float(p3), float(max(p4, 0.0)))
 
 
-def simulate_probs(scenario: SensingScenario) -> OutcomeDistribution:
-    """Outcome law computed by explicit state evolution and measurement.
+# Largest size, in bytes, of the support arrays one simulated-law call may
+# allocate. simulate_probs holds about _ENTRY_BYTES per support entry of its
+# largest ket (the Dicke ket, C(2n, n) entries): the index, the ket
+# amplitude, the probe amplitude and its two phased copies, and the bit
+# temporaries. placement_probabilities adds the 64 unpacked bits of each
+# index (one byte each) and two (entries, 2n) float64 bit matrices. With
+# 1 GiB the sampled law runs to n = 13 and the audit to n = 11.
+SUPPORT_BYTES_LIMIT = 1 << 30
+_ENTRY_BYTES = 96
 
-    Prepares the probe, applies the local phases at positions t1 and t2,
-    and evaluates the four outcome expectations. Serves as the brute-force
-    cross-check of ``analytic_probs``.
+
+def _support_bytes(n: int, placements: bool) -> int:
+    return binom(2 * n, n) * (_ENTRY_BYTES + (64 + 16 * 2 * n if placements else 0))
+
+
+def check_support_budget(n: int, placements: bool) -> None:
+    """Raise ValueError, naming the largest n accepted, when the support
+    arrays of simulate_probs (placements False) or placement_probabilities
+    (placements True) at this n would exceed SUPPORT_BYTES_LIMIT."""
+    if _support_bytes(n, placements) <= SUPPORT_BYTES_LIMIT:
+        return
+    largest = 3
+    while _support_bytes(largest + 1, placements) <= SUPPORT_BYTES_LIMIT:
+        largest += 1
+    what = "the placement law (--audit)" if placements else "the sampled law (--shots)"
+    raise ValueError(
+        f"n={n} needs {_support_bytes(n, placements) / 2 ** 30:.3g} GiB of support arrays for "
+        f"{what}, above the {SUPPORT_BYTES_LIMIT / 2 ** 30:g} GiB limit; the largest n accepted is {largest}"
+    )
+
+
+def _probe_on(n: int, q0: float, idx: np.ndarray) -> np.ndarray:
+    """Amplitudes of sqrt(q0)|GHZ> + sqrt(1-q0)|D_2n^n> on the basis indices
+    idx, with the factors of ``qcore.make_target``; real, as the probe is."""
+    weight = np.bitwise_count(idx)
+    ghz = np.where((weight == 0) | (weight == 2 * n), 1 / np.sqrt(2), 0.0)
+    dicke = np.where(weight == n, 1 / np.sqrt(binom(2 * n, n)), 0.0)
+    return np.sqrt(q0) * ghz + np.sqrt(1.0 - q0) * dicke
+
+
+def simulate_probs(scenario: SensingScenario) -> OutcomeDistribution:
+    """Outcome law computed by state evolution and measurement on the kets'
+    supports.
+
+    Evaluates the probe on each ket's indices, applies the local phases at
+    positions t1 and t2 there (the factors of ``qcore.evolve_phases``, in
+    its qubit order), and takes the inner product with the ket. Serves as
+    the second route to ``analytic_probs``.
     """
-    n = scenario.n
-    omegas = np.zeros(2 * n)
-    omegas[scenario.t1 - 1] = scenario.omega1
-    omegas[scenario.t2 - 1] = scenario.omega2
-    state = evolve_phases(make_target(n, scenario.q0), omegas, scenario.t)
-    p = Povm(n).probabilities(state)
+    n, m = scenario.n, 2 * scenario.n
+    check_support_budget(n, placements=False)
+    fields = sorted([(scenario.t1 - 1, scenario.omega1), (scenario.t2 - 1, scenario.omega2)])
+    amplitudes = []
+    for idx, amps in Povm(n).kets:
+        v = _probe_on(n, scenario.q0, idx)
+        for qubit, omega in fields:
+            factor = cmath.exp(0.5j * omega * scenario.t)
+            v = v * np.where((idx >> (m - 1 - qubit)) & 1, factor.conjugate(), factor)
+        amplitudes.append(np.vdot(amps, v))
+    p = _with_remainder(amplitudes)
     return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(max(p[3], 0.0)))
 
 
@@ -294,31 +373,39 @@ def placement_probabilities(
 
     A qubit at frequency w scales a basis state by e^{+i w t/2} on bit 0 and
     e^{-i w t/2} on bit 1, i.e. by p0 + (p1 - p0) bit. So with v = conj(k) psi
-    on its support and B that support's 0/1 bit matrix (qubit 0 most
-    significant, as in ``evolve_phases``), every amplitude <k|U_{t1,t2}|psi>
-    is a combination of sum(v), r = B^T v and S = B^T diag(v) B at (t1, t2):
-    one matrix product per ket in place of one evolution per placement.
+    on the ket's support (where the probe is nonzero) and B that support's
+    0/1 bit matrix (qubit 0 most significant, as in ``qcore.evolve_phases``),
+    every amplitude <k|U_{t1,t2}|psi> is a combination of sum(v),
+    r = B^T v and S = B^T diag(v) B at (t1, t2): a few matrix products per
+    ket in place of one evolution per placement. B is real, so r and S are
+    formed from the real and imaginary parts of v by real products.
     """
+    check_support_budget(n, placements=True)
     if povm is None:
         povm = Povm(n)
     m = 2 * n
-    psi = make_target(n, q0).amps
     a0, b0 = cmath.exp(0.5j * omega_a * t), cmath.exp(0.5j * omega_b * t)
     da, db = a0.conjugate() - a0, b0.conjugate() - b0
-    shifts = np.arange(m - 1, -1, -1)
     placed = ~np.eye(m, dtype=bool)
     probs = []
-    for ket in povm.kets:
-        v = ket.conj() * psi
+    for idx, amps in povm.kets:
+        v = amps.conj() * _probe_on(n, q0, idx)
         support = np.flatnonzero(v)
         v = v[support]
-        bits = ((support[:, None] >> shifts) & 1).astype(float)
-        r = bits.T @ v
-        s = bits.T @ (v[:, None] * bits)
+        # qubit j's bit of each index, from the big-endian bytes of the index
+        octets = idx[support].astype(">u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(octets, axis=1)[:, 64 - m :].astype(np.float64)
+        r = bits.T @ v.real + 1j * (bits.T @ v.imag)
+        s = _weighted_gram(bits, v.real) + 1j * _weighted_gram(bits, v.imag)
         amp = a0 * b0 * v.sum() + a0 * db * r[None, :] + da * b0 * r[:, None] + da * db * s
         probs.append(np.abs(amp[placed]) ** 2)
     probs = np.array(probs).T
     return np.column_stack([probs, 1.0 - probs.sum(axis=1)])
+
+
+def _weighted_gram(bits: np.ndarray, w: np.ndarray):
+    """bits^T diag(w) bits for real w by one real product; 0 when w is 0."""
+    return bits.T @ (bits * w[:, None]) if w.any() else 0.0
 
 
 def anonymity_audit(

@@ -27,10 +27,34 @@ def binom(m: int, k: int) -> int:
 
 
 def _weight_indices(m: int, k: int) -> np.ndarray:
-    """Ascending array of all m-bit integers with Hamming weight k."""
+    """Ascending array of all m-bit integers with Hamming weight k.
+
+    The m bits split into a high part of m - m//2 bits and a low part of
+    m//2 bits. Each high part h of weight w is followed, in ascending
+    order, by the low parts of weight k - w; popcount scans of the two
+    halves (about 2^(m/2) integers each) list both, so the work and memory
+    are O(C(m, k) + 2^(m/2)) and nothing of size 2^m is made.
+    """
     if k < 0 or k > m:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(np.bitwise_count(np.arange(1 << m, dtype=np.int64)) == k)
+    low_bits = m // 2
+    high = np.arange(1 << (m - low_bits), dtype=np.int64)
+    low_weight = np.bitwise_count(np.arange(1 << low_bits, dtype=np.int64))
+    # the low parts sorted by weight (ascending within a weight), and where
+    # each weight's block starts
+    by_weight = np.argsort(low_weight, kind="stable")
+    first = np.searchsorted(low_weight[by_weight], np.arange(low_bits + 2))
+    need = k - np.bitwise_count(high).astype(np.int64)
+    keep = (need >= 0) & (need <= low_bits)
+    high, need = high[keep], need[keep]
+    counts = first[need + 1] - first[need]
+    ends = np.cumsum(counts)
+    # position in by_weight of every output entry: its block start plus its rank in the block
+    at = np.arange(ends[-1])
+    at += np.repeat(first[need] - ends + counts, counts)
+    out = np.repeat(high << low_bits, counts)
+    out += by_weight[at]
+    return out
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ minimum. The all-X witness bound on the target state, which only the
 tests use, lives here too. Dense routes check the
 symmetric-block spectra: an operator built entry by entry from its orbit
 coefficients, the Gram route on the strategy's (n-1, n+1) piece, and the
-anonymity audit's law from one evolution per placement.
+anonymity audit's law from one evolution per placement. The sensing law
+also keeps its dense route: the probe as a 2^(2n) vector, evolved and
+measured against the POVM kets written out as 2^(2n) vectors.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import numpy as np
 from aqsense.qcore import eig_top2, evolve_phases, make_target
 from aqsense.qopt import OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
-from aqsense.sensing import Povm
+from aqsense.sensing import OutcomeDistribution, Povm
 from aqsense.symcomb import binom
 
 SQ2 = np.sqrt(2.0)
@@ -244,6 +246,30 @@ def placement_probabilities_by_evolution(n, q0, omega_a, omega_b, t, povm=None):
         omegas[t2] = omega_b
         rows.append(povm.probabilities(evolve_phases(probe, omegas, t)))
     return np.array(rows)
+
+
+def dense_kets(povm):
+    """The POVM's kets as 2^(2n) complex vectors, from their supports."""
+    out = []
+    for idx, amps in povm.kets:
+        ket = np.zeros(2 ** (2 * povm.n), dtype=complex)
+        ket[idx] = amps
+        out.append(ket)
+    return out
+
+
+def simulate_probs_dense(scenario):
+    """Outcome law by dense state evolution: the 2^(2n) probe, the local
+    phases at t1 and t2 by evolve_phases, and inner products with the dense
+    kets."""
+    n = scenario.n
+    omegas = np.zeros(2 * n)
+    omegas[scenario.t1 - 1] = scenario.omega1
+    omegas[scenario.t2 - 1] = scenario.omega2
+    state = evolve_phases(make_target(n, scenario.q0), omegas, scenario.t)
+    p = np.array([abs(np.vdot(k, state.amps)) ** 2 for k in dense_kets(Povm(n))])
+    p = np.append(p, 1.0 - p.sum())
+    return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(max(p[3], 0.0)))
 
 
 def pauli_witness_bound(n: int, q0: float) -> float:

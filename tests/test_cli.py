@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from math import comb
 from pathlib import Path
@@ -23,6 +25,7 @@ from aqsense.cli import (
     EXIT_USAGE,
     main,
 )
+from aqsense.qopt import N_MAX
 from aqsense.qsv import analytic_spectrum, sample_complexity
 from aqsense.sensing import analytic_probs, g_minus, g_plus
 
@@ -390,6 +393,7 @@ class TestFloatRange:
             ["qsv", "spectrum", "--n", "520", "--q0", "0.33"],
             ["qsv", "complexity", "--n", "520", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01"],
             ["opt", "--n-min", "520", "--n-max", "520", "--out", "{tmp}/sweep.csv"],
+            ["opt", "--n-min", "3", "--n-max", "600", "--out", "{tmp}/sweep.csv"],
         ],
     )
     def test_large_n_is_usage(self, argv, tmp_path, capsys):
@@ -402,6 +406,54 @@ class TestFloatRange:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "sweep.csv").exists()
+
+
+    def test_opt_names_the_largest_n_accepted(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(["opt", "--n-min", "3", "--n-max", "600", "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == EXIT_USAGE
+        assert "the largest n accepted" in err and str(N_MAX) in err
+        assert not (tmp_path / "s.csv").exists()
+
+
+class TestSenseSupportBudget:
+    @pytest.mark.parametrize("n", [14, 40])
+    @pytest.mark.parametrize(
+        "flags", [["--audit"], ["--shots", "10", "--seed", "1"], ["--shots", "10", "--seed", "1", "--audit"]]
+    )
+    def test_large_n_exits_before_allocating(self, n, flags, capsys):
+        argv = ["sense", "--n", str(n), "--q0", "0.33", "--omega-a", "0.3", "--omega-b", "0.7", "--t", "1", *flags]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(argv, capsys)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "the largest n accepted is" in err
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_sense_builds_no_dense_state(self, monkeypatch, capsys):
+        # every 2^(2n) route is refused: sampling and audit run on the supports
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense 2^(2n) route was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] != "aqsense":
+                continue
+            for attr in ("make_target", "make_ghz", "make_dicke", "evolve_phases"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        argv = ["sense", "--n", "5", "--q0", "0.33", "--omega-a", OMEGA_A, "--omega-b", OMEGA_B,
+                "--t", "1.0", "--shots", "1000", "--seed", "4", "--audit"]
+        code, payload, _ = run_json(argv, capsys)
+        assert code == EXIT_OK
+        assert sum(payload["counts"]) == 1000 and payload["audit"]["passed"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -14,6 +14,7 @@ from oracles import dense_scan_H, minimize_H_rowwise
 
 from aqsense.qopt import (
     ANGLE_EXAMPLES,
+    N_MAX,
     AngleExample,
     OptimumReport,
     beta_p0,
@@ -232,8 +233,23 @@ class TestMinimize:
         with pytest.raises(ValueError, match="angles must lie"):
             minimize_H(3, np.array([A[0], theta_plus]), np.array([A[1], theta_minus]))
 
+    def test_n_max_is_the_float_range_of_the_central_binomial(self):
+        assert np.isfinite(float(math.comb(2 * N_MAX, N_MAX) + 8 * N_MAX))
+        with pytest.raises(OverflowError):
+            float(math.comb(2 * N_MAX + 2, N_MAX + 1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_runs_to_n_max_without_warnings(self):
+        rows = sweep(N_MAX - 3, N_MAX)
+        assert all(np.isfinite(list(row.values())[4:]).all() for row in rows)
+        assert all(row["q_G"] <= row["q_H"] < 1.0 for row in rows)
+        with pytest.raises(ValueError, match=f"3..{N_MAX}"):
+            minimize_H(N_MAX + 1, *A)
+        with pytest.raises(ValueError, match=f"exceeds {N_MAX}, the largest n accepted"):
+            sweep(3, N_MAX + 1)
+
     @pytest.mark.parametrize(
-        "n, label", [(n, label) for n in (3, 10, 50) for label in "AFL"]
+        "n, label", [(n, label) for n in (3, 10, 50, N_MAX) for label in "AFL"]
     )
     def test_matches_decimal_bisection(self, n, label):
         # 50-digit bisection on the sign of H's central-difference slope,
@@ -319,16 +335,16 @@ class TestBatchedSearch:
             assert oracle.evaluations == 2048 + 5 * 65
             assert_matches_nested_grid(row, oracle)
 
-    def test_one_call_per_n_counts_every_pair(self):
-        for n in (3, 17, 50):
-            report = minimize_H(n, THETA_PLUS, THETA_MINUS)
-            singles = [minimize_H(n, ex.theta_plus, ex.theta_minus) for ex in ANGLE_EXAMPLES]
-            assert isinstance(report.evaluations, int)
-            assert report.evaluations == sum(single.evaluations for single in singles)
-            assert len(ANGLE_EXAMPLES) <= report.evaluations <= 4 * len(ANGLE_EXAMPLES)
-            for i, single in enumerate(singles):
-                for key in FIELDS:
-                    assert getattr(report, key)[i] == getattr(single, key)
+    def test_one_call_per_sweep_counts_every_pair(self):
+        ns = np.repeat(np.arange(3, 51), len(ANGLE_EXAMPLES))
+        report = minimize_H(ns, np.tile(THETA_PLUS, 48), np.tile(THETA_MINUS, 48))
+        singles = [minimize_H(n, ex.theta_plus, ex.theta_minus) for n in range(3, 51) for ex in ANGLE_EXAMPLES]
+        assert isinstance(report.evaluations, int)
+        assert report.evaluations == sum(single.evaluations for single in singles)
+        assert ns.size <= report.evaluations <= 4 * ns.size
+        for i, single in enumerate(singles):
+            for key in FIELDS + ("q_min", "q_beta"):
+                assert getattr(report, key)[i] == getattr(single, key)
 
     @pytest.mark.parametrize(
         "n, theta_plus, theta_minus", [(3, *A), (9, *K), (3, np.pi / 12, -np.pi / 6)]
@@ -359,6 +375,15 @@ class TestBatchedSearch:
         h_min[7] *= 1 + 1e-6
         with pytest.raises(ValueError, match="does not equal the objective"):
             dataclasses.replace(report, H_min=h_min)
+
+    def test_n_broadcasts_with_the_angles(self):
+        report = minimize_H(np.array([[3], [9]]), THETA_PLUS[:4], THETA_MINUS[:4])
+        assert report.q_H.shape == report.q_min.shape == (2, 4)
+        for row, n in enumerate((3, 9)):
+            single = minimize_H(n, THETA_PLUS[:4], THETA_MINUS[:4])
+            assert np.all(report.q_min[row] == single.q_min)
+            for key in FIELDS:
+                assert np.array_equal(getattr(report, key)[row], getattr(single, key)), key
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(

@@ -2,22 +2,30 @@
 
 Independent oracles:
   * dense-operator expectation values vs the fast inner-product path,
+  * the dense 2^(2n) evolution route for the law computed on the kets'
+    supports,
   * a finite-difference Fisher-information matrix of the 4-outcome
     multinomial, inverted, as the oracle for the sensitivity bounds,
   * frozen hand-evaluated probability values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqsense.qcore import PureState, RngStream, make_ghz
+from aqsense.qcore import PureState, RngStream, make_dicke, make_ghz
 from aqsense.sensing import (
+    SUPPORT_BYTES_LIMIT,
     GhzCollapseError,
     Povm,
     SensingScenario,
     analytic_probs,
     anonymity_audit,
     build_povm,
+    check_support_budget,
     estimate_angles,
     g_minus,
     g_plus,
@@ -25,8 +33,9 @@ from aqsense.sensing import (
     sample_run,
     sensitivity_bounds,
     simulate_probs,
+    _support_bytes,
 )
-from oracles import placement_probabilities_by_evolution
+from oracles import dense_kets, placement_probabilities_by_evolution, simulate_probs_dense
 
 
 def fisher_inverse(n, q0, theta_plus, theta_minus, h=1e-6):
@@ -51,7 +60,7 @@ def fisher_inverse(n, q0, theta_plus, theta_minus, h=1e-6):
 
 def dense_elements(povm):
     """The four POVM elements as dense matrices, built from the kets."""
-    projs = [np.outer(k, k.conj()) for k in povm.kets]
+    projs = [np.outer(k, k.conj()) for k in dense_kets(povm)]
     projs.append(np.eye(projs[0].shape[0]) - sum(projs))
     return projs
 
@@ -83,6 +92,26 @@ class TestPovm:
         dense = np.array([st.expectation(op) for op in dense_elements(povm)])
         np.testing.assert_allclose(fast, dense, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_kets_kept_on_their_supports(self, n):
+        m = 2 * n
+        povm = build_povm(n)
+        weight_n = np.flatnonzero(np.bitwise_count(np.arange(1 << m)) == n)
+        assert [idx.tolist() for idx, _ in povm.kets] == [[0, (1 << m) - 1]] * 2 + [weight_n.tolist()]
+        dense = [make_ghz(m).amps, make_ghz(m).amps * np.where(np.arange(1 << m) == (1 << m) - 1, -1, 1),
+                 make_dicke(m, n).amps]
+        for (idx, amps), ket in zip(povm.kets, dense):
+            assert amps.dtype == np.complex128
+            np.testing.assert_array_equal(amps, ket[idx])
+            np.testing.assert_array_equal(np.delete(ket, idx), 0.0)
+
+    def test_dense_kets_reduced_to_their_support(self):
+        ket = np.zeros(64, dtype=complex)
+        ket[[5, 40]] = [0.6, 0.8j]
+        (idx, amps), = Povm(3, kets=(ket,)).kets
+        assert idx.tolist() == [5, 40]
+        np.testing.assert_array_equal(amps, [0.6, 0.8j])
+
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             build_povm(2)
@@ -91,7 +120,7 @@ class TestPovm:
         # |GHZ+> and |0...0> overlap, so I minus the projectors is not positive
         ghz, zero = make_ghz(6).amps, np.eye(64)[0]
         with pytest.raises(ValueError, match="orthonormal"):
-            Povm(3, kets=(ghz, zero, build_povm(3).kets[2])).validate()
+            Povm(3, kets=(ghz, zero, dense_kets(build_povm(3))[2])).validate()
 
 
 class TestAnalyticProbs:
@@ -168,6 +197,40 @@ class TestSimulateProbs:
                 [sim.p1, sim.p2, sim.p3, sim.p4], [ana.p1, ana.p2, ana.p3, ana.p4], atol=1e-12
             )
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_dense_route(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(6):
+            t = rng.uniform(0.5, 2.0)
+            omega2 = rng.uniform(0.2, 1.0) * np.pi / (2 * t)
+            omega1 = rng.uniform(0.05, 0.95) * omega2
+            t1, t2 = rng.choice(2 * n, size=2, replace=False) + 1
+            sc = SensingScenario(n=n, q0=rng.uniform(0.05, 0.95), t1=int(t1), t2=int(t2),
+                                 omega1=omega1, omega2=omega2, t=t)
+            got, dense = simulate_probs(sc), simulate_probs_dense(sc)
+            np.testing.assert_allclose(
+                [got.p1, got.p2, got.p3, got.p4], [dense.p1, dense.p2, dense.p3, dense.p4], rtol=0, atol=1e-15
+            )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 7),
+        q0=st.floats(0.01, 0.99),
+        t=st.floats(0.25, 4.0),
+        omega2_frac=st.floats(0.01, 1.0),
+        omega1_frac=st.floats(0.01, 0.99),
+        placement=st.data(),
+    )
+    def test_matches_analytic_law_property(self, n, q0, t, omega2_frac, omega1_frac, placement):
+        t1, t2 = placement.draw(st.permutations(range(1, 2 * n + 1)))[:2]
+        omega2 = omega2_frac * np.pi / (2 * t)
+        sc = SensingScenario(n=n, q0=q0, t1=t1, t2=t2, omega1=omega1_frac * omega2, omega2=omega2, t=t)
+        sim = simulate_probs(sc)
+        ana = analytic_probs(n, q0, sc.theta_plus, sc.theta_minus)
+        np.testing.assert_allclose(
+            [sim.p1, sim.p2, sim.p3, sim.p4], [ana.p1, ana.p2, ana.p3, ana.p4], rtol=0, atol=1e-12
+        )
+
     def test_zero_time(self):
         sc = SensingScenario(n=3, q0=0.33, t1=1, t2=2, omega1=0.1, omega2=0.2, t=0.0)
         d = simulate_probs(sc)
@@ -213,6 +276,19 @@ class TestEstimateAngles:
         tp, tm = estimate_angles(d.p1, d.p2, d.p3, 3, 0.33)
         assert tp == pytest.approx(np.pi / 2, abs=1e-9)
         assert tm == pytest.approx(np.pi / 6, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 50),
+        q0=st.floats(0.05, 0.95),
+        theta_plus=st.floats(0.01, np.pi - 0.01),
+        theta_minus=st.floats(-np.pi / 2, -0.01),
+    )
+    def test_round_trip_property(self, n, q0, theta_plus, theta_minus):
+        d = analytic_probs(n, q0, theta_plus, theta_minus)
+        tp, tm = estimate_angles(d.p1, d.p2, d.p3, n, q0)
+        assert abs(tp - theta_plus) <= 1e-9
+        assert abs(tm - abs(theta_minus)) <= 1e-9
 
     def test_trivial_point(self):
         tp, tm = estimate_angles(0.33, 0.0, 0.67, 3, 0.33)
@@ -278,38 +354,69 @@ class TestAnonymityAudit:
         # replacing the first element by |0^6><0^6| does NOT break the audit:
         # a single diagonal basis state only acquires a global phase, so its
         # probability never depends on where the fields sit
-        povm = build_povm(3)
+        povm = dense_kets(build_povm(3))
         e0 = np.zeros(64, dtype=complex)
         e0[0] = 1.0
-        diagonal = Povm(3, kets=(e0, povm.kets[1], povm.kets[2]))
+        diagonal = Povm(3, kets=(e0, povm[1], povm[2]))
         report = anonymity_audit(3, 0.33, 0.3, 0.7, 1.0, povm=diagonal)
         assert report.passed
 
     def test_negative_control_fails(self):
         # a projector interfering two complementary weight-3 strings is
         # sensitive to which qubits carry the fields, so the audit must fail
-        povm = build_povm(3)
+        povm = dense_kets(build_povm(3))
         v = np.zeros(64, dtype=complex)
         v[0b000111] = v[0b111000] = 1 / np.sqrt(2)
-        broken = Povm(3, kets=(v, povm.kets[1], povm.kets[2]))
+        broken = Povm(3, kets=(v, povm[1], povm[2]))
         report = anonymity_audit(3, 0.33, 0.3, 0.7, 1.0, povm=broken)
         assert not report.passed
         assert report.max_distance > 1e-3
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_placement_law_matches_per_placement_evolution(self, n):
         # the broken POVM of the negative control, and a random ket whose law
         # changes when the two fields trade places
-        povm = build_povm(n)
+        povm = dense_kets(build_povm(n))
         ket = np.zeros(2 ** (2 * n), dtype=complex)
         ket[(1 << n) - 1] = ket[((1 << n) - 1) << n] = 1 / np.sqrt(2)
-        broken = Povm(n, kets=(ket, povm.kets[1], povm.kets[2]))
+        broken = Povm(n, kets=(ket, povm[1], povm[2]))
         draw = np.random.default_rng(90 + n)
         generic = draw.normal(size=ket.size) + 1j * draw.normal(size=ket.size)
-        generic = Povm(n, kets=(generic / np.linalg.norm(generic), povm.kets[1], povm.kets[2]))
+        generic = Povm(n, kets=(generic / np.linalg.norm(generic), povm[1], povm[2]))
         for omega_a, omega_b, t in ((0.3, 0.7, 1.0), (1.1, 0.2, 0.9), (0.05, 1.5, 2.0)):
             for measurement in (None, broken, generic):
                 fast = placement_probabilities(n, 0.33, omega_a, omega_b, t, povm=measurement)
                 slow = placement_probabilities_by_evolution(n, 0.33, omega_a, omega_b, t, povm=measurement)
                 assert fast.shape == (2 * n * (2 * n - 1), 4)
                 np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-13)
+
+
+class TestSupportBudget:
+    def test_largest_n_accepted(self):
+        check_support_budget(13, placements=False)
+        check_support_budget(11, placements=True)
+        with pytest.raises(ValueError, match="the largest n accepted is 13"):
+            check_support_budget(14, placements=False)
+        with pytest.raises(ValueError, match="the largest n accepted is 11"):
+            check_support_budget(12, placements=True)
+
+    def test_library_entry_points_refuse_before_allocating(self):
+        sc = SensingScenario(n=40, q0=0.33, t1=1, t2=2, omega1=0.3, omega2=0.7, t=1.0)
+        with pytest.raises(ValueError, match="GiB limit"):
+            simulate_probs(sc)
+        with pytest.raises(ValueError, match="GiB limit"):
+            placement_probabilities(40, 0.33, 0.3, 0.7, 1.0)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_estimate_bounds_the_traced_peak(self, n):
+        # the limit is only as good as the byte count behind it
+        sc = SensingScenario(n=n, q0=0.33, t1=3, t2=2, omega1=0.3, omega2=0.7, t=1.0)
+        for placements, run in ((False, lambda: simulate_probs(sc)),
+                                (True, lambda: placement_probabilities(n, 0.33, 0.3, 0.7, 1.0))):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _support_bytes(n, placements) < SUPPORT_BYTES_LIMIT

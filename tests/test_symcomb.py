@@ -13,6 +13,7 @@ import pytest
 
 from aqsense.symcomb import (
     WeightBasis,
+    _weight_indices,
     binom,
     johnson_adjacency,
     johnson_eigenvalue,
@@ -83,6 +84,23 @@ class TestWeightBasis:
                 basis = WeightBasis(m, k)
                 assert basis.indices.dtype == np.int64
                 assert list(basis.indices) == enumerate_weight_class(m, k)
+
+
+class TestWeightIndices:
+    def test_matches_popcount_scan(self):
+        # the full 2^m popcount scan that the direct enumeration replaced
+        for m in range(0, 17):
+            weights = np.bitwise_count(np.arange(1 << m, dtype=np.int64))
+            for k in range(-1, m + 2):
+                got = _weight_indices(m, k)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, np.flatnonzero(weights == k))
+
+    def test_size_is_the_binomial_without_a_full_scan(self):
+        # 2^40 integers could not be scanned; C(40, 3) are listed directly
+        got = _weight_indices(40, 3)
+        assert got.size == binom(40, 3)
+        assert np.all(np.diff(got) > 0) and np.all(np.bitwise_count(got) == 3)
 
 
 class TestJohnsonAdjacency:
