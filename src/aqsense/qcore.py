@@ -1,12 +1,15 @@
 """Minimal multi-qubit state engine.
 
 Pure states over m qubits with a big-endian index convention (qubit 0 is
-the most significant bit), local phase evolution generated by
-single-qubit Z terms, noise channels that are mixtures of unitaries and
-sample trajectories from a state-independent branch law, one joint
-measurement of any set of qubits in per-qubit bases, seeded random
-streams, and the two largest eigenvalues of a Hermitian matrix by
-dense diagonalization.
+the most significant bit), GHZ/Dicke amplitudes on any basis indices, local
+phase evolution generated by single-qubit Z terms, noise channels that are
+mixtures of unitaries and sample trajectories from a state-independent
+branch law, one joint measurement of any set of qubits in per-qubit bases,
+seeded random streams, and the two largest eigenvalues of a Hermitian matrix
+by dense diagonalization. The probe psi and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>,
+which ``coherent_mix`` swaps, live on the C(2n,n) + 2 basis states of weight
+0, n and 2n, so the swap is the reflection I - 2 u u^dag, u = (psi - phi)/sqrt(2),
+on those states alone: no 2^(2n) x 2^(2n) operator is built.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ __all__ = [
     "PureState",
     "KrausChannel",
     "RngStream",
-    "make_ghz",
-    "make_dicke",
+    "probe_on",
     "make_target",
     "evolve_phases",
     "measure",
@@ -52,18 +54,11 @@ class PureState:
             raise ValueError(f"state vector not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
     def inner(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amps, other.amps))
 
     def fidelity(self, other: "PureState") -> float:
         return float(abs(self.inner(other)) ** 2)
-
-    def expectation(self, op: np.ndarray) -> float:
-        return float(np.vdot(self.amps, op @ self.amps).real)
 
 
 class RngStream:
@@ -113,34 +108,31 @@ class RngStream:
         return f"RngStream(seed={self.seed}, key={self.key})"
 
 
-def make_ghz(num_qubits: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2) on ``num_qubits`` >= 2 qubits."""
-    if num_qubits < 2:
-        raise ValueError("GHZ state needs at least 2 qubits")
-    amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
-    amps[0] = amps[-1] = 1 / np.sqrt(2)
-    return PureState(num_qubits, amps)
+def probe_on(n: int, ghz: float, dicke: float, idx: np.ndarray) -> np.ndarray:
+    """Amplitudes of ghz |GHZ_2n> + dicke |D_2n^n> on the basis indices idx
+    (real). The probe is probe_on(n, sqrt(q0), sqrt(1-q0), idx) and
+    coherent_mix's phi is probe_on(n, -sqrt(1-q0), sqrt(q0), idx)."""
+    weight = np.bitwise_count(idx)
+    ghz_amp = np.where((weight == 0) | (weight == 2 * n), 1 / np.sqrt(2), 0.0)
+    dicke_amp = np.where(weight == n, 1 / np.sqrt(binom(2 * n, n)), 0.0)
+    return ghz * ghz_amp + dicke * dicke_amp
 
 
-def make_dicke(num_qubits: int, excitations: int) -> PureState:
-    """Uniform superposition of all weight-``excitations`` basis states."""
-    if not 0 <= excitations <= num_qubits:
-        raise ValueError(f"excitations must lie in [0, {num_qubits}], got {excitations}")
-    basis = WeightBasis(num_qubits, excitations)
-    amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
-    amps[basis.indices] = 1 / np.sqrt(basis.size)
-    return PureState(num_qubits, amps)
-
-
-def make_target(n: int, q0: float) -> PureState:
-    """sqrt(q0)|GHZ_2n> + sqrt(1-q0)|D_2n^n> on 2n qubits, n >= 3, 0 < q0 < 1."""
+def _probe_support(n: int, q0: float) -> np.ndarray:
+    """The basis indices of weight 0, n and 2n, once (n, q0) is checked."""
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     if not 0.0 < q0 < 1.0:
         raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
-    ghz = make_ghz(2 * n).amps
-    dicke = make_dicke(2 * n, n).amps
-    return PureState(2 * n, np.sqrt(q0) * ghz + np.sqrt(1.0 - q0) * dicke)
+    return np.concatenate(([0], WeightBasis(2 * n, n).indices, [(1 << (2 * n)) - 1]))
+
+
+def make_target(n: int, q0: float) -> PureState:
+    """sqrt(q0)|GHZ_2n> + sqrt(1-q0)|D_2n^n> on 2n qubits, n >= 3, 0 < q0 < 1."""
+    idx = _probe_support(n, q0)
+    amps = np.zeros(1 << (2 * n), dtype=np.complex128)
+    amps[idx] = probe_on(n, np.sqrt(q0), np.sqrt(1.0 - q0), idx)
+    return PureState(2 * n, amps)
 
 
 def evolve_phases(state: PureState, omegas: Sequence[float], t: float) -> PureState:
@@ -209,65 +201,81 @@ def _apply_local(u: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Mixture of unitaries, K_j = sqrt(w_j) U_j, applied per qubit or globally.
+    """Mixture of unitaries, K_j = sqrt(w_j) U_j, applied per qubit or as one
+    reflection.
 
-    ``per_qubit`` channels carry 2x2 operators applied independently to
-    every qubit; global channels carry full 2^m x 2^m operators. Kraus sets
-    that are not a mixture of unitaries (K_j^dag K_j != w_j I) are rejected,
-    because trajectories draw each branch from the fixed weights w_j.
+    ``ops`` is either 2x2 Kraus operators applied independently to every
+    qubit, rejected unless a mixture of unitaries (K_j^dag K_j = w_j I, as
+    trajectories draw each branch from the fixed weights w_j), or a
+    reflection (support, u): distinct basis indices and a unit vector on
+    them, the identity with weight 1 - strength and I - 2 u u^dag with weight
+    ``strength``. The swap of orthonormal real psi and phi (the identity on
+    the rest), I - psi psi^dag - phi phi^dag + phi psi^dag + psi phi^dag, is
+    that reflection with u = (psi - phi)/sqrt(2), supported where they are.
     """
 
     label: str
     strength: float
     num_qubits: int
     ops: tuple[np.ndarray, ...]
-    per_qubit: bool
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.ops)
-        dim = 2 if self.per_qubit else 2 ** self.num_qubits
-        for k in ops:
-            if k.shape != (dim, dim):
-                raise ValueError(f"Kraus operator has shape {k.shape}, expected ({dim}, {dim})")
-        object.__setattr__(self, "ops", ops)
-        diag = np.diag_indices(dim)
-        weights = []
-        for k in ops:
-            gram = k.conj().T @ k
-            weights.append(np.trace(gram).real / dim)
-            gram[diag] -= weights[-1]
-            if np.max(np.abs(gram)) > 1e-12:
-                raise ValueError("Kraus operator is not sqrt(w) times a unitary within 1e-12")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError("Kraus operators do not satisfy sum K^dag K = I within 1e-12")
-        # branch j happens with probability w_j; None marks an identity branch
-        unitaries = []
-        for k, w in zip(ops, weights):
-            u = k / np.sqrt(w) if w > 0 else None
-            if u is not None and np.max(np.abs(u - np.eye(dim))) <= 1e-12:
-                u = None
-            unitaries.append(u)
+        reflection = None
+        if np.ndim(self.ops[0]) == 1:
+            reflection = support, u = self.ops
+            unit = np.shape(u) == np.shape(support) and abs(np.linalg.norm(u) - 1.0) <= 1e-12
+            if not unit or not 0.0 <= self.strength <= 1.0:
+                raise ValueError("a reflection needs a unit vector u on its support, within 1e-12, "
+                                 "and a weight in [0, 1]")
+            weights, unitaries, moves = [1.0 - self.strength, self.strength], (), [False, self.strength > 0.0]
+        else:
+            ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.ops)
+            object.__setattr__(self, "ops", ops)
+            # branch j happens with probability w_j; None marks an identity branch
+            weights, unitaries = [], []
+            for k in ops:
+                if k.shape != (2, 2):
+                    raise ValueError(f"Kraus operator has shape {k.shape}, expected (2, 2)")
+                gram = k.conj().T @ k
+                weights.append(np.trace(gram).real / 2)
+                gram[np.diag_indices(2)] -= weights[-1]
+                if np.max(np.abs(gram)) > 1e-12:
+                    raise ValueError("Kraus operator is not sqrt(w) times a unitary within 1e-12")
+                u = k / np.sqrt(weights[-1]) if weights[-1] > 0 else None
+                unitaries.append(None if u is None or np.max(np.abs(u - np.eye(2))) <= 1e-12 else u)
+            if abs(sum(weights) - 1.0) > 1e-12:
+                raise ValueError("Kraus operators do not satisfy sum K^dag K = I within 1e-12")
+            moves = [u is not None for u in unitaries]
         cum = np.cumsum(weights)
         object.__setattr__(self, "_cum", cum / cum[-1])
         object.__setattr__(self, "_unitaries", tuple(unitaries))
-        object.__setattr__(self, "_moves", np.array([u is not None for u in unitaries]))
+        object.__setattr__(self, "_moves", np.array(moves))
+        object.__setattr__(self, "_reflection", reflection)
 
     def apply_to_pure(self, state: PureState, rng: np.random.Generator) -> PureState:
         """Sample one trajectory.
 
         Branch j happens with probability w_j whatever the state, so one
-        uniform draw per application site picks every branch at once and
-        only the non-identity unitaries act. A channel whose branches are all
-        the identity draws nothing and returns ``state`` itself.
+        uniform draw per application site (each qubit, or the whole state for
+        a reflection) picks every branch at once and only the non-identity
+        unitaries act. A channel whose branches are all the identity draws
+        nothing and returns ``state`` itself.
         """
         if not self._moves.any():
             return state
         m = state.num_qubits
-        branches = np.searchsorted(self._cum, rng.random(m if self.per_qubit else 1), side="right")
+        if self._reflection is not None:
+            if rng.random() < self._cum[0]:
+                return state
+            support, u = self._reflection
+            amps = state.amps.copy()
+            amps[support] -= 2.0 * np.vdot(u, amps[support]) * u
+            return PureState(m, amps)
+        branches = np.searchsorted(self._cum, rng.random(m), side="right")
         amps = state.amps
         for site in self._moves[branches].nonzero()[0]:
             u = self._unitaries[branches[site]]
-            amps = _apply_local(u, amps, site) if self.per_qubit else u @ amps
+            amps = _apply_local(u, amps, site)
         return state if amps is state.amps else PureState(m, amps)
 
 
@@ -276,9 +284,9 @@ def standard_channel(kind: str, strength: float, n: int, q0: float | None = None
 
     kind "dephase": per-qubit {sqrt(1-g/2) I, sqrt(g/2) Z}.
     kind "depolarize": per-qubit {sqrt(1-3s/4) I, sqrt(s/4) X, Y, Z}.
-    kind "coherent_mix": global unitary mixing that rotates the ideal state
-    toward its in-span orthogonal complement, leaving fidelity exactly 1-s;
-    requires q0.
+    kind "coherent_mix": with probability s, the swap of the ideal state psi
+    and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>, the reflection with
+    u = (psi - phi)/sqrt(2); the fidelity is exactly 1-s. Requires q0.
     kind "none": identity channel; its strength must be 0.
     """
     if not 0.0 <= strength <= 1.0:
@@ -288,11 +296,11 @@ def standard_channel(kind: str, strength: float, n: int, q0: float | None = None
     if kind == "none":
         if strength != 0.0:
             raise ValueError(f"channel kind 'none' takes strength 0, got {strength}")
-        return KrausChannel("none", 0.0, m, (eye2,), per_qubit=True)
+        return KrausChannel("none", 0.0, m, (eye2,))
     if kind == "dephase":
         z = np.diag([1.0, -1.0]).astype(np.complex128)
         ops = (np.sqrt(1 - strength / 2) * eye2, np.sqrt(strength / 2) * z)
-        return KrausChannel(kind, strength, m, ops, per_qubit=True)
+        return KrausChannel(kind, strength, m, ops)
     if kind == "depolarize":
         x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
         y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -303,22 +311,14 @@ def standard_channel(kind: str, strength: float, n: int, q0: float | None = None
             np.sqrt(strength / 4) * y,
             np.sqrt(strength / 4) * z,
         )
-        return KrausChannel(kind, strength, m, ops, per_qubit=True)
+        return KrausChannel(kind, strength, m, ops)
     if kind == "coherent_mix":
         if q0 is None:
             raise ValueError("coherent_mix needs q0 to locate the ideal state")
-        target = make_target(n, q0).amps
-        perp = np.sqrt(q0) * make_dicke(m, n).amps - np.sqrt(1 - q0) * make_ghz(m).amps
-        # unitary swapping |target> <-> |perp|, identity elsewhere
-        u = (
-            np.eye(2 ** m, dtype=np.complex128)
-            - np.outer(target, target.conj())
-            - np.outer(perp, perp.conj())
-            + np.outer(perp, target.conj())
-            + np.outer(target, perp.conj())
-        )
-        ops = (np.sqrt(1 - strength) * np.eye(2 ** m, dtype=np.complex128), np.sqrt(strength) * u)
-        return KrausChannel(kind, strength, m, ops, per_qubit=False)
+        support = _probe_support(n, q0)
+        psi = probe_on(n, np.sqrt(q0), np.sqrt(1.0 - q0), support)
+        phi = probe_on(n, -np.sqrt(1.0 - q0), np.sqrt(q0), support)
+        return KrausChannel(kind, strength, m, (support, (psi - phi) / np.sqrt(2)))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

@@ -176,7 +176,8 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
 
     n must lie in 3..N_MAX and the angles in the sensing domain
     theta+ in (0, pi], theta- in [-pi/2, 0), where every formula below
-    holds; ValueError otherwise.
+    holds, and H must be a finite float64, which fails as theta- -> 0 (for
+    n = 3, theta+ = 1 below |theta-| ~ 1e-153); ValueError otherwise.
 
     With f = 1 - 1/n, s = sin^2(theta-/2) and C = C(2n, n), the theta-
     bound is g-(q) = (A q + B)/(q(1-q)) with
@@ -219,28 +220,35 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     warned = qb >= qg
     # max(start, q_beta): q_G, or q_beta for a flagged pair
     lowest = np.maximum(qg, qb)
-    f, s, c = 1.0 - 1.0 / ns, np.sin(tm / 2) ** 2, _per_n(_central, ns)
-    a = 1.0 + 2.0 * f * (1.0 - np.cos(tp / 2) * np.cos(tm / 2)) / s
-    b = f ** 2 * np.sin(tp / 2) ** 2 / s
-    # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
-    # a power of two scales it exactly and keeps every product in range
-    scale = np.ldexp(1.0, -np.frexp(c)[1])
-    c_2, c_4 = c * scale - 2.0 * scale, c * scale - 4.0 * scale
-    lead = 2.0 * a * c_2
-    companion = np.zeros((tp.size, 3, 3))
-    companion[:, 0, 0] = -(3.0 * b * c_2 - a * c_4) / lead
-    companion[:, 0, 1] = 2.0 * b * c_4 / lead
-    companion[:, 0, 2] = 2.0 * b * scale / lead
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    inside = (roots.imag == 0.0) & (roots.real > lowest[:, None]) & (roots.real < 1.0)
-    candidates = np.concatenate([lowest[:, None], roots.real], axis=1)
-    valid = np.concatenate([np.ones((tp.size, 1), bool), inside], axis=1)
-    rows = np.nonzero(valid)[0]
-    values = np.full(candidates.shape, np.inf)
-    values[valid] = objective_H(ns[rows], candidates[valid], tp[rows], tm[rows])
+    # s divides A and B: pairs whose H leaves float64 range are refused below, not warned about
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f, s, c = 1.0 - 1.0 / ns, np.sin(tm / 2) ** 2, _per_n(_central, ns)
+        a = 1.0 + 2.0 * f * (1.0 - np.cos(tp / 2) * np.cos(tm / 2)) / s
+        b = f ** 2 * np.sin(tp / 2) ** 2 / s
+        # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
+        # a power of two scales it exactly and keeps every product in range
+        scale = np.ldexp(1.0, -np.frexp(c)[1])
+        c_2, c_4 = c * scale - 2.0 * scale, c * scale - 4.0 * scale
+        lead = 2.0 * a * c_2
+        companion = np.zeros((tp.size, 3, 3))
+        companion[:, 0, 0] = -(3.0 * b * c_2 - a * c_4) / lead
+        companion[:, 0, 1] = 2.0 * b * c_4 / lead
+        companion[:, 0, 2] = 2.0 * b * scale / lead
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        # a non-finite coefficient means H is not finite at any candidate either
+        roots = np.linalg.eigvals(np.where(np.isfinite(companion), companion, 0.0))
+        inside = (roots.imag == 0.0) & (roots.real > lowest[:, None]) & (roots.real < 1.0)
+        candidates = np.concatenate([lowest[:, None], roots.real], axis=1)
+        valid = np.concatenate([np.ones((tp.size, 1), bool), inside], axis=1)
+        rows = np.nonzero(valid)[0]
+        values = np.full(candidates.shape, np.inf)
+        values[valid] = objective_H(ns[rows], candidates[valid], tp[rows], tm[rows])
     best = (np.arange(tp.size), np.argmin(values, axis=1))
     q_h, h_min = candidates[best], values[best]
+    if not np.all(np.isfinite(h_min)):
+        k = np.flatnonzero(~np.isfinite(h_min))[0]
+        raise ValueError(f"H at n = {ns[k]}, theta+ = {tp[k]:.3g}, theta- = {tm[k]:.3g} is not a finite "
+                         f"float64 (largest {np.finfo(float).max:.4g})")
 
     def as_given(x):
         return x.reshape(shape) if shape else x[0].item()

@@ -25,7 +25,6 @@ from .protocol import (
 from .spectra import (
     SpectralSummary,
     analytic_spectrum,
-    omega3_profile,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "exact_sample_bound",
     "failure_bound",
     "lambda_map",
-    "omega3_profile",
     "q_min",
     "run_robust_protocol",
     "sample_complexity",

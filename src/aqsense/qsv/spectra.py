@@ -25,7 +25,6 @@ from .symmetric import block_spectrum, schrijver_blocks
 __all__ = [
     "SpectralSummary",
     "analytic_spectrum",
-    "omega3_profile",
 ]
 
 
@@ -72,15 +71,6 @@ class SpectralSummary:
             raise ValueError(f"spectral gap must be positive, got {self.nu}")
         if abs(self.nu - (1.0 - self.beta)) > 1e-15:
             raise ValueError("gap must equal 1 - beta")
-
-
-def omega3_profile(n: int, q0: float, p: float = 0.0) -> tuple[float, ...]:
-    """Eigenvalues of the diagonal remainder piece, one per weight l=1..n-2.
-
-    Value at l: (1-p)/(n C(2n,n)) * C(2n-l, n) * [n lambda0 - l(2 lambda0 - 1)];
-    strictly decreasing in l.
-    """
-    return _block_coefficients(n, q0, p)[-1]
 
 
 def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = False) -> SpectralSummary:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PureState
+from .qcore import PureState, probe_on
 from .symcomb import WeightBasis, binom
 
 __all__ = [
@@ -254,15 +254,6 @@ def check_support_budget(n: int, placements: bool) -> None:
     )
 
 
-def _probe_on(n: int, q0: float, idx: np.ndarray) -> np.ndarray:
-    """Amplitudes of sqrt(q0)|GHZ> + sqrt(1-q0)|D_2n^n> on the basis indices
-    idx, with the factors of ``qcore.make_target``; real, as the probe is."""
-    weight = np.bitwise_count(idx)
-    ghz = np.where((weight == 0) | (weight == 2 * n), 1 / np.sqrt(2), 0.0)
-    dicke = np.where(weight == n, 1 / np.sqrt(binom(2 * n, n)), 0.0)
-    return np.sqrt(q0) * ghz + np.sqrt(1.0 - q0) * dicke
-
-
 def simulate_probs(scenario: SensingScenario) -> OutcomeDistribution:
     """Outcome law computed by state evolution and measurement on the kets'
     supports.
@@ -277,7 +268,7 @@ def simulate_probs(scenario: SensingScenario) -> OutcomeDistribution:
     fields = sorted([(scenario.t1 - 1, scenario.omega1), (scenario.t2 - 1, scenario.omega2)])
     amplitudes = []
     for idx, amps in Povm(n).kets:
-        v = _probe_on(n, scenario.q0, idx)
+        v = probe_on(n, np.sqrt(scenario.q0), np.sqrt(1.0 - scenario.q0), idx)
         for qubit, omega in fields:
             factor = cmath.exp(0.5j * omega * scenario.t)
             v = v * np.where((idx >> (m - 1 - qubit)) & 1, factor.conjugate(), factor)
@@ -389,7 +380,7 @@ def placement_probabilities(
     placed = ~np.eye(m, dtype=bool)
     probs = []
     for idx, amps in povm.kets:
-        v = amps.conj() * _probe_on(n, q0, idx)
+        v = amps.conj() * probe_on(n, np.sqrt(q0), np.sqrt(1.0 - q0), idx)
         support = np.flatnonzero(v)
         v = v[support]
         # qubit j's bit of each index, from the big-endian bytes of the index

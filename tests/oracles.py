@@ -13,7 +13,10 @@ symmetric-block spectra: an operator built entry by entry from its orbit
 coefficients, the Gram route on the strategy's (n-1, n+1) piece, and the
 anonymity audit's law from one evolution per placement. The sensing law
 also keeps its dense route: the probe as a 2^(2n) vector, evolved and
-measured against the POVM kets written out as 2^(2n) vectors.
+measured against the POVM kets written out as 2^(2n) vectors. The dense
+GHZ and Dicke constructors, the coherent_mix swap as a 2^(2n) x 2^(2n)
+unitary from its definition, expectation values of dense operators and the
+diagonal remainder's eigenvalue profile are test-only too.
 """
 
 import itertools
@@ -21,11 +24,12 @@ import math
 
 import numpy as np
 
-from aqsense.qcore import eig_top2, evolve_phases, make_target
+from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target
 from aqsense.qopt import OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
+from aqsense.qsv.operators import _block_coefficients
 from aqsense.sensing import OutcomeDistribution, Povm
-from aqsense.symcomb import binom
+from aqsense.symcomb import WeightBasis, binom
 
 SQ2 = np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / SQ2
@@ -35,6 +39,39 @@ X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 GRID_POINTS = 2048
 REFINE_POINTS = 65
 BRACKET_WIDTH = 1e-10
+
+
+def make_ghz(num_qubits):
+    """(|0...0> + |1...1>)/sqrt(2) on ``num_qubits`` >= 2 qubits."""
+    if num_qubits < 2:
+        raise ValueError("GHZ state needs at least 2 qubits")
+    amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
+    amps[0] = amps[-1] = 1 / np.sqrt(2)
+    return PureState(num_qubits, amps)
+
+
+def make_dicke(num_qubits, excitations):
+    """Uniform superposition of all weight-``excitations`` basis states."""
+    if not 0 <= excitations <= num_qubits:
+        raise ValueError(f"excitations must lie in [0, {num_qubits}], got {excitations}")
+    basis = WeightBasis(num_qubits, excitations)
+    amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
+    amps[basis.indices] = 1 / np.sqrt(basis.size)
+    return PureState(num_qubits, amps)
+
+
+def expectation(state, op):
+    """<psi|op|psi> of a dense operator, real part."""
+    return float(np.vdot(state.amps, op @ state.amps).real)
+
+
+def omega3_profile(n, q0, p=0.0):
+    """Eigenvalues of the diagonal remainder piece, one per weight l=1..n-2.
+
+    Value at l: (1-p)/(n C(2n,n)) * C(2n-l, n) * [n lambda0 - l(2 lambda0 - 1)];
+    strictly decreasing in l.
+    """
+    return _block_coefficients(n, q0, p)[-1]
 
 
 def kron_chain(vecs):
@@ -154,14 +191,44 @@ def x_conjugate_dense(mat, m):
     return mat[np.ix_(perm, perm)]
 
 
-def kraus_density(channel, mat):
-    """Exact channel action rho -> sum_j K_j rho K_j^dag, with per-qubit
+def coherent_mix_unitary(n, q0):
+    """The 2^(2n) x 2^(2n) swap of psi = sqrt(q0)|GHZ> + sqrt(1-q0)|D> and
+    phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>, the identity on the rest:
+    I - psi psi^dag - phi phi^dag + phi psi^dag + psi phi^dag."""
+    m = 2 * n
+    ghz, dicke = make_ghz(m).amps, make_dicke(m, n).amps
+    psi = np.sqrt(q0) * ghz + np.sqrt(1 - q0) * dicke
+    phi = np.sqrt(q0) * dicke - np.sqrt(1 - q0) * ghz
+    return (
+        np.eye(2 ** m, dtype=complex)
+        - np.outer(psi, psi.conj())
+        - np.outer(phi, phi.conj())
+        + np.outer(phi, psi.conj())
+        + np.outer(psi, phi.conj())
+    )
+
+
+def kraus_ops(channel, q0=None):
+    """The channel's Kraus operators as matrices. coherent_mix's are
+    {sqrt(1-s) I, sqrt(s) U} on all 2^m basis states, with U built by
+    coherent_mix_unitary from its definition, not from the channel's data;
+    the per-qubit kinds' are the 2x2 operators the channel holds."""
+    if channel.label != "coherent_mix":
+        return channel.ops
+    s, m = channel.strength, channel.num_qubits
+    return (np.sqrt(1 - s) * np.eye(2 ** m, dtype=complex), np.sqrt(s) * coherent_mix_unitary(m // 2, q0))
+
+
+def kraus_density(channel, mat, q0=None):
+    """Exact channel action rho -> sum_j K_j rho K_j^dag: coherent_mix's
+    dense operators from kraus_ops (q0 locates its target), and per-qubit
     operators kron-embedded on every qubit in turn."""
+    ops = kraus_ops(channel, q0)
+    if channel.label == "coherent_mix":
+        return sum(k @ mat @ k.conj().T for k in ops)
     m = channel.num_qubits
-    if not channel.per_qubit:
-        return sum(k @ mat @ k.conj().T for k in channel.ops)
     for q in range(m):
-        embedded = [np.kron(np.kron(np.eye(2 ** q), k), np.eye(2 ** (m - q - 1))) for k in channel.ops]
+        embedded = [np.kron(np.kron(np.eye(2 ** q), k), np.eye(2 ** (m - q - 1))) for k in ops]
         mat = sum(e @ mat @ e.conj().T for e in embedded)
     return mat
 

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from aqsense.qcore import PureState, RngStream, make_dicke, make_ghz, make_target, standard_channel
+from aqsense.qcore import PureState, RngStream, make_target, standard_channel
 from aqsense.qopt import sweep
 from aqsense.qsv import (
     VerificationPlan,
@@ -38,7 +38,7 @@ from aqsense.sensing import (
     simulate_probs,
 )
 from aqsense.qsv.operators import strategy_orbits
-from oracles import brute_strategy_dense, orbit_operator_dense
+from oracles import brute_strategy_dense, expectation, make_dicke, make_ghz, orbit_operator_dense
 
 
 def _full_strategy(n: int, q0: float, p: float) -> np.ndarray:
@@ -114,7 +114,7 @@ def test_criterion_04_acceptance_matches_strategy_expectation():
         vec = draw.normal(size=64) + 1j * draw.normal(size=64)
         states.append(PureState(6, vec / np.linalg.norm(vec)))
     for idx, state in enumerate(states):
-        expected = state.expectation(omega)
+        expected = expectation(state, omega)
         gen = RngStream(404).substream(idx).gen
         accepted = sum(
             verify_copy(state, n, q0, p, gen, i).accept for i in range(trials)

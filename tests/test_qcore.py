@@ -6,9 +6,20 @@ trajectories, dense numpy diagonalization for eig_top2, and exact
 binomial outcome distributions for the sampling law.
 """
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import kraus_density, phase_evolved
+from oracles import (
+    coherent_mix_unitary,
+    expectation,
+    kraus_density,
+    kraus_ops,
+    make_dicke,
+    make_ghz,
+    phase_evolved,
+)
 from test_symcomb import sector_projector
 
 from aqsense.qcore import (
@@ -17,8 +28,6 @@ from aqsense.qcore import (
     RngStream,
     eig_top2,
     evolve_phases,
-    make_dicke,
-    make_ghz,
     make_target,
     measure,
     standard_channel,
@@ -100,6 +109,12 @@ class TestStates:
             for q0 in (0.1, 0.33, 0.5, 0.9):
                 assert abs(np.linalg.norm(make_target(n, q0).amps) - 1) < 1e-12
 
+    def test_target_is_the_dense_superposition_bit_for_bit(self):
+        for n in range(3, 7):
+            for q0 in (0.1, 0.33, 0.5, 0.9):
+                dense = np.sqrt(q0) * make_ghz(2 * n).amps + np.sqrt(1.0 - q0) * make_dicke(2 * n, n).amps
+                np.testing.assert_array_equal(make_target(n, q0).amps, dense)
+
     def test_target_domain(self):
         with pytest.raises(ValueError):
             make_target(2, 0.33)
@@ -178,8 +193,9 @@ class TestChannels:
             standard_channel("depolarize", 0.2, 3),
             standard_channel("coherent_mix", 0.4, 3, q0=0.33),
         ]:
-            dim = ch.ops[0].shape[0]
-            total = sum(k.conj().T @ k for k in ch.ops)
+            ops = kraus_ops(ch, q0=0.33)
+            dim = ops[0].shape[0]
+            total = sum(k.conj().T @ k for k in ops)
             np.testing.assert_allclose(total, np.eye(dim), atol=1e-12)
 
     def test_parameter_range(self):
@@ -193,8 +209,8 @@ class TestChannels:
     def test_coherent_mix_exact_fidelity(self):
         st = make_target(3, 0.33)
         ch = standard_channel("coherent_mix", 0.67, 3, q0=0.33)
-        rho = kraus_density(ch, np.outer(st.amps, st.amps.conj()))
-        fid = st.expectation(rho)
+        rho = kraus_density(ch, np.outer(st.amps, st.amps.conj()), q0=0.33)
+        fid = expectation(st, rho)
         assert fid == pytest.approx(0.33, abs=1e-12)
 
     def test_coherent_mix_trajectory_statistics(self):
@@ -210,16 +226,58 @@ class TestChannels:
         rho = kraus_density(standard_channel("dephase", 0.5, 3), np.outer(st.amps, st.amps.conj()))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reflection_is_the_dense_swap(self, n):
+        # strength 1 always takes the reflection branch; the channel must act
+        # as the swap on any input, not only on the target
+        q0 = 0.33
+        ch = standard_channel("coherent_mix", 1.0, n, q0=q0)
+        swap = coherent_mix_unitary(n, q0)
+        gen = np.random.default_rng(5)
+        v = gen.normal(size=4 ** n) + 1j * gen.normal(size=4 ** n)
+        for st in (make_target(n, q0), PureState(2 * n, v / np.linalg.norm(v))):
+            out = ch.apply_to_pure(st, RngStream(3).gen)
+            np.testing.assert_allclose(out.amps, swap @ st.amps, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_coherent_mix_builds_no_dense_operator(self, n):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            st = make_target(n, 0.33)
+            ch = standard_channel("coherent_mix", 0.5, n, q0=0.33)
+            gen = RngStream(4).gen
+            outs = [ch.apply_to_pure(st, gen) for _ in range(20)]
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 32 << 20
+        assert all(np.ndim(op) == 1 for op in ch.ops)
+        # each trajectory is the target or phi, the swap's image of it
+        assert all(abs(out.fidelity(st) - 0.5) > 0.49 for out in outs)
+
+    def test_malformed_reflection_rejected(self):
+        support = np.array([0, 5, 63])
+        u = np.ones(3) / np.sqrt(3)
+        KrausChannel("reflect", 0.5, 6, (support, u))
+        for bad in [(support, 2 * u), (support, u[:2])]:
+            with pytest.raises(ValueError, match="unit vector"):
+                KrausChannel("reflect", 0.5, 6, bad)
+        with pytest.raises(ValueError, match="weight in"):
+            KrausChannel("reflect", 1.5, 6, (support, u))
+
     def test_non_unitary_mixture_rejected(self):
         # amplitude damping is trace preserving but not a mixture of unitaries
         g = 0.3
         ops = (np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="unitary"):
-            KrausChannel("amplitude_damping", g, 6, ops, per_qubit=True)
+            KrausChannel("amplitude_damping", g, 6, ops)
 
     def test_incomplete_mixture_rejected(self):
         with pytest.raises(ValueError, match="sum K"):
-            KrausChannel("lossy", 0.5, 6, (0.5 * np.eye(2),), per_qubit=True)
+            KrausChannel("lossy", 0.5, 6, (0.5 * np.eye(2),))
 
     @pytest.mark.parametrize(
         "kind, strength", [("dephase", 0.3), ("depolarize", 0.2), ("coherent_mix", 0.4)]
@@ -230,7 +288,7 @@ class TestChannels:
         n, q0, trials = 3, 0.33, 20000
         st = make_target(n, q0)
         ch = standard_channel(kind, strength, n, q0=q0)
-        exact = kraus_density(ch, np.outer(st.amps, st.amps.conj()))
+        exact = kraus_density(ch, np.outer(st.amps, st.amps.conj()), q0=q0)
         gen = RngStream(12).gen
         amps = np.array([ch.apply_to_pure(st, gen).amps for _ in range(trials)])
         mean = amps.T @ amps.conj() / trials
@@ -254,7 +312,7 @@ class TestMeasurement:
         gen = RngStream(9).gen
         for l in range(4):
             exact = binom(3, l) ** 2 / binom(6, 3)
-            prob = st.expectation(projs[l])
+            prob = expectation(st, projs[l])
             assert prob == pytest.approx(exact, abs=1e-13)
         # and one joint draw of the three qubits must follow exactly that law
         counts = np.zeros(4)

@@ -233,6 +233,22 @@ class TestMinimize:
         with pytest.raises(ValueError, match="angles must lie"):
             minimize_H(3, np.array([A[0], theta_plus]), np.array([A[1], theta_minus]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta_minus", [-1e-154, -1e-160, -5e-324])
+    def test_h_beyond_float64_rejected(self, theta_minus):
+        # H grows like 1/theta-^2 and leaves float64 range this close to 0
+        with pytest.raises(ValueError, match=r"is not a finite float64 \(largest 1.798e\+308\)"):
+            minimize_H(3, 1.0, theta_minus)
+        with pytest.raises(ValueError, match=r"n = 4, .* is not a finite float64 \(largest 1.798e\+308\)"):
+            minimize_H(np.array([3, 4]), np.array([1.0, 1.0]), np.array([-0.5, theta_minus]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_finite_h_is_kept(self):
+        report = minimize_H(3, 1.0, -1e-153)
+        assert (report.q_H, report.H_min) == (0.5760945892439874, 5.1956317737868986e306)
+        pair = minimize_H(np.array([3, 3]), np.array([1.0, 1.0]), np.array([-1e-153, -0.5]))
+        assert (pair.q_H[0], pair.H_min[0]) == (report.q_H, report.H_min)
+
     def test_n_max_is_the_float_range_of_the_central_binomial(self):
         assert np.isfinite(float(math.comb(2 * N_MAX, N_MAX) + 8 * N_MAX))
         with pytest.raises(OverflowError):

@@ -14,12 +14,15 @@ from oracles import (
     brute_dicke_dense,
     brute_ghz_like_dense,
     brute_strategy_dense,
+    expectation,
+    make_dicke,
+    make_ghz,
     orbit_operator_dense,
     x_conjugate_dense,
 )
 from test_qcore import collapse_subset
 
-from aqsense.qcore import make_dicke, make_ghz, make_target
+from aqsense.qcore import make_target
 from aqsense.symcomb import binom, johnson_adjacency
 from aqsense.qsv import (
     StrategyOperator,
@@ -199,7 +202,7 @@ class TestAssemble:
     def test_target_has_unit_acceptance(self):
         omega = brute_strategy_dense(3, 0.33, 0.0)
         st = make_target(3, 0.33)
-        assert st.expectation(omega) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(st, omega) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(omega @ st.amps, st.amps, atol=1e-12)
 
     def test_orthogonal_state_eigenvalue(self):

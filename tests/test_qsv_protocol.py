@@ -10,8 +10,6 @@ import pytest
 from aqsense.qcore import (
     PureState,
     RngStream,
-    make_dicke,
-    make_ghz,
     make_target,
     standard_channel,
 )
@@ -29,6 +27,7 @@ from aqsense.qsv import (
     verify_copy,
 )
 from aqsense.sensing import SensingScenario, analytic_probs
+from oracles import expectation, make_dicke, make_ghz
 
 
 def strategy_expectation(n, q0, p, state):
@@ -36,7 +35,7 @@ def strategy_expectation(n, q0, p, state):
     PureState or a density matrix."""
     omega = sum(op.to_dense() for op in assemble_strategy_decomposed(n, q0, p))
     if isinstance(state, PureState):
-        return state.expectation(omega)
+        return expectation(state, omega)
     return float(np.trace(omega @ state).real)
 
 

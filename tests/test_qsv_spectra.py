@@ -13,20 +13,26 @@ from math import comb
 import numpy as np
 import pytest
 
-from aqsense.qcore import make_dicke, make_ghz, make_target
+from aqsense.qcore import make_target
 from aqsense.symcomb import binom, johnson_eigenvalue, johnson_multiplicity
 from aqsense.qsv import (
     StrategyOperator,
     analytic_spectrum,
     assemble_strategy_decomposed,
     lambda_map,
-    omega3_profile,
     q_min,
     spectra,
 )
 from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.symmetric import _beta, block_spectrum, schrijver_blocks
-from oracles import bipartite_top, orbit_operator_dense, pauli_witness_bound
+from oracles import (
+    bipartite_top,
+    make_dicke,
+    make_ghz,
+    omega3_profile,
+    orbit_operator_dense,
+    pauli_witness_bound,
+)
 
 
 class TestFrozenValues:
