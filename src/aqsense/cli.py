@@ -8,6 +8,11 @@ sessions, copy counts), opt (weight-optimization sweep to CSV), robust
 or domain error, 2 numeric self-check failure, 3 verification rejected or
 estimator collapse, 4 restart cap exhausted. Single-run reports are JSON
 with sorted keys; sweeps are CSV. Sampling subcommands require a seed.
+
+The two tables ``_FLAGS`` (each flag's type and help) and ``_LEAVES`` (each
+subcommand's flags, required or with a default) are the one place a flag is
+declared: the parser, the config-file reader and the missing-flag check are
+all built from them.
 """
 
 from __future__ import annotations
@@ -16,11 +21,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from math import pi
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .qcore import KrausChannel, RngStream, make_target, standard_channel
 from .qopt import ANGLE_EXAMPLES, sweep, write_sweep_csv
@@ -49,7 +52,6 @@ __all__ = [
     "EXIT_MISMATCH",
     "EXIT_REJECTED",
     "EXIT_RESTART_CAP",
-    "RunConfig",
     "main",
 ]
 
@@ -70,39 +72,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed invocation: leaf subcommand plus its flag values."""
-
-    subcommand: str
-    options: Mapping[str, object]
-
-    def need(self, *names: str) -> None:
-        """Raise ValueError naming any options that are still unset."""
-        missing = [f"--{k.replace('_', '-')}" for k in names if self.options.get(k) is None]
-        if missing:
-            raise ValueError("missing required flags: " + ", ".join(missing))
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(val) for val in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(val) for val in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _emit(payload: dict, out: str | None) -> None:
     """Write a JSON report to the output path, or stdout when none given."""
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist()) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -138,12 +110,8 @@ def _parse_examples(arg: str):
     return [by_label[label] for label in wanted]
 
 
-def _cmd_sense(cfg: RunConfig) -> int:
-    cfg.need("n", "q0", "omega_a", "omega_b", "t")
-    opt = cfg.options
-    if opt["shots"] < 0:
-        raise ValueError(f"--shots must be non-negative, got {opt['shots']}")
-    scenario = SensingScenario(
+def _scenario(opt: dict) -> SensingScenario:
+    return SensingScenario(
         n=opt["n"],
         q0=opt["q0"],
         t1=opt["t1"],
@@ -152,6 +120,12 @@ def _cmd_sense(cfg: RunConfig) -> int:
         omega2=opt["omega_b"],
         t=opt["t"],
     )
+
+
+def _cmd_sense(opt: dict) -> int:
+    if opt["shots"] < 0:
+        raise ValueError(f"--shots must be non-negative, got {opt['shots']}")
+    scenario = _scenario(opt)
     dist = analytic_probs(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
     bound = sensitivity_bounds(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
     payload = {
@@ -200,9 +174,7 @@ def _cmd_sense(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_qsv_spectrum(cfg: RunConfig) -> int:
-    cfg.need("n", "q0")
-    opt = cfg.options
+def _cmd_qsv_spectrum(opt: dict) -> int:
     summary = analytic_spectrum(opt["n"], opt["q0"], opt["p"], check_numeric=opt["check_numeric"])
     _emit(dataclasses.asdict(summary), opt["out"])
     if opt["check_numeric"]:
@@ -216,9 +188,7 @@ def _cmd_qsv_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_qsv_verify(cfg: RunConfig) -> int:
-    cfg.need("n", "q0", "epsilon", "delta", "seed")
-    opt = cfg.options
+def _cmd_qsv_verify(opt: dict) -> int:
     plan = VerificationPlan(opt["n"], opt["q0"], opt["epsilon"], opt["delta"], opt["p"])
     channel = _parse_noise(opt["noise"], opt["n"], opt["q0"])
     target = make_target(opt["n"], opt["q0"])
@@ -254,9 +224,7 @@ def _cmd_qsv_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_qsv_complexity(cfg: RunConfig) -> int:
-    cfg.need("n", "q0", "epsilon", "delta")
-    opt = cfg.options
+def _cmd_qsv_complexity(opt: dict) -> int:
     term_gap, term_wallis = sample_complexity_terms(
         opt["n"], opt["q0"], opt["epsilon"], opt["delta"], opt["p"]
     )
@@ -274,9 +242,7 @@ def _cmd_qsv_complexity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_opt(cfg: RunConfig) -> int:
-    cfg.need("n_min", "n_max", "out")
-    opt = cfg.options
+def _cmd_opt(opt: dict) -> int:
     examples = _parse_examples(opt["examples"])
     rows = sweep(opt["n_min"], opt["n_max"], examples)
     write_sweep_csv(rows, opt["out"])
@@ -290,18 +256,8 @@ def _cmd_opt(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_robust(cfg: RunConfig) -> int:
-    cfg.need("n", "q0", "epsilon", "delta", "rounds", "seed")
-    opt = cfg.options
-    scenario = SensingScenario(
-        n=opt["n"],
-        q0=opt["q0"],
-        t1=opt["t1"],
-        t2=opt["t2"],
-        omega1=opt["omega_a"],
-        omega2=opt["omega_b"],
-        t=opt["t"],
-    )
+def _cmd_robust(opt: dict) -> int:
+    scenario = _scenario(opt)
     plan = VerificationPlan(opt["n"], opt["q0"], opt["epsilon"], opt["delta"], opt["p"])
     channel = _parse_noise(opt["noise"], opt["n"], opt["q0"])
     result = run_robust_protocol(
@@ -329,123 +285,99 @@ def _cmd_robust(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "sense": _cmd_sense,
-    "qsv.spectrum": _cmd_qsv_spectrum,
-    "qsv.verify": _cmd_qsv_verify,
-    "qsv.complexity": _cmd_qsv_complexity,
-    "opt": _cmd_opt,
-    "robust": _cmd_robust,
+_REQUIRED = object()
+
+# Every flag, declared once: name -> (type, help). Type bool is a switch.
+_FLAGS = {
+    "config": (str, "flat key=value file; explicit flags win"),
+    "out": (str, "output path (default: stdout)"),
+    "n": (int, None),
+    "q0": (float, None),
+    "omega_a": (float, "lower local frequency"),
+    "omega_b": (float, "upper local frequency"),
+    "t": (float, "interaction time"),
+    "t1": (int, "position of omega-a (1-based)"),
+    "t2": (int, "position of omega-b (1-based)"),
+    "shots": (int, "samples to draw (0: analytic only)"),
+    "seed": (int, None),
+    "audit": (bool, "run the anonymity audit"),
+    "p": (float, None),
+    "check_numeric": (bool, None),
+    "tol": (float, "residual tolerance"),
+    "epsilon": (float, None),
+    "delta": (float, None),
+    "noise": (str, "channel kind:strength"),
+    "transcript": (str, "write per-copy records here (JSONL)"),
+    "n_min": (int, None),
+    "n_max": (int, None),
+    "examples": (str, "label range A..L or list A,C,K"),
+    "self_check": (bool, "fail if q_G is not increasing in n"),
+    "rounds": (int, None),
+    "restart_cap": (int, None),
 }
 
+# Flags of every subcommand; a subcommand may make one of them required.
+_COMMON = {"config": None, "out": None}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+# Subcommand -> (handler, help, flags). Flags are listed in the order of
+# --help; each maps to its default, or to _REQUIRED (reported in this order).
+_LEAVES = {
+    "sense": (_cmd_sense, "outcome statistics, sampling, angle estimates", {
+        "n": _REQUIRED, "q0": _REQUIRED, "omega_a": _REQUIRED, "omega_b": _REQUIRED, "t": _REQUIRED,
+        "t1": 1, "t2": 2, "shots": 0, "seed": None, "audit": False,
+    }),
+    "qsv spectrum": (_cmd_qsv_spectrum, "closed-form strategy eigenvalues", {
+        "n": _REQUIRED, "q0": _REQUIRED, "p": 0.0, "check_numeric": False, "tol": 1e-9,
+    }),
+    "qsv verify": (_cmd_qsv_verify, "run one seeded verification session", {
+        "n": _REQUIRED, "q0": _REQUIRED, "epsilon": _REQUIRED, "delta": _REQUIRED, "p": 0.0,
+        "noise": "none", "seed": _REQUIRED, "transcript": None,
+    }),
+    "qsv complexity": (_cmd_qsv_complexity, "copies per verification session", {
+        "n": _REQUIRED, "q0": _REQUIRED, "epsilon": _REQUIRED, "delta": _REQUIRED, "p": 0.0,
+    }),
+    "opt": (_cmd_opt, "weight-optimization sweep to CSV", {
+        "n_min": _REQUIRED, "n_max": _REQUIRED, "out": _REQUIRED, "examples": "A..L", "self_check": False,
+    }),
+    "robust": (_cmd_robust, "verification-gated sensing with restarts", {
+        "n": _REQUIRED, "q0": _REQUIRED, "epsilon": _REQUIRED, "delta": _REQUIRED, "p": 0.0,
+        "rounds": _REQUIRED, "noise": "none", "seed": _REQUIRED, "restart_cap": 10000,
+        "omega_a": pi / 8, "omega_b": 3 * pi / 8, "t": 1.0, "t1": 1, "t2": 2,
+    }),
+}
 
-
-def _build_parser():
-    parser = _Parser(prog="aqsense", description="anonymous sensing with verified probes")
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    leaves: dict[str, argparse.ArgumentParser] = {}
-
-    sense = subs.add_parser("sense", help="outcome statistics, sampling, angle estimates")
-    _add_common(sense)
-    sense.add_argument("--n", type=int)
-    sense.add_argument("--q0", type=float)
-    sense.add_argument("--omega-a", type=float, help="lower local frequency")
-    sense.add_argument("--omega-b", type=float, help="upper local frequency")
-    sense.add_argument("--t", type=float, help="interaction time")
-    sense.add_argument("--t1", type=int, default=1, help="position of omega-a (1-based)")
-    sense.add_argument("--t2", type=int, default=2, help="position of omega-b (1-based)")
-    sense.add_argument("--shots", type=int, default=0, help="samples to draw (0: analytic only)")
-    sense.add_argument("--seed", type=int, default=None)
-    sense.add_argument("--audit", action="store_true", help="run the anonymity audit")
-    leaves["sense"] = sense
-
-    qsv = subs.add_parser("qsv", help="strategy spectrum, verification, sample complexity")
-    qsubs = qsv.add_subparsers(dest="qsv_command", required=True, parser_class=_Parser)
-
-    spectrum = qsubs.add_parser("spectrum", help="closed-form strategy eigenvalues")
-    _add_common(spectrum)
-    spectrum.add_argument("--n", type=int)
-    spectrum.add_argument("--q0", type=float)
-    spectrum.add_argument("--p", type=float, default=0.0)
-    spectrum.add_argument("--check-numeric", action="store_true")
-    spectrum.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
-    leaves["qsv.spectrum"] = spectrum
-
-    verify = qsubs.add_parser("verify", help="run one seeded verification session")
-    _add_common(verify)
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--q0", type=float)
-    verify.add_argument("--epsilon", type=float)
-    verify.add_argument("--delta", type=float)
-    verify.add_argument("--p", type=float, default=0.0)
-    verify.add_argument("--noise", default="none", help="channel kind:strength")
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--transcript", default=None, help="write per-copy records here (JSONL)")
-    leaves["qsv.verify"] = verify
-
-    complexity = qsubs.add_parser("complexity", help="copies per verification session")
-    _add_common(complexity)
-    complexity.add_argument("--n", type=int)
-    complexity.add_argument("--q0", type=float)
-    complexity.add_argument("--epsilon", type=float)
-    complexity.add_argument("--delta", type=float)
-    complexity.add_argument("--p", type=float, default=0.0)
-    leaves["qsv.complexity"] = complexity
-
-    opt = subs.add_parser("opt", help="weight-optimization sweep to CSV")
-    _add_common(opt)
-    opt.add_argument("--n-min", type=int)
-    opt.add_argument("--n-max", type=int)
-    opt.add_argument("--examples", default="A..L", help="label range A..L or list A,C,K")
-    opt.add_argument("--self-check", action="store_true", help="fail if q_G is not increasing in n")
-    leaves["opt"] = opt
-
-    robust = subs.add_parser("robust", help="verification-gated sensing with restarts")
-    _add_common(robust)
-    robust.add_argument("--n", type=int)
-    robust.add_argument("--q0", type=float)
-    robust.add_argument("--epsilon", type=float)
-    robust.add_argument("--delta", type=float)
-    robust.add_argument("--p", type=float, default=0.0)
-    robust.add_argument("--rounds", type=int, default=None)
-    robust.add_argument("--noise", default="none", help="channel kind:strength")
-    robust.add_argument("--seed", type=int, default=None)
-    robust.add_argument("--restart-cap", type=int, default=10000)
-    robust.add_argument("--omega-a", type=float, default=float(np.pi / 8))
-    robust.add_argument("--omega-b", type=float, default=float(3 * np.pi / 8))
-    robust.add_argument("--t", type=float, default=1.0)
-    robust.add_argument("--t1", type=int, default=1)
-    robust.add_argument("--t2", type=int, default=2)
-    leaves["robust"] = robust
-
-    return parser, leaves
+_QSV_HELP = "strategy spectrum, verification, sample complexity"
 
 
-def _leaf_name(args: argparse.Namespace) -> str:
-    if args.command == "qsv":
-        return f"qsv.{args.qsv_command}"
-    return args.command
+def _build_parser() -> _Parser:
+    """One leaf parser per _LEAVES entry. Every flag defaults to SUPPRESS, so a
+    parsed namespace holds only the flags given on the command line."""
+    root = _Parser(prog="aqsense", description="anonymous sensing with verified probes")
+    subs = {"": root.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    for name, (_, leaf_help, flags) in _LEAVES.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:  # "qsv", made before its first leaf
+            qsv = subs[""].add_parser(group, help=_QSV_HELP)
+            subs[group] = qsv.add_subparsers(dest="qsv_command", required=True, parser_class=_Parser)
+        parser = subs[group].add_parser(leaf, help=leaf_help)
+        for flag in {**_COMMON, **flags}:
+            kind, flag_help = _FLAGS[flag]
+            option = "--" + flag.replace("_", "-")
+            if kind is bool:
+                parser.add_argument(option, action="store_true", default=argparse.SUPPRESS, help=flag_help)
+            else:
+                parser.add_argument(option, type=kind, default=argparse.SUPPRESS, help=flag_help)
+    return root
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    """Load key=value defaults from a file into one leaf parser.
+def _read_config(path: str, flags: dict) -> dict:
+    """Values for the given flags from a file of flat key=value lines.
 
-    Keys mirror long flags with dashes or underscores; values pass through
-    the flag's type converter; keys that match no flag of this subcommand
-    are ignored so one file can serve several subcommands. Explicit flags
-    win because they override parser defaults.
+    Keys are flag names with dashes or underscores, and each value passes
+    through its flag's type; a switch is on for 1, true, yes or on. Blank
+    lines, # comments and keys of other subcommands are ignored.
     """
-    by_key: dict[str, argparse.Action] = {}
-    for action in parser._actions:
-        if action.dest in ("help", "config"):
-            continue
-        for opt_string in action.option_strings:
-            by_key[opt_string.lstrip("-").replace("-", "_")] = action
-    overrides: dict[str, object] = {}
+    values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -453,36 +385,31 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         key, sep, raw = line.partition("=")
         if not sep:
             raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
-        action = by_key.get(key.strip().replace("-", "_"))
-        if action is None:
-            continue
-        raw = raw.strip()
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            overrides[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            overrides[action.dest] = action.type(raw)
-        else:
-            overrides[action.dest] = raw
-    parser.set_defaults(**overrides)
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key in flags and key != "config":
+            kind = _FLAGS[key][0]
+            values[key] = raw.lower() in ("1", "true", "yes", "on") if kind is bool else kind(raw)
+    return values
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, leaves = _build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-        leaf = _leaf_name(args)
-        if getattr(args, "config", None):
-            _apply_config(leaves[leaf], args.config)
-            args = parser.parse_args(argv)
+        given = vars(_build_parser().parse_args(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = RunConfig(leaf, dict(vars(args)))
+    name = " ".join(given.pop(dest) for dest in ("command", "qsv_command") if dest in given)
+    handler, _, leaf_flags = _LEAVES[name]
+    flags = {**_COMMON, **leaf_flags}
+    # precedence: explicit flag, then config file, then the table's default
+    opt = {flag: default for flag, default in flags.items() if default is not _REQUIRED}
     try:
-        return _HANDLERS[leaf](cfg)
+        if given.get("config"):
+            opt.update(_read_config(given["config"], flags))
+        opt.update(given)
+        missing = [f"--{flag.replace('_', '-')}" for flag in leaf_flags if flag not in opt]
+        if missing:
+            raise ValueError("missing required flags: " + ", ".join(missing))
+        return handler(opt)
     except GhzCollapseError as exc:
         print(f"error: estimator signalled GHZ collapse: {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -492,7 +419,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError as exc:
         print(f"error: a value leaves float64 range: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

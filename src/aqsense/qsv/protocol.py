@@ -11,7 +11,7 @@ restarting whenever a batch rejects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -49,19 +49,15 @@ class RestartCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class VerificationPlan:
-    """Parameters of one verification batch.
-
-    M defaults to sample_complexity(n, q0, epsilon, delta, p). An explicit
-    M must meet that bound; M = 0 is admitted as a degenerate dry-run plan
-    (a zero-copy batch accepts vacuously).
-    """
+    """Parameters of one verification batch; M, the number of copies tested,
+    is sample_complexity(n, q0, epsilon, delta, p)."""
 
     n: int
     q0: float
     epsilon: float
     delta: float
     p: float = 0.0
-    M: int | None = None
+    M: int = field(init=False)
 
     def __post_init__(self) -> None:
         lambda_map(self.n, self.q0)
@@ -73,16 +69,7 @@ class VerificationPlan:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
-        bound = sample_complexity(self.n, self.q0, self.epsilon, self.delta, self.p)
-        if self.M is None:
-            object.__setattr__(self, "M", bound)
-        else:
-            copies = int(self.M)
-            if copies < 0 or 0 < copies < bound:
-                raise ValueError(
-                    f"M = {copies} is below the required sample complexity {bound}"
-                )
-            object.__setattr__(self, "M", copies)
+        object.__setattr__(self, "M", sample_complexity(self.n, self.q0, self.epsilon, self.delta, self.p))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -53,6 +55,41 @@ def run_json(argv, capsys):
     return code, json.loads(out), err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# each leaf's --flags and its no-flag error line: a table edit that drops, renames or
+# reorders a required flag fails here
+FLAG_SURFACE = {
+    "sense": (
+        {"--audit", "--config", "--help", "--n", "--omega-a", "--omega-b", "--out", "--q0", "--seed",
+         "--shots", "--t", "--t1", "--t2"},
+        "--n, --q0, --omega-a, --omega-b, --t",
+    ),
+    "qsv spectrum": (
+        {"--check-numeric", "--config", "--help", "--n", "--out", "--p", "--q0", "--tol"},
+        "--n, --q0",
+    ),
+    "qsv verify": (
+        {"--config", "--delta", "--epsilon", "--help", "--n", "--noise", "--out", "--p", "--q0", "--seed",
+         "--transcript"},
+        "--n, --q0, --epsilon, --delta, --seed",
+    ),
+    "qsv complexity": (
+        {"--config", "--delta", "--epsilon", "--help", "--n", "--out", "--p", "--q0"},
+        "--n, --q0, --epsilon, --delta",
+    ),
+    "opt": (
+        {"--config", "--examples", "--help", "--n-max", "--n-min", "--out", "--self-check"},
+        "--n-min, --n-max, --out",
+    ),
+    "robust": (
+        {"--config", "--delta", "--epsilon", "--help", "--n", "--noise", "--omega-a", "--omega-b", "--out",
+         "--p", "--q0", "--restart-cap", "--rounds", "--seed", "--t", "--t1", "--t2"},
+        "--n, --q0, --epsilon, --delta, --rounds, --seed",
+    ),
+}
+
+
 class TestParsing:
     def test_no_arguments_is_usage(self, capsys):
         code, _, _ = run_cli([], capsys)
@@ -84,6 +121,50 @@ class TestParsing:
         argv[argv.index("--n") + 1] = "three"
         code, _, _ = run_cli(argv, capsys)
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("leaf", sorted(FLAG_SURFACE))
+def test_flag_surface(leaf, capsys):
+    flags, missing = FLAG_SURFACE[leaf]
+    code, out, _ = run_cli(leaf.split() + ["--help"], capsys)
+    assert code == EXIT_OK
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", out)) == flags
+    code, out, err = run_cli(leaf.split(), capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: missing required flags: {missing}\n"
+
+
+def readme_commands():
+    block = README.read_text().split("## Command-line usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("aqsense ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # the README's dephased verify session is rejected, as its comment says
+    codes = [run_cli(argv, capsys)[0] for argv in readme_commands()]
+    assert codes == [EXIT_OK] * 4 + [EXIT_REJECTED] + [EXIT_OK] * 2
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qsv", "spectrum", "--n", "3", "--q0", "0.33", "--config", "missing.cfg"],
+            ["qsv", "complexity", "--n", "3", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01",
+             "--out", "nodir/x.json"],
+            ["opt", "--n-min", "3", "--n-max", "4", "--out", "nodir/s.csv"],
+            ["qsv", "verify", "--n", "3", "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--seed", "1",
+             "--transcript", "nodir/t.jsonl"],
+        ],
+    )
+    def test_os_error_is_one_usage_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSense:
@@ -513,3 +594,21 @@ class TestConfigFile:
         code, _, err = run_cli(argv, capsys)
         assert code == EXIT_USAGE
         assert "key=value" in err
+
+    def test_explicit_flag_at_its_default_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 0.3\n")
+        argv = ["qsv", "complexity", "--n", "3", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01",
+                "--p", "0", "--config", str(cfg)]
+        code, payload, _ = run_json(argv, capsys)
+        assert code == EXIT_OK
+        assert payload["p"] == 0.0
+        assert payload["M"] == 283
+
+    def test_config_switch_false_stays_off(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("check_numeric = false\ntol = 1e-30\n")
+        argv = ["qsv", "spectrum", "--n", "3", "--q0", "0.33", "--config", str(cfg)]
+        code, payload, err = run_json(argv, capsys)
+        assert code == EXIT_OK and err == ""
+        assert payload["residuals"] is None

@@ -52,16 +52,6 @@ class TestVerificationPlan:
         plan = VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01)
         assert plan.M == sample_complexity(3, 0.33, 0.1, 0.01) == 283
 
-    def test_explicit_copies_above_bound_accepted(self):
-        assert VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01, M=300).M == 300
-
-    def test_copies_below_bound_rejected(self):
-        with pytest.raises(ValueError):
-            VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01, M=282)
-
-    def test_zero_copies_allowed_as_degenerate_plan(self):
-        assert VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01, M=0).M == 0
-
     def test_nonzero_p_raises_default_copies(self):
         plan = VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01, p=0.5)
         assert plan.M == sample_complexity(3, 0.33, 0.1, 0.01, p=0.5)
@@ -225,11 +215,6 @@ class TestVerifyBatch:
         for i in (0, 141, 282):
             alone = verify_copy(copy, 3, 0.33, 0.0, RngStream(36, (5, i)).gen, copy_index=i)
             assert transcript.verdicts[i].as_record() == alone.as_record()
-
-    def test_zero_copy_plan_accepts_vacuously(self):
-        plan = VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01, M=0)
-        accept, transcript = verify_batch(iter(()), plan, RngStream(32))
-        assert accept is True and transcript.verdicts == ()
 
     def test_exhausted_source(self):
         plan = VerificationPlan(3, 0.33, epsilon=1.0, delta=0.5)
