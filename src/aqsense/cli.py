@@ -130,25 +130,19 @@ def _cmd_sense(opt: dict) -> int:
     bound = sensitivity_bounds(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
     payload = {
         "scenario": {
-            "n": scenario.n,
-            "q0": scenario.q0,
-            "t1": scenario.t1,
-            "t2": scenario.t2,
-            "omega1": scenario.omega1,
-            "omega2": scenario.omega2,
-            "t": scenario.t,
+            **dataclasses.asdict(scenario),
             "theta_plus": scenario.theta_plus,
             "theta_minus": scenario.theta_minus,
         },
-        "probabilities": {"p1": dist.p1, "p2": dist.p2, "p3": dist.p3, "p4": dist.p4},
-        "sensitivity": {"g_plus": bound.g_plus, "g_minus": bound.g_minus},
+        "probabilities": dataclasses.asdict(dist),
+        "sensitivity": dataclasses.asdict(bound),
         "shots": opt["shots"],
         "seed": opt["seed"],
     }
     if opt["shots"] > 0 and opt["seed"] is None:
         raise ValueError("a --seed is required when --shots > 0")
-    if opt["shots"] > 0 or opt["audit"]:
-        check_support_budget(scenario.n, placements=opt["audit"])
+    if opt["audit"]:
+        check_support_budget(scenario.n)
     if opt["shots"] > 0:
         counts = sample_run(scenario, opt["shots"], RngStream(opt["seed"]).gen)
         freq = counts / opt["shots"]
@@ -162,11 +156,7 @@ def _cmd_sense(opt: dict) -> int:
         audit = anonymity_audit(
             scenario.n, scenario.q0, scenario.omega1, scenario.omega2, scenario.t
         )
-        payload["audit"] = {
-            "num_pairs": audit.num_pairs,
-            "max_distance": audit.max_distance,
-            "passed": audit.passed,
-        }
+        payload["audit"] = dataclasses.asdict(audit)
     _emit(payload, opt["out"])
     if audit is not None and not audit.passed:
         print("error: anonymity audit failed", file=sys.stderr)
@@ -205,14 +195,7 @@ def _cmd_qsv_verify(opt: dict) -> int:
     payload = {
         "accepted": accepted,
         "copies_tested": len(transcript.verdicts),
-        "plan": {
-            "n": plan.n,
-            "q0": plan.q0,
-            "epsilon": plan.epsilon,
-            "delta": plan.delta,
-            "p": plan.p,
-            "M": plan.M,
-        },
+        "plan": dataclasses.asdict(plan),
         "noise": {"kind": channel.label, "strength": channel.strength},
         "seed": opt["seed"],
         "transcript": opt["transcript"],
@@ -409,6 +392,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         missing = [f"--{flag.replace('_', '-')}" for flag in leaf_flags if flag not in opt]
         if missing:
             raise ValueError("missing required flags: " + ", ".join(missing))
+        if opt.get("seed") is not None and opt["seed"] < 0:
+            raise ValueError(f"--seed must be non-negative, got {opt['seed']}")
         return handler(opt)
     except GhzCollapseError as exc:
         print(f"error: estimator signalled GHZ collapse: {exc}", file=sys.stderr)

@@ -54,12 +54,6 @@ class PureState:
             raise ValueError(f"state vector not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amps", amps)
 
-    def inner(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def fidelity(self, other: "PureState") -> float:
-        return float(abs(self.inner(other)) ** 2)
-
 
 class RngStream:
     """Deterministic random stream addressed by a seed and a spawn key.

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .qsv.operators import q_min
-from .sensing import g_minus, g_plus
+from .sensing import g_minus, g_plus, one_minus_cos_cos
 from .symcomb import binom
 
 __all__ = [
@@ -116,11 +116,12 @@ def gamma_eta(n, theta_plus, theta_minus):
     """Coefficients gamma and eta of the Dicke-bound minimizer.
 
     gamma = n^2 sin^2(theta-/2) + 2(n^2-n)(1 - cos(theta+/2)cos(theta-/2)),
+    the last factor by ``sensing.one_minus_cos_cos``, and
     eta = (n-1)^2 sin^2(theta+/2); intended for theta+ in (0, pi] and
     theta- in [-pi/2, 0). n and the angles broadcast; scalars give floats.
     """
     tp, tm = np.asarray(theta_plus, dtype=float), np.asarray(theta_minus, dtype=float)
-    gamma = n ** 2 * np.sin(tm / 2) ** 2 + 2 * (n ** 2 - n) * (1 - np.cos(tp / 2) * np.cos(tm / 2))
+    gamma = n ** 2 * np.sin(tm / 2) ** 2 + 2 * (n ** 2 - n) * one_minus_cos_cos(tp, tm)
     eta = (n - 1) ** 2 * np.sin(tp / 2) ** 2
     return _scalar_or_array(gamma), _scalar_or_array(eta)
 
@@ -137,14 +138,18 @@ def q_landmarks(n, theta_plus, theta_minus):
     crossing at p = 0, and q_G minimizes the theta- variance bound. q_G
     broadcasts over n and the angles like gamma_eta; q_min and q_beta are
     floats for an integer n and arrays for an array of n.
+
+    With r = eta/gamma, q_G = sqrt(r (1 + r)) - r = 1/(1 + sqrt(1 + 1/r)),
+    evaluated as sqrt(eta)/(sqrt(eta) + sqrt(eta + gamma)): no difference
+    of large numbers, no overflow, and 0 where eta is 0.
     """
     n_arr = np.asarray(n)
     if np.any(n_arr < 3):
         raise ValueError(f"n must be at least 3, got {n}")
     gamma, eta = gamma_eta(n, theta_plus, theta_minus)
-    ratio = eta / gamma
+    root = np.sqrt(eta)
     landmarks = (_scalar_or_array(_per_n(fn, n_arr)) for fn in (q_min, _q_beta))
-    return *landmarks, _scalar_or_array(np.sqrt(ratio * (1 + ratio)) - ratio)
+    return *landmarks, _scalar_or_array(root / (root + np.sqrt(eta + gamma)))
 
 
 def beta_p0(n, q0):
@@ -223,7 +228,7 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     # s divides A and B: pairs whose H leaves float64 range are refused below, not warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f, s, c = 1.0 - 1.0 / ns, np.sin(tm / 2) ** 2, _per_n(_central, ns)
-        a = 1.0 + 2.0 * f * (1.0 - np.cos(tp / 2) * np.cos(tm / 2)) / s
+        a = 1.0 + 2.0 * f * one_minus_cos_cos(tp, tm) / s
         b = f ** 2 * np.sin(tp / 2) ** 2 / s
         # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
         # a power of two scales it exactly and keeps every product in range

@@ -44,6 +44,12 @@ def schrijver_blocks(m: int, orbits: Mapping[tuple[int, int, int], float]) -> li
 
     beta is exact and is only formed for the listed triples. The operator is
     Hermitian iff every f(i, j, t) equals f(j, i, t), which is checked.
+
+    Each entry is a float sum of f times signed beta, which cancels when a
+    table has many t per (i, j): for a dephased probe's (n, n, t), t = 0..n,
+    a trace paired through these blocks is off by about 1e-12 at m = 40, and
+    by more at larger m. Tables with at most two t per (i, j), such as the
+    verification strategy's, keep their digits.
     """
     blocks = [np.zeros((m - 2 * k + 1, m - 2 * k + 1)) for k in range(m // 2 + 1)]
     for (i, j, t), f in orbits.items():

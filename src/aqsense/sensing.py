@@ -4,15 +4,14 @@ A 2n-qubit probe sqrt(q0)|GHZ> + sqrt(1-q0)|D_2n^n> picks up local phases
 from two unknown equal-coupling fields at unspecified positions. A fixed
 four-outcome measurement exposes only the sum and difference angles
 theta+ = (w1+w2)t and theta- = (w1-w2)t, never the positions. This module
-provides the measurement, the outcome law (closed form and simulated), a
-sampler, plug-in estimators, Cramer-Rao sensitivity bounds, and an audit
-that checks the position independence numerically.
+provides the measurement, the closed-form outcome law, a sampler from that
+law, plug-in estimators, Cramer-Rao sensitivity bounds, and an audit that
+checks the position independence numerically.
 
 The probe and the measurement kets live on the C(2n,n) + 2 basis states of
-weight 0, n and 2n, so the simulated law never builds a 2^(2n) vector: each
-ket is kept as its support (indices and amplitudes), and the probe and its
-phases are evaluated on those indices only. The simulated law is a second
-route to the closed form, by state evolution restricted to the supports.
+weight 0, n and 2n, so each ket is kept as its support (indices and
+amplitudes) and the audit evaluates the probe on those indices only, never
+on a 2^(2n) vector.
 """
 
 from __future__ import annotations
@@ -33,15 +32,14 @@ __all__ = [
     "OutcomeDistribution",
     "SensitivityBound",
     "AuditReport",
-    "build_povm",
     "analytic_probs",
-    "simulate_probs",
     "SUPPORT_BYTES_LIMIT",
     "check_support_budget",
     "sample_run",
     "estimate_angles",
     "g_plus",
     "g_minus",
+    "one_minus_cos_cos",
     "sensitivity_bounds",
     "placement_probabilities",
     "anonymity_audit",
@@ -122,7 +120,7 @@ class Povm:
     {0, 2^(2n) - 1} and the weight-n indices; kets passed in as 2^(2n)
     vectors (such as negative controls) are reduced to their nonzero
     entries once. The fourth element, the identity minus the projectors, is
-    never built. Call ``validate`` to check the kets (``build_povm`` does).
+    never built.
     """
 
     def __init__(self, n: int, kets: Sequence[np.ndarray] | None = None):
@@ -147,37 +145,8 @@ class Povm:
 
     def probabilities(self, state: PureState) -> np.ndarray:
         """Outcome probabilities of a dense state, gathered on each ket's support."""
-        return _with_remainder([np.vdot(amps, state.amps[idx]) for idx, amps in self.kets])
-
-    def validate(self) -> None:
-        """Check that the kets' Gram matrix is the identity within 1e-12.
-
-        Orthonormal kets give orthogonal rank-1 projectors, so the remainder
-        is a projector too: all four elements are positive and sum to I.
-        Each entry is an inner product over the two supports' common indices.
-        """
-        gram = np.zeros((len(self.kets), len(self.kets)), dtype=np.complex128)
-        for i, (idx_a, a) in enumerate(self.kets):
-            for j, (idx_b, b) in enumerate(self.kets):
-                _, at_a, at_b = np.intersect1d(idx_a, idx_b, assume_unique=True, return_indices=True)
-                gram[i, j] = np.vdot(a[at_a], b[at_b])
-        if np.max(np.abs(gram - np.eye(len(self.kets)))) > 1e-12:
-            raise ValueError("POVM kets are not orthonormal within 1e-12")
-
-
-def _with_remainder(amplitudes) -> np.ndarray:
-    """The four outcome probabilities from the three kets' amplitudes."""
-    p = np.array([abs(a) ** 2 for a in amplitudes])
-    return np.append(p, 1.0 - p.sum())
-
-
-def build_povm(n: int) -> Povm:
-    """Construct and validate the protocol measurement for 2n qubits."""
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
-    povm = Povm(n)
-    povm.validate()
-    return povm
+        p = np.array([abs(np.vdot(amps, state.amps[idx])) ** 2 for idx, amps in self.kets])
+        return np.append(p, 1.0 - p.sum())
 
 
 @dataclass(frozen=True)
@@ -223,65 +192,43 @@ def analytic_probs(n: int, q0: float, theta_plus: float, theta_minus: float) -> 
     return OutcomeDistribution(float(p1), float(p2), float(p3), float(max(p4, 0.0)))
 
 
-# Largest size, in bytes, of the support arrays one simulated-law call may
-# allocate. simulate_probs holds about _ENTRY_BYTES per support entry of its
-# largest ket (the Dicke ket, C(2n, n) entries): the index, the ket
-# amplitude, the probe amplitude and its two phased copies, and the bit
-# temporaries. placement_probabilities adds the 64 unpacked bits of each
-# index (one byte each) and two (entries, 2n) float64 bit matrices. With
-# 1 GiB the sampled law runs to n = 13 and the audit to n = 11.
+# Largest size, in bytes, of the support arrays one placement_probabilities
+# call may allocate: per entry of its largest ket (the Dicke ket, C(2n, n)
+# entries) about _ENTRY_BYTES for the index, the ket amplitude, the probe
+# amplitude and their product, plus the 64 unpacked bits of the index (one
+# byte each) and two (entries, 2n) float64 bit matrices. With 1 GiB the
+# audit runs to n = 11.
 SUPPORT_BYTES_LIMIT = 1 << 30
 _ENTRY_BYTES = 96
 
 
-def _support_bytes(n: int, placements: bool) -> int:
-    return binom(2 * n, n) * (_ENTRY_BYTES + (64 + 16 * 2 * n if placements else 0))
+def _support_bytes(n: int) -> int:
+    return binom(2 * n, n) * (_ENTRY_BYTES + 64 + 16 * 2 * n)
 
 
-def check_support_budget(n: int, placements: bool) -> None:
+def check_support_budget(n: int) -> None:
     """Raise ValueError, naming the largest n accepted, when the support
-    arrays of simulate_probs (placements False) or placement_probabilities
-    (placements True) at this n would exceed SUPPORT_BYTES_LIMIT."""
-    if _support_bytes(n, placements) <= SUPPORT_BYTES_LIMIT:
+    arrays of placement_probabilities at this n would exceed
+    SUPPORT_BYTES_LIMIT."""
+    if _support_bytes(n) <= SUPPORT_BYTES_LIMIT:
         return
     largest = 3
-    while _support_bytes(largest + 1, placements) <= SUPPORT_BYTES_LIMIT:
+    while _support_bytes(largest + 1) <= SUPPORT_BYTES_LIMIT:
         largest += 1
-    what = "the placement law (--audit)" if placements else "the sampled law (--shots)"
     raise ValueError(
-        f"n={n} needs {_support_bytes(n, placements) / 2 ** 30:.3g} GiB of support arrays for "
-        f"{what}, above the {SUPPORT_BYTES_LIMIT / 2 ** 30:g} GiB limit; the largest n accepted is {largest}"
+        f"n={n} needs {_support_bytes(n) / 2 ** 30:.3g} GiB of support arrays for "
+        f"the placement law (--audit), above the {SUPPORT_BYTES_LIMIT / 2 ** 30:g} GiB limit; "
+        f"the largest n accepted is {largest}"
     )
 
 
-def simulate_probs(scenario: SensingScenario) -> OutcomeDistribution:
-    """Outcome law computed by state evolution and measurement on the kets'
-    supports.
-
-    Evaluates the probe on each ket's indices, applies the local phases at
-    positions t1 and t2 there (the factors of ``qcore.evolve_phases``, in
-    its qubit order), and takes the inner product with the ket. Serves as
-    the second route to ``analytic_probs``.
-    """
-    n, m = scenario.n, 2 * scenario.n
-    check_support_budget(n, placements=False)
-    fields = sorted([(scenario.t1 - 1, scenario.omega1), (scenario.t2 - 1, scenario.omega2)])
-    amplitudes = []
-    for idx, amps in Povm(n).kets:
-        v = probe_on(n, np.sqrt(scenario.q0), np.sqrt(1.0 - scenario.q0), idx)
-        for qubit, omega in fields:
-            factor = cmath.exp(0.5j * omega * scenario.t)
-            v = v * np.where((idx >> (m - 1 - qubit)) & 1, factor.conjugate(), factor)
-        amplitudes.append(np.vdot(amps, v))
-    p = _with_remainder(amplitudes)
-    return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(max(p[3], 0.0)))
-
-
 def sample_run(scenario: SensingScenario, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial outcome counts for ``shots`` independent repetitions."""
+    """Multinomial outcome counts for ``shots`` independent repetitions,
+    drawn from the closed-form law."""
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
-    return rng.multinomial(shots, simulate_probs(scenario).as_array())
+    law = analytic_probs(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
+    return rng.multinomial(shots, law.as_array())
 
 
 def estimate_angles(p1: float, p2: float, p3: float, n: int, q0: float) -> tuple[float, float]:
@@ -312,13 +259,19 @@ def g_minus(n, q0, theta_plus, theta_minus):
     q0 = np.asarray(q0, dtype=float)
     q1 = 1.0 - q0
     s_minus = np.sin(np.asarray(theta_minus) / 2) ** 2
-    c_plus = np.cos(np.asarray(theta_plus) / 2)
-    c_minus = np.cos(np.asarray(theta_minus) / 2)
     frac = 1.0 - 1.0 / n
     term1 = 1.0 / q1
     term2 = frac ** 2 * np.sin(np.asarray(theta_plus) / 2) ** 2 / (q0 * q1 * s_minus)
-    term3 = 2.0 * frac * (1.0 - c_plus * c_minus) / (q1 * s_minus)
+    term3 = 2.0 * frac * one_minus_cos_cos(theta_plus, theta_minus) / (q1 * s_minus)
     return term1 + term2 + term3
+
+
+def one_minus_cos_cos(theta_plus, theta_minus):
+    """1 - cos(theta+/2) cos(theta-/2) as sin^2((theta+ + theta-)/4) +
+    sin^2((theta+ - theta-)/4), which keeps its digits where both angles are
+    small and the difference form cancels to 0; vectorized in the angles."""
+    tp, tm = np.asarray(theta_plus, dtype=float), np.asarray(theta_minus, dtype=float)
+    return np.sin((tp + tm) / 4) ** 2 + np.sin((tp - tm) / 4) ** 2
 
 
 @dataclass(frozen=True)
@@ -368,10 +321,16 @@ def placement_probabilities(
     0/1 bit matrix (qubit 0 most significant, as in ``qcore.evolve_phases``),
     every amplitude <k|U_{t1,t2}|psi> is a combination of sum(v),
     r = B^T v and S = B^T diag(v) B at (t1, t2): a few matrix products per
-    ket in place of one evolution per placement. B is real, so r and S are
-    formed from the real and imaginary parts of v by real products.
+    ket in place of one evolution per placement.
+
+    v is split as v[0] + dv. The constant v[0] meets B through integer
+    counts, exact in float64: the support size, and B^T B, whose diagonal
+    is B's column sums. So a ket on which v is constant, as on each of the
+    protocol's kets, gives every placement the same float amplitude. B is
+    real, so dv's share of r and S comes from its real and imaginary parts
+    by real products, skipped where they are 0.
     """
-    check_support_budget(n, placements=True)
+    check_support_budget(n)
     if povm is None:
         povm = Povm(n)
     m = 2 * n
@@ -386,17 +345,22 @@ def placement_probabilities(
         # qubit j's bit of each index, from the big-endian bytes of the index
         octets = idx[support].astype(">u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(octets, axis=1)[:, 64 - m :].astype(np.float64)
-        r = bits.T @ v.real + 1j * (bits.T @ v.imag)
-        s = _weighted_gram(bits, v.real) + 1j * _weighted_gram(bits, v.imag)
-        amp = a0 * b0 * v.sum() + a0 * db * r[None, :] + da * b0 * r[:, None] + da * db * s
+        ref = v[0] if v.size else 0.0
+        dv = v - ref
+        counts = bits.T @ bits
+        r_re, s_re = _weighted_sums(bits, dv.real)
+        r_im, s_im = _weighted_sums(bits, dv.imag)
+        r = ref * np.diag(counts) + r_re + 1j * r_im
+        s = ref * counts + s_re + 1j * s_im
+        amp = a0 * b0 * (ref * v.size + dv.sum()) + a0 * db * r[None, :] + da * b0 * r[:, None] + da * db * s
         probs.append(np.abs(amp[placed]) ** 2)
     probs = np.array(probs).T
     return np.column_stack([probs, 1.0 - probs.sum(axis=1)])
 
 
-def _weighted_gram(bits: np.ndarray, w: np.ndarray):
-    """bits^T diag(w) bits for real w by one real product; 0 when w is 0."""
-    return bits.T @ (bits * w[:, None]) if w.any() else 0.0
+def _weighted_sums(bits: np.ndarray, w: np.ndarray):
+    """(bits^T w, bits^T diag(w) bits) for real w by real products; 0 when w is 0."""
+    return (bits.T @ w, bits.T @ (bits * w[:, None])) if w.any() else (0.0, 0.0)
 
 
 def anonymity_audit(

@@ -13,18 +13,22 @@ symmetric-block spectra: an operator built entry by entry from its orbit
 coefficients, the Gram route on the strategy's (n-1, n+1) piece, and the
 anonymity audit's law from one evolution per placement. The sensing law
 also keeps its dense route: the probe as a 2^(2n) vector, evolved and
-measured against the POVM kets written out as 2^(2n) vectors. The dense
-GHZ and Dicke constructors, the coherent_mix swap as a 2^(2n) x 2^(2n)
-unitary from its definition, expectation values of dense operators and the
-diagonal remainder's eigenvalue profile are test-only too.
+measured against the POVM kets written out as 2^(2n) vectors, and the
+law by evolution on the kets' supports that checks the closed form the
+sampler draws from. The POVM's orthonormality check, the dense GHZ and
+Dicke constructors, the coherent_mix swap as a 2^(2n) x 2^(2n) unitary
+from its definition, fidelities and expectation values of dense states and
+operators, and the diagonal remainder's eigenvalue profile are test-only
+too.
 """
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 
-from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target
+from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target, probe_on
 from aqsense.qopt import OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import _block_coefficients
@@ -58,6 +62,11 @@ def make_dicke(num_qubits, excitations):
     amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
     amps[basis.indices] = 1 / np.sqrt(basis.size)
     return PureState(num_qubits, amps)
+
+
+def fidelity(a, b):
+    """|<a|b>|^2 of two dense states."""
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def expectation(state, op):
@@ -315,6 +324,60 @@ def placement_probabilities_by_evolution(n, q0, omega_a, omega_b, t, povm=None):
     return np.array(rows)
 
 
+def validate_povm(povm):
+    """Check that the kets' Gram matrix is the identity within 1e-12.
+
+    Orthonormal kets give orthogonal rank-1 projectors, so the remainder
+    is a projector too: all four elements are positive and sum to I.
+    Each entry is an inner product over the two supports' common indices.
+    """
+    gram = np.zeros((len(povm.kets), len(povm.kets)), dtype=np.complex128)
+    for i, (idx_a, a) in enumerate(povm.kets):
+        for j, (idx_b, b) in enumerate(povm.kets):
+            _, at_a, at_b = np.intersect1d(idx_a, idx_b, assume_unique=True, return_indices=True)
+            gram[i, j] = np.vdot(a[at_a], b[at_b])
+    if np.max(np.abs(gram - np.eye(len(povm.kets)))) > 1e-12:
+        raise ValueError("POVM kets are not orthonormal within 1e-12")
+
+
+def build_povm(n):
+    """Construct and validate the protocol measurement for 2n qubits."""
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    povm = Povm(n)
+    validate_povm(povm)
+    return povm
+
+
+def _law(amplitudes):
+    """OutcomeDistribution from the three kets' amplitudes, the fourth
+    outcome as the remainder."""
+    p = np.array([abs(a) ** 2 for a in amplitudes])
+    p = np.append(p, 1.0 - p.sum())
+    return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(max(p[3], 0.0)))
+
+
+def simulate_probs(scenario):
+    """Outcome law computed by state evolution and measurement on the kets'
+    supports.
+
+    Evaluates the probe on each ket's indices, applies the local phases at
+    positions t1 and t2 there (the factors of ``qcore.evolve_phases``, in
+    its qubit order), and takes the inner product with the ket: the second
+    route to ``analytic_probs``.
+    """
+    n, m = scenario.n, 2 * scenario.n
+    fields = sorted([(scenario.t1 - 1, scenario.omega1), (scenario.t2 - 1, scenario.omega2)])
+    amplitudes = []
+    for idx, amps in Povm(n).kets:
+        v = probe_on(n, np.sqrt(scenario.q0), np.sqrt(1.0 - scenario.q0), idx)
+        for qubit, omega in fields:
+            factor = cmath.exp(0.5j * omega * scenario.t)
+            v = v * np.where((idx >> (m - 1 - qubit)) & 1, factor.conjugate(), factor)
+        amplitudes.append(np.vdot(amps, v))
+    return _law(amplitudes)
+
+
 def dense_kets(povm):
     """The POVM's kets as 2^(2n) complex vectors, from their supports."""
     out = []
@@ -334,9 +397,7 @@ def simulate_probs_dense(scenario):
     omegas[scenario.t1 - 1] = scenario.omega1
     omegas[scenario.t2 - 1] = scenario.omega2
     state = evolve_phases(make_target(n, scenario.q0), omegas, scenario.t)
-    p = np.array([abs(np.vdot(k, state.amps)) ** 2 for k in dense_kets(Povm(n))])
-    p = np.append(p, 1.0 - p.sum())
-    return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(max(p[3], 0.0)))
+    return _law([np.vdot(k, state.amps) for k in dense_kets(Povm(n))])
 
 
 def pauli_witness_bound(n: int, q0: float) -> float:

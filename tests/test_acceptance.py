@@ -35,10 +35,16 @@ from aqsense.sensing import (
     estimate_angles,
     g_minus,
     g_plus,
-    simulate_probs,
 )
 from aqsense.qsv.operators import strategy_orbits
-from oracles import brute_strategy_dense, expectation, make_dicke, make_ghz, orbit_operator_dense
+from oracles import (
+    brute_strategy_dense,
+    expectation,
+    make_dicke,
+    make_ghz,
+    orbit_operator_dense,
+    simulate_probs,
+)
 
 
 def _full_strategy(n: int, q0: float, p: float) -> np.ndarray:

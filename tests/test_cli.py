@@ -29,7 +29,7 @@ from aqsense.cli import (
 )
 from aqsense.qopt import N_MAX
 from aqsense.qsv import analytic_spectrum, sample_complexity
-from aqsense.sensing import analytic_probs, g_minus, g_plus
+from aqsense.sensing import analytic_probs, check_support_budget, g_minus, g_plus
 
 OMEGA_A = repr(np.pi / 8)
 OMEGA_B = repr(3 * np.pi / 8)
@@ -499,12 +499,15 @@ class TestFloatRange:
 
 
 class TestSenseSupportBudget:
-    @pytest.mark.parametrize("n", [14, 40])
+    @pytest.mark.parametrize("n", [14, 40, 200])
     @pytest.mark.parametrize(
-        "flags", [["--audit"], ["--shots", "10", "--seed", "1"], ["--shots", "10", "--seed", "1", "--audit"]]
+        "flags", [["--audit"], ["--shots", "100000", "--seed", "1"], ["--shots", "10", "--seed", "1", "--audit"]]
     )
     def test_large_n_exits_before_allocating(self, n, flags, capsys):
+        # the audit refuses above its support budget; sampling draws from the
+        # closed form, which has no support arrays and so no limit on n
         argv = ["sense", "--n", str(n), "--q0", "0.33", "--omega-a", "0.3", "--omega-b", "0.7", "--t", "1", *flags]
+        np.random.default_rng()  # numpy.random loads on first use, about 1 MB once per process
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -513,11 +516,29 @@ class TestSenseSupportBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "the largest n accepted is" in err
+        if "--audit" in flags:
+            assert code == EXIT_USAGE and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "the largest n accepted is" in err
+        else:
+            assert code == EXIT_OK and err == ""
+            assert sum(json.loads(out)["counts"]) == 100000
         assert elapsed < 1.0
         assert peak < 1 << 20
+
+    def test_audit_runs_at_the_largest_n_accepted(self, capsys):
+        # sums over C(22, 11) entries once put 1.7e-12 between placements
+        argv = ["sense", "--n", "11", "--q0", "0.33", "--omega-a", OMEGA_A, "--omega-b", OMEGA_B, "--t", "1.0",
+                "--audit"]
+        code, payload, err = run_json(argv, capsys)
+        assert code == EXIT_OK and err == ""
+        assert payload["audit"]["passed"] and payload["audit"]["num_pairs"] == 22 * 21
+
+    def test_readme_states_the_audit_limit(self):
+        (largest,) = re.findall(r"`--audit` to n = (\d+)", README.read_text())
+        check_support_budget(int(largest))
+        with pytest.raises(ValueError, match=f"the largest n accepted is {largest}"):
+            check_support_budget(int(largest) + 1)
 
     def test_sense_builds_no_dense_state(self, monkeypatch, capsys):
         # every 2^(2n) route is refused: sampling and audit run on the supports
@@ -544,6 +565,22 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SENSE_BASE + ["--shots", "10", "--seed", "-1"],
+        ["qsv", "verify", "--n", "3", "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--seed", "-1"],
+        ["robust", "--n", "3", "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--rounds", "10",
+         "--seed", "-1"],
+    ],
+    ids=["sense", "qsv verify", "robust"],
+)
+def test_negative_seed_is_usage(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: --seed must be non-negative, got -1\n"
 
 
 class TestConfigFile:

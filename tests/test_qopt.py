@@ -245,9 +245,38 @@ class TestMinimize:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_finite_h_is_kept(self):
         report = minimize_H(3, 1.0, -1e-153)
-        assert (report.q_H, report.H_min) == (0.5760945892439874, 5.1956317737868986e306)
+        assert (report.q_H, report.H_min) == (0.576094589243987, 5.1956317737869e306)
         pair = minimize_H(np.array([3, 3]), np.array([1.0, 1.0]), np.array([-1e-153, -0.5]))
         assert (pair.q_H[0], pair.H_min[0]) == (report.q_H, report.H_min)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_small_angles_keep_their_digits(self):
+        # H depends on the angles only through their ratio as both go to 0,
+        # so angles 1e4 times smaller give the same optimum to O(1e-10); the
+        # form 1 - cos(theta+/2) cos(theta-/2) cancels to 0 below ~1e-8 and
+        # read H_min 15.46 at q_H 0.614 here
+        small, ref = minimize_H(3, 2e-9, -1e-9), minimize_H(3, 2e-5, -1e-5)
+        assert small.q_H == pytest.approx(ref.q_H, rel=1e-8)
+        assert small.H_min == pytest.approx(ref.H_min, rel=1e-8)
+        gamma, eta = gamma_eta(3, 2e-9, -1e-9)
+        assert gamma / eta == pytest.approx(np.divide(*gamma_eta(3, 2e-5, -1e-5)), rel=1e-8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_q_g_stays_finite_for_a_vanishing_theta_minus(self):
+        # the limit of q_G = sqrt(r (1 + r)) - r as theta- -> 0, r = eta/gamma
+        # at theta- = 0; sqrt(r (1 + r)) overflowed once r passed ~1e154
+        report = minimize_H(N_MAX, 1e-10, -1e-150)
+        gamma, eta = gamma_eta(N_MAX, 1e-10, 0.0)
+        r = eta / gamma
+        assert report.q_G == pytest.approx(math.sqrt(r * (1 + r)) - r, rel=1e-12)
+        assert report.q_G <= report.q_H < 1.0 and math.isfinite(report.H_min)
+
+    def test_q_g_closed_form(self):
+        for n in (3, 10, N_MAX):
+            for tp, tm in (A, K, (3.0, -1.5), (0.01, -0.002)):
+                gamma, eta = gamma_eta(n, tp, tm)
+                r = eta / gamma
+                assert q_landmarks(n, tp, tm)[2] == pytest.approx(math.sqrt(r * (1 + r)) - r, rel=1e-14)
 
     def test_n_max_is_the_float_range_of_the_central_binomial(self):
         assert np.isfinite(float(math.comb(2 * N_MAX, N_MAX) + 8 * N_MAX))

@@ -2,8 +2,8 @@
 
 Independent oracles:
   * dense-operator expectation values vs the fast inner-product path,
-  * the dense 2^(2n) evolution route for the law computed on the kets'
-    supports,
+  * the law by evolution on the kets' supports, and the dense 2^(2n)
+    evolution route for it, against the closed form the sampler draws from,
   * a finite-difference Fisher-information matrix of the 4-outcome
     multinomial, inverted, as the oracle for the sensitivity bounds,
   * frozen hand-evaluated probability values.
@@ -24,7 +24,6 @@ from aqsense.sensing import (
     SensingScenario,
     analytic_probs,
     anonymity_audit,
-    build_povm,
     check_support_budget,
     estimate_angles,
     g_minus,
@@ -32,16 +31,18 @@ from aqsense.sensing import (
     placement_probabilities,
     sample_run,
     sensitivity_bounds,
-    simulate_probs,
     _support_bytes,
 )
 from oracles import (
+    build_povm,
     dense_kets,
     expectation,
     make_dicke,
     make_ghz,
     placement_probabilities_by_evolution,
+    simulate_probs,
     simulate_probs_dense,
+    validate_povm,
 )
 
 
@@ -127,7 +128,7 @@ class TestPovm:
         # |GHZ+> and |0...0> overlap, so I minus the projectors is not positive
         ghz, zero = make_ghz(6).amps, np.eye(64)[0]
         with pytest.raises(ValueError, match="orthonormal"):
-            Povm(3, kets=(ghz, zero, dense_kets(build_povm(3))[2])).validate()
+            validate_povm(Povm(3, kets=(ghz, zero, dense_kets(build_povm(3))[2])))
 
 
 class TestAnalyticProbs:
@@ -267,6 +268,14 @@ class TestSampleRun:
         b = sample_run(sc, 1000, RngStream(7).gen)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    def test_draws_from_the_closed_form(self, n):
+        # no support arrays: the law sampled is the closed form, at any n
+        sc = SensingScenario.from_angles(n, 0.33, np.pi / 2, -np.pi / 4)
+        law = analytic_probs(n, 0.33, np.pi / 2, -np.pi / 4).as_array()
+        np.testing.assert_array_equal(sample_run(sc, 100_000, RngStream(1).gen),
+                                      RngStream(1).gen.multinomial(100_000, law))
+
     def test_frequencies_within_four_sigma(self):
         sc = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 6)
         shots = 100_000
@@ -336,6 +345,14 @@ class TestSensitivityBounds:
         vals = [sensitivity_bounds(3, 0.33, np.pi / 2, -(10.0 ** -k)).g_minus for k in range(1, 6)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_small_angles_keep_their_digits(self):
+        # g- depends on the angles only through their ratio as both go to 0,
+        # so angles 1e4 times smaller give the same bound to O(1e-10); the
+        # form 1 - cos(theta+/2) cos(theta-/2) cancels to 0 below ~1e-8
+        for q0 in (0.2, 0.5, 0.8):
+            small = sensitivity_bounds(3, q0, 2e-9, -1e-9).g_minus
+            assert small == pytest.approx(sensitivity_bounds(3, q0, 2e-5, -1e-5).g_minus, rel=1e-8)
+
     def test_theta_minus_zero_rejected(self):
         with pytest.raises(ValueError):
             sensitivity_bounds(3, 0.33, np.pi / 2, 0.0)
@@ -356,6 +373,13 @@ class TestAnonymityAudit:
         assert report.passed
         assert report.num_pairs == 30
         assert report.max_distance < 1e-12
+
+    def test_protocol_povm_exact_at_large_n(self):
+        # every placement meets the same integer bit counts, so no round-off
+        # separates them (sums over C(20, 10) entries read 5.4e-13 apart)
+        report = anonymity_audit(10, 0.33, np.pi / 8, 3 * np.pi / 8, 1.0)
+        assert report.passed
+        assert report.max_distance <= 1e-14
 
     def test_diagonal_projector_control_stays_green(self):
         # replacing the first element by |0^6><0^6| does NOT break the audit:
@@ -400,30 +424,21 @@ class TestAnonymityAudit:
 
 class TestSupportBudget:
     def test_largest_n_accepted(self):
-        check_support_budget(13, placements=False)
-        check_support_budget(11, placements=True)
-        with pytest.raises(ValueError, match="the largest n accepted is 13"):
-            check_support_budget(14, placements=False)
+        check_support_budget(11)
         with pytest.raises(ValueError, match="the largest n accepted is 11"):
-            check_support_budget(12, placements=True)
+            check_support_budget(12)
 
     def test_library_entry_points_refuse_before_allocating(self):
-        sc = SensingScenario(n=40, q0=0.33, t1=1, t2=2, omega1=0.3, omega2=0.7, t=1.0)
-        with pytest.raises(ValueError, match="GiB limit"):
-            simulate_probs(sc)
         with pytest.raises(ValueError, match="GiB limit"):
             placement_probabilities(40, 0.33, 0.3, 0.7, 1.0)
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_estimate_bounds_the_traced_peak(self, n):
         # the limit is only as good as the byte count behind it
-        sc = SensingScenario(n=n, q0=0.33, t1=3, t2=2, omega1=0.3, omega2=0.7, t=1.0)
-        for placements, run in ((False, lambda: simulate_probs(sc)),
-                                (True, lambda: placement_probabilities(n, 0.33, 0.3, 0.7, 1.0))):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= _support_bytes(n, placements) < SUPPORT_BYTES_LIMIT
+        tracemalloc.start()
+        try:
+            placement_probabilities(n, 0.33, 0.3, 0.7, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _support_bytes(n) < SUPPORT_BYTES_LIMIT
