@@ -1,0 +1,152 @@
+"""Run a fixed corpus of aqsense CLI invocations and print what each did.
+
+Each case runs in a fresh ``python -m aqsense.cli`` process, in an empty
+temporary directory that holds only the case's input files. The report is
+JSON on stdout: per case the argv, the exit code, stdout, stderr and the
+contents of every file the run wrote. Run it in two checkouts and compare
+the reports with ``diff``:
+
+    python3 scripts/cli_corpus.py > corpus.json
+    python3 scripts/cli_corpus.py --in-process > corpus-in-process.json
+
+``--in-process`` runs the same cases through ``aqsense.cli.main`` in this
+one interpreter (each in its own empty directory); its report must equal
+the fresh-process one. Either way the package comes from ``src/`` of the
+checkout this script sits in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+OMEGA_A, OMEGA_B = "0.3926990816987241", "1.1780972450961724"
+SENSE = ["sense", "--q0", "0.33", "--omega-a", OMEGA_A, "--omega-b", OMEGA_B, "--t", "1.0"]
+COMPLEXITY = ["qsv", "complexity", "--n", "3", "--q0", "0.33", "--delta", "0.01"]
+SPECTRUM = ["qsv", "spectrum", "--n", "3", "--q0", "0.33"]
+VERIFY = ["qsv", "verify", "--n", "3", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "11"]
+ROBUST = ["robust", "--n", "3", "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--rounds", "20",
+          "--seed", "3"]
+NOISES = ("none", "dephase:0.05", "coherent_mix:0.67")
+
+
+def _case(*argv: str, files: dict[str, str] | None = None) -> dict:
+    return {"argv": list(argv), "files": files or {}}
+
+
+def _config(text: str, *argv: str) -> dict:
+    return _case(*argv, "--config", "run.cfg", files={"run.cfg": text})
+
+
+CASES = [
+    # the README's commands
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:], "--shots", "100000", "--seed", "7"),
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:], "--shots", "0", "--audit"),
+    _case(*SPECTRUM, "--p", "0", "--check-numeric"),
+    _case(*COMPLEXITY, "--epsilon", "0.1"),
+    _case(*VERIFY, "--noise", "dephase:0.05", "--transcript", "session.jsonl"),
+    _case("opt", "--n-min", "3", "--n-max", "50", "--out", "sweep.csv", "--self-check"),
+    _case(*ROBUST[:-4], "--rounds", "1000", "--noise", "none", "--seed", "3"),
+    # seeded sampling with the audit
+    *[_case(*SENSE[:1], "--n", str(n), *SENSE[1:], "--shots", shots, "--seed", "7", "--audit")
+      for n in range(3, 9) for shots in ("100", "100000")],
+    # verification and the robust loop under each channel kind
+    *[_case(*VERIFY, "--noise", noise, "--transcript", "session.jsonl") for noise in NOISES],
+    _case(*VERIFY, "--p", "0.3", "--epsilon", "0.67", "--delta", "0.2", "--transcript", "session.jsonl"),
+    *[_case(*ROBUST, "--noise", noise, "--out", "robust.json") for noise in NOISES],
+    _case("opt", "--n-min", "3", "--n-max", "50", "--examples", "A,C,K", "--out", "sweep.csv", "--self-check"),
+    *[_case("qsv", "spectrum", "--n", str(n), "--q0", "0.33", "--check-numeric") for n in range(3, 7)],
+    # config files
+    _config("n=3\nq0=0.33\nepsilon=0.1\ndelta=0.01\n", "qsv", "complexity"),
+    _config("epsilon = 0.5\n", *COMPLEXITY, "--epsilon", "0.1"),
+    _config("# spectrum self-check\ncheck-numeric = true\ntol = 1e-30\n", *SPECTRUM),
+    _config("check_numeric = false\ntol = 1e-30\n", *SPECTRUM),
+    _config("n=3\nq0=0.33\nepsilon=0.67\ndelta=0.2\nseed=7\nnoise=none\nrounds=50\n", "qsv", "verify"),
+    _config("epsilon 0.5\n", *COMPLEXITY),
+    _config("n = abc\n", *SPECTRUM),
+    _config("q0 = 0.3x\n", "qsv", "spectrum", "--n", "3"),
+    _config("check_numeric = maybe\n", *SPECTRUM),
+    _config("check-numeric = ture\n", *SPECTRUM),
+    _case(*SPECTRUM, "--config", "missing.cfg"),
+    # usage and domain errors, and help
+    _case(),
+    _case("bogus"),
+    _case("--help"),
+    _case("qsv", "spectrum", "--help"),
+    _case("sense", "--n", "3"),
+    _case("robust"),
+    _case(*SENSE[:1], "--n", "three", *SENSE[1:]),
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:], "--shots", "10", "--seed", "-1"),
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:], "--shots", "-5"),
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:], "--shots", "10"),
+    _case(*SENSE[:1], "--n", "12", *SENSE[1:], "--audit"),
+    _case("qsv", "spectrum", "--n", "3", "--q0", "1.5"),
+    _case(*VERIFY, "--noise", "dephase"),
+    _case(*VERIFY, "--noise", "bogus:0.1"),
+    _case("opt", "--n-min", "3", "--n-max", "5", "--examples", "A,A", "--out", "sweep.csv"),
+    _case("opt", "--n-min", "3", "--n-max", "600", "--out", "sweep.csv"),
+    _case(*ROBUST, "--rounds", "-1"),
+    _case("qsv", "verify", "--n", "16", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "1"),
+    _case(*ROBUST[:2], "13", *ROBUST[3:], "--noise", "coherent_mix:0.5"),
+]
+
+
+def _run_fresh(argv: list[str], cwd: str) -> tuple[int, str, str]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "aqsense.cli", *argv], cwd=cwd, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    return done.returncode, done.stdout, done.stderr
+
+
+def _run_in_process(argv: list[str], cwd: str) -> tuple[int, str, str]:
+    from aqsense import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(home)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cases(cases: list[dict], in_process: bool = False) -> list[dict]:
+    """One record per case: argv, exit code, stdout, stderr and the files
+    the run wrote, text split into lines so that reports diff line by line."""
+    run = _run_in_process if in_process else _run_fresh
+    if in_process and str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    records = []
+    for case in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in case["files"].items():
+                Path(tmp, name).write_text(text)
+            code, out, err = run(case["argv"], tmp)
+            written = {path.name: path.read_text().splitlines(keepends=True)
+                       for path in sorted(Path(tmp).iterdir()) if path.name not in case["files"]}
+        records.append({"argv": case["argv"], "exit": code, "stdout": out.splitlines(keepends=True),
+                        "stderr": err.splitlines(keepends=True), "files": written})
+    return records
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--in-process", action="store_true", help="run every case through cli.main here")
+    args = parser.parse_args()
+    json.dump(run_cases(CASES, args.in_process), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

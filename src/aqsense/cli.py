@@ -13,12 +13,20 @@ The two tables ``_FLAGS`` (each flag's type and help) and ``_LEAVES`` (each
 subcommand's flags, required or with a default) are the one place a flag is
 declared: the parser, the config-file reader and the missing-flag check are
 all built from them.
+
+The parser is built once per process, on the first ``main`` call, not at
+import. Reusing it is safe because it holds no per-call state: every flag
+defaults to ``argparse.SUPPRESS``, so a parse returns only the flags given
+on its command line, and ``main`` reads the defaults, the required flags
+and the handler from ``_LEAVES`` and the ``--config`` values from the file
+on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from math import pi
@@ -332,9 +340,11 @@ _LEAVES = {
 _QSV_HELP = "strategy spectrum, verification, sample complexity"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    """One leaf parser per _LEAVES entry. Every flag defaults to SUPPRESS, so a
-    parsed namespace holds only the flags given on the command line."""
+    """One leaf parser per _LEAVES entry, built on the first call and reused.
+    Every flag defaults to SUPPRESS, so a parsed namespace holds only the
+    flags given on the command line."""
     root = _Parser(prog="aqsense", description="anonymous sensing with verified probes")
     subs = {"": root.add_subparsers(dest="command", required=True, parser_class=_Parser)}
     for name, (_, leaf_help, flags) in _LEAVES.items():
@@ -353,12 +363,18 @@ def _build_parser() -> _Parser:
     return root
 
 
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
 def _read_config(path: str, flags: dict) -> dict:
     """Values for the given flags from a file of flat key=value lines.
 
     Keys are flag names with dashes or underscores, and each value passes
-    through its flag's type; a switch is on for 1, true, yes or on. Blank
-    lines, # comments and keys of other subcommands are ignored.
+    through its flag's type; a switch takes 1, true, yes or on, and 0,
+    false, no or off (any case). A value its flag cannot take is an error
+    naming the line and the key. Blank lines, # comments and keys of other
+    subcommands are ignored.
     """
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -368,10 +384,16 @@ def _read_config(path: str, flags: dict) -> dict:
         key, sep, raw = line.partition("=")
         if not sep:
             raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, raw = key.strip().replace("-", "_"), raw.strip()
-        if key in flags and key != "config":
-            kind = _FLAGS[key][0]
-            values[key] = raw.lower() in ("1", "true", "yes", "on") if kind is bool else kind(raw)
+        key, raw = key.strip(), raw.strip()
+        flag = key.replace("-", "_")
+        if flag in flags and flag != "config":
+            kind = _FLAGS[flag][0]
+            try:
+                values[flag] = _SWITCH_WORDS[raw.lower()] if kind is bool else kind(raw)
+            except (KeyError, ValueError):
+                what = "switch" if kind is bool else kind.__name__
+                hint = " (use 1, true, yes, on or 0, false, no, off)" if kind is bool else ""
+                raise ValueError(f"config line {lineno}: {key}: invalid {what} value {raw!r}{hint}") from None
     return values
 
 

@@ -4,8 +4,9 @@ Pure states over m qubits with a big-endian index convention (qubit 0 is
 the most significant bit), GHZ/Dicke amplitudes on any basis indices, local
 phase evolution generated by single-qubit Z terms, noise channels that are
 mixtures of unitaries and sample trajectories from a state-independent
-branch law, one joint measurement of any set of qubits in per-qubit bases,
-seeded random streams, and the two largest eigenvalues of a Hermitian matrix
+branch law, one joint measurement of any set of qubits in per-qubit bases
+that keeps only the unmeasured qubits' conditional state, seeded random
+streams, and the two largest eigenvalues of a Hermitian matrix
 by dense diagonalization. The probe psi and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>,
 which ``coherent_mix`` swaps, live on the C(2n,n) + 2 basis states of weight
 0, n and 2n, so the swap is the reflection I - 2 u u^dag, u = (psi - phi)/sqrt(2),
@@ -24,6 +25,7 @@ import numpy as np
 from .symcomb import WeightBasis, binom
 
 __all__ = [
+    "SUPPORT_BYTES_LIMIT",
     "PureState",
     "KrausChannel",
     "RngStream",
@@ -31,6 +33,7 @@ __all__ = [
     "make_target",
     "evolve_phases",
     "measure",
+    "check_bytes_limit",
     "standard_channel",
     "eig_top2",
 ]
@@ -112,12 +115,50 @@ def probe_on(n: int, ghz: float, dicke: float, idx: np.ndarray) -> np.ndarray:
     return ghz * ghz_amp + dicke * dicke_amp
 
 
+# The most memory one support-sized array build may take, in bytes: a
+# verification session's probe here, and the audit's placement law in
+# sensing. With 1 GiB the probe builds to n = 12.
+SUPPORT_BYTES_LIMIT = 1 << 30
+# Per weight-n basis state, the int64 index and at most seven more arrays of
+# 8-byte entries that _weight_indices and probe_on form on it (tracemalloc
+# reads 25 to 62 bytes per state at n = 5..9)
+_PROBE_ENTRY_BYTES = 64
+# Per amplitude of the 2^(2n) register, the complex128 target and one noisy
+# copy of it, and the float64 |amplitude|^2 weights and their cumulative
+# sums that measure forms
+_REGISTER_AMP_BYTES = 48
+
+
+def check_bytes_limit(n: int, bytes_of, what: str) -> None:
+    """Raise ValueError, naming the largest n accepted, when bytes_of(n),
+    the bytes of ``what`` at this n (growing with n), exceeds
+    SUPPORT_BYTES_LIMIT."""
+    if bytes_of(n) <= SUPPORT_BYTES_LIMIT:
+        return
+    largest = 3
+    while bytes_of(largest + 1) <= SUPPORT_BYTES_LIMIT:
+        largest += 1
+    raise ValueError(
+        f"n={n} needs {bytes_of(n) / 2 ** 30:.3g} GiB of {what}, above the "
+        f"{SUPPORT_BYTES_LIMIT / 2 ** 30:g} GiB limit; the largest n accepted is {largest}"
+    )
+
+
+def _probe_bytes(n: int) -> int:
+    """Peak bytes of a verification session at n: the arrays built on the
+    probe's support, and the target, a noisy copy and one measurement's
+    weights on the 2^(2n) register."""
+    return binom(2 * n, n) * _PROBE_ENTRY_BYTES + _REGISTER_AMP_BYTES * (1 << (2 * n))
+
+
 def _probe_support(n: int, q0: float) -> np.ndarray:
-    """The basis indices of weight 0, n and 2n, once (n, q0) is checked."""
+    """The basis indices of weight 0, n and 2n, once (n, q0) is checked and
+    the probe at n fits in SUPPORT_BYTES_LIMIT."""
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     if not 0.0 < q0 < 1.0:
         raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
+    check_bytes_limit(n, _probe_bytes, "support arrays and 2^(2n) state vectors for the probe")
     return np.concatenate(([0], WeightBasis(2 * n, n).indices, [(1 << (2 * n)) - 1]))
 
 
@@ -164,10 +205,10 @@ def measure(
     Each listed qubit is rotated so that row o of its basis becomes |o>; one
     uniform draw then picks a basis state from |amplitude|^2, whose bits on
     the listed qubits follow their joint marginal law and are the outcome.
-    The vector is projected onto that outcome and renormalized but not
-    rotated back: each measured qubit is left in |o> of its rotated frame,
-    and the other qubits hold the projected conditional state. Returns the
-    outcome bits in the order of ``qubits`` and those amplitudes.
+    Returns the outcome bits in the order of ``qubits`` and the normalized
+    conditional state of the unmeasured qubits alone: 2^(m-k) amplitudes,
+    the unmeasured qubits in ascending order, so a later measurement
+    addresses a qubit by its position among them.
     """
     m = amps.shape[0].bit_length() - 1
     if bases is not None:
@@ -182,10 +223,9 @@ def measure(
     for q in qubits:
         block[q] = (drawn >> (m - 1 - q)) & 1
     block = tuple(block)
-    psi = amps.reshape((2,) * m)
-    post = np.zeros(psi.shape, dtype=np.complex128)
-    post[block] = psi[block] * (1.0 / math.sqrt(weights.reshape(psi.shape)[block].sum()))
-    return tuple(block[q] for q in qubits), post.reshape(-1)
+    shape = (2,) * m
+    rest = amps.reshape(shape)[block] * (1.0 / math.sqrt(weights.reshape(shape)[block].sum()))
+    return tuple(block[q] for q in qubits), rest.reshape(-1)
 
 
 def _apply_local(u: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:

@@ -137,19 +137,21 @@ _GHZ_ROWS = {(r, x): _ghz_rows(r, x) for r in (0, 1) for x in (False, True)}
 def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
     """GHZ-like subprotocol on the listed qubits; returns (accept, record).
 
+    ``amps`` holds the parties' qubits alone, in the order of ``parties``.
     With probability p all parties are Z-measured and equal outcomes
     accept. Otherwise one trusted party k is chosen, the others measure
     with random phase settings r_i, and k measures in the basis derived
     from the parity data; outcome 0 accepts. x_conj conjugates every
     measurement by Pauli X.
     """
+    count = len(parties)
     if p > 0.0 and rng.random() < p:
-        outcomes, _ = measure(amps, parties, rng)
+        outcomes, _ = measure(amps, range(count), rng)
         accept = len(set(outcomes)) == 1
         sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": list(outcomes), "x_conj": x_conj}
         return accept, sub
-    k_pos = int(rng.integers(len(parties)))
-    others = parties[:k_pos] + parties[k_pos + 1:]
+    k_pos = int(rng.integers(count))
+    others = [j for j in range(count) if j != k_pos]
     settings = int(rng.integers(1 << len(others)))
     r_others = [(settings >> j) & 1 for j in range(len(others))]
     o_others, amps = measure(amps, others, rng, [_GHZ_ROWS[r, x_conj] for r in r_others])
@@ -162,7 +164,8 @@ def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
         accept_ket = accept_ket[::-1]
     accept_ket /= np.linalg.norm(accept_ket)
     reject_ket = np.array([-np.conj(accept_ket[1]), np.conj(accept_ket[0])])
-    (o_k,), _ = measure(amps, [parties[k_pos]], rng, [np.array([accept_ket, reject_ket])])
+    # the trusted party is the one qubit left
+    (o_k,), _ = measure(amps, [0], rng, [np.array([accept_ket, reject_ket])])
     sub = {
         "type": "ghz",
         "a": 1,
@@ -177,8 +180,10 @@ def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
 def _run_dicke_protocol(amps, parties, k, rng):
     """Dicke subprotocol with excitation number k; returns (accept, record).
 
-    A random pair is set aside, the rest are Z-measured, and the pair is
-    measured in Z or X depending on how many excitations are missing.
+    ``amps`` holds the parties' qubits alone, in the order of ``parties``
+    (ascending). A random pair is set aside, the rest are Z-measured, and
+    the pair is measured in Z or X depending on how many excitations are
+    missing.
     """
     count = len(parties)
     i = int(rng.integers(count))
@@ -186,20 +191,20 @@ def _run_dicke_protocol(amps, parties, k, rng):
     if j >= i:
         j += 1
     pair = sorted((parties[i], parties[j]))
-    rest = [q for q in parties if q not in pair]
-    o_rest, amps = measure(amps, rest, rng)
+    o_rest, amps = measure(amps, [q for q in range(count) if q not in (i, j)], rng)
     s_rest = sum(o_rest)
     pair_basis = None
     pair_outcomes = None
     accept = False
+    # the pair is the two qubits left, in ascending order
     if s_rest in (k, k - 2):
         pair_basis = "Z"
-        pair_outcomes, _ = measure(amps, pair, rng)
+        pair_outcomes, _ = measure(amps, (0, 1), rng)
         want = 0 if s_rest == k else 1
         accept = pair_outcomes == (want, want)
     elif s_rest == k - 1:
         pair_basis = "X"
-        pair_outcomes, _ = measure(amps, pair, rng, [_X_ROWS, _X_ROWS])
+        pair_outcomes, _ = measure(amps, (0, 1), rng, [_X_ROWS, _X_ROWS])
         accept = pair_outcomes[0] == pair_outcomes[1]
     sub = {
         "type": "dicke",

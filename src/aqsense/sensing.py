@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PureState, probe_on
+from .qcore import SUPPORT_BYTES_LIMIT, PureState, check_bytes_limit, probe_on
 from .symcomb import WeightBasis, binom
 
 __all__ = [
@@ -192,13 +192,12 @@ def analytic_probs(n: int, q0: float, theta_plus: float, theta_minus: float) -> 
     return OutcomeDistribution(float(p1), float(p2), float(p3), float(max(p4, 0.0)))
 
 
-# Largest size, in bytes, of the support arrays one placement_probabilities
-# call may allocate: per entry of its largest ket (the Dicke ket, C(2n, n)
-# entries) about _ENTRY_BYTES for the index, the ket amplitude, the probe
-# amplitude and their product, plus the 64 unpacked bits of the index (one
-# byte each) and two (entries, 2n) float64 bit matrices. With 1 GiB the
-# audit runs to n = 11.
-SUPPORT_BYTES_LIMIT = 1 << 30
+# Bytes per entry of the largest ket (the Dicke ket, C(2n, n) entries) that
+# one placement_probabilities call allocates: about _ENTRY_BYTES for the
+# index, the ket amplitude, the probe amplitude and their product, plus the
+# 64 unpacked bits of the index (one byte each) and two (entries, 2n)
+# float64 bit matrices. Under SUPPORT_BYTES_LIMIT (1 GiB) the audit runs to
+# n = 11.
 _ENTRY_BYTES = 96
 
 
@@ -210,16 +209,7 @@ def check_support_budget(n: int) -> None:
     """Raise ValueError, naming the largest n accepted, when the support
     arrays of placement_probabilities at this n would exceed
     SUPPORT_BYTES_LIMIT."""
-    if _support_bytes(n) <= SUPPORT_BYTES_LIMIT:
-        return
-    largest = 3
-    while _support_bytes(largest + 1) <= SUPPORT_BYTES_LIMIT:
-        largest += 1
-    raise ValueError(
-        f"n={n} needs {_support_bytes(n) / 2 ** 30:.3g} GiB of support arrays for "
-        f"the placement law (--audit), above the {SUPPORT_BYTES_LIMIT / 2 ** 30:g} GiB limit; "
-        f"the largest n accepted is {largest}"
-    )
+    check_bytes_limit(n, _support_bytes, "support arrays for the placement law (--audit)")
 
 
 def sample_run(scenario: SensingScenario, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,6 +3,8 @@ seeded reproducibility, and the key=value config file."""
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import json
 import os
 import re
@@ -558,6 +560,49 @@ class TestSenseSupportBudget:
         assert sum(payload["counts"]) == 1000 and payload["audit"]["passed"]
 
 
+class TestProbeBudgetCli:
+    @pytest.mark.parametrize("n", [13, 16, 30])
+    @pytest.mark.parametrize("command", ["qsv verify", "robust"])
+    @pytest.mark.parametrize("noise", ["none", "coherent_mix:0.5"])
+    def test_large_n_exits_before_allocating(self, n, command, noise, capsys):
+        argv = [*command.split(), "--n", str(n), "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01",
+                "--seed", "1", "--noise", noise]
+        if command == "robust":
+            argv += ["--rounds", "5"]
+        np.random.default_rng()  # numpy.random loads on first use, about 1 MB once per process
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(argv, capsys)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "the largest n accepted is 12" in err
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_readme_states_the_probe_limit(self):
+        (largest,) = re.findall(r"`qsv verify` and `robust` run to n = (\d+)", README.read_text())
+        assert largest == "12"
+
+
+def test_corpus_script_agrees_in_process():
+    # the checked-in corpus script: a fresh process and cli.main report alike
+    path = README.parent / "scripts" / "cli_corpus.py"
+    spec = importlib.util.spec_from_file_location("cli_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    cases = [next(case for case in corpus.CASES if "--transcript" in case["argv"]),
+             next(case for case in corpus.CASES if case["files"])]
+    fresh = corpus.run_cases(cases)
+    assert fresh == corpus.run_cases(cases, in_process=True)
+    assert [record["exit"] for record in fresh] == [EXIT_REJECTED, EXIT_OK]
+    assert set(fresh[0]["files"]) == {"session.jsonl"}
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(aqsense.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -649,3 +694,75 @@ class TestConfigFile:
         code, payload, err = run_json(argv, capsys)
         assert code == EXIT_OK and err == ""
         assert payload["residuals"] is None
+
+    @pytest.mark.parametrize("word, on", [("yes", True), ("ON", True), ("0", False), ("Off", False)])
+    def test_every_switch_word_is_read(self, word, on, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"check-numeric = {word}\n")
+        argv = ["qsv", "spectrum", "--n", "3", "--q0", "0.33", "--config", str(cfg)]
+        code, payload, err = run_json(argv, capsys)
+        assert code == EXIT_OK and err == ""
+        assert (payload["residuals"] is not None) == on
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n = abc", "config line 2: n: invalid int value 'abc'"),
+            ("q0 = 0.3x", "config line 2: q0: invalid float value '0.3x'"),
+            ("check_numeric = maybe", "config line 2: check_numeric: invalid switch value 'maybe'"),
+            ("check-numeric = ture", "config line 2: check-numeric: invalid switch value 'ture'"),
+        ],
+        ids=["int", "float", "switch", "switch typo"],
+    )
+    def test_bad_value_names_line_and_key(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# values\n{line}\n")
+        argv = ["qsv", "spectrum", "--n", "3", "--q0", "0.33", "--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+SPECTRUM = ["qsv", "spectrum", "--n", "3", "--q0", "0.33"]
+COMPLEXITY = ["qsv", "complexity", "--n", "3", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01"]
+VERIFY = ["qsv", "verify", "--n", "3", "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--seed", "7"]
+ROBUST = ["robust", "--n", "3", "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--rounds", "5",
+          "--seed", "3"]
+
+
+class TestCachedParser:
+    def test_later_calls_add_no_arguments(self, tmp_path, monkeypatch, capsys):
+        run_cli(COMPLEXITY, capsys)  # builds the parser, if no earlier call did
+        added = []
+        real = argparse.ArgumentParser.add_argument
+
+        def counting(parser, *args, **kwargs):
+            added.append(args)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        leaves = [SENSE_BASE, SPECTRUM, VERIFY, COMPLEXITY, ROBUST,
+                  ["opt", "--n-min", "3", "--n-max", "4", "--out", str(tmp_path / "s.csv")]]
+        assert [run_cli(argv, capsys)[0] for argv in leaves] == [EXIT_OK] * 6
+        assert added == []
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (SPECTRUM + ["--check-numeric"], SPECTRUM),
+            (COMPLEXITY + ["--config", "{cfg}"], COMPLEXITY),
+            (["qsv", "complexity", "--n", "abc"], COMPLEXITY),
+            (["qsv", "spectrum", "--help"], SPECTRUM),
+        ],
+        ids=["check-numeric then without", "config then without", "usage error then valid", "help then command"],
+    )
+    def test_interleaved_calls_leak_no_state(self, first, second, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 0.3\ncheck-numeric = true\n")
+        alone = run_cli(second, capsys)
+        run_cli([arg.format(cfg=cfg) for arg in first], capsys)
+        assert run_cli(second, capsys) == alone
+        code, out, err = alone
+        payload = json.loads(out)
+        assert code == EXIT_OK and err == ""
+        assert payload.get("residuals") is None and payload["p"] == 0.0

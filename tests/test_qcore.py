@@ -24,15 +24,18 @@ from oracles import (
 from test_symcomb import sector_projector
 
 from aqsense.qcore import (
+    SUPPORT_BYTES_LIMIT,
     KrausChannel,
     PureState,
     RngStream,
+    _probe_bytes,
     eig_top2,
     evolve_phases,
     make_target,
     measure,
     standard_channel,
 )
+from aqsense.qsv import verify_copy
 from aqsense.symcomb import WeightBasis, binom, johnson_adjacency
 
 
@@ -299,11 +302,39 @@ class TestChannels:
         assert np.all(np.abs(mean - exact) <= 4 * sigma + 1e-10)
 
 
+class TestProbeBudget:
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("kind", ["dephase", "coherent_mix"])
+    def test_formula_bounds_the_traced_peak(self, n, kind):
+        # the limit is only as good as the byte count behind it: build the
+        # probe and verify noisy copies of it, as a session does
+        RngStream(1).gen.random()  # numpy.random loads on first use
+        tracemalloc.start()
+        try:
+            target = make_target(n, 0.33)
+            channel = standard_channel(kind, 0.5, n, q0=0.33)
+            gen = RngStream(2).gen
+            for i in range(20):
+                verify_copy(channel.apply_to_pure(target, gen), n, 0.33, 0.0, RngStream(3, (i,)).gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _probe_bytes(n) < SUPPORT_BYTES_LIMIT
+
+    def test_largest_n_accepted(self):
+        assert _probe_bytes(12) <= SUPPORT_BYTES_LIMIT < _probe_bytes(13)
+        for build in (lambda n: make_target(n, 0.33), lambda n: standard_channel("coherent_mix", 0.5, n, q0=0.33)):
+            for n in (13, 16, 200):
+                with pytest.raises(ValueError, match="the largest n accepted is 12"):
+                    build(n)
+
+
 class TestMeasurement:
     def test_zero_state_z_measure(self):
         outcomes, post = measure(np.array([1.0, 0.0], dtype=complex), [0], RngStream(5).gen)
         assert outcomes == (0,)
-        np.testing.assert_allclose(post, [1.0, 0.0], atol=1e-14)
+        # no qubit is left unmeasured: the conditional state is one amplitude
+        np.testing.assert_allclose(post, [1.0], atol=1e-14)
 
     def test_dicke_weight_distribution_first_three(self):
         # weight distribution of the first three qubits of |D_6^3> is
@@ -327,8 +358,9 @@ class TestMeasurement:
 
     def test_ghz_collapse(self):
         outcomes, post = measure(make_ghz(2).amps, [0], RngStream(2).gen)
-        expected = np.zeros(4, dtype=complex)
-        expected[0 if outcomes == (0,) else 3] = 1.0
+        # the unmeasured qubit 1 is left in |o>
+        expected = np.zeros(2, dtype=complex)
+        expected[outcomes[0]] = 1.0
         np.testing.assert_allclose(post, expected, atol=1e-14)
 
     def test_x_basis(self):
@@ -336,33 +368,33 @@ class TestMeasurement:
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         outcomes, post = measure(plus, [0], RngStream(2).gen, [x_basis])
         assert outcomes == (0,)
-        # the measured qubit is left in |0> of the rotated frame
-        np.testing.assert_allclose(post, [1.0, 0.0], atol=1e-14)
+        # the measured qubit is removed, so one amplitude is left
+        np.testing.assert_allclose(post, [1.0], atol=1e-14)
 
     def test_joint_collapse_matches_brute_force(self):
-        # outcomes come back in the listed (unsorted) order, and the
-        # unmeasured qubits keep the brute-force conditional state
+        # outcomes come back in the listed (unsorted) order, and what is
+        # returned is the brute-force conditional state of the unmeasured
+        # qubits alone, in ascending order
         gen = RngStream(4).gen
         amps = gen.normal(size=16) + 1j * gen.normal(size=16)
         amps /= np.linalg.norm(amps)
         for _ in range(20):
             outcomes, post = measure(amps, (2, 0), gen)
             sub, _ = collapse_subset(amps, 4, (2, 0), outcomes)
-            kept, norm = collapse_subset(post, 4, (2, 0), outcomes)
-            assert norm == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(kept, sub, atol=1e-12)
+            assert post.shape == (4,)
+            assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(post, sub, atol=1e-12)
 
     def test_basis_outcome_leaves_its_ket(self):
-        # a Y-basis outcome o projects the other qubits onto <row o| psi and
-        # leaves the measured qubit in |o> of the rotated frame
+        # a Y-basis outcome o leaves the other qubits in <row o| psi,
+        # normalized, with the measured qubit removed
         y_basis = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
         psi = make_ghz(3).amps.reshape(2, 2, 2)
         outcomes, post = measure(psi.reshape(-1), [1], RngStream(6).gen, [y_basis])
         ket = y_basis[outcomes[0]]
         rest = np.einsum("abc,b->ac", psi, ket.conj())
         rest /= np.linalg.norm(rest)
-        frame_ket = np.eye(2)[outcomes[0]]
-        np.testing.assert_allclose(post, np.einsum("ac,b->abc", rest, frame_ket).reshape(-1), atol=1e-12)
+        np.testing.assert_allclose(post, rest.reshape(-1), atol=1e-12)
 
 
 class TestEigTop2:
