@@ -36,7 +36,7 @@ SPECTRUM = ["qsv", "spectrum", "--n", "3", "--q0", "0.33"]
 VERIFY = ["qsv", "verify", "--n", "3", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "11"]
 ROBUST = ["robust", "--n", "3", "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--rounds", "20",
           "--seed", "3"]
-NOISES = ("none", "dephase:0.05", "coherent_mix:0.67")
+NOISES = ("none", "dephase:0.05", "depolarize:0.05", "coherent_mix:0.67")
 
 
 def _case(*argv: str, files: dict[str, str] | None = None) -> dict:
@@ -93,6 +93,7 @@ CASES = [
     _case(*VERIFY, "--noise", "dephase"),
     _case(*VERIFY, "--noise", "bogus:0.1"),
     _case("opt", "--n-min", "3", "--n-max", "5", "--examples", "A,A", "--out", "sweep.csv"),
+    _case("opt", "--n-min", "3", "--n-max", "5", "--examples", "AB", "--out", "sweep.csv"),
     _case("opt", "--n-min", "3", "--n-max", "600", "--out", "sweep.csv"),
     _case(*ROBUST, "--rounds", "-1"),
     _case("qsv", "verify", "--n", "16", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "1"),

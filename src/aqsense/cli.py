@@ -69,7 +69,7 @@ EXIT_MISMATCH = 2
 EXIT_REJECTED = 3
 EXIT_RESTART_CAP = 4
 
-_LABELS = "ABCDEFGHIJKL"
+_LABELS = tuple("ABCDEFGHIJKL")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +102,7 @@ def _parse_examples(arg: str):
     """Resolve a label range A..L or comma list A,C,K to angle examples."""
     if ".." in arg:
         start, _, end = arg.partition("..")
-        if len(start) != 1 or len(end) != 1 or start not in _LABELS or end not in _LABELS:
+        if start not in _LABELS or end not in _LABELS:
             raise ValueError(f"bad example range {arg!r}")
         if _LABELS.index(start) > _LABELS.index(end):
             raise ValueError(f"empty example range {arg!r}")

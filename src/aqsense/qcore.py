@@ -2,12 +2,13 @@
 
 Pure states over m qubits with a big-endian index convention (qubit 0 is
 the most significant bit), GHZ/Dicke amplitudes on any basis indices, local
-phase evolution generated by single-qubit Z terms, noise channels that are
-mixtures of unitaries and sample trajectories from a state-independent
-branch law, one joint measurement of any set of qubits in per-qubit bases
-that keeps only the unmeasured qubits' conditional state, seeded random
-streams, and the two largest eigenvalues of a Hermitian matrix
-by dense diagonalization. The probe psi and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>,
+phase evolution generated by single-qubit Z terms, noise channels held
+as a table of weighted unitary branches (a 2x2 unitary on every qubit, or
+one reflection of the whole state) that sample trajectories from that
+state-independent branch law, one joint measurement of any set of qubits
+in per-qubit bases that keeps only the unmeasured qubits' conditional
+state, seeded random streams, and the two largest eigenvalues of a
+Hermitian matrix by dense diagonalization. The probe psi and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>,
 which ``coherent_mix`` swaps, live on the C(2n,n) + 2 basis states of weight
 0, n and 2n, so the swap is the reflection I - 2 u u^dag, u = (psi - phi)/sqrt(2),
 on those states alone: no 2^(2n) x 2^(2n) operator is built.
@@ -235,56 +236,36 @@ def _apply_local(u: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Mixture of unitaries, K_j = sqrt(w_j) U_j, applied per qubit or as one
-    reflection.
+    """Mixture of unitaries, held as its branch table.
 
-    ``ops`` is either 2x2 Kraus operators applied independently to every
-    qubit, rejected unless a mixture of unitaries (K_j^dag K_j = w_j I, as
-    trajectories draw each branch from the fixed weights w_j), or a
-    reflection (support, u): distinct basis indices and a unit vector on
-    them, the identity with weight 1 - strength and I - 2 u u^dag with weight
-    ``strength``. The swap of orthonormal real psi and phi (the identity on
-    the rest), I - psi psi^dag - phi phi^dag + phi psi^dag + psi phi^dag, is
+    ``branches`` lists each branch off the identity as (w, U): w is its
+    weight and U either a 2x2 unitary applied independently to every qubit,
+    or a reflection (support, u) of the whole state, I - 2 u u^dag with u a
+    unit vector on the distinct basis indices ``support``; a reflection is
+    the channel's only branch. The identity takes the remaining weight
+    1 - sum w. The swap of orthonormal real psi and phi (the identity on the
+    rest), I - psi psi^dag - phi phi^dag + phi psi^dag + psi phi^dag, is
     that reflection with u = (psi - phi)/sqrt(2), supported where they are.
     """
 
     label: str
     strength: float
     num_qubits: int
-    ops: tuple[np.ndarray, ...]
+    branches: tuple[tuple[float, np.ndarray | tuple[np.ndarray, np.ndarray]], ...] = ()
 
     def __post_init__(self) -> None:
-        reflection = None
-        if np.ndim(self.ops[0]) == 1:
-            reflection = support, u = self.ops
-            unit = np.shape(u) == np.shape(support) and abs(np.linalg.norm(u) - 1.0) <= 1e-12
-            if not unit or not 0.0 <= self.strength <= 1.0:
+        weights = [w for w, _ in self.branches]
+        if min(weights, default=0.0) < 0.0 or sum(weights) > 1.0 + 1e-12:
+            raise ValueError(f"each branch needs a weight in [0, 1], with a sum of at most 1 "
+                             f"within 1e-12; got {weights}")
+        if any(isinstance(unitary, tuple) for _, unitary in self.branches):
+            (_, (support, u)), *rest = self.branches
+            if rest or np.shape(u) != np.shape(support) or abs(np.linalg.norm(u) - 1.0) > 1e-12:
                 raise ValueError("a reflection needs a unit vector u on its support, within 1e-12, "
-                                 "and a weight in [0, 1]")
-            weights, unitaries, moves = [1.0 - self.strength, self.strength], (), [False, self.strength > 0.0]
-        else:
-            ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.ops)
-            object.__setattr__(self, "ops", ops)
-            # branch j happens with probability w_j; None marks an identity branch
-            weights, unitaries = [], []
-            for k in ops:
-                if k.shape != (2, 2):
-                    raise ValueError(f"Kraus operator has shape {k.shape}, expected (2, 2)")
-                gram = k.conj().T @ k
-                weights.append(np.trace(gram).real / 2)
-                gram[np.diag_indices(2)] -= weights[-1]
-                if np.max(np.abs(gram)) > 1e-12:
-                    raise ValueError("Kraus operator is not sqrt(w) times a unitary within 1e-12")
-                u = k / np.sqrt(weights[-1]) if weights[-1] > 0 else None
-                unitaries.append(None if u is None or np.max(np.abs(u - np.eye(2))) <= 1e-12 else u)
-            if abs(sum(weights) - 1.0) > 1e-12:
-                raise ValueError("Kraus operators do not satisfy sum K^dag K = I within 1e-12")
-            moves = [u is not None for u in unitaries]
-        cum = np.cumsum(weights)
-        object.__setattr__(self, "_cum", cum / cum[-1])
-        object.__setattr__(self, "_unitaries", tuple(unitaries))
-        object.__setattr__(self, "_moves", np.array(moves))
-        object.__setattr__(self, "_reflection", reflection)
+                                 "and no other branch")
+        # branch j happens with probability w_j, the identity (j = 0) with the rest
+        cum = np.cumsum([1.0 - sum(weights), *weights])
+        object.__setattr__(self, "_cum", cum / cum[-1] if max(weights, default=0.0) > 0.0 else None)
 
     def apply_to_pure(self, state: PureState, rng: np.random.Generator) -> PureState:
         """Sample one trajectory.
@@ -292,67 +273,61 @@ class KrausChannel:
         Branch j happens with probability w_j whatever the state, so one
         uniform draw per application site (each qubit, or the whole state for
         a reflection) picks every branch at once and only the non-identity
-        unitaries act. A channel whose branches are all the identity draws
+        unitaries act. A channel with no weight off the identity draws
         nothing and returns ``state`` itself.
         """
-        if not self._moves.any():
-            return state
         m = state.num_qubits
-        if self._reflection is not None:
+        if m != self.num_qubits:
+            raise ValueError(f"channel acts on {self.num_qubits} qubits, the state has {m}")
+        if self._cum is None:
+            return state
+        unitary = self.branches[0][1]
+        if isinstance(unitary, tuple):
             if rng.random() < self._cum[0]:
                 return state
-            support, u = self._reflection
+            support, u = unitary
             amps = state.amps.copy()
             amps[support] -= 2.0 * np.vdot(u, amps[support]) * u
             return PureState(m, amps)
-        branches = np.searchsorted(self._cum, rng.random(m), side="right")
+        drawn = np.searchsorted(self._cum, rng.random(m), side="right")
         amps = state.amps
-        for site in self._moves[branches].nonzero()[0]:
-            u = self._unitaries[branches[site]]
-            amps = _apply_local(u, amps, site)
+        for site in drawn.nonzero()[0]:
+            amps = _apply_local(self.branches[drawn[site] - 1][1], amps, site)
         return state if amps is state.amps else PureState(m, amps)
 
 
 def standard_channel(kind: str, strength: float, n: int, q0: float | None = None) -> KrausChannel:
-    """Build one of the named preparation-noise channels on 2n qubits.
+    """Build one of the named preparation-noise channels on 2n qubits from
+    its branch table.
 
-    kind "dephase": per-qubit {sqrt(1-g/2) I, sqrt(g/2) Z}.
-    kind "depolarize": per-qubit {sqrt(1-3s/4) I, sqrt(s/4) X, Y, Z}.
-    kind "coherent_mix": with probability s, the swap of the ideal state psi
-    and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>, the reflection with
+    kind "dephase": on every qubit, Z with weight g/2.
+    kind "depolarize": on every qubit, X, Y and Z with weight s/4 each.
+    kind "coherent_mix": with weight s, the swap of the ideal state psi and
+    phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>, the reflection with
     u = (psi - phi)/sqrt(2); the fidelity is exactly 1-s. Requires q0.
-    kind "none": identity channel; its strength must be 0.
+    kind "none": no branch; its strength must be 0.
     """
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"channel strength must lie in [0, 1], got {strength}")
     m = 2 * n
-    eye2 = np.eye(2, dtype=np.complex128)
+    z = np.diag([1.0, -1.0]).astype(np.complex128)
     if kind == "none":
         if strength != 0.0:
             raise ValueError(f"channel kind 'none' takes strength 0, got {strength}")
-        return KrausChannel("none", 0.0, m, (eye2,))
+        return KrausChannel("none", 0.0, m)
     if kind == "dephase":
-        z = np.diag([1.0, -1.0]).astype(np.complex128)
-        ops = (np.sqrt(1 - strength / 2) * eye2, np.sqrt(strength / 2) * z)
-        return KrausChannel(kind, strength, m, ops)
+        return KrausChannel(kind, strength, m, ((strength / 2, z),))
     if kind == "depolarize":
         x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
         y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-        z = np.diag([1.0, -1.0]).astype(np.complex128)
-        ops = (
-            np.sqrt(1 - 3 * strength / 4) * eye2,
-            np.sqrt(strength / 4) * x,
-            np.sqrt(strength / 4) * y,
-            np.sqrt(strength / 4) * z,
-        )
-        return KrausChannel(kind, strength, m, ops)
+        return KrausChannel(kind, strength, m, tuple((strength / 4, p) for p in (x, y, z)))
     if kind == "coherent_mix":
         if q0 is None:
             raise ValueError("coherent_mix needs q0 to locate the ideal state")
         support = _probe_support(n, q0)
         psi = probe_on(n, np.sqrt(q0), np.sqrt(1.0 - q0), support)
         phi = probe_on(n, -np.sqrt(1.0 - q0), np.sqrt(q0), support)
-        return KrausChannel(kind, strength, m, (support, (psi - phi) / np.sqrt(2)))
+        return KrausChannel(kind, strength, m, ((strength, (support, (psi - phi) / np.sqrt(2))),))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

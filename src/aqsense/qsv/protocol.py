@@ -60,15 +60,8 @@ class VerificationPlan:
     M: int = field(init=False)
 
     def __post_init__(self) -> None:
+        # lambda_map adds the q_min bound to sample_complexity's checks
         lambda_map(self.n, self.q0)
-        if self.q0 >= 1.0:
-            raise ValueError(f"q0 must be below 1, got {self.q0}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"p must lie in [0, 1), got {self.p}")
         object.__setattr__(self, "M", sample_complexity(self.n, self.q0, self.epsilon, self.delta, self.p))
 
 

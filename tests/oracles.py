@@ -4,8 +4,9 @@ These rebuild the acceptance operators by enumerating every verifier
 choice (measurement settings and outcomes) from first principles, with no
 closed-form shortcuts, so agreement with the library is a real check: the
 GHZ-like and Dicke sub-strategies, and from them the subset-averaged
-strategy Omega. The exact Kraus-sum action of a noise channel checks its
-sampled trajectories, a dense scan of the q0 objective and a nested-grid
+strategy Omega. The exact Kraus-sum action of a noise channel, from
+Kraus operators built by the definition of its kind, checks its sampled
+trajectories, a dense scan of the q0 objective and a nested-grid
 search of it, one angle pair at a time, check the optimizer's closed-form
 minimum. The all-X witness bound on the target state, which only the
 tests use, lives here too. Dense routes check the
@@ -40,6 +41,7 @@ PLUS = np.array([1.0, 1.0]) / SQ2
 S_GATE = np.diag([1.0, 1.0j])
 Z_GATE = np.diag([1.0, -1.0]).astype(complex)
 X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+Y_GATE = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 GRID_POINTS = 2048
 REFINE_POINTS = 65
 BRACKET_WIDTH = 1e-10
@@ -218,14 +220,23 @@ def coherent_mix_unitary(n, q0):
 
 
 def kraus_ops(channel, q0=None):
-    """The channel's Kraus operators as matrices. coherent_mix's are
-    {sqrt(1-s) I, sqrt(s) U} on all 2^m basis states, with U built by
-    coherent_mix_unitary from its definition, not from the channel's data;
-    the per-qubit kinds' are the 2x2 operators the channel holds."""
-    if channel.label != "coherent_mix":
-        return channel.ops
-    s, m = channel.strength, channel.num_qubits
-    return (np.sqrt(1 - s) * np.eye(2 ** m, dtype=complex), np.sqrt(s) * coherent_mix_unitary(m // 2, q0))
+    """The channel's Kraus operators as matrices, built from its kind's
+    definition and strength, not from the channel's branch table: none
+    {I}, dephase {sqrt(1-g/2) I, sqrt(g/2) Z} and depolarize
+    {sqrt(1-3s/4) I, sqrt(s/4) X, Y, Z} on one qubit, and coherent_mix
+    {sqrt(1-s) I, sqrt(s) U} on all 2^m basis states, with U from
+    coherent_mix_unitary (q0 locates its target)."""
+    s, eye = channel.strength, np.eye(2, dtype=complex)
+    if channel.label == "none":
+        return (eye,)
+    if channel.label == "dephase":
+        return (np.sqrt(1 - s / 2) * eye, np.sqrt(s / 2) * Z_GATE)
+    if channel.label == "depolarize":
+        return (np.sqrt(1 - 3 * s / 4) * eye, *(np.sqrt(s / 4) * p for p in (X_GATE, Y_GATE, Z_GATE)))
+    if channel.label == "coherent_mix":
+        m = channel.num_qubits
+        return (np.sqrt(1 - s) * np.eye(2 ** m, dtype=complex), np.sqrt(s) * coherent_mix_unitary(m // 2, q0))
+    raise ValueError(f"no Kraus definition for channel kind {channel.label!r}")
 
 
 def kraus_density(channel, mat, q0=None):

@@ -400,11 +400,14 @@ class TestOpt:
         assert err == ""
 
     def test_bad_labels_are_usage(self, tmp_path, capsys):
-        path = str(tmp_path / "sweep.csv")
-        for bad in ("A,Z", "C..A", "AB..C"):
-            argv = ["opt", "--n-min", "3", "--n-max", "3", "--examples", bad, "--out", path]
-            code, _, _ = run_cli(argv, capsys)
+        path = tmp_path / "sweep.csv"
+        # "AB", "" and "A,,B" are substrings of the label string, not labels
+        for bad in ("A,Z", "C..A", "AB..C", "AB", "", "A,,B"):
+            argv = ["opt", "--n-min", "3", "--n-max", "3", "--examples", bad, "--out", str(path)]
+            code, out, err = run_cli(argv, capsys)
             assert code == EXIT_USAGE
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert not path.exists()
 
     def test_repeated_label_is_usage(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"

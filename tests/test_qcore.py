@@ -192,6 +192,8 @@ class TestChannels:
         assert fidelity(out, st) == pytest.approx(1.0, abs=1e-13)
 
     def test_completeness_all_kinds(self):
+        # the oracle's Kraus operators are complete, and a per-qubit kind's
+        # branch table is them: sqrt(1 - sum w) I, then sqrt(w_j) U_j
         for ch in [
             standard_channel("dephase", 0.3, 3),
             standard_channel("depolarize", 0.2, 3),
@@ -201,6 +203,10 @@ class TestChannels:
             dim = ops[0].shape[0]
             total = sum(k.conj().T @ k for k in ops)
             np.testing.assert_allclose(total, np.eye(dim), atol=1e-12)
+            if ch.label != "coherent_mix":
+                rest = 1.0 - sum(w for w, _ in ch.branches)
+                table = [np.sqrt(rest) * np.eye(2), *(np.sqrt(w) * u for w, u in ch.branches)]
+                np.testing.assert_allclose(table, ops, rtol=0.0, atol=1e-15)
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
@@ -258,30 +264,43 @@ class TestChannels:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 32 << 20
-        assert all(np.ndim(op) == 1 for op in ch.ops)
+        ((_, (support, u)),) = ch.branches
+        assert support.shape == u.shape == (binom(2 * n, n) + 2,)
         # each trajectory is the target or phi, the swap's image of it
         assert all(abs(fidelity(out, st) - 0.5) > 0.49 for out in outs)
 
     def test_malformed_reflection_rejected(self):
         support = np.array([0, 5, 63])
         u = np.ones(3) / np.sqrt(3)
-        KrausChannel("reflect", 0.5, 6, (support, u))
-        for bad in [(support, 2 * u), (support, u[:2])]:
+        KrausChannel("reflect", 0.5, 6, ((0.5, (support, u)),))
+        z = np.diag([1.0, -1.0])
+        for bad in [((0.5, (support, 2 * u)),), ((0.5, (support, u[:2])),), ((0.5, (support, u)), (0.1, z))]:
             with pytest.raises(ValueError, match="unit vector"):
                 KrausChannel("reflect", 0.5, 6, bad)
-        with pytest.raises(ValueError, match="weight in"):
-            KrausChannel("reflect", 1.5, 6, (support, u))
+        for bad in [((1.5, (support, u)),), ((-0.1, z),), ((0.6, z), (0.6, z))]:
+            with pytest.raises(ValueError, match="weight in"):
+                KrausChannel("reflect", 0.5, 6, bad)
 
-    def test_non_unitary_mixture_rejected(self):
-        # amplitude damping is trace preserving but not a mixture of unitaries
-        g = 0.3
-        ops = (np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="unitary"):
-            KrausChannel("amplitude_damping", g, 6, ops)
+    @pytest.mark.parametrize(
+        "channel_n, state_n, kind",
+        [(3, 4, "coherent_mix"), (3, 4, "dephase"), (4, 3, "coherent_mix")],
+    )
+    def test_qubit_count_mismatch_rejected(self, channel_n, state_n, kind):
+        # a channel built for one register size applied to another: no wrong
+        # state, no draws on the wrong qubits, no bare IndexError
+        ch = standard_channel(kind, 1.0, channel_n, q0=0.33)
+        with pytest.raises(ValueError, match=f"{2 * channel_n} qubits, the state has {2 * state_n}"):
+            ch.apply_to_pure(make_target(state_n, 0.33), RngStream(1).gen)
 
-    def test_incomplete_mixture_rejected(self):
-        with pytest.raises(ValueError, match="sum K"):
-            KrausChannel("lossy", 0.5, 6, (0.5 * np.eye(2),))
+    @pytest.mark.parametrize("kind", ["none", "dephase", "depolarize", "coherent_mix"])
+    def test_weightless_channel_draws_nothing(self, kind):
+        # the seeded stream layout rests on this: no weight off the identity,
+        # no uniform drawn, and the input state returned as it is
+        st = make_target(3, 0.33)
+        gen = RngStream(9).gen
+        before = gen.bit_generator.state
+        assert standard_channel(kind, 0.0, 3, q0=0.33).apply_to_pure(st, gen) is st
+        assert gen.bit_generator.state == before
 
     @pytest.mark.parametrize(
         "kind, strength", [("dephase", 0.3), ("depolarize", 0.2), ("coherent_mix", 0.4)]

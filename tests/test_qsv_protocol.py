@@ -312,6 +312,11 @@ class TestRobustProtocol:
         plan_wrong_q0 = VerificationPlan(3, 0.4, epsilon=1.0, delta=0.5)
         with pytest.raises(ValueError):
             run_robust_protocol(scenario, plan_wrong_q0, noise, 1, RngStream(45))
+        plan = VerificationPlan(3, 0.33, epsilon=1.0, delta=0.5)
+        for kind in ("dephase", "coherent_mix"):
+            noise_wrong_n = standard_channel(kind, 1.0, 4, 0.33)
+            with pytest.raises(ValueError, match="channel acts on 8 qubits, the state has 6"):
+                run_robust_protocol(scenario, plan, noise_wrong_n, 1, RngStream(45))
 
     def test_negative_rounds_rejected(self):
         scenario = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 4)
