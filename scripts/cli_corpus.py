@@ -62,6 +62,10 @@ CASES = [
     # verification and the robust loop under each channel kind
     *[_case(*VERIFY, "--noise", noise, "--transcript", "session.jsonl") for noise in NOISES],
     _case(*VERIFY, "--p", "0.3", "--epsilon", "0.67", "--delta", "0.2", "--transcript", "session.jsonl"),
+    # n = 4 and 5, where the GHZ-like test measures more than two other parties
+    *[_case("qsv", "verify", "--n", str(n), "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--seed", "11",
+            *extra, "--transcript", "session.jsonl")
+      for n in (4, 5) for extra in (("--noise", "dephase:0.05"), ("--p", "0.3"))],
     *[_case(*ROBUST, "--noise", noise, "--out", "robust.json") for noise in NOISES],
     _case("opt", "--n-min", "3", "--n-max", "50", "--examples", "A,C,K", "--out", "sweep.csv", "--self-check"),
     *[_case("qsv", "spectrum", "--n", str(n), "--q0", "0.33", "--check-numeric") for n in range(3, 7)],

@@ -7,11 +7,13 @@ as a table of weighted unitary branches (a 2x2 unitary on every qubit, or
 one reflection of the whole state) that sample trajectories from that
 state-independent branch law, one joint measurement of any set of qubits
 in per-qubit bases that keeps only the unmeasured qubits' conditional
-state, seeded random streams, and the two largest eigenvalues of a
-Hermitian matrix by dense diagonalization. The probe psi and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>,
-which ``coherent_mix`` swaps, live on the C(2n,n) + 2 basis states of weight
-0, n and 2n, so the swap is the reflection I - 2 u u^dag, u = (psi - phi)/sqrt(2),
-on those states alone: no 2^(2n) x 2^(2n) operator is built.
+state, seeded random streams (item i of a stream is a Philox generator
+whose key the stream derives once for all its items), and the two largest
+eigenvalues of a Hermitian matrix by dense diagonalization. The probe psi
+and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>, which ``coherent_mix`` swaps, live
+on the C(2n,n) + 2 basis states of weight 0, n and 2n, so the swap is the
+reflection I - 2 u u^dag, u = (psi - phi)/sqrt(2), on those states alone:
+no 2^(2n) x 2^(2n) operator is built.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ class RngStream:
     ``substream(*ids)`` derives an independent child stream; equal
     (seed, key) pairs always reproduce the same draws. The root stream
     (empty key) draws from PCG64 seeded by SeedSequence(seed). A stream with
-    key (..., i) is item i of its parent: a Philox generator keyed by a seed
-    sequence that the parent builds once, with its counter starting at
-    i * 2^192. Sibling streams therefore never overlap, and making one
-    builds no SeedSequence.
+    key (..., i) is item i of its parent: a Philox generator with its
+    counter starting at i * 2^192 and the two-word key that the parent
+    derives once from SeedSequence(seed, spawn_key=parent key, pool_size=8).
+    Sibling streams therefore never overlap, they share that key but no
+    state, and making one builds no SeedSequence and derives no key.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
@@ -76,7 +79,7 @@ class RngStream:
         self.key = tuple(int(k) for k in key)
         self._gen: np.random.Generator | None = None
         self._parent: RngStream | None = None
-        self._item_seq: np.random.SeedSequence | None = None
+        self._item_key: _PhiloxKey | None = None
 
     @property
     def gen(self) -> np.random.Generator:
@@ -89,12 +92,12 @@ class RngStream:
             self._gen = np.random.Generator(bits)
         return self._gen
 
-    def _items(self) -> np.random.SeedSequence:
-        """The seed sequence that keys this stream's one-id substreams."""
-        if self._item_seq is None:
+    def _items(self) -> _PhiloxKey:
+        """The Philox key of this stream's one-id substreams, derived once."""
+        if self._item_key is None:
             # a pool of 8 words keeps the key apart from this stream's own PCG64 seed
-            self._item_seq = np.random.SeedSequence(self.seed, spawn_key=self.key, pool_size=8)
-        return self._item_seq
+            self._item_key = _PhiloxKey(np.random.SeedSequence(self.seed, spawn_key=self.key, pool_size=8))
+        return self._item_key
 
     def substream(self, *ids: int) -> "RngStream":
         child = RngStream(self.seed, self.key + ids)
@@ -104,6 +107,25 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, key={self.key})"
+
+
+class _PhiloxKey:
+    """The two-word key np.random.Philox would draw from ``seq``, drawn once.
+
+    Philox reads it through numpy's seed-sequence interface, which this
+    class joins when first built, so that importing qcore does not load
+    numpy.random; every Philox built from one object gets the same key
+    without deriving it again.
+    """
+
+    def __init__(self, seq: np.random.SeedSequence):
+        np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+        self._key = seq.generate_state(2, np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (2, np.uint64):
+            raise ValueError(f"holds a Philox key of 2 uint64 words, not {n_words} of {dtype}")
+        return self._key
 
 
 def probe_on(n: int, ghz: float, dicke: float, idx: np.ndarray) -> np.ndarray:
@@ -224,9 +246,10 @@ def measure(
     for q in qubits:
         block[q] = (drawn >> (m - 1 - q)) & 1
     block = tuple(block)
-    shape = (2,) * m
-    rest = amps.reshape(shape)[block] * (1.0 / math.sqrt(weights.reshape(shape)[block].sum()))
-    return tuple(block[q] for q in qubits), rest.reshape(-1)
+    # a copy, since the block is a view of amps, which may be the caller's array
+    rest = amps.reshape((2,) * m)[block].copy().reshape(-1)
+    rest *= 1.0 / math.sqrt(np.vdot(rest, rest).real)
+    return tuple(block[q] for q in qubits), rest
 
 
 def _apply_local(u: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:
@@ -234,7 +257,7 @@ def _apply_local(u: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:
     return (u @ amps.reshape(1 << qubit, 2, -1)).reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Mixture of unitaries, held as its branch table.
 
@@ -246,6 +269,9 @@ class KrausChannel:
     1 - sum w. The swap of orthonormal real psi and phi (the identity on the
     rest), I - psi psi^dag - phi phi^dag + phi psi^dag + psi phi^dag, is
     that reflection with u = (psi - phi)/sqrt(2), supported where they are.
+    Channels compare by identity: the branch tables hold arrays, and equal
+    labels and strengths do not make equal channels (coherent_mix depends
+    on q0).
     """
 
     label: str

@@ -10,8 +10,11 @@ restarting whenever a batch rejects.
 
 from __future__ import annotations
 
+import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -40,7 +43,7 @@ __all__ = [
 ]
 
 _SQ2 = np.sqrt(2.0)
-_X_ROWS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / _SQ2
+_H = float(1.0 / _SQ2)
 
 
 class RestartCapError(RuntimeError):
@@ -127,15 +130,44 @@ def _ghz_rows(r: int, x_conj: bool) -> np.ndarray:
 _GHZ_ROWS = {(r, x): _ghz_rows(r, x) for r in (0, 1) for x in (False, True)}
 
 
-def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
+@lru_cache(maxsize=16)
+def _trusted_rows(n: int, q0: float) -> dict:
+    """The trusted party's accept and reject kets, conjugated, per (e, r_k,
+    x_conj): the rows its one amplitude pair is projected on."""
+    lam0, lam1 = lambda_map(n, q0)
+    rows = {}
+    for e, r_k, x_conj in itertools.product((0, 1), (0, 1), (False, True)):
+        sign = (-1.0) ** e * 1j ** r_k
+        accept_ket = np.array([np.sqrt(lam0), sign * np.sqrt(lam1)], dtype=np.complex128)
+        if x_conj:
+            accept_ket = accept_ket[::-1]
+        accept_ket /= np.linalg.norm(accept_ket)
+        reject_ket = np.array([-np.conj(accept_ket[1]), np.conj(accept_ket[0])])
+        rows[e, r_k, x_conj] = np.array([accept_ket, reject_ket]).conj().tolist()
+    return rows
+
+
+def _draw(amps: Iterable[complex], rng: np.random.Generator) -> int:
+    """measure's rule on a few amplitudes held as Python numbers: the first
+    basis state whose cumulative |amplitude|^2 exceeds one uniform draw
+    times the total, clamped to the last one."""
+    total, cum = 0.0, []
+    for a in amps:
+        w = abs(a)
+        total += w * w
+        cum.append(total)
+    return min(bisect_right(cum, rng.random() * total), len(cum) - 1)
+
+
+def _run_ghz_protocol(amps, parties, rows, p, x_conj, rng):
     """GHZ-like subprotocol on the listed qubits; returns (accept, record).
 
     ``amps`` holds the parties' qubits alone, in the order of ``parties``.
     With probability p all parties are Z-measured and equal outcomes
     accept. Otherwise one trusted party k is chosen, the others measure
     with random phase settings r_i, and k measures in the basis derived
-    from the parity data; outcome 0 accepts. x_conj conjugates every
-    measurement by Pauli X.
+    from the parity data, ``rows`` (from _trusted_rows); outcome 0 accepts.
+    x_conj conjugates every measurement by Pauli X.
     """
     count = len(parties)
     if p > 0.0 and rng.random() < p:
@@ -151,14 +183,9 @@ def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
     r_k = sum(r_others) % 2
     total_r = sum(r_others) + r_k
     e = (sum(o_others) + total_r // 2) % 2
-    sign = (-1.0) ** e * 1j ** r_k
-    accept_ket = np.array([np.sqrt(lam0), sign * np.sqrt(lam1)], dtype=np.complex128)
-    if x_conj:
-        accept_ket = accept_ket[::-1]
-    accept_ket /= np.linalg.norm(accept_ket)
-    reject_ket = np.array([-np.conj(accept_ket[1]), np.conj(accept_ket[0])])
     # the trusted party is the one qubit left
-    (o_k,), _ = measure(amps, [0], rng, [np.array([accept_ket, reject_ket])])
+    a0, a1 = amps.tolist()
+    o_k = _draw((c0 * a0 + c1 * a1 for c0, c1 in rows[e, r_k, x_conj]), rng)
     sub = {
         "type": "ghz",
         "a": 1,
@@ -192,12 +219,20 @@ def _run_dicke_protocol(amps, parties, k, rng):
     # the pair is the two qubits left, in ascending order
     if s_rest in (k, k - 2):
         pair_basis = "Z"
-        pair_outcomes, _ = measure(amps, (0, 1), rng)
+        drawn = _draw(amps.tolist(), rng)
+        pair_outcomes = (drawn >> 1, drawn & 1)
         want = 0 if s_rest == k else 1
         accept = pair_outcomes == (want, want)
     elif s_rest == k - 1:
         pair_basis = "X"
-        pair_outcomes, _ = measure(amps, (0, 1), rng, [_X_ROWS, _X_ROWS])
+        # the Hadamard on the first qubit, then on the second, each entry a
+        # sum of products as measure forms it, so the weights round alike
+        a00, a01, a10, a11 = amps.tolist()
+        b00, b01 = _H * a00 + _H * a10, _H * a01 + _H * a11
+        b10, b11 = _H * a00 - _H * a10, _H * a01 - _H * a11
+        drawn = _draw((_H * b00 + _H * b01, _H * b00 - _H * b01,
+                       _H * b10 + _H * b11, _H * b10 - _H * b11), rng)
+        pair_outcomes = (drawn >> 1, drawn & 1)
         accept = pair_outcomes[0] == pair_outcomes[1]
     sub = {
         "type": "dicke",
@@ -228,7 +263,7 @@ def verify_copy(
     complementary excitation number. The acceptance probability on any
     copy equals the expectation of the assembled strategy operator.
     """
-    lam0, lam1 = lambda_map(n, q0)
+    rows = _trusted_rows(n, q0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     m = 2 * n
@@ -240,10 +275,10 @@ def verify_copy(
     parties = [q for q in range(m) if q not in subset]
     if total == 0:
         branch = "i"
-        accept, sub = _run_ghz_protocol(amps, parties, lam0, lam1, p, False, rng)
+        accept, sub = _run_ghz_protocol(amps, parties, rows, p, False, rng)
     elif total == n:
         branch = "iii"
-        accept, sub = _run_ghz_protocol(amps, parties, lam0, lam1, p, True, rng)
+        accept, sub = _run_ghz_protocol(amps, parties, rows, p, True, rng)
     else:
         branch = "ii"
         accept, sub = _run_dicke_protocol(amps, parties, n - total, rng)

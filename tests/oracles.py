@@ -20,7 +20,9 @@ sampler draws from. The POVM's orthonormality check, the dense GHZ and
 Dicke constructors, the coherent_mix swap as a 2^(2n) x 2^(2n) unitary
 from its definition, fidelities and expectation values of dense states and
 operators, and the diagonal remainder's eigenvalue profile are test-only
-too.
+too. The per-copy verification route that measures every stage, the
+one- and two-qubit tails included, with the generic ``measure`` checks
+that the library's scalar tails draw the same outcomes.
 """
 
 import cmath
@@ -29,10 +31,11 @@ import math
 
 import numpy as np
 
-from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target, probe_on
+from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target, measure, probe_on
 from aqsense.qopt import OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import _block_coefficients
+from aqsense.qsv.protocol import CopyVerdict
 from aqsense.sensing import OutcomeDistribution, Povm
 from aqsense.symcomb import WeightBasis, binom
 
@@ -433,3 +436,127 @@ def pauli_witness_bound(n: int, q0: float) -> float:
                 f"witness self-check failed: expectation {expectation} below bound {bound}"
             )
     return float(bound)
+
+
+_X_ROWS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / SQ2
+
+
+def _ghz_rows(r, x_conj):
+    """Basis for an untrusted party: rows S^r Z^o |+> (o = 0, 1)."""
+    phase = 1j ** r
+    rows = np.array([[1.0, phase], [1.0, -phase]], dtype=np.complex128) / SQ2
+    return rows[:, ::-1] if x_conj else rows
+
+
+_GHZ_ROWS = {(r, x): _ghz_rows(r, x) for r in (0, 1) for x in (False, True)}
+
+
+def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
+    """GHZ-like subprotocol on the listed qubits; returns (accept, record).
+
+    ``amps`` holds the parties' qubits alone, in the order of ``parties``.
+    With probability p all parties are Z-measured and equal outcomes
+    accept. Otherwise one trusted party k is chosen, the others measure
+    with random phase settings r_i, and k measures in the basis derived
+    from the parity data; outcome 0 accepts. x_conj conjugates every
+    measurement by Pauli X.
+    """
+    count = len(parties)
+    if p > 0.0 and rng.random() < p:
+        outcomes, _ = measure(amps, range(count), rng)
+        accept = len(set(outcomes)) == 1
+        sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": list(outcomes), "x_conj": x_conj}
+        return accept, sub
+    k_pos = int(rng.integers(count))
+    others = [j for j in range(count) if j != k_pos]
+    settings = int(rng.integers(1 << len(others)))
+    r_others = [(settings >> j) & 1 for j in range(len(others))]
+    o_others, amps = measure(amps, others, rng, [_GHZ_ROWS[r, x_conj] for r in r_others])
+    r_k = sum(r_others) % 2
+    total_r = sum(r_others) + r_k
+    e = (sum(o_others) + total_r // 2) % 2
+    sign = (-1.0) ** e * 1j ** r_k
+    accept_ket = np.array([np.sqrt(lam0), sign * np.sqrt(lam1)], dtype=np.complex128)
+    if x_conj:
+        accept_ket = accept_ket[::-1]
+    accept_ket /= np.linalg.norm(accept_ket)
+    reject_ket = np.array([-np.conj(accept_ket[1]), np.conj(accept_ket[0])])
+    # the trusted party is the one qubit left
+    (o_k,), _ = measure(amps, [0], rng, [np.array([accept_ket, reject_ket])])
+    sub = {
+        "type": "ghz",
+        "a": 1,
+        "k": parties[k_pos],
+        "r": r_others[:k_pos] + [r_k] + r_others[k_pos:],
+        "o": list(o_others[:k_pos]) + [o_k] + list(o_others[k_pos:]),
+        "x_conj": x_conj,
+    }
+    return o_k == 0, sub
+
+
+def _run_dicke_protocol(amps, parties, k, rng):
+    """Dicke subprotocol with excitation number k; returns (accept, record).
+
+    ``amps`` holds the parties' qubits alone, in the order of ``parties``
+    (ascending). A random pair is set aside, the rest are Z-measured, and
+    the pair is measured in Z or X depending on how many excitations are
+    missing.
+    """
+    count = len(parties)
+    i = int(rng.integers(count))
+    j = int(rng.integers(count - 1))
+    if j >= i:
+        j += 1
+    pair = sorted((parties[i], parties[j]))
+    o_rest, amps = measure(amps, [q for q in range(count) if q not in (i, j)], rng)
+    s_rest = sum(o_rest)
+    pair_basis = None
+    pair_outcomes = None
+    accept = False
+    # the pair is the two qubits left, in ascending order
+    if s_rest in (k, k - 2):
+        pair_basis = "Z"
+        pair_outcomes, _ = measure(amps, (0, 1), rng)
+        want = 0 if s_rest == k else 1
+        accept = pair_outcomes == (want, want)
+    elif s_rest == k - 1:
+        pair_basis = "X"
+        pair_outcomes, _ = measure(amps, (0, 1), rng, [_X_ROWS, _X_ROWS])
+        accept = pair_outcomes[0] == pair_outcomes[1]
+    sub = {
+        "type": "dicke",
+        "k": k,
+        "pair": pair,
+        "o_rest": list(o_rest),
+        "s_rest": s_rest,
+        "pair_basis": pair_basis,
+        "pair_outcomes": None if pair_outcomes is None else list(pair_outcomes),
+    }
+    return accept, sub
+
+
+def verify_copy_reference(copy, n, q0, p, rng, copy_index=0):
+    """The per-copy verification measurement with the generic ``measure``
+    at every stage, the trusted party's last qubit and the Dicke pair
+    included: the route ``verify_copy`` replaced, drawing the same uniforms
+    in the same order."""
+    lam0, lam1 = lambda_map(n, q0)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    m = 2 * n
+    if copy.num_qubits != m:
+        raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")
+    subset = tuple(sorted(rng.permutation(m)[:n].tolist()))
+    z_outcomes, amps = measure(copy.amps, subset, rng)
+    total = sum(z_outcomes)
+    parties = [q for q in range(m) if q not in subset]
+    if total == 0:
+        branch = "i"
+        accept, sub = _run_ghz_protocol(amps, parties, lam0, lam1, p, False, rng)
+    elif total == n:
+        branch = "iii"
+        accept, sub = _run_ghz_protocol(amps, parties, lam0, lam1, p, True, rng)
+    else:
+        branch = "ii"
+        accept, sub = _run_dicke_protocol(amps, parties, n - total, rng)
+    return CopyVerdict(copy_index, subset, z_outcomes, branch, sub, accept)

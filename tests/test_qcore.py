@@ -302,6 +302,15 @@ class TestChannels:
         assert standard_channel(kind, 0.0, 3, q0=0.33).apply_to_pure(st, gen) is st
         assert gen.bit_generator.state == before
 
+    def test_channels_compare_by_identity(self):
+        # the branch arrays are never compared element-wise, which raised
+        a, b = standard_channel("dephase", 0.3, 3), standard_channel("dephase", 0.3, 3)
+        assert a == a and not a != a
+        assert (a == b) is False and a != b
+        mixes = [standard_channel("coherent_mix", 0.5, 3, q0=q0) for q0 in (0.33, 0.5)]
+        assert mixes[0] != mixes[1]
+        assert len({a, b, *mixes}) == 4
+
     @pytest.mark.parametrize(
         "kind, strength", [("dephase", 0.3), ("depolarize", 0.2), ("coherent_mix", 0.4)]
     )
@@ -404,6 +413,16 @@ class TestMeasurement:
             assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(post, sub, atol=1e-12)
 
+    def test_caller_amplitudes_untouched(self):
+        # measuring qubit 0 keeps a contiguous half of the caller's array,
+        # which the normalization must not scale in place
+        amps = make_ghz(3).amps
+        before = amps.copy()
+        for seed in range(4):
+            _, post = measure(amps, [0], RngStream(seed).gen)
+            assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(amps, before)
+
     def test_basis_outcome_leaves_its_ket(self):
         # a Y-basis outcome o leaves the other qubits in <row o| psi,
         # normalized, with the measured qubit removed
@@ -470,3 +489,26 @@ class TestRngStream:
         c = RngStream(9).substream(2, 4).gen.random(3)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 404, 2 ** 31 - 1])
+    def test_item_stream_layout(self, seed):
+        # the seeded outputs rest on this layout: item i of the stream with
+        # key k is Philox keyed by SeedSequence(seed, k, pool_size=8), its
+        # counter at i * 2^192, whether the parent's key is derived for the
+        # item alone or once for all its siblings
+        for key in ((), (2,), (2, 4)):
+            parent = RngStream(seed, key)
+            for i in (0, 1, 7, 1000):
+                want = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(seed, spawn_key=key, pool_size=8), counter=[0, 0, 0, i]))
+                expected = (want.random(3), want.integers(1 << 40, size=3))
+                for gen in (RngStream(seed, key + (i,)).gen, parent.substream(i).gen):
+                    np.testing.assert_array_equal(gen.random(3), expected[0])
+                    np.testing.assert_array_equal(gen.integers(1 << 40, size=3), expected[1])
+
+    def test_siblings_share_a_key_but_no_state(self):
+        parent = RngStream(11, (3,))
+        a, b = parent.substream(0).gen, parent.substream(1).gen
+        alternated = np.array([(a.random(), b.random()) for _ in range(5)])
+        np.testing.assert_array_equal(alternated[:, 0], RngStream(11, (3, 0)).gen.random(5))
+        np.testing.assert_array_equal(alternated[:, 1], RngStream(11, (3, 1)).gen.random(5))

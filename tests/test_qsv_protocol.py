@@ -27,7 +27,7 @@ from aqsense.qsv import (
     verify_copy,
 )
 from aqsense.sensing import SensingScenario, analytic_probs
-from oracles import expectation, make_dicke, make_ghz
+from oracles import expectation, make_dicke, make_ghz, verify_copy_reference
 
 
 def strategy_expectation(n, q0, p, state):
@@ -187,6 +187,27 @@ class TestVerifyCopy:
         freq = hits / trials
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert abs(freq - expected) < 4 * sigma
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("kind, strength", [("none", 0.0), ("dephase", 0.3), ("depolarize", 0.3),
+                                                ("coherent_mix", 0.5)])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_records_equal_the_generic_measure_route(self, n, kind, strength, p):
+        # the trusted party's qubit and the Dicke pair are drawn from their
+        # amplitudes directly; the route that measures them with measure
+        # must give the same record for every copy and copy stream
+        target = make_target(n, 0.33)
+        channel = standard_channel(kind, strength, n, q0=0.33)
+        noise = RngStream(31, (n,)).gen
+        mine, reference = RngStream(32), RngStream(32)
+        tails = set()
+        for i in range(1000):
+            copy = channel.apply_to_pure(target, noise)
+            verdict = verify_copy(copy, n, 0.33, p, mine.substream(i).gen, i)
+            record = verify_copy_reference(copy, n, 0.33, p, reference.substream(i).gen, i).as_record()
+            assert verdict.as_record() == record
+            tails.add(verdict.sub["a"] if verdict.branch != "ii" else verdict.sub["pair_basis"])
+        assert tails >= {1, "Z", "X"} | ({0} if p else set())
 
     def test_reproducible_with_equal_streams(self):
         copy = make_dicke(6, 3)
