@@ -3,8 +3,8 @@
 Each case runs in a fresh ``python -m aqsense.cli`` process, in an empty
 temporary directory that holds only the case's input files. The report is
 JSON on stdout: per case the argv, the exit code, stdout, stderr and the
-contents of every file the run wrote. Run it in two checkouts and compare
-the reports with ``diff``:
+contents of every file the run wrote, line ends as written. Run it in two
+checkouts and compare the reports with ``diff``:
 
     python3 scripts/cli_corpus.py > corpus.json
     python3 scripts/cli_corpus.py --in-process > corpus-in-process.json
@@ -68,6 +68,10 @@ CASES = [
       for n in (4, 5) for extra in (("--noise", "dephase:0.05"), ("--p", "0.3"))],
     *[_case(*ROBUST, "--noise", noise, "--out", "robust.json") for noise in NOISES],
     _case("opt", "--n-min", "3", "--n-max", "50", "--examples", "A,C,K", "--out", "sweep.csv", "--self-check"),
+    # the top of the n range, where q_min (2.8e-308 at n = 514) nears the float64
+    # floor, and a one-row sweep
+    _case("opt", "--n-min", "511", "--n-max", "514", "--examples", "K,A", "--out", "sweep.csv", "--self-check"),
+    _case("opt", "--n-min", "3", "--n-max", "3", "--examples", "L", "--out", "sweep.csv"),
     *[_case("qsv", "spectrum", "--n", str(n), "--q0", "0.33", "--check-numeric") for n in range(3, 7)],
     # config files
     _config("n=3\nq0=0.33\nepsilon=0.1\ndelta=0.01\n", "qsv", "complexity"),
@@ -138,7 +142,8 @@ def run_cases(cases: list[dict], in_process: bool = False) -> list[dict]:
             for name, text in case["files"].items():
                 Path(tmp, name).write_text(text)
             code, out, err = run(case["argv"], tmp)
-            written = {path.name: path.read_text().splitlines(keepends=True)
+            # decoded from the bytes, with no newline translation, so CRLF and LF differ in the report
+            written = {path.name: path.read_bytes().decode().splitlines(keepends=True)
                        for path in sorted(Path(tmp).iterdir()) if path.name not in case["files"]}
         records.append({"argv": case["argv"], "exit": code, "stdout": out.splitlines(keepends=True),
                         "stderr": err.splitlines(keepends=True), "files": written})

@@ -239,10 +239,12 @@ def _cmd_opt(opt: dict) -> int:
     write_sweep_csv(rows, opt["out"])
     print(f"wrote {len(rows)} rows to {opt['out']}")
     if opt["self_check"]:
-        for ex in examples:
-            q_gs = [row["q_G"] for row in rows if row["label"] == ex.label]
-            if any(b <= a for a, b in zip(q_gs, q_gs[1:])):
-                print(f"error: q_G not increasing in n for example {ex.label}", file=sys.stderr)
+        q_gs = {ex.label: [] for ex in examples}
+        for row in rows:
+            q_gs[row["label"]].append(row["q_G"])
+        for label, q in q_gs.items():
+            if any(b <= a for a, b in zip(q, q[1:])):
+                print(f"error: q_G not increasing in n for example {label}", file=sys.stderr)
                 return EXIT_MISMATCH
     return EXIT_OK
 

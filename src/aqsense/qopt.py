@@ -6,14 +6,15 @@ landmark weights (domain minimum, eigenvalue-branch crossing, Dicke-bound
 minimizer), and minimizes H per (n, angle pair). H is rational in q0, so
 its minimum is a root of a cubic; n broadcasts with the angles, and one
 minimize_H call solves the cubics of every (n, angle pair) together, so the
-sweep that generates the figure data makes one call in all. n runs up to
-N_MAX = 514, the largest n whose C(2n, n) lies inside float64 range.
+sweep that generates the figure data makes one call in all; its rows are
+written as CSV with CRLF line ends, one line per (n, example) pair. n runs up
+to N_MAX = 514, the largest n whose C(2n, n) lies inside float64 range.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
 N_MAX = 514
 
 _CSV_HEADER = ("n", "label", "theta_plus", "theta_minus", "q_min", "q_beta", "q_G", "q_H", "H_min")
+_CSV_LINE = "%s,%s" + ",%.12g" * 7
 
 
 @dataclass(frozen=True)
@@ -298,12 +300,8 @@ def sweep(n_min: int, n_max: int, examples: Sequence[AngleExample] | None = None
 
 
 def write_sweep_csv(rows: Sequence[dict], path) -> None:
-    """Write sweep rows under the fixed header, 12 significant digits."""
+    """Write sweep rows as CSV with CRLF line ends: the fixed header, then one
+    line per row, labels unquoted, floats to 12 significant digits."""
+    lines = [",".join(_CSV_HEADER), *map(_CSV_LINE.__mod__, map(itemgetter(*_CSV_HEADER), rows)), ""]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row["n"], row["label"]]
-                + [format(row[key], ".12g") for key in _CSV_HEADER[2:]]
-            )
+        fh.write("\r\n".join(lines))

@@ -22,17 +22,20 @@ from its definition, fidelities and expectation values of dense states and
 operators, and the diagonal remainder's eigenvalue profile are test-only
 too. The per-copy verification route that measures every stage, the
 one- and two-qubit tails included, with the generic ``measure`` checks
-that the library's scalar tails draw the same outcomes.
+that the library's scalar tails draw the same outcomes. The sweep CSV
+written through ``csv.writer``, one ``format`` call per float, checks the
+bytes of the one-format-per-line writer.
 """
 
 import cmath
+import csv
 import itertools
 import math
 
 import numpy as np
 
 from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target, measure, probe_on
-from aqsense.qopt import OptimumReport, objective_H, q_landmarks
+from aqsense.qopt import _CSV_HEADER, OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import _block_coefficients
 from aqsense.qsv.protocol import CopyVerdict
@@ -294,6 +297,19 @@ def minimize_H_rowwise(n, theta_plus, theta_minus):
         evaluations=evaluations,
         warned_full_domain=warned,
     )
+
+
+def sweep_csv_reference(rows, path):
+    """The sweep CSV through ``csv.writer``: the route ``write_sweep_csv``
+    replaced, one ``format(x, ".12g")`` call per float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_CSV_HEADER)
+        for row in rows:
+            writer.writerow(
+                [row["n"], row["label"]]
+                + [format(row[key], ".12g") for key in _CSV_HEADER[2:]]
+            )
 
 
 def orbit_operator_dense(m, orbits):

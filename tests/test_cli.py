@@ -29,7 +29,7 @@ from aqsense.cli import (
     EXIT_USAGE,
     main,
 )
-from aqsense.qopt import N_MAX
+from aqsense.qopt import N_MAX, sweep
 from aqsense.qsv import analytic_spectrum, sample_complexity
 from aqsense.sensing import analytic_probs, check_support_budget, g_minus, g_plus
 
@@ -398,6 +398,30 @@ class TestOpt:
         code, _, err = run_cli(argv, capsys)
         assert code == EXIT_OK
         assert err == ""
+
+    @pytest.mark.parametrize("step", [-0.01, 0.0])
+    def test_self_check_fails_on_q_g_not_increasing(self, tmp_path, capsys, monkeypatch, step):
+        """q_G falls (or stays level) from n = 4 to 5 for both K and C: exit 2,
+        one line naming K, the first failing example in --examples order."""
+        def falling_sweep(n_min, n_max, examples):
+            rows = sweep(n_min, n_max, examples)
+            at_4 = {row["label"]: row["q_G"] for row in rows if row["n"] == 4}
+            for row in rows:
+                if row["n"] == 5:
+                    row["q_G"] = at_4[row["label"]] + step
+            return rows
+
+        monkeypatch.setattr("aqsense.cli.sweep", falling_sweep)
+        path = tmp_path / "sweep.csv"
+        argv = ["opt", "--n-min", "3", "--n-max", "6", "--examples", "K,C", "--out", str(path),
+                "--self-check"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_MISMATCH
+        assert err == "error: q_G not increasing in n for example K\n"
+        assert out == f"wrote 8 rows to {path}\n"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 9
+        assert [line.split(",")[:2] for line in lines[5:7]] == [["5", "K"], ["5", "C"]]
 
     def test_bad_labels_are_usage(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"

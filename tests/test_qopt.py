@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_scan_H, minimize_H_rowwise
+from oracles import dense_scan_H, minimize_H_rowwise, sweep_csv_reference
 
 from aqsense.qopt import (
     ANGLE_EXAMPLES,
@@ -500,3 +500,41 @@ class TestSweep:
             assert fields[1] == row["label"]
             for text, key in zip(fields[2:], list(row)[2:]):
                 assert float(text) == pytest.approx(row[key], rel=1e-11)
+
+    @staticmethod
+    def _hand_made_rows():
+        """Signed zeros, nan, infinities and extremes. Label C carries four
+        angle pairs and n = 7 four (q_min, q_beta) pairs, among them zeros
+        that compare equal but print "-0" and "0", so a writer that formats
+        a repeated field once must key on its value and tell the zeros apart."""
+        nan, inf = float("nan"), float("inf")
+        base = {"n": 7, "label": "C", "theta_plus": 1.5, "theta_minus": -0.5, "q_min": 0.1,
+                "q_beta": 0.2, "q_G": 0.3, "q_H": 0.4, "H_min": 5.0}
+        changes = [
+            {},
+            {"theta_plus": 0.0, "theta_minus": -0.0},
+            {"theta_plus": -0.0, "theta_minus": 0.0},
+            {"theta_plus": 2.5},
+            {"q_min": -0.0, "q_beta": 0.0},
+            {"q_min": 0.0, "q_beta": -0.0},
+            {"q_min": 0.15},
+            {"q_G": nan, "q_H": inf, "H_min": -inf},
+            {"q_G": 1e300, "q_H": -1e-300, "H_min": 5e-324},
+            {"n": 8, "label": "K", "q_min": np.float64(-0.0), "H_min": np.float64(1 / 3)},
+            {"q_G": 0, "q_H": 1},
+        ]
+        return [{**base, **change} for change in changes]
+
+    @pytest.mark.parametrize("case", ["3..50", "N_MAX-3..N_MAX", "K,A at 3..4", "hand-made"])
+    def test_csv_bytes_equal_csv_writer(self, tmp_path, case):
+        rows = {
+            "3..50": lambda: sweep(3, 50),
+            "N_MAX-3..N_MAX": lambda: sweep(N_MAX - 3, N_MAX),
+            "K,A at 3..4": lambda: sweep(3, 4, (ANGLE_EXAMPLES[10], ANGLE_EXAMPLES[0])),
+            "hand-made": self._hand_made_rows,
+        }[case]()
+        write_sweep_csv(rows, tmp_path / "new.csv")
+        sweep_csv_reference(rows, tmp_path / "reference.csv")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.endswith(b"\r\n") and written.count(b"\r\n") == 1 + len(rows)
