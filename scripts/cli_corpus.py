@@ -100,9 +100,13 @@ CASES = [
     _case("qsv", "spectrum", "--n", "3", "--q0", "1.5"),
     _case(*VERIFY, "--noise", "dephase"),
     _case(*VERIFY, "--noise", "bogus:0.1"),
+    _case(*VERIFY, "--noise", "dephase:abc"),
     _case("opt", "--n-min", "3", "--n-max", "5", "--examples", "A,A", "--out", "sweep.csv"),
     _case("opt", "--n-min", "3", "--n-max", "5", "--examples", "AB", "--out", "sweep.csv"),
     _case("opt", "--n-min", "3", "--n-max", "600", "--out", "sweep.csv"),
+    # past n = 514, where C(2n, n) leaves float64 range
+    _case("qsv", "complexity", "--n", "520", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01"),
+    _case("qsv", "verify", "--n", "600", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "1"),
     _case(*ROBUST, "--rounds", "-1"),
     _case("qsv", "verify", "--n", "16", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "1"),
     _case(*ROBUST[:2], "13", *ROBUST[3:], "--noise", "coherent_mix:0.5"),

@@ -5,9 +5,9 @@ Subcommands: sense (outcome statistics and angle estimates), qsv
 spectrum/verify/complexity (strategy eigenvalues, seeded verification
 sessions, copy counts), opt (weight-optimization sweep to CSV), robust
 (verification-gated sensing with restarts). Exit codes: 0 success, 1 usage
-or domain error, 2 numeric self-check failure, 3 verification rejected or
-estimator collapse, 4 restart cap exhausted. Single-run reports are JSON
-with sorted keys; sweeps are CSV. Sampling subcommands require a seed.
+or domain error, 2 numeric self-check failure, 3 verification rejected, 4
+restart cap exhausted. Single-run reports are JSON with sorted keys; sweeps
+are CSV. Sampling subcommands require a seed.
 
 The two tables ``_FLAGS`` (each flag's type and help) and ``_LEAVES`` (each
 subcommand's flags, required or with a default) are the one place a flag is
@@ -44,11 +44,9 @@ from .qsv import (
     verify_batch,
 )
 from .sensing import (
-    GhzCollapseError,
     SensingScenario,
     analytic_probs,
     anonymity_audit,
-    check_support_budget,
     estimate_angles,
     sample_run,
     sensitivity_bounds,
@@ -95,7 +93,11 @@ def _parse_noise(arg: str, n: int, q0: float) -> KrausChannel:
     kind, sep, raw = arg.partition(":")
     if not sep and kind != "none":
         raise ValueError(f"noise {arg!r} needs a strength, as in {kind}:0.1")
-    return standard_channel(kind, float(raw) if sep else 0.0, n, q0=q0)
+    try:
+        strength = float(raw) if sep else 0.0
+    except ValueError:
+        raise ValueError(f"--noise {arg!r}: strength {raw!r} is not a number") from None
+    return standard_channel(kind, strength, n, q0=q0)
 
 
 def _parse_examples(arg: str):
@@ -149,8 +151,6 @@ def _cmd_sense(opt: dict) -> int:
     }
     if opt["shots"] > 0 and opt["seed"] is None:
         raise ValueError("a --seed is required when --shots > 0")
-    if opt["audit"]:
-        check_support_budget(scenario.n)
     if opt["shots"] > 0:
         counts = sample_run(scenario, opt["shots"], RngStream(opt["seed"]).gen)
         freq = counts / opt["shots"]
@@ -419,9 +419,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if opt.get("seed") is not None and opt["seed"] < 0:
             raise ValueError(f"--seed must be non-negative, got {opt['seed']}")
         return handler(opt)
-    except GhzCollapseError as exc:
-        print(f"error: estimator signalled GHZ collapse: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
     except RestartCapError as exc:
         print(f"error: restart cap exhausted: {exc}", file=sys.stderr)
         return EXIT_RESTART_CAP

@@ -64,19 +64,19 @@ class PureState:
 class RngStream:
     """Deterministic random stream addressed by a seed and a spawn key.
 
-    ``substream(*ids)`` derives an independent child stream; equal
-    (seed, key) pairs always reproduce the same draws. The root stream
-    (empty key) draws from PCG64 seeded by SeedSequence(seed). A stream with
-    key (..., i) is item i of its parent: a Philox generator with its
-    counter starting at i * 2^192 and the two-word key that the parent
-    derives once from SeedSequence(seed, spawn_key=parent key, pool_size=8).
-    Sibling streams therefore never overlap, they share that key but no
-    state, and making one builds no SeedSequence and derives no key.
+    ``RngStream(seed)`` is the root stream (empty key), which draws from
+    PCG64 seeded by SeedSequence(seed). ``substream(i)`` is item i of a
+    stream, with key (parent key..., i): a Philox generator with its counter
+    at i * 2^192 and the two-word key that the parent derives once from
+    SeedSequence(seed, spawn_key=parent key, pool_size=8). The same chain of
+    substream calls from one seed always reproduces the same draws. Siblings
+    never overlap, they share that key but no state, and making one builds
+    no SeedSequence and derives no key.
     """
 
-    def __init__(self, seed: int, key: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.key = tuple(int(k) for k in key)
+        self.key: tuple[int, ...] = ()
         self._gen: np.random.Generator | None = None
         self._parent: RngStream | None = None
         self._item_key: _PhiloxKey | None = None
@@ -84,29 +84,25 @@ class RngStream:
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            if self.key:
-                parent = self._parent or RngStream(self.seed, self.key[:-1])
-                bits = np.random.Philox(parent._items(), counter=[0, 0, 0, self.key[-1]])
-            else:
+            if self._parent is None:
                 bits = np.random.PCG64(np.random.SeedSequence(self.seed))
+            else:
+                bits = np.random.Philox(self._parent._items(), counter=[0, 0, 0, self.key[-1]])
             self._gen = np.random.Generator(bits)
         return self._gen
 
     def _items(self) -> _PhiloxKey:
-        """The Philox key of this stream's one-id substreams, derived once."""
+        """The Philox key of this stream's substreams, derived once."""
         if self._item_key is None:
             # a pool of 8 words keeps the key apart from this stream's own PCG64 seed
             self._item_key = _PhiloxKey(np.random.SeedSequence(self.seed, spawn_key=self.key, pool_size=8))
         return self._item_key
 
-    def substream(self, *ids: int) -> "RngStream":
-        child = RngStream(self.seed, self.key + ids)
-        if len(ids) == 1:
-            child._parent = self
+    def substream(self, i: int) -> "RngStream":
+        child = RngStream(self.seed)
+        child.key = self.key + (int(i),)
+        child._parent = self
         return child
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, key={self.key})"
 
 
 class _PhiloxKey:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qsv.operators import q_min
+from .qsv.operators import N_MAX, q_min
 from .sensing import g_minus, g_plus, one_minus_cos_cos
 from .symcomb import binom
 
@@ -37,9 +37,6 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-# largest n with C(2n, n) + 8n - 6 inside float64 range (the q_beta denominator)
-N_MAX = 514
-
 _CSV_HEADER = ("n", "label", "theta_plus", "theta_minus", "q_min", "q_beta", "q_G", "q_H", "H_min")
 _CSV_LINE = "%s,%s" + ",%.12g" * 7
 
@@ -51,6 +48,11 @@ class AngleExample:
     label: str
     theta_plus: float
     theta_minus: float
+
+    def __post_init__(self) -> None:
+        if any(c in self.label for c in ',"\r\n'):
+            raise ValueError(f"label {self.label!r} holds a comma, quote or line break, which the sweep CSV "
+                             "writes unquoted")
 
 
 ANGLE_EXAMPLES: tuple[AngleExample, ...] = (

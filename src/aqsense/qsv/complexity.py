@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .operators import check_n
+
 __all__ = [
     "sample_complexity",
     "sample_complexity_terms",
@@ -27,19 +29,21 @@ def sample_complexity_terms(
     Term 1 covers the branch where the inverse gap is below 2n-1; term 2
     covers the other branch through the Wallis bound C(2n,n) < 4^n/sqrt(pi n)
     and carries the 1/(1-p) slowdown of a nonzero Z-test probability.
+    n runs to N_MAX, and a term that leaves float64 range is refused.
     """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    check_n(n)
     if not 0.0 < q0 < 1.0:
         raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     _validate(epsilon, delta)
     budget = math.log(1.0 / delta) / epsilon
-    term1 = math.ceil((2 * n - 1) * budget)
-    factor = q0 * 4.0 ** n / (2 * (1.0 - q0) * math.sqrt(math.pi * n)) + 1.0
-    term2 = math.ceil(factor * budget / (1.0 - p))
-    return term1, term2
+    # 4^n as two factors of 2^n, since 4.0 ** n alone overflows from n = 512
+    factor = q0 * 2.0 ** n / (2 * (1.0 - q0) * math.sqrt(math.pi * n)) * 2.0 ** n + 1.0
+    terms = ((2 * n - 1) * budget, factor * budget / (1.0 - p))
+    if math.inf in terms:
+        raise ValueError(f"the copy count at n={n} leaves float64 range (q0={q0}, epsilon={epsilon}, delta={delta})")
+    return math.ceil(terms[0]), math.ceil(terms[1])
 
 
 def sample_complexity(n: int, q0: float, epsilon: float, delta: float, p: float = 0.0) -> int:

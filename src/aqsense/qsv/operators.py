@@ -14,9 +14,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..symcomb import WeightBasis, binom, containment_adjacency, johnson_adjacency
+from ..symcomb import binom, containment_adjacency, johnson_adjacency
 
 __all__ = [
+    "N_MAX",
     "StrategyOperator",
     "q_min",
     "lambda_map",
@@ -69,22 +70,23 @@ class StrategyOperator:
                 out[ok : ok + block.shape[1], oj : oj + block.shape[0]] = block.conj().T
         return out
 
-    def to_dense(self) -> np.ndarray:
-        """The full 2^m x 2^m matrix, blocks placed at their weight-basis indices."""
-        m = self.num_qubits
-        out = np.zeros((2 ** m, 2 ** m), dtype=self.dtype)
-        for (j, k), block in self.blocks.items():
-            rows = WeightBasis(m, j).indices
-            cols = WeightBasis(m, k).indices
-            out[np.ix_(rows, cols)] += block
-            if j != k:
-                out[np.ix_(cols, rows)] += block.conj().T
-        return out
+
+# largest n with C(2n, n) + 8n - 6 inside float64 range (qopt's q_beta
+# denominator); lambda_map, the copy count and the q0 optimum stop there
+N_MAX = 514
 
 
 def q_min(n: int) -> float:
     """Smallest admissible GHZ weight 2/(C(2n,n)+2)."""
     return 2.0 / (binom(2 * n, n) + 2)
+
+
+def check_n(n: int) -> None:
+    """Raise ValueError unless 3 <= n <= N_MAX, naming the bound broken."""
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    if n > N_MAX:
+        raise ValueError(f"n={n} exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)")
 
 
 def lambda_map(n: int, q0: float) -> tuple[float, float]:
@@ -95,8 +97,7 @@ def lambda_map(n: int, q0: float) -> tuple[float, float]:
     lambda1 is not formed as 1 - lambda0, which rounds to 0 once C q0
     passes about 1e16 (n >= 30 at q0 = 0.33).
     """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    check_n(n)
     if not 0.0 < q0 <= 1.0:
         raise ValueError(f"q0 must lie in (0, 1], got {q0}")
     if q0 < q_min(n):

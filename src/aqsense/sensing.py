@@ -17,12 +17,11 @@ on a 2^(2n) vector.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import SUPPORT_BYTES_LIMIT, PureState, check_bytes_limit, probe_on
+from .qcore import PureState, check_bytes_limit, probe_on
 from .symcomb import WeightBasis, binom
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "SensitivityBound",
     "AuditReport",
     "analytic_probs",
-    "SUPPORT_BYTES_LIMIT",
     "check_support_budget",
     "sample_run",
     "estimate_angles",
@@ -93,22 +91,6 @@ class SensingScenario:
     def theta_minus(self) -> float:
         return (self.omega1 - self.omega2) * self.t
 
-    @classmethod
-    def from_angles(
-        cls,
-        n: int,
-        q0: float,
-        theta_plus: float,
-        theta_minus: float,
-        t1: int = 1,
-        t2: int = 2,
-        t: float = 1.0,
-    ) -> "SensingScenario":
-        """Scenario with given derived angles, solved for the frequencies."""
-        omega1 = (theta_plus + theta_minus) / (2 * t)
-        omega2 = (theta_plus - theta_minus) / (2 * t)
-        return cls(n=n, q0=q0, t1=t1, t2=t2, omega1=omega1, omega2=omega2, t=t)
-
 
 class Povm:
     """The four-outcome measurement: two GHZ-sector projectors, the Dicke
@@ -116,32 +98,22 @@ class Povm:
 
     Holds the three orthonormal rank-1 kets, each as its support: a pair
     (indices, amplitudes) with the basis indices ascending and the
-    complex128 amplitudes on them. The protocol's kets are built on
-    {0, 2^(2n) - 1} and the weight-n indices; kets passed in as 2^(2n)
-    vectors (such as negative controls) are reduced to their nonzero
-    entries once. The fourth element, the identity minus the projectors, is
-    never built.
+    complex128 amplitudes on them, built on {0, 2^(2n) - 1} and the
+    weight-n indices. The fourth element, the identity minus the
+    projectors, is never built.
     """
 
-    def __init__(self, n: int, kets: Sequence[np.ndarray] | None = None):
+    def __init__(self, n: int):
         self.n = n
         m = 2 * n
-        if kets is None:
-            ends = np.array([0, (1 << m) - 1], dtype=np.int64)
-            half = 1 / np.sqrt(2)
-            dicke = WeightBasis(m, n).indices
-            self.kets = (
-                (ends, np.array([half, half], dtype=np.complex128)),
-                (ends, np.array([half, -half], dtype=np.complex128)),
-                (dicke, np.full(dicke.size, 1 / np.sqrt(dicke.size), dtype=np.complex128)),
-            )
-        else:
-            supports = []
-            for ket in kets:
-                ket = np.asarray(ket, dtype=np.complex128)
-                idx = np.flatnonzero(ket)
-                supports.append((idx, ket[idx]))
-            self.kets = tuple(supports)
+        ends = np.array([0, (1 << m) - 1], dtype=np.int64)
+        half = 1 / np.sqrt(2)
+        dicke = WeightBasis(m, n).indices
+        self.kets = (
+            (ends, np.array([half, half], dtype=np.complex128)),
+            (ends, np.array([half, -half], dtype=np.complex128)),
+            (dicke, np.full(dicke.size, 1 / np.sqrt(dicke.size), dtype=np.complex128)),
+        )
 
     def probabilities(self, state: PureState) -> np.ndarray:
         """Outcome probabilities of a dense state, gathered on each ket's support."""
@@ -196,8 +168,8 @@ def analytic_probs(n: int, q0: float, theta_plus: float, theta_minus: float) -> 
 # one placement_probabilities call allocates: about _ENTRY_BYTES for the
 # index, the ket amplitude, the probe amplitude and their product, plus the
 # 64 unpacked bits of the index (one byte each) and two (entries, 2n)
-# float64 bit matrices. Under SUPPORT_BYTES_LIMIT (1 GiB) the audit runs to
-# n = 11.
+# float64 bit matrices. Under qcore.SUPPORT_BYTES_LIMIT (1 GiB) the audit
+# runs to n = 11.
 _ENTRY_BYTES = 96
 
 
@@ -208,7 +180,7 @@ def _support_bytes(n: int) -> int:
 def check_support_budget(n: int) -> None:
     """Raise ValueError, naming the largest n accepted, when the support
     arrays of placement_probabilities at this n would exceed
-    SUPPORT_BYTES_LIMIT."""
+    qcore.SUPPORT_BYTES_LIMIT."""
     check_bytes_limit(n, _support_bytes, "support arrays for the placement law (--audit)")
 
 
@@ -358,8 +330,9 @@ def anonymity_audit(
 ) -> AuditReport:
     """Check that the outcome law is identical for every ordered placement
     of the two fields. Passes iff the max pairwise L-infinity distance
-    between the distributions is below 1e-12. A ``povm`` override allows
-    negative controls with asymmetric measurements.
+    between the distributions is below 1e-12. A ``povm`` override, any
+    object whose ``kets`` are (indices, amplitudes) pairs as in ``Povm``,
+    allows negative controls with asymmetric measurements.
     """
     dists = placement_probabilities(n, q0, omega_a, omega_b, t, povm)
     max_distance = float(np.max(dists.max(axis=0) - dists.min(axis=0)))

@@ -11,14 +11,16 @@ search of it, one angle pair at a time, check the optimizer's closed-form
 minimum. The all-X witness bound on the target state, which only the
 tests use, lives here too. Dense routes check the
 symmetric-block spectra: an operator built entry by entry from its orbit
-coefficients, the Gram route on the strategy's (n-1, n+1) piece, and the
+coefficients, a sector-block operator written out as a 2^m x 2^m
+matrix, the Gram route on the strategy's (n-1, n+1) piece, and the
 anonymity audit's law from one evolution per placement. The sensing law
 also keeps its dense route: the probe as a 2^(2n) vector, evolved and
 measured against the POVM kets written out as 2^(2n) vectors, and the
 law by evolution on the kets' supports that checks the closed form the
-sampler draws from. The POVM's orthonormality check, the dense GHZ and
-Dicke constructors, the coherent_mix swap as a 2^(2n) x 2^(2n) unitary
-from its definition, fidelities and expectation values of dense states and
+sampler draws from. The POVM's orthonormality check, a Povm built from
+dense kets for negative controls, the dense GHZ and Dicke constructors,
+the coherent_mix swap as a 2^(2n) x 2^(2n) unitary from its definition,
+fidelities and expectation values of dense states and
 operators, and the diagonal remainder's eigenvalue profile are test-only
 too. The per-copy verification route that measures every stage, the
 one- and two-qubit tails included, with the generic ``measure`` checks
@@ -323,6 +325,19 @@ def orbit_operator_dense(m, orbits):
     return out
 
 
+def to_dense(op):
+    """The full 2^m x 2^m matrix of a StrategyOperator, its blocks placed at
+    their weight-basis indices."""
+    m = op.num_qubits
+    out = np.zeros((2 ** m, 2 ** m), dtype=op.dtype)
+    for (j, k), block in op.blocks.items():
+        rows, cols = WeightBasis(m, j).indices, WeightBasis(m, k).indices
+        out[np.ix_(rows, cols)] += block
+        if j != k:
+            out[np.ix_(cols, rows)] += block.conj().T
+    return out
+
+
 def bipartite_top(op, j, k):
     """Top eigenvalue of a StrategyOperator's component on sectors j and k
     when both diagonal blocks are alpha I: [[alpha I, G], [G^dag, alpha I]]
@@ -352,6 +367,17 @@ def placement_probabilities_by_evolution(n, q0, omega_a, omega_b, t, povm=None):
         omegas[t2] = omega_b
         rows.append(povm.probabilities(evolve_phases(probe, omegas, t)))
     return np.array(rows)
+
+
+class DenseKetPovm(Povm):
+    """A Povm whose kets are given as 2^(2n) vectors and kept on their
+    nonzero entries: the negative controls of the audit and of the
+    orthonormality check."""
+
+    def __init__(self, n, kets):
+        self.n = n
+        self.kets = tuple((np.flatnonzero(ket), np.asarray(ket, dtype=np.complex128)[np.flatnonzero(ket)])
+                          for ket in kets)
 
 
 def validate_povm(povm):

@@ -44,11 +44,12 @@ from oracles import (
     make_ghz,
     orbit_operator_dense,
     simulate_probs,
+    to_dense,
 )
 
 
 def _full_strategy(n: int, q0: float, p: float) -> np.ndarray:
-    return sum(piece.to_dense() for piece in assemble_strategy_decomposed(n, q0, p))
+    return sum(to_dense(piece) for piece in assemble_strategy_decomposed(n, q0, p))
 
 
 def test_criterion_01_bruteforce_equals_decomposition():
@@ -140,13 +141,13 @@ def test_criterion_05_soundness_bound_holds():
     sessions = 200
     accepts = 0
     for s in range(sessions):
-        noise_gen = stream.substream(s, 0).gen
+        noise_gen = stream.substream(s).substream(0).gen
 
         def source():
             while True:
                 yield channel.apply_to_pure(target, noise_gen)
 
-        accepted, _ = verify_batch(source(), plan, stream.substream(s, 1))
+        accepted, _ = verify_batch(source(), plan, stream.substream(s).substream(1))
         accepts += accepted
     assert accepts / sessions <= 0.01 + 3 * math.sqrt(0.01 / sessions)
 
@@ -164,7 +165,7 @@ def test_criterion_06_sensing_statistics():
         t1 = int(draw.integers(1, 2 * n + 1))
         t2 = int(draw.integers(1, 2 * n))
         t2 += t2 >= t1
-        scenario = SensingScenario.from_angles(n, q0, tp, tm, t1=t1, t2=t2)
+        scenario = SensingScenario(n=n, q0=q0, t1=t1, t2=t2, omega1=(tp + tm) / 2, omega2=(tp - tm) / 2, t=1.0)
         got = simulate_probs(scenario)
         want = analytic_probs(n, q0, scenario.theta_plus, scenario.theta_minus)
         for g, w in zip(

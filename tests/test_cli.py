@@ -369,6 +369,19 @@ class TestQsvVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("noise, raw", [("dephase:abc", "abc"), ("dephase:", ""), ("depolarize:0.1x", "0.1x")])
+    def test_noise_strength_not_a_number_names_the_flag(self, noise, raw, capsys):
+        argv = [
+            "qsv", "verify",
+            "--n", "3", "--q0", "0.33",
+            "--epsilon", "0.67", "--delta", "0.2",
+            "--noise", noise, "--seed", "1",
+        ]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --noise {noise!r}: strength {raw!r} is not a number\n"
+
 
 class TestOpt:
     def test_sweep_csv_and_row_count(self, tmp_path, capsys):
@@ -517,6 +530,29 @@ class TestFloatRange:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "sweep.csv").exists()
 
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qsv", "complexity", "--n", "520", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01"],
+            ["qsv", "verify", "--n", "600", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "1"],
+            ["robust", "--n", "600", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--rounds", "1",
+             "--seed", "1"],
+            ["qsv", "spectrum", "--n", "600", "--q0", "0.33"],
+        ],
+    )
+    def test_large_n_names_n_and_the_largest_n_accepted(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        n = argv[argv.index("--n") + 1]
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: n={n} exceeds {N_MAX}, the largest n accepted "
+                       "(C(2n, n) leaves float64 range above it)\n")
+
+    def test_copy_count_past_float64_names_n(self, capsys):
+        argv = ["qsv", "complexity", "--n", "513", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: the copy count at n=513 leaves float64 range") and err.count("\n") == 1
 
     def test_opt_names_the_largest_n_accepted(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -343,7 +343,7 @@ class TestProbeBudget:
             channel = standard_channel(kind, 0.5, n, q0=0.33)
             gen = RngStream(2).gen
             for i in range(20):
-                verify_copy(channel.apply_to_pure(target, gen), n, 0.33, 0.0, RngStream(3, (i,)).gen)
+                verify_copy(channel.apply_to_pure(target, gen), n, 0.33, 0.0, RngStream(3).substream(i).gen)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -466,6 +466,15 @@ class TestEigTop2:
             eig_top2(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def keyed_stream(seed, key):
+    """The stream with the given key, reached from RngStream(seed) by one
+    substream call per id, so every call builds its own chain of parents."""
+    stream = RngStream(seed)
+    for i in key:
+        stream = stream.substream(i)
+    return stream
+
+
 class TestRngStream:
     def test_reproducible(self):
         a = RngStream(123).gen.random(5)
@@ -485,8 +494,12 @@ class TestRngStream:
 
     def test_substream_depends_only_on_seed_and_key(self):
         a = RngStream(9).substream(2).substream(4).gen.random(3)
-        b = RngStream(9, (2, 4)).gen.random(3)
-        c = RngStream(9).substream(2, 4).gen.random(3)
+        b = keyed_stream(9, (2, 4)).gen.random(3)
+        # a parent that made other items and drew from its own generator first
+        parent = RngStream(9).substream(2)
+        parent.substream(3).gen.random(3)
+        parent.gen.random(3)
+        c = parent.substream(4).gen.random(3)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
 
@@ -497,18 +510,18 @@ class TestRngStream:
         # counter at i * 2^192, whether the parent's key is derived for the
         # item alone or once for all its siblings
         for key in ((), (2,), (2, 4)):
-            parent = RngStream(seed, key)
+            parent = keyed_stream(seed, key)
             for i in (0, 1, 7, 1000):
                 want = np.random.Generator(np.random.Philox(
                     np.random.SeedSequence(seed, spawn_key=key, pool_size=8), counter=[0, 0, 0, i]))
                 expected = (want.random(3), want.integers(1 << 40, size=3))
-                for gen in (RngStream(seed, key + (i,)).gen, parent.substream(i).gen):
+                for gen in (keyed_stream(seed, key + (i,)).gen, parent.substream(i).gen):
                     np.testing.assert_array_equal(gen.random(3), expected[0])
                     np.testing.assert_array_equal(gen.integers(1 << 40, size=3), expected[1])
 
     def test_siblings_share_a_key_but_no_state(self):
-        parent = RngStream(11, (3,))
+        parent = RngStream(11).substream(3)
         a, b = parent.substream(0).gen, parent.substream(1).gen
         alternated = np.array([(a.random(), b.random()) for _ in range(5)])
-        np.testing.assert_array_equal(alternated[:, 0], RngStream(11, (3, 0)).gen.random(5))
-        np.testing.assert_array_equal(alternated[:, 1], RngStream(11, (3, 1)).gen.random(5))
+        np.testing.assert_array_equal(alternated[:, 0], RngStream(11).substream(3).substream(0).gen.random(5))
+        np.testing.assert_array_equal(alternated[:, 1], RngStream(11).substream(3).substream(1).gen.random(5))

@@ -54,6 +54,20 @@ class TestAngleExamples:
             assert 0.0 < ex.theta_plus <= np.pi
             assert -np.pi / 2 <= ex.theta_minus < 0.0
 
+    @pytest.mark.parametrize("label", ["a,b", 'say "A"', "A\n", "A\r", "\r\n"])
+    def test_label_the_csv_cannot_hold_rejected(self, label):
+        # the sweep CSV writes labels unquoted, so one of these would split
+        # or break its row
+        with pytest.raises(ValueError, match="comma, quote or line break"):
+            AngleExample(label, 1.0, -0.5)
+
+    def test_other_labels_round_trip_the_csv(self, tmp_path):
+        examples = [AngleExample(label, 1.0, -0.5) for label in ("x y", "it's", "\u03b8+", "")]
+        write_sweep_csv(sweep(3, 3, examples), tmp_path / "s.csv")
+        lines = (tmp_path / "s.csv").read_bytes().decode().split("\r\n")
+        assert [line.split(",")[1] for line in lines[1:-1]] == [ex.label for ex in examples]
+        assert {len(line.split(",")) for line in lines[:-1]} == {9}
+
 
 class TestGammaEta:
     def test_frozen_example_a(self):

@@ -1,5 +1,7 @@
 """Tests for sample-complexity formulas and the failure bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from aqsense.qsv import (
     sample_complexity,
     sample_complexity_terms,
 )
+from aqsense.qsv.operators import N_MAX
 
 
 class TestSampleComplexity:
@@ -30,6 +33,29 @@ class TestSampleComplexity:
         _, t2 = sample_complexity_terms(n, q0, eps, delta)
         factor = q0 * 4.0 ** n / (2 * (1 - q0) * np.sqrt(np.pi * n)) + 1
         assert t2 == int(np.ceil(factor * np.log(1 / delta) / eps))
+
+    def test_term_two_unchanged_up_to_the_float64_edge(self):
+        # 4^n is formed as two factors of 2^n; wherever 4.0 ** n and the term
+        # stay finite the value is the one the single power gives
+        draw = np.random.default_rng(8)
+        for n in [*range(3, 40), *range(500, 512)]:
+            for q0 in (0.33, q_min(n), *draw.uniform(0.01, 0.99, size=4).tolist()):
+                factor = q0 * 4.0 ** n / (2 * (1 - q0) * math.sqrt(math.pi * n)) + 1.0
+                term = factor * (math.log(1 / 0.01) / 0.1) / (1 - 0.2)
+                if math.isinf(term):
+                    with pytest.raises(ValueError, match=f"the copy count at n={n} leaves float64 range"):
+                        sample_complexity_terms(n, q0, 0.1, 0.01, 0.2)
+                else:
+                    assert sample_complexity_terms(n, q0, 0.1, 0.01, 0.2)[1] == math.ceil(term)
+
+    def test_n_range(self):
+        assert sample_complexity_terms(512, 0.33, 0.1, 0.01)[1] > 1e307
+        with pytest.raises(ValueError, match="the copy count at n=513 leaves float64 range"):
+            sample_complexity_terms(513, 0.33, 0.1, 0.01)
+        with pytest.raises(ValueError, match=f"n=520 exceeds {N_MAX}, the largest n accepted"):
+            sample_complexity_terms(520, 0.33, 0.1, 0.01)
+        with pytest.raises(ValueError, match="n must be at least 3, got 2"):
+            sample_complexity_terms(2, 0.33, 0.1, 0.01)
 
     def test_delta_near_one(self):
         assert sample_complexity(3, 0.33, 0.5, 1 - 1e-12) <= 1

@@ -18,6 +18,7 @@ from oracles import (
     make_dicke,
     make_ghz,
     orbit_operator_dense,
+    to_dense,
     x_conjugate_dense,
 )
 from test_qcore import collapse_subset
@@ -30,6 +31,7 @@ from aqsense.qsv import (
     lambda_map,
     q_min,
 )
+from aqsense.qsv.operators import N_MAX
 
 
 def in_unit_interval(mat):
@@ -65,6 +67,16 @@ class TestLambdaMap:
         with pytest.raises(ValueError):
             lambda_map(3, q_min(3) - 1e-6)
 
+    def test_n_range(self):
+        # C(2n, n) leaves float64 range above N_MAX, so q_min and the map do too
+        lam0, lam1 = lambda_map(N_MAX, 0.33)
+        assert 0.5 <= lam0 <= 1.0 and 0.0 < lam1
+        for n in (N_MAX + 1, 600):
+            with pytest.raises(ValueError, match=f"n={n} exceeds {N_MAX}, the largest n accepted"):
+                lambda_map(n, 0.33)
+        with pytest.raises(ValueError, match="n must be at least 3, got 2"):
+            lambda_map(2, 0.33)
+
     def test_q_min_frozen(self):
         assert q_min(3) == pytest.approx(2 / 22, abs=1e-16)
 
@@ -82,7 +94,7 @@ class TestStrategyOperator:
 
     def test_to_dense_hermitian(self):
         op = self.make_example()
-        dense = op.to_dense()
+        dense = to_dense(op)
         np.testing.assert_allclose(dense, dense.conj().T, atol=1e-15)
         assert dense[0, 7] == pytest.approx(0.1)
         assert dense[7, 0] == pytest.approx(0.1)
@@ -93,12 +105,12 @@ class TestStrategyOperator:
         op = self.make_example()
         parts = [np.linalg.eigvalsh(op.component_matrix(g)) for g in ((0, 3), (1,))]
         full = np.sort(np.concatenate(parts + [np.zeros(3)]))
-        dense = np.sort(np.linalg.eigvalsh(op.to_dense()))
+        dense = np.sort(np.linalg.eigvalsh(to_dense(op)))
         np.testing.assert_allclose(full, dense, atol=1e-12)
 
     def test_x_conjugate_matches_dense(self):
         # the index-complement oracle against X on every qubit as a matrix
-        dense = self.make_example().to_dense()
+        dense = to_dense(self.make_example())
         x3 = np.kron(np.kron(X_GATE, X_GATE), X_GATE)
         np.testing.assert_allclose(x_conjugate_dense(dense, 3), x3 @ dense @ x3, atol=1e-14)
 
@@ -191,12 +203,12 @@ class TestDicke:
 class TestAssemble:
     def test_bruteforce_equals_decomposed(self):
         brute = brute_strategy_dense(3, 0.33, 0.0)
-        total = sum(o.to_dense() for o in assemble_strategy_decomposed(3, 0.33, 0.0))
+        total = sum(to_dense(o) for o in assemble_strategy_decomposed(3, 0.33, 0.0))
         np.testing.assert_allclose(brute, total, atol=1e-13)
 
     def test_bruteforce_equals_decomposed_nonzero_p(self):
         brute = brute_strategy_dense(3, 0.2, 0.3)
-        total = sum(o.to_dense() for o in assemble_strategy_decomposed(3, 0.2, 0.3))
+        total = sum(to_dense(o) for o in assemble_strategy_decomposed(3, 0.2, 0.3))
         np.testing.assert_allclose(brute, total, atol=1e-13)
 
     def test_target_has_unit_acceptance(self):
@@ -218,12 +230,12 @@ class TestAssemble:
     def test_components_annihilate_target(self):
         _, o2, o3 = assemble_strategy_decomposed(3, 0.33, 0.0)
         st = make_target(3, 0.33)
-        assert np.max(np.abs(o2.to_dense() @ st.amps)) < 1e-13
-        assert np.max(np.abs(o3.to_dense() @ st.amps)) < 1e-13
+        assert np.max(np.abs(to_dense(o2) @ st.amps)) < 1e-13
+        assert np.max(np.abs(to_dense(o3) @ st.amps)) < 1e-13
 
     def test_pairwise_orthogonal(self):
         o1, o2, o3 = assemble_strategy_decomposed(3, 0.4, 0.1)
-        d = [o.to_dense() for o in (o1, o2, o3)]
+        d = [to_dense(o) for o in (o1, o2, o3)]
         for i in range(3):
             for j in range(3):
                 if i != j:

@@ -27,13 +27,17 @@ from aqsense.qsv import (
     verify_copy,
 )
 from aqsense.sensing import SensingScenario, analytic_probs
-from oracles import expectation, make_dicke, make_ghz, verify_copy_reference
+from oracles import expectation, make_dicke, make_ghz, to_dense, verify_copy_reference
+
+# theta+ = pi/2 and theta- = -pi/4 at t = 1: omega1,2 = (theta+ +- theta-) / 2t
+SCENARIO = SensingScenario(n=3, q0=0.33, t1=1, t2=2, omega1=(np.pi / 2 - np.pi / 4) / 2,
+                           omega2=(np.pi / 2 + np.pi / 4) / 2, t=1.0)
 
 
 def strategy_expectation(n, q0, p, state):
     """Independent per-copy acceptance probability Tr[Omega rho] of a
     PureState or a density matrix."""
-    omega = sum(op.to_dense() for op in assemble_strategy_decomposed(n, q0, p))
+    omega = sum(to_dense(op) for op in assemble_strategy_decomposed(n, q0, p))
     if isinstance(state, PureState):
         return expectation(state, omega)
     return float(np.trace(omega @ state).real)
@@ -198,7 +202,7 @@ class TestVerifyCopy:
         # must give the same record for every copy and copy stream
         target = make_target(n, 0.33)
         channel = standard_channel(kind, strength, n, q0=0.33)
-        noise = RngStream(31, (n,)).gen
+        noise = RngStream(31).substream(n).gen
         mine, reference = RngStream(32), RngStream(32)
         tails = set()
         for i in range(1000):
@@ -211,8 +215,8 @@ class TestVerifyCopy:
 
     def test_reproducible_with_equal_streams(self):
         copy = make_dicke(6, 3)
-        first = [verify_copy(copy, 3, 0.33, 0.1, RngStream(7, (i,)).gen) for i in range(50)]
-        second = [verify_copy(copy, 3, 0.33, 0.1, RngStream(7, (i,)).gen) for i in range(50)]
+        first = [verify_copy(copy, 3, 0.33, 0.1, RngStream(7).substream(i).gen) for i in range(50)]
+        second = [verify_copy(copy, 3, 0.33, 0.1, RngStream(7).substream(i).gen) for i in range(50)]
         assert [v.as_record() for v in first] == [v.as_record() for v in second]
 
 
@@ -231,10 +235,10 @@ class TestVerifyBatch:
         plan = VerificationPlan(3, 0.33, epsilon=0.1, delta=0.01)
         assert plan.M == 283
         copy = make_target(3, 0.33)
-        accept, transcript = verify_batch((copy for _ in range(plan.M)), plan, RngStream(36, (5,)))
+        accept, transcript = verify_batch((copy for _ in range(plan.M)), plan, RngStream(36).substream(5))
         assert accept and len(transcript.verdicts) == plan.M
         for i in (0, 141, 282):
-            alone = verify_copy(copy, 3, 0.33, 0.0, RngStream(36, (5, i)).gen, copy_index=i)
+            alone = verify_copy(copy, 3, 0.33, 0.0, RngStream(36).substream(5).substream(i).gen, copy_index=i)
             assert transcript.verdicts[i].as_record() == alone.as_record()
 
     def test_exhausted_source(self):
@@ -267,9 +271,9 @@ class TestVerifyBatch:
         accepted = 0
         saw_early_exit = False
         for s in range(sessions):
-            noise_gen = stream.substream(s, 0).gen
+            noise_gen = stream.substream(s).substream(0).gen
             source = (channel.apply_to_pure(target, noise_gen) for _ in range(plan.M))
-            ok, transcript = verify_batch(source, plan, stream.substream(s, 1))
+            ok, transcript = verify_batch(source, plan, stream.substream(s).substream(1))
             accepted += ok
             if not ok:
                 assert transcript.verdicts[-1].accept is False
@@ -282,7 +286,7 @@ class TestVerifyBatch:
 
 class TestRobustProtocol:
     def test_identity_noise_reproduces_sensing(self):
-        scenario = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 4)
+        scenario = SCENARIO
         plan = VerificationPlan(3, 0.33, epsilon=1.0, delta=0.5)
         noise = standard_channel("none", 0.0, 3)
         rounds = 400
@@ -298,7 +302,7 @@ class TestRobustProtocol:
         assert result.theta_minus_abs == pytest.approx(np.pi / 4, abs=0.75)
 
     def test_zero_rounds(self):
-        scenario = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 4)
+        scenario = SCENARIO
         plan = VerificationPlan(3, 0.33, epsilon=1.0, delta=0.5)
         noise = standard_channel("none", 0.0, 3)
         result = run_robust_protocol(scenario, plan, noise, 0, RngStream(42))
@@ -307,14 +311,14 @@ class TestRobustProtocol:
         assert result.restarts == 0 and result.transcripts == ()
 
     def test_restart_cap_hit_under_strong_coherent_error(self):
-        scenario = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 4)
+        scenario = SCENARIO
         plan = VerificationPlan(3, 0.33, epsilon=0.67, delta=0.01)
         noise = standard_channel("coherent_mix", 0.67, 3, 0.33)
         with pytest.raises(RestartCapError):
             run_robust_protocol(scenario, plan, noise, 1, RngStream(43), restart_cap=25)
 
     def test_mild_noise_restarts_then_completes(self):
-        scenario = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 4)
+        scenario = SCENARIO
         plan = VerificationPlan(3, 0.33, epsilon=1.0, delta=0.5)
         noise = standard_channel("coherent_mix", 0.1, 3, 0.33)
         result = run_robust_protocol(scenario, plan, noise, 30, RngStream(44))
@@ -325,7 +329,7 @@ class TestRobustProtocol:
         assert len(rejected) == result.restarts
 
     def test_plan_scenario_mismatch(self):
-        scenario = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 4)
+        scenario = SCENARIO
         noise = standard_channel("none", 0.0, 3)
         plan_wrong_n = VerificationPlan(4, 0.33, epsilon=1.0, delta=0.5)
         with pytest.raises(ValueError):
@@ -340,7 +344,7 @@ class TestRobustProtocol:
                 run_robust_protocol(scenario, plan, noise_wrong_n, 1, RngStream(45))
 
     def test_negative_rounds_rejected(self):
-        scenario = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 4)
+        scenario = SCENARIO
         plan = VerificationPlan(3, 0.33, epsilon=1.0, delta=0.5)
         noise = standard_channel("none", 0.0, 3)
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from oracles import (
     omega3_profile,
     orbit_operator_dense,
     pauli_witness_bound,
+    to_dense,
 )
 
 
@@ -97,20 +98,20 @@ class TestNumericAgreement:
         dicke = make_dicke(m, n).amps
         for alpha, lam in [(s.alpha_plus, s.lambda_plus), (s.alpha_minus, s.lambda_minus)]:
             v = alpha * ghz + np.sqrt(c_big / 2) * dicke
-            np.testing.assert_allclose(o1.to_dense() @ v, lam * v, atol=1e-9 * np.linalg.norm(v))
+            np.testing.assert_allclose(to_dense(o1) @ v, lam * v, atol=1e-9 * np.linalg.norm(v))
 
     def test_theorem2_eigenvector_expectation_exact(self):
         n, q0, p = 4, 0.33, 0.1
         s = analytic_spectrum(n, q0, p)
         _, o2, _ = assemble_strategy_decomposed(n, q0, p)
         v = (make_dicke(2 * n, n - 1).amps + make_dicke(2 * n, n + 1).amps) / np.sqrt(2)
-        assert np.vdot(v, o2.to_dense() @ v).real == pytest.approx(s.lambda1_omega2, abs=1e-13)
+        assert np.vdot(v, to_dense(o2) @ v).real == pytest.approx(s.lambda1_omega2, abs=1e-13)
 
     def test_target_is_top_eigenvector(self):
         for n, q0, p in [(3, 0.33, 0.0), (4, 0.5, 0.2)]:
             o1, _, _ = assemble_strategy_decomposed(n, q0, p)
             st = make_target(n, q0)
-            np.testing.assert_allclose(o1.to_dense() @ st.amps, st.amps, atol=1e-12)
+            np.testing.assert_allclose(to_dense(o1) @ st.amps, st.amps, atol=1e-12)
 
 
 class TestCheckRoutes:
@@ -143,11 +144,11 @@ class TestCheckRoutes:
         real = StrategyOperator(2, {(0, 0): [[1]], (1, 1): np.eye(2), (0, 2): [[0.5]], (2, 2): [[1.0]]})
         assert real.dtype == np.float64
         assert all(b.dtype == np.float64 for b in real.blocks.values())
-        for mat in (real.component_matrix((0, 2)), real.to_dense()):
+        for mat in (real.component_matrix((0, 2)), to_dense(real)):
             assert mat.dtype == np.float64
         cplx = StrategyOperator(2, {(0, 0): [[1.0]], (0, 2): [[0.5j]], (2, 2): [[1.0]]})
         assert cplx.blocks[(0, 2)].dtype == np.complex128
-        for mat in (cplx.component_matrix((0, 2)), cplx.to_dense()):
+        for mat in (cplx.component_matrix((0, 2)), to_dense(cplx)):
             assert mat.dtype == np.complex128
 
 

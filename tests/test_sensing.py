@@ -16,11 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqsense.qcore import PureState, RngStream
+from aqsense.qcore import SUPPORT_BYTES_LIMIT, PureState, RngStream
 from aqsense.sensing import (
-    SUPPORT_BYTES_LIMIT,
     GhzCollapseError,
-    Povm,
     SensingScenario,
     analytic_probs,
     anonymity_audit,
@@ -34,6 +32,7 @@ from aqsense.sensing import (
     _support_bytes,
 )
 from oracles import (
+    DenseKetPovm,
     build_povm,
     dense_kets,
     expectation,
@@ -44,6 +43,10 @@ from oracles import (
     simulate_probs_dense,
     validate_povm,
 )
+
+# theta+ = pi/2 and theta- = -pi/6 at t = 1: omega1,2 = (theta+ +- theta-) / 2t
+SCENARIO = SensingScenario(n=3, q0=0.33, t1=1, t2=2, omega1=(np.pi / 2 - np.pi / 6) / 2,
+                           omega2=(np.pi / 2 + np.pi / 6) / 2, t=1.0)
 
 
 def fisher_inverse(n, q0, theta_plus, theta_minus, h=1e-6):
@@ -113,13 +116,6 @@ class TestPovm:
             np.testing.assert_array_equal(amps, ket[idx])
             np.testing.assert_array_equal(np.delete(ket, idx), 0.0)
 
-    def test_dense_kets_reduced_to_their_support(self):
-        ket = np.zeros(64, dtype=complex)
-        ket[[5, 40]] = [0.6, 0.8j]
-        (idx, amps), = Povm(3, kets=(ket,)).kets
-        assert idx.tolist() == [5, 40]
-        np.testing.assert_array_equal(amps, [0.6, 0.8j])
-
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             build_povm(2)
@@ -128,7 +124,7 @@ class TestPovm:
         # |GHZ+> and |0...0> overlap, so I minus the projectors is not positive
         ghz, zero = make_ghz(6).amps, np.eye(64)[0]
         with pytest.raises(ValueError, match="orthonormal"):
-            validate_povm(Povm(3, kets=(ghz, zero, dense_kets(build_povm(3))[2])))
+            validate_povm(DenseKetPovm(3, (ghz, zero, dense_kets(build_povm(3))[2])))
 
 
 class TestAnalyticProbs:
@@ -171,11 +167,6 @@ class TestScenario:
         sc = SensingScenario(n=3, q0=0.33, t1=1, t2=4, omega1=np.pi / 6, omega2=np.pi / 3, t=1.0)
         assert sc.theta_plus == pytest.approx(np.pi / 2)
         assert sc.theta_minus == pytest.approx(-np.pi / 6)
-
-    def test_from_angles_round_trip(self):
-        sc = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 6)
-        assert sc.theta_plus == pytest.approx(np.pi / 2, abs=1e-15)
-        assert sc.theta_minus == pytest.approx(-np.pi / 6, abs=1e-15)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -258,12 +249,12 @@ class TestSimulateProbs:
 
 class TestSampleRun:
     def test_single_shot(self):
-        sc = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 6)
+        sc = SCENARIO
         counts = sample_run(sc, 1, RngStream(3).gen)
         assert counts.sum() == 1 and (counts != 0).sum() == 1
 
     def test_reproducible(self):
-        sc = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 6)
+        sc = SCENARIO
         a = sample_run(sc, 1000, RngStream(7).gen)
         b = sample_run(sc, 1000, RngStream(7).gen)
         np.testing.assert_array_equal(a, b)
@@ -271,13 +262,14 @@ class TestSampleRun:
     @pytest.mark.parametrize("n", [3, 40, 200])
     def test_draws_from_the_closed_form(self, n):
         # no support arrays: the law sampled is the closed form, at any n
-        sc = SensingScenario.from_angles(n, 0.33, np.pi / 2, -np.pi / 4)
+        sc = SensingScenario(n=n, q0=0.33, t1=1, t2=2, omega1=(np.pi / 2 - np.pi / 4) / 2,
+                             omega2=(np.pi / 2 + np.pi / 4) / 2, t=1.0)
         law = analytic_probs(n, 0.33, np.pi / 2, -np.pi / 4).as_array()
         np.testing.assert_array_equal(sample_run(sc, 100_000, RngStream(1).gen),
                                       RngStream(1).gen.multinomial(100_000, law))
 
     def test_frequencies_within_four_sigma(self):
-        sc = SensingScenario.from_angles(3, 0.33, np.pi / 2, -np.pi / 6)
+        sc = SCENARIO
         shots = 100_000
         counts = sample_run(sc, shots, RngStream(11).gen)
         d = analytic_probs(3, 0.33, np.pi / 2, -np.pi / 6)
@@ -388,7 +380,7 @@ class TestAnonymityAudit:
         povm = dense_kets(build_povm(3))
         e0 = np.zeros(64, dtype=complex)
         e0[0] = 1.0
-        diagonal = Povm(3, kets=(e0, povm[1], povm[2]))
+        diagonal = DenseKetPovm(3, (e0, povm[1], povm[2]))
         report = anonymity_audit(3, 0.33, 0.3, 0.7, 1.0, povm=diagonal)
         assert report.passed
 
@@ -398,7 +390,7 @@ class TestAnonymityAudit:
         povm = dense_kets(build_povm(3))
         v = np.zeros(64, dtype=complex)
         v[0b000111] = v[0b111000] = 1 / np.sqrt(2)
-        broken = Povm(3, kets=(v, povm[1], povm[2]))
+        broken = DenseKetPovm(3, (v, povm[1], povm[2]))
         report = anonymity_audit(3, 0.33, 0.3, 0.7, 1.0, povm=broken)
         assert not report.passed
         assert report.max_distance > 1e-3
@@ -410,10 +402,10 @@ class TestAnonymityAudit:
         povm = dense_kets(build_povm(n))
         ket = np.zeros(2 ** (2 * n), dtype=complex)
         ket[(1 << n) - 1] = ket[((1 << n) - 1) << n] = 1 / np.sqrt(2)
-        broken = Povm(n, kets=(ket, povm[1], povm[2]))
+        broken = DenseKetPovm(n, (ket, povm[1], povm[2]))
         draw = np.random.default_rng(90 + n)
         generic = draw.normal(size=ket.size) + 1j * draw.normal(size=ket.size)
-        generic = Povm(n, kets=(generic / np.linalg.norm(generic), povm[1], povm[2]))
+        generic = DenseKetPovm(n, (generic / np.linalg.norm(generic), povm[1], povm[2]))
         for omega_a, omega_b, t in ((0.3, 0.7, 1.0), (1.1, 0.2, 0.9), (0.05, 1.5, 2.0)):
             for measurement in (None, broken, generic):
                 fast = placement_probabilities(n, 0.33, omega_a, omega_b, t, povm=measurement)
