@@ -73,6 +73,11 @@ CASES = [
     _case("opt", "--n-min", "511", "--n-max", "514", "--examples", "K,A", "--out", "sweep.csv", "--self-check"),
     _case("opt", "--n-min", "3", "--n-max", "3", "--examples", "L", "--out", "sweep.csv"),
     *[_case("qsv", "spectrum", "--n", str(n), "--q0", "0.33", "--check-numeric") for n in range(3, 7)],
+    # the spectrum's other closed-form paths at n = 3: the root taken for q0 >= 1/2, branch
+    # bc1 (q0 <= 0.2) and the a/bc1 boundary tie
+    *[_case("qsv", "spectrum", "--n", "3", "--q0", q0, "--check-numeric")
+      for q0 in ("0.6", "0.15", "0.21052631578947367")],
+    _case(*ROBUST[:-4], "--rounds", "0", "--seed", "3"),
     # config files
     _config("n=3\nq0=0.33\nepsilon=0.1\ndelta=0.01\n", "qsv", "complexity"),
     _config("epsilon = 0.5\n", *COMPLEXITY, "--epsilon", "0.1"),
@@ -98,6 +103,9 @@ CASES = [
     _case(*SENSE[:1], "--n", "3", *SENSE[1:], "--shots", "10"),
     _case(*SENSE[:1], "--n", "12", *SENSE[1:], "--audit"),
     _case("qsv", "spectrum", "--n", "3", "--q0", "1.5"),
+    _case("qsv", "spectrum", "--n", "3", "--q0", "1"),
+    _case("qsv", "complexity", "--n", "3", "--q0", "0.001", "--epsilon", "0.1", "--delta", "0.01"),
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:], "--shots", "100000000000000000000", "--seed", "1"),
     _case(*VERIFY, "--noise", "dephase"),
     _case(*VERIFY, "--noise", "bogus:0.1"),
     _case(*VERIFY, "--noise", "dephase:abc"),

@@ -67,7 +67,8 @@ EXIT_MISMATCH = 2
 EXIT_REJECTED = 3
 EXIT_RESTART_CAP = 4
 
-_LABELS = tuple("ABCDEFGHIJKL")
+# the largest --shots a multinomial draw takes (int64)
+_SHOTS_MAX = 2 ** 63 - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,21 +103,22 @@ def _parse_noise(arg: str, n: int, q0: float) -> KrausChannel:
 
 def _parse_examples(arg: str):
     """Resolve a label range A..L or comma list A,C,K to angle examples."""
+    by_label = {ex.label: ex for ex in ANGLE_EXAMPLES}
+    labels = list(by_label)
     if ".." in arg:
         start, _, end = arg.partition("..")
-        if start not in _LABELS or end not in _LABELS:
+        if start not in by_label or end not in by_label:
             raise ValueError(f"bad example range {arg!r}")
-        if _LABELS.index(start) > _LABELS.index(end):
+        if labels.index(start) > labels.index(end):
             raise ValueError(f"empty example range {arg!r}")
-        wanted = _LABELS[_LABELS.index(start) : _LABELS.index(end) + 1]
+        wanted = labels[labels.index(start) : labels.index(end) + 1]
     else:
         wanted = [label.strip() for label in arg.split(",")]
         for label in wanted:
-            if label not in _LABELS:
+            if label not in by_label:
                 raise ValueError(f"unknown example label {label!r}")
         if len(set(wanted)) < len(wanted):
             raise ValueError(f"repeated example label in {arg!r}")
-    by_label = {ex.label: ex for ex in ANGLE_EXAMPLES}
     return [by_label[label] for label in wanted]
 
 
@@ -135,6 +137,8 @@ def _scenario(opt: dict) -> SensingScenario:
 def _cmd_sense(opt: dict) -> int:
     if opt["shots"] < 0:
         raise ValueError(f"--shots must be non-negative, got {opt['shots']}")
+    if opt["shots"] > _SHOTS_MAX:
+        raise ValueError(f"--shots={opt['shots']} exceeds {_SHOTS_MAX}, the largest count a draw takes (2^63 - 1)")
     scenario = _scenario(opt)
     dist = analytic_probs(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
     bound = sensitivity_bounds(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
@@ -250,8 +254,9 @@ def _cmd_opt(opt: dict) -> int:
 
 
 def _cmd_robust(opt: dict) -> int:
-    scenario = _scenario(opt)
+    # the plan first, so that (n, q0) meets the checks of qsv verify and complexity
     plan = VerificationPlan(opt["n"], opt["q0"], opt["epsilon"], opt["delta"], opt["p"])
+    scenario = _scenario(opt)
     channel = _parse_noise(opt["noise"], opt["n"], opt["q0"])
     result = run_robust_protocol(
         scenario,

@@ -32,6 +32,7 @@ __all__ = [
     "PureState",
     "KrausChannel",
     "RngStream",
+    "check_probe",
     "probe_on",
     "make_target",
     "evolve_phases",
@@ -124,6 +125,14 @@ class _PhiloxKey:
         return self._key
 
 
+def check_probe(n: int, q0: float) -> None:
+    """Raise ValueError unless the probe exists: n >= 3 and 0 < q0 < 1."""
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    if not 0.0 < q0 < 1.0:
+        raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
+
+
 def probe_on(n: int, ghz: float, dicke: float, idx: np.ndarray) -> np.ndarray:
     """Amplitudes of ghz |GHZ_2n> + dicke |D_2n^n> on the basis indices idx
     (real). The probe is probe_on(n, sqrt(q0), sqrt(1-q0), idx) and
@@ -173,10 +182,7 @@ def _probe_bytes(n: int) -> int:
 def _probe_support(n: int, q0: float) -> np.ndarray:
     """The basis indices of weight 0, n and 2n, once (n, q0) is checked and
     the probe at n fits in SUPPORT_BYTES_LIMIT."""
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
-    if not 0.0 < q0 < 1.0:
-        raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
+    check_probe(n, q0)
     check_bytes_limit(n, _probe_bytes, "support arrays and 2^(2n) state vectors for the probe")
     return np.concatenate(([0], WeightBasis(2 * n, n).indices, [(1 << (2 * n)) - 1]))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .operators import check_n
+from .operators import lambda_map
 
 __all__ = [
     "sample_complexity",
@@ -29,11 +29,9 @@ def sample_complexity_terms(
     Term 1 covers the branch where the inverse gap is below 2n-1; term 2
     covers the other branch through the Wallis bound C(2n,n) < 4^n/sqrt(pi n)
     and carries the 1/(1-p) slowdown of a nonzero Z-test probability.
-    n runs to N_MAX, and a term that leaves float64 range is refused.
+    (n, q0) must pass lambda_map, and a term leaving float64 range is refused.
     """
-    check_n(n)
-    if not 0.0 < q0 < 1.0:
-        raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
+    lambda_map(n, q0)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     _validate(epsilon, delta)

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ..qcore import check_probe
 from ..symcomb import binom, containment_adjacency, johnson_adjacency
 
 __all__ = [
@@ -81,25 +82,17 @@ def q_min(n: int) -> float:
     return 2.0 / (binom(2 * n, n) + 2)
 
 
-def check_n(n: int) -> None:
-    """Raise ValueError unless 3 <= n <= N_MAX, naming the bound broken."""
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
-    if n > N_MAX:
-        raise ValueError(f"n={n} exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)")
-
-
 def lambda_map(n: int, q0: float) -> tuple[float, float]:
     """Squared amplitudes of the post-selected GHZ-like state.
 
     lambda0 = C q0 / (C q0 + 2 q1) and lambda1 = 2 q1 / (C q0 + 2 q1)
-    with C = C(2n,n); requires q0 >= q_min(n) so that lambda0 >= 1/2.
-    lambda1 is not formed as 1 - lambda0, which rounds to 0 once C q0
-    passes about 1e16 (n >= 30 at q0 = 0.33).
+    with C = C(2n,n); verification's (n, q0) check: n <= N_MAX, then
+    ``check_probe``, then q0 >= q_min(n) so that lambda0 >= 1/2. lambda1 is
+    not formed as 1 - lambda0, which rounds to 0 once C q0 passes about 1e16.
     """
-    check_n(n)
-    if not 0.0 < q0 <= 1.0:
-        raise ValueError(f"q0 must lie in (0, 1], got {q0}")
+    if n > N_MAX:
+        raise ValueError(f"n={n} exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)")
+    check_probe(n, q0)
     if q0 < q_min(n):
         raise ValueError(f"q0={q0} below the admissible minimum {q_min(n)}")
     c = binom(2 * n, n)

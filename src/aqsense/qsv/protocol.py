@@ -63,8 +63,6 @@ class VerificationPlan:
     M: int = field(init=False)
 
     def __post_init__(self) -> None:
-        # lambda_map adds the q_min bound to sample_complexity's checks
-        lambda_map(self.n, self.q0)
         object.__setattr__(self, "M", sample_complexity(self.n, self.q0, self.epsilon, self.delta, self.p))
 
 

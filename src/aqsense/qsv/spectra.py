@@ -90,8 +90,8 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
     lam0, lam1, a, b, c, d, alpha2, omega3_values = _block_coefficients(n, q0, p)
     m = 2 * n
     c_big = binom(m, n)
-    # d ~ C(2n,n)^(-3/2) leaves the normal float64 range from about n = 340
-    # (and is 0 at q0 = 1); the roots below divide by it
+    # d ~ C(2n,n)^(-3/2) leaves the normal float64 range from about n = 340;
+    # the roots below divide by it
     if not d >= sys.float_info.min:
         raise ValueError(
             f"core coupling d = {float(d):.3g} at n={n}, q0={q0} is below the smallest normal float64"

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PureState, check_bytes_limit, probe_on
+from .qcore import PureState, check_bytes_limit, check_probe, probe_on
 from .symcomb import WeightBasis, binom
 
 __all__ = [
-    "GhzCollapseError",
     "SensingScenario",
     "Povm",
     "OutcomeDistribution",
@@ -42,10 +41,6 @@ __all__ = [
     "placement_probabilities",
     "anonymity_audit",
 ]
-
-
-class GhzCollapseError(ValueError):
-    """The difference angle is unrecoverable: no Dicke weight in the probe."""
 
 
 @dataclass(frozen=True)
@@ -67,10 +62,7 @@ class SensingScenario:
     t: float
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"n must be at least 3, got {self.n}")
-        if not 0.0 < self.q0 < 1.0:
-            raise ValueError(f"q0 must lie strictly between 0 and 1, got {self.q0}")
+        check_probe(self.n, self.q0)
         m = 2 * self.n
         if not (1 <= self.t1 <= m and 1 <= self.t2 <= m):
             raise ValueError(f"positions must lie in [1, {m}]")
@@ -146,8 +138,8 @@ def analytic_probs(n: int, q0: float, theta_plus: float, theta_minus: float) -> 
 
     p1 = q0 (1 + cos theta+)/2, p2 = q0 (1 - cos theta+)/2,
     p3 = q1 [((n-1) cos(theta+/2) + n cos(theta-/2)) / (2n-1)]^2,
-    p4 = remainder. Total function of the angles; q0 may be 1 (pure GHZ
-    probe), in which case p3 = p4 = 0 identically.
+    p4 = remainder. Total function of the angles; q0 lies in (0, 1], as the
+    law holds at q0 = 1 (GHZ only, outside check_probe) with p3 = p4 = 0.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
@@ -198,13 +190,12 @@ def estimate_angles(p1: float, p2: float, p3: float, n: int, q0: float) -> tuple
 
     Returns (theta+ estimate, |theta-| estimate); arccos arguments are
     clamped to [-1, 1] and the final magnitude to [0, pi]. Raises
-    GhzCollapseError when p3 < 0 or q0 = 1, where theta- carries no signal.
+    ValueError off the probe's domain or when p3 < 0 (theta- is lost).
     """
-    if q0 <= 0.0:
-        raise ValueError(f"q0 must be positive, got {q0}")
+    check_probe(n, q0)
+    if p3 < 0.0:
+        raise ValueError("no Dicke weight available: theta- is unrecoverable")
     q1 = 1.0 - q0
-    if q1 == 0.0 or p3 < 0.0:
-        raise GhzCollapseError("no Dicke weight available: theta- is unrecoverable")
     tp = float(np.arccos(np.clip((p1 - p2) / q0, -1.0, 1.0)))
     f = (2 * n - 1) / n * np.sqrt(p3 / q1) - (n - 1) / n * np.cos(tp / 2)
     tm = 2.0 * float(np.arccos(np.clip(f, -1.0, 1.0)))
@@ -254,8 +245,7 @@ def sensitivity_bounds(n: int, q0: float, theta_plus: float, theta_minus: float)
     """Evaluate both variance bounds; theta_minus = 0 is rejected since the
     bound for theta- diverges there.
     """
-    if not 0.0 < q0 < 1.0:
-        raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
+    check_probe(n, q0)
     if not -np.pi / 2 <= theta_minus < 0.0:
         raise ValueError(f"theta_minus must lie in [-pi/2, 0), got {theta_minus}")
     return SensitivityBound(float(g_plus(q0)), float(g_minus(n, q0, theta_plus, theta_minus)))
@@ -292,6 +282,7 @@ def placement_probabilities(
     real, so dv's share of r and S comes from its real and imaginary parts
     by real products, skipped where they are 0.
     """
+    check_probe(n, q0)
     check_support_budget(n)
     if povm is None:
         povm = Povm(n)

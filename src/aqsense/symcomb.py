@@ -27,7 +27,7 @@ def binom(m: int, k: int) -> int:
 
 
 def _weight_indices(m: int, k: int) -> np.ndarray:
-    """Ascending array of all m-bit integers with Hamming weight k.
+    """Ascending array of all m-bit integers with Hamming weight k, 0 <= k <= m.
 
     The m bits split into a high part of m - m//2 bits and a low part of
     m//2 bits. Each high part h of weight w is followed, in ascending
@@ -35,8 +35,6 @@ def _weight_indices(m: int, k: int) -> np.ndarray:
     halves (about 2^(m/2) integers each) list both, so the work and memory
     are O(C(m, k) + 2^(m/2)) and nothing of size 2^m is made.
     """
-    if k < 0 or k > m:
-        return np.empty(0, dtype=np.int64)
     low_bits = m // 2
     high = np.arange(1 << (m - low_bits), dtype=np.int64)
     low_weight = np.bitwise_count(np.arange(1 << low_bits, dtype=np.int64))
@@ -76,10 +74,6 @@ class WeightBasis:
         if not 0 <= self.k <= self.m:
             raise ValueError(f"weight k={self.k} out of range 0..{self.m}")
         object.__setattr__(self, "indices", _weight_indices(self.m, self.k))
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
 
 
 def johnson_adjacency(m: int, k: int) -> np.ndarray:

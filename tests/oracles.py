@@ -70,7 +70,7 @@ def make_dicke(num_qubits, excitations):
         raise ValueError(f"excitations must lie in [0, {num_qubits}], got {excitations}")
     basis = WeightBasis(num_qubits, excitations)
     amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
-    amps[basis.indices] = 1 / np.sqrt(basis.size)
+    amps[basis.indices] = 1 / np.sqrt(basis.indices.size)
     return PureState(num_qubits, amps)
 
 

@@ -30,7 +30,7 @@ from aqsense.cli import (
     main,
 )
 from aqsense.qopt import N_MAX, sweep
-from aqsense.qsv import analytic_spectrum, sample_complexity
+from aqsense.qsv import analytic_spectrum, q_min, sample_complexity
 from aqsense.sensing import analytic_probs, check_support_budget, g_minus, g_plus
 
 OMEGA_A = repr(np.pi / 8)
@@ -212,6 +212,17 @@ class TestSense:
         assert out == ""
         assert "--shots" in err
 
+    @pytest.mark.parametrize("shots", [2 ** 63, 10 ** 20])
+    def test_shots_past_int64_names_the_flag_and_its_limit(self, shots, capsys):
+        code, out, err = run_cli(SENSE_BASE + ["--shots", str(shots), "--seed", "1"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --shots={shots} exceeds {2 ** 63 - 1}, the largest count a draw takes (2^63 - 1)\n"
+
+    def test_shots_at_int64_max_runs(self, capsys):
+        code, payload, _ = run_json(SENSE_BASE + ["--shots", str(2 ** 63 - 1), "--seed", "1"], capsys)
+        assert code == EXIT_OK
+        assert sum(payload["counts"]) == 2 ** 63 - 1
+
     def test_audit_flag_reports_pass(self, capsys):
         code, payload, _ = run_json(SENSE_BASE + ["--audit"], capsys)
         assert code == EXIT_OK
@@ -258,6 +269,13 @@ class TestQsvSpectrum:
         assert code == EXIT_OK
         assert payload["beta"] == pytest.approx(analytic_spectrum(4, 0.2, 0.3).beta, rel=1e-15)
 
+    @pytest.mark.parametrize("q0", ["0", "1", "1.5"])
+    def test_q0_outside_the_probe_domain_names_it(self, q0, capsys):
+        # q0 = 1 meets the domain check before the core coupling d = 0 it would give
+        code, out, err = run_cli(["qsv", "spectrum", "--n", "3", "--q0", q0], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: q0 must lie strictly between 0 and 1, got {float(q0)}\n"
+
     def test_large_n_gap_without_warnings(self, capsys):
         argv = ["qsv", "spectrum", "--n", "50", "--q0", "0.33", "--p", "0.1"]
         with warnings.catch_warnings():
@@ -287,6 +305,28 @@ class TestQsvComplexity:
         assert at_half["term_wallis"] > at_zero["term_wallis"]
         assert at_half["term_gap"] == at_zero["term_gap"]
         assert at_half["M"] == max(at_half["term_gap"], at_half["term_wallis"])
+
+    def test_q0_below_q_min_is_usage(self, capsys):
+        argv = ["qsv", "complexity", "--n", "3", "--q0", "0.001", "--epsilon", "0.1", "--delta", "0.01"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: q0=0.001 below the admissible minimum {q_min(3)}\n"
+
+
+@pytest.mark.parametrize(
+    "n,q0", [("2", "0.33"), ("3", "0"), ("3", "1"), ("3", "1.5"), ("3", "0.001"), ("520", "0.33"),
+             ("600", "1.5"), ("2", "1.5")]
+)
+def test_verification_commands_refuse_the_same_n_q0_alike(n, q0, capsys):
+    plan = ["--n", n, "--q0", q0, "--epsilon", "0.1", "--delta", "0.01"]
+    errors = []
+    for argv in (["qsv", "complexity", *plan], ["qsv", "verify", *plan, "--seed", "1"],
+                 ["robust", *plan, "--rounds", "1", "--seed", "1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        errors.append(err)
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+    assert errors == [errors[0]] * 3
 
 
 class TestQsvVerify:

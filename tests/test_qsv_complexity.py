@@ -57,6 +57,12 @@ class TestSampleComplexity:
         with pytest.raises(ValueError, match="n must be at least 3, got 2"):
             sample_complexity_terms(2, 0.33, 0.1, 0.01)
 
+    def test_q0_below_q_min_rejected(self):
+        # the verification bound of lambda_map, so complexity refuses what verify refuses
+        assert sample_complexity_terms(3, q_min(3), 0.1, 0.01) == (231, 95)
+        with pytest.raises(ValueError, match=f"^q0=0.001 below the admissible minimum {q_min(3)}$"):
+            sample_complexity_terms(3, 0.001, 0.1, 0.01)
+
     def test_delta_near_one(self):
         assert sample_complexity(3, 0.33, 0.5, 1 - 1e-12) <= 1
 

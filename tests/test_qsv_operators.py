@@ -67,6 +67,11 @@ class TestLambdaMap:
         with pytest.raises(ValueError):
             lambda_map(3, q_min(3) - 1e-6)
 
+    def test_ghz_only_q0_rejected(self):
+        # the probe's domain is 0 < q0 < 1, so lambda_map refuses q0 = 1 like every other check
+        with pytest.raises(ValueError, match="^q0 must lie strictly between 0 and 1, got 1.0$"):
+            lambda_map(3, 1.0)
+
     def test_n_range(self):
         # C(2n, n) leaves float64 range above N_MAX, so q_min and the map do too
         lam0, lam1 = lambda_map(N_MAX, 0.33)

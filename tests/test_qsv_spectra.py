@@ -249,12 +249,18 @@ class TestLargeN:
             assert abs(Fraction(s.alpha_plus) ** 2 - plus_sq) <= Fraction(2, 10**12) * plus_sq
             assert abs(Fraction(s.alpha_minus) ** 2 - minus_sq) <= Fraction(2, 10**12) * minus_sq
 
-    @pytest.mark.parametrize("n,q0", [(345, 0.33), (400, 0.33), (3, 1.0)])
+    @pytest.mark.parametrize("n,q0", [(345, 0.33), (400, 0.33)])
     def test_subnormal_core_coupling_rejected(self, n, q0):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="smallest normal float64"):
                 analytic_spectrum(n, q0, 0.0)
+
+    @pytest.mark.parametrize("q0", [0.0, 1.0, 1.5])
+    def test_q0_outside_the_probe_domain_rejected(self, q0):
+        # q0 = 1 (GHZ only) lies outside the probe's domain, so it is refused before d = 0 is formed
+        with pytest.raises(ValueError, match=f"^q0 must lie strictly between 0 and 1, got {q0}$"):
+            analytic_spectrum(3, q0, 0.0)
 
     def test_lambda1_keeps_its_digits_at_n50(self):
         lam0, lam1 = lambda_map(50, 0.33)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from aqsense.qcore import SUPPORT_BYTES_LIMIT, PureState, RngStream
 from aqsense.sensing import (
-    GhzCollapseError,
     SensingScenario,
     analytic_probs,
     anonymity_audit,
@@ -310,9 +309,10 @@ class TestEstimateAngles:
         assert 0 <= tp <= np.pi and 0 <= tm <= np.pi
 
     def test_ghz_collapse(self):
-        with pytest.raises(GhzCollapseError):
+        # q0 = 1 lies outside the probe's domain; p3 < 0 leaves theta- unrecoverable
+        with pytest.raises(ValueError, match=r"^q0 must lie strictly between 0 and 1, got 1.0$"):
             estimate_angles(0.6, 0.4, 0.0, 3, 1.0)
-        with pytest.raises(GhzCollapseError):
+        with pytest.raises(ValueError, match="^no Dicke weight available: theta- is unrecoverable$"):
             estimate_angles(0.3, 0.3, -0.01, 3, 0.33)
 
 
@@ -349,6 +349,10 @@ class TestSensitivityBounds:
         with pytest.raises(ValueError):
             sensitivity_bounds(3, 0.33, np.pi / 2, 0.0)
 
+    def test_n_below_3_rejected(self):
+        with pytest.raises(ValueError, match="^n must be at least 3, got 2$"):
+            sensitivity_bounds(2, 0.33, np.pi / 2, -np.pi / 6)
+
     def test_vectorized_helpers(self):
         q0s = np.linspace(0.1, 0.9, 7)
         gp = g_plus(q0s)
@@ -360,6 +364,15 @@ class TestSensitivityBounds:
 
 
 class TestAnonymityAudit:
+    @pytest.mark.parametrize("q0", [-0.2, 0.0, 1.0, 1.5])
+    def test_q0_outside_the_probe_domain_rejected(self, q0):
+        # the probe exists only for 0 < q0 < 1, so there is no law to return
+        message = f"^q0 must lie strictly between 0 and 1, got {q0}$"
+        with pytest.raises(ValueError, match=message):
+            placement_probabilities(3, q0, 0.3, 0.7, 1.0)
+        with pytest.raises(ValueError, match=message):
+            anonymity_audit(3, q0, 0.3, 0.7, 1.0)
+
     def test_passes_for_protocol_povm(self):
         report = anonymity_audit(3, 0.33, 0.3, 0.7, 1.0)
         assert report.passed
