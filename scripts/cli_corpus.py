@@ -118,6 +118,12 @@ CASES = [
     _case(*ROBUST, "--rounds", "-1"),
     _case("qsv", "verify", "--n", "16", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "1"),
     _case(*ROBUST[:2], "13", *ROBUST[3:], "--noise", "coherent_mix:0.5"),
+    # below n = 3, through q_min's check; NaN and infinite values, each refused before any work
+    _case("opt", "--n-min", "2", "--n-max", "5", "--out", "sweep.csv"),
+    _case(*SPECTRUM, "--check-numeric", "--tol", "nan"),
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:-2], "--t", "nan"),
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:-4], "--omega-b", "inf", "--t", "0"),
+    _case(*ROBUST, "--t", "nan"),
 ]
 
 

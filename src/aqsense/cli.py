@@ -33,6 +33,8 @@ from math import pi
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .qcore import KrausChannel, RngStream, make_target, standard_channel
 from .qopt import ANGLE_EXAMPLES, sweep, write_sweep_csv
 from .qsv import (
@@ -177,11 +179,13 @@ def _cmd_sense(opt: dict) -> int:
 
 
 def _cmd_qsv_spectrum(opt: dict) -> int:
+    if not opt["tol"] >= 0.0:
+        raise ValueError(f"--tol must be a non-negative number, got {opt['tol']}")
     summary = analytic_spectrum(opt["n"], opt["q0"], opt["p"], check_numeric=opt["check_numeric"])
     _emit(dataclasses.asdict(summary), opt["out"])
     if opt["check_numeric"]:
-        worst = max(summary.residuals.values())
-        if worst > opt["tol"]:
+        worst = np.max(list(summary.residuals.values()))  # NaN if any residual is NaN
+        if not worst <= opt["tol"]:
             print(
                 f"error: analytic/numeric residual {worst:.3e} exceeds {opt['tol']:.3e}",
                 file=sys.stderr,

@@ -283,12 +283,12 @@ class KrausChannel:
 
     def __post_init__(self) -> None:
         weights = [w for w, _ in self.branches]
-        if min(weights, default=0.0) < 0.0 or sum(weights) > 1.0 + 1e-12:
+        if not (min(weights, default=0.0) >= 0.0 and sum(weights) <= 1.0 + 1e-12):
             raise ValueError(f"each branch needs a weight in [0, 1], with a sum of at most 1 "
                              f"within 1e-12; got {weights}")
         if any(isinstance(unitary, tuple) for _, unitary in self.branches):
             (_, (support, u)), *rest = self.branches
-            if rest or np.shape(u) != np.shape(support) or abs(np.linalg.norm(u) - 1.0) > 1e-12:
+            if rest or np.shape(u) != np.shape(support) or not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
                 raise ValueError("a reflection needs a unit vector u on its support, within 1e-12, "
                                  "and no other branch")
         # branch j happens with probability w_j, the identity (j = 0) with the rest

@@ -148,8 +148,6 @@ def q_landmarks(n, theta_plus, theta_minus):
     of large numbers, no overflow, and 0 where eta is 0.
     """
     n_arr = np.asarray(n)
-    if np.any(n_arr < 3):
-        raise ValueError(f"n must be at least 3, got {n}")
     gamma, eta = gamma_eta(n, theta_plus, theta_minus)
     root = np.sqrt(eta)
     landmarks = (_scalar_or_array(_per_n(fn, n_arr)) for fn in (q_min, _q_beta))
@@ -163,11 +161,9 @@ def beta_p0(n, q0):
     C q0/(2 + (C-2) q0) with C = C(2n,n). Vectorized in n and q0.
     """
     n_arr = np.asarray(n)
-    if np.any(n_arr < 3):
-        raise ValueError(f"n must be at least 3, got {n}")
     q = np.asarray(q0, dtype=float)
     qm, qb, c = (_per_n(fn, n_arr) for fn in (q_min, _q_beta, _central))
-    if np.any(q < qm) or np.any(q >= 1.0):
+    if not np.all((qm <= q) & (q < 1.0)):
         raise ValueError(f"q0 must lie in [q_min(n), 1), got {q0} at n = {n}")
     denom = 2.0 + (c - 2.0) * q
     value = np.where(q < qb, 1.0 - 1.0 / (2 * n_arr - 1) - 2.0 * q / denom, c * q / denom)
@@ -216,11 +212,7 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     n_all, tp, tm = np.broadcast_arrays(
         np.asarray(n), np.asarray(theta_plus, float), np.asarray(theta_minus, float)
     )
-    if np.any((n_all < 3) | (n_all > N_MAX)):
-        raise ValueError(
-            f"n must lie in 3..{N_MAX} (C(2n, n) leaves float64 range above {N_MAX}), got {n}"
-        )
-    if np.any((tp <= 0.0) | (tp > np.pi)) or np.any((tm < -np.pi / 2) | (tm >= 0.0)):
+    if not np.all((0.0 < tp) & (tp <= np.pi) & (-np.pi / 2 <= tm) & (tm < 0.0)):
         raise ValueError(
             f"angles must lie in theta+ in (0, pi], theta- in [-pi/2, 0), got {theta_plus}, {theta_minus}"
         )
@@ -279,14 +271,10 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
 def sweep(n_min: int, n_max: int, examples: Sequence[AngleExample] | None = None) -> list[dict]:
     """One optimization row per (n, example) pair, from one minimize_H call
     over all of them; deterministic."""
-    if n_min < 3:
-        raise ValueError(f"n_min must be at least 3, got {n_min}")
+    q_min(n_min)  # refuses an n outside the strategy's range, naming it
     if n_max < n_min:
         raise ValueError(f"n_max={n_max} is below n_min={n_min}")
-    if n_max > N_MAX:
-        raise ValueError(
-            f"n_max={n_max} exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)"
-        )
+    q_min(n_max)
     chosen = ANGLE_EXAMPLES if examples is None else tuple(examples)
     ns = np.repeat(np.arange(n_min, n_max + 1), len(chosen))
     count = n_max - n_min + 1

@@ -73,12 +73,17 @@ class StrategyOperator:
 
 
 # largest n with C(2n, n) + 8n - 6 inside float64 range (qopt's q_beta
-# denominator); lambda_map, the copy count and the q0 optimum stop there
+# denominator); q_min, and so every strategy computation, stops there
 N_MAX = 514
 
 
 def q_min(n: int) -> float:
-    """Smallest admissible GHZ weight 2/(C(2n,n)+2)."""
+    """Smallest admissible GHZ weight 2/(C(2n,n)+2); the one check of the
+    strategy's n domain 3 <= n <= N_MAX (ValueError outside)."""
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    if n > N_MAX:
+        raise ValueError(f"n={n} exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)")
     return 2.0 / (binom(2 * n, n) + 2)
 
 
@@ -86,15 +91,14 @@ def lambda_map(n: int, q0: float) -> tuple[float, float]:
     """Squared amplitudes of the post-selected GHZ-like state.
 
     lambda0 = C q0 / (C q0 + 2 q1) and lambda1 = 2 q1 / (C q0 + 2 q1)
-    with C = C(2n,n); verification's (n, q0) check: n <= N_MAX, then
-    ``check_probe``, then q0 >= q_min(n) so that lambda0 >= 1/2. lambda1 is
-    not formed as 1 - lambda0, which rounds to 0 once C q0 passes about 1e16.
+    with C = C(2n,n); verification's (n, q0) check: ``q_min``'s n domain,
+    then ``check_probe``, then q0 >= q_min(n) so that lambda0 >= 1/2. lambda1
+    is not formed as 1 - lambda0, which rounds to 0 once C q0 passes about 1e16.
     """
-    if n > N_MAX:
-        raise ValueError(f"n={n} exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)")
+    lowest = q_min(n)
     check_probe(n, q0)
-    if q0 < q_min(n):
-        raise ValueError(f"q0={q0} below the admissible minimum {q_min(n)}")
+    if q0 < lowest:
+        raise ValueError(f"q0={q0} below the admissible minimum {lowest}")
     c = binom(2 * n, n)
     denom = c * q0 + 2 * (1.0 - q0)
     return c * q0 / denom, 2 * (1.0 - q0) / denom

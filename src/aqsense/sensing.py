@@ -48,9 +48,9 @@ class SensingScenario:
     """One sensing run: probe shape, field positions, frequencies, time.
 
     Positions t1, t2 are 1-based and distinct; omega1 sits at t1 and omega2
-    at t2 with 0 < omega1 < omega2 <= pi/(2t). All other local frequencies
-    are zero. Derived angles: theta_plus = (omega1+omega2) t in (0, pi],
-    theta_minus = (omega1-omega2) t in [-pi/2, 0).
+    at t2 with 0 < omega1 < omega2 <= pi/(2t), both finite. All other local
+    frequencies are zero. Derived angles: theta_plus = (omega1+omega2) t in
+    (0, pi], theta_minus = (omega1-omega2) t in [-pi/2, 0).
     """
 
     n: int
@@ -68,9 +68,9 @@ class SensingScenario:
             raise ValueError(f"positions must lie in [1, {m}]")
         if self.t1 == self.t2:
             raise ValueError("the two field positions must differ")
-        if not 0.0 < self.omega1 < self.omega2:
-            raise ValueError("frequencies must satisfy 0 < omega1 < omega2")
-        if self.t < 0.0:
+        if not 0.0 < self.omega1 < self.omega2 < np.inf:
+            raise ValueError("frequencies must be finite and satisfy 0 < omega1 < omega2")
+        if not self.t >= 0.0:
             raise ValueError(f"interaction time must be nonnegative, got {self.t}")
         if self.t > 0.0 and self.omega2 > np.pi / (2 * self.t) + 1e-12:
             raise ValueError("omega2 exceeds pi/(2t)")
@@ -124,7 +124,7 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         probs = np.array([self.p1, self.p2, self.p3, self.p4])
-        if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
+        if not np.all((-1e-12 <= probs) & (probs <= 1 + 1e-12)):
             raise ValueError(f"probabilities out of [0, 1]: {probs}")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")

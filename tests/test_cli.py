@@ -4,6 +4,7 @@ seeded reproducibility, and the key=value config file."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import aqsense
+from aqsense import cli
 from aqsense.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -256,6 +258,32 @@ class TestQsvSpectrum:
         assert payload["residuals"]
         assert max(payload["residuals"].values()) < 1e-10
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9"])
+    def test_tolerance_not_a_non_negative_number_is_usage(self, tol, capsys):
+        argv = ["qsv", "spectrum", "--n", "3", "--q0", "0.33", "--check-numeric", f"--tol={tol}"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --tol must be a non-negative number, got {float(tol)}\n"
+
+    def test_infinite_tolerance_passes(self, capsys):
+        argv = ["qsv", "spectrum", "--n", "3", "--q0", "0.33", "--check-numeric", "--tol", "inf"]
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_nan_residual_trips_mismatch(self, where, monkeypatch, capsys):
+        # a NaN residual fails the check wherever it sits in the table
+        def nan_residual(*args, **kwargs):
+            summary = analytic_spectrum(*args, **kwargs)
+            key = list(summary.residuals)[where]
+            return dataclasses.replace(summary, residuals={**summary.residuals, key: float("nan")})
+
+        monkeypatch.setattr("aqsense.cli.analytic_spectrum", nan_residual)
+        argv = ["qsv", "spectrum", "--n", "3", "--q0", "0.33", "--check-numeric", "--tol", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_MISMATCH
+        assert json.loads(out)["residuals"]
+        assert err == "error: analytic/numeric residual nan exceeds 1.000e+00\n"
+
     def test_tolerance_override_trips_mismatch(self, capsys):
         argv = ["qsv", "spectrum", "--n", "3", "--q0", "0.33", "--check-numeric", "--tol", "1e-30"]
         code, out, err = run_cli(argv, capsys)
@@ -327,6 +355,62 @@ def test_verification_commands_refuse_the_same_n_q0_alike(n, q0, capsys):
         errors.append(err)
     assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
     assert errors == [errors[0]] * 3
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(2, "n must be at least 3, got 2"),
+     (600, f"n=600 exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)")],
+)
+def test_strategy_commands_refuse_n_outside_3_to_n_max_alike(n, message, tmp_path, capsys):
+    plan = ["--n", str(n), "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01"]
+    ends = ["--n-min", "2", "--n-max", "5"] if n < 3 else ["--n-min", "3", "--n-max", str(n)]
+    for argv in (["opt", *ends, "--out", str(tmp_path / "sweep.csv")], ["qsv", "spectrum", *plan[:4]],
+                 ["qsv", "complexity", *plan], ["qsv", "verify", *plan, "--seed", "1"],
+                 ["robust", *plan, "--rounds", "1", "--seed", "1"]):
+        assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+# a valid value for every required flag and every float flag of a subcommand
+VALID = {
+    "n": "3", "q0": "0.33", "omega_a": OMEGA_A, "omega_b": OMEGA_B, "t": "1.0", "p": "0.1", "tol": "1e-9",
+    "epsilon": "0.67", "delta": "0.2", "seed": "1", "rounds": "1",
+}
+FLOAT_FLAGS = [(leaf, flag) for leaf, (_, _, flags) in cli._LEAVES.items()
+               for flag in flags if cli._FLAGS[flag][0] is float]
+
+
+def _valid_argv(leaf: str, **values: str) -> list[str]:
+    flags = cli._LEAVES[leaf][2]
+    chosen = {flag: VALID[flag] for flag, default in flags.items()
+              if default is cli._REQUIRED or cli._FLAGS[flag][0] is float}
+    chosen.update(values)
+    pairs = (("--" + flag.replace("_", "-"), value) for flag, value in chosen.items())
+    return [*leaf.split(), *(arg for pair in pairs for arg in pair)]
+
+
+@pytest.mark.parametrize("leaf, flag", FLOAT_FLAGS, ids=[f"{leaf} {flag}" for leaf, flag in FLOAT_FLAGS])
+def test_nan_on_every_float_flag_is_usage(leaf, flag, capsys):
+    assert run_cli(_valid_argv(leaf), capsys)[0] == EXIT_OK
+    code, out, err = run_cli(_valid_argv(leaf, **{flag: "nan"}), capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestNonFiniteScenario:
+    @pytest.mark.parametrize(
+        "values, message",
+        [({"t": "nan"}, "interaction time must be nonnegative, got nan"),
+         ({"omega_b": "inf", "t": "0"}, "frequencies must be finite and satisfy 0 < omega1 < omega2")],
+    )
+    @pytest.mark.parametrize("leaf", ["sense", "robust"])
+    def test_refused_before_any_copy_is_verified(self, leaf, values, message, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the robust loop ran")
+
+        monkeypatch.setattr("aqsense.cli.run_robust_protocol", refuse)
+        assert run_cli(_valid_argv(leaf, **values), capsys) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 class TestQsvVerify:

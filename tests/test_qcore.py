@@ -274,10 +274,12 @@ class TestChannels:
         u = np.ones(3) / np.sqrt(3)
         KrausChannel("reflect", 0.5, 6, ((0.5, (support, u)),))
         z = np.diag([1.0, -1.0])
-        for bad in [((0.5, (support, 2 * u)),), ((0.5, (support, u[:2])),), ((0.5, (support, u)), (0.1, z))]:
+        for bad in [((0.5, (support, 2 * u)),), ((0.5, (support, u[:2])),), ((0.5, (support, u)), (0.1, z)),
+                    ((0.5, (support, np.full(3, np.nan))),)]:
             with pytest.raises(ValueError, match="unit vector"):
                 KrausChannel("reflect", 0.5, 6, bad)
-        for bad in [((1.5, (support, u)),), ((-0.1, z),), ((0.6, z), (0.6, z))]:
+        for bad in [((1.5, (support, u)),), ((-0.1, z),), ((0.6, z), (0.6, z)), ((np.nan, z),),
+                    ((0.1, z), (np.nan, z))]:
             with pytest.raises(ValueError, match="weight in"):
                 KrausChannel("reflect", 0.5, 6, bad)
 

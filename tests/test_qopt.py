@@ -30,6 +30,7 @@ from aqsense.sensing import g_minus, g_plus
 
 A = (np.pi / 4, -np.pi / 6)
 K = (np.pi / 2, -np.pi / 3)
+N_MAX_MESSAGE = rf"^n=\d+ exceeds {N_MAX}, the largest n accepted \(C\(2n, n\) leaves float64 range above it\)$"
 
 
 class TestAngleExamples:
@@ -99,6 +100,14 @@ class TestLandmarks:
             qm, qb, _ = q_landmarks(n, *A)
             assert qm < qb
 
+    @pytest.mark.parametrize("n, message", [(2, "n must be at least 3, got 2$"), (N_MAX + 1, N_MAX_MESSAGE)])
+    def test_n_outside_the_strategy_domain_names_it(self, n, message):
+        # q_min refuses n before a binomial past float64 range is turned into a float
+        with pytest.raises(ValueError, match=message):
+            q_landmarks(n, *A)
+        with pytest.raises(ValueError, match=message):
+            beta_p0(n, 0.3)
+
 
 class TestBetaP0:
     def test_frozen_branch_values(self):
@@ -134,6 +143,10 @@ class TestBetaP0:
             beta_p0(3, 1.0)
         with pytest.raises(ValueError):
             beta_p0(3, np.array([0.3, 1.2]))
+        with pytest.raises(ValueError, match=r"got nan at n = 3"):
+            beta_p0(3, np.nan)
+        with pytest.raises(ValueError, match=r"got \[0.3 nan\]"):
+            beta_p0(3, np.array([0.3, np.nan]))
 
 
 class TestObjectiveH:
@@ -240,7 +253,10 @@ class TestMinimize:
                 warned_full_domain=False,
             )
 
-    @pytest.mark.parametrize("theta_plus, theta_minus", [(1.0, 0.0), (4.0, -0.5), (1.0, 0.3), (1.0, -2.0)])
+    @pytest.mark.parametrize(
+        "theta_plus, theta_minus",
+        [(1.0, 0.0), (4.0, -0.5), (1.0, 0.3), (1.0, -2.0), (np.nan, -0.5), (1.0, np.nan), (np.inf, -0.5)],
+    )
     def test_angles_outside_sensing_domain_rejected(self, theta_plus, theta_minus):
         with pytest.raises(ValueError, match="angles must lie"):
             minimize_H(3, theta_plus, theta_minus)
@@ -302,7 +318,7 @@ class TestMinimize:
         rows = sweep(N_MAX - 3, N_MAX)
         assert all(np.isfinite(list(row.values())[4:]).all() for row in rows)
         assert all(row["q_G"] <= row["q_H"] < 1.0 for row in rows)
-        with pytest.raises(ValueError, match=f"3..{N_MAX}"):
+        with pytest.raises(ValueError, match=f"n={N_MAX + 1} exceeds {N_MAX}, the largest n accepted"):
             minimize_H(N_MAX + 1, *A)
         with pytest.raises(ValueError, match=f"exceeds {N_MAX}, the largest n accepted"):
             sweep(3, N_MAX + 1)
@@ -444,6 +460,16 @@ class TestBatchedSearch:
             for key in FIELDS:
                 assert np.array_equal(getattr(report, key)[row], getattr(single, key)), key
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_n_outside_the_domain_names_the_smallest_bad_n(self):
+        with pytest.raises(ValueError, match="^n must be at least 3, got 2$"):
+            minimize_H(np.array([3, 2, 600]), 1.0, -0.5)
+        with pytest.raises(ValueError, match=f"^n={N_MAX + 1} exceeds"):
+            minimize_H(np.array([3, 600, N_MAX + 1]), 1.0, -0.5)
+        # the angles are checked first: at (0, 0) the landmarks would form 0/0
+        with pytest.raises(ValueError, match="angles must lie"):
+            minimize_H(2, 0.0, 0.0)
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         n=st.integers(3, 50),
@@ -500,6 +526,16 @@ class TestSweep:
             sweep(4, 3)
         with pytest.raises(ValueError):
             sweep(2, 5)
+
+    @pytest.mark.parametrize(
+        "n_min, n_max, message",
+        [(2, 5, "^n must be at least 3, got 2$"), (3, 600, N_MAX_MESSAGE), (4, 3, "^n_max=3 is below n_min=4$"),
+         (2, 600, "^n must be at least 3, got 2$"), (600, 3, N_MAX_MESSAGE)],
+    )
+    def test_bad_range_names_the_end_outside(self, n_min, n_max, message):
+        # n_min is checked first, then the order of the ends, then n_max
+        with pytest.raises(ValueError, match=message):
+            sweep(n_min, n_max)
 
     def test_csv_exact_header_and_values(self, tmp_path):
         rows = sweep(3, 3)

@@ -160,6 +160,12 @@ class TestAnalyticProbs:
         with pytest.raises(ValueError):
             analytic_probs(3, 1.1, 0.1, -0.1)
 
+    @pytest.mark.parametrize("theta_plus, theta_minus", [(np.nan, -0.1), (0.1, np.nan)])
+    def test_non_finite_angle_refused(self, theta_plus, theta_minus):
+        # a NaN probability fails the law's range check instead of passing it
+        with pytest.raises(ValueError, match=r"^probabilities out of \[0, 1\]"):
+            analytic_probs(3, 0.33, theta_plus, theta_minus)
+
 
 class TestScenario:
     def test_derived_angles(self):
@@ -176,6 +182,18 @@ class TestScenario:
             SensingScenario(n=3, q0=0.33, t1=1, t2=2, omega1=0.3, omega2=2.0, t=1.0)
         with pytest.raises(ValueError):  # same position
             SensingScenario(n=3, q0=0.33, t1=2, t2=2, omega1=0.1, omega2=0.2, t=1.0)
+
+    @pytest.mark.parametrize(
+        "omega1, omega2, t, message",
+        [(0.1, 0.2, np.nan, "^interaction time must be nonnegative, got nan$"),
+         (0.1, np.inf, 0.0, "^frequencies must be finite and satisfy 0 < omega1 < omega2$"),
+         (np.nan, 0.2, 1.0, "^frequencies must be finite"),
+         (0.1, np.nan, 1.0, "^frequencies must be finite")],
+    )
+    def test_non_finite_values_refused(self, omega1, omega2, t, message):
+        # NaN fails every comparison, so each check is written to fail on it
+        with pytest.raises(ValueError, match=message):
+            SensingScenario(n=3, q0=0.33, t1=1, t2=2, omega1=omega1, omega2=omega2, t=t)
 
 
 class TestSimulateProbs:
