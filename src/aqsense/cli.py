@@ -199,13 +199,8 @@ def _cmd_qsv_verify(opt: dict) -> int:
     channel = _parse_noise(opt["noise"], opt["n"], opt["q0"])
     target = make_target(opt["n"], opt["q0"])
     stream = RngStream(opt["seed"])
-    noise_gen = stream.substream(0).gen
-
-    def source():
-        while True:
-            yield channel.apply_to_pure(target, noise_gen)
-
-    accepted, transcript = verify_batch(source(), plan, stream.substream(1))
+    source = channel.trajectories(target, stream.substream(0).gen, plan.M)
+    accepted, transcript = verify_batch(source, plan, stream.substream(1))
     if opt["transcript"]:
         Path(opt["transcript"]).write_text(transcript.to_jsonl())
     payload = {

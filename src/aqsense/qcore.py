@@ -1,11 +1,13 @@
 """Minimal multi-qubit state engine.
 
 Pure states over m qubits with a big-endian index convention (qubit 0 is
-the most significant bit), GHZ/Dicke amplitudes on any basis indices, local
-phase evolution generated by single-qubit Z terms, noise channels held
-as a table of weighted unitary branches (a 2x2 unitary on every qubit, or
-one reflection of the whole state) that sample trajectories from that
-state-independent branch law, one joint measurement of any set of qubits
+the most significant bit) and read-only amplitudes, each state forming its
+cumulative |amplitude|^2 law once, GHZ/Dicke amplitudes on any basis
+indices, local phase evolution generated by single-qubit Z terms, noise
+channels held as a table of weighted unitary branches (a 2x2 unitary on
+every qubit, or one reflection of the whole state) that sample streams of
+trajectories from that state-independent branch law, drawing the uniforms
+of a chunk of copies at once, one joint measurement of any set of qubits
 in per-qubit bases that keeps only the unmeasured qubits' conditional
 state, seeded random streams (item i of a stream is a Philox generator
 whose key the stream derives once for all its items), and the two largest
@@ -19,9 +21,11 @@ no 2^(2n) x 2^(2n) operator is built.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +49,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector on ``num_qubits`` qubits, big-endian indexing."""
+    """Normalized state vector on ``num_qubits`` qubits, big-endian indexing.
+
+    ``amps`` is a read-only view of the amplitudes, so ``law``, formed on
+    first use, stays the law of the state.
+    """
 
     num_qubits: int
     amps: np.ndarray
@@ -57,9 +65,16 @@ class PureState:
                 f"amplitude vector has shape {amps.shape}, expected ({2 ** self.num_qubits},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state vector not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        amps = amps.view()
+        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
+
+    @cached_property
+    def law(self) -> np.ndarray:
+        """The cumulative |amplitude|^2 over the basis states, formed once."""
+        return _cumulative_law(self.amps)
 
 
 class RngStream:
@@ -152,9 +167,13 @@ SUPPORT_BYTES_LIMIT = 1 << 30
 # reads 25 to 62 bytes per state at n = 5..9)
 _PROBE_ENTRY_BYTES = 64
 # Per amplitude of the 2^(2n) register, the complex128 target and one noisy
-# copy of it, and the float64 |amplitude|^2 weights and their cumulative
-# sums that measure forms
+# copy of it, and the float64 cumulative |amplitude|^2 law each of them
+# keeps. A copy branched on several qubits briefly holds two complex128
+# arrays beside the target and its law (56 bytes); the support arrays are
+# freed by then, and their bytes cover the rest (64 C(2n,n) >= 8 4^n, n <= 20)
 _REGISTER_AMP_BYTES = 48
+# The most uniforms one draw of KrausChannel.trajectories takes (512 KB)
+_CHUNK_UNIFORMS = 1 << 16
 
 
 def check_bytes_limit(n: int, bytes_of, what: str) -> None:
@@ -222,6 +241,7 @@ def measure(
     qubits: Sequence[int],
     rng: np.random.Generator,
     bases: Sequence[np.ndarray] | None = None,
+    law: np.ndarray | None = None,
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Measure several qubits of a normalized amplitude vector at once.
 
@@ -230,6 +250,8 @@ def measure(
     Each listed qubit is rotated so that row o of its basis becomes |o>; one
     uniform draw then picks a basis state from |amplitude|^2, whose bits on
     the listed qubits follow their joint marginal law and are the outcome.
+    ``law``, the cumulative |amplitude|^2 of ``amps`` (``PureState.law``),
+    spares forming it; it is the law in Z, so it cannot come with ``bases``.
     Returns the outcome bits in the order of ``qubits`` and the normalized
     conditional state of the unmeasured qubits alone: 2^(m-k) amplitudes,
     the unmeasured qubits in ascending order, so a later measurement
@@ -237,21 +259,27 @@ def measure(
     """
     m = amps.shape[0].bit_length() - 1
     if bases is not None:
+        if law is not None:
+            raise ValueError("a cumulative law is the law in Z; measure takes it without bases")
         for q, rows in zip(qubits, bases):
             amps = _apply_local(rows.conj(), amps, q)
-    weights = np.abs(amps)
-    weights *= weights
-    cum = weights.cumsum()
-    drawn = min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), cum.size - 1)
+    if law is None:
+        law = _cumulative_law(amps)
+    drawn = min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
+    outcomes = tuple([(drawn >> (m - 1 - q)) & 1 for q in qubits])
     # block fixes each measured axis to its bit in the drawn basis state
     block = [slice(None)] * m
-    for q in qubits:
-        block[q] = (drawn >> (m - 1 - q)) & 1
-    block = tuple(block)
-    # a copy, since the block is a view of amps, which may be the caller's array
-    rest = amps.reshape((2,) * m)[block].copy().reshape(-1)
-    rest *= 1.0 / math.sqrt(np.vdot(rest, rest).real)
-    return tuple(block[q] for q in qubits), rest
+    for q, o in zip(qubits, outcomes):
+        block[q] = o
+    rest = amps.reshape((2,) * m)[tuple(block)].reshape(-1)
+    return outcomes, rest * (1.0 / math.sqrt(np.vdot(rest, rest).real))
+
+
+def _cumulative_law(amps: np.ndarray) -> np.ndarray:
+    """Cumulative |amplitude|^2 of amps, formed in one buffer."""
+    law = np.abs(amps)
+    law *= law
+    return np.add.accumulate(law, out=law)
 
 
 def _apply_local(u: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:
@@ -271,9 +299,10 @@ class KrausChannel:
     1 - sum w. The swap of orthonormal real psi and phi (the identity on the
     rest), I - psi psi^dag - phi phi^dag + phi psi^dag + psi phi^dag, is
     that reflection with u = (psi - phi)/sqrt(2), supported where they are.
-    Channels compare by identity: the branch tables hold arrays, and equal
-    labels and strengths do not make equal channels (coherent_mix depends
-    on q0).
+    ``trajectories`` samples a stream of noisy copies from the table and
+    ``apply_to_pure`` one copy. Channels compare by identity: the branch
+    tables hold arrays, and equal labels and strengths do not make equal
+    channels (coherent_mix depends on q0).
     """
 
     label: str
@@ -295,33 +324,48 @@ class KrausChannel:
         cum = np.cumsum([1.0 - sum(weights), *weights])
         object.__setattr__(self, "_cum", cum / cum[-1] if max(weights, default=0.0) > 0.0 else None)
 
-    def apply_to_pure(self, state: PureState, rng: np.random.Generator) -> PureState:
-        """Sample one trajectory.
+    def trajectories(self, state: PureState, rng: np.random.Generator, count: int) -> Iterator[PureState]:
+        """Sample ``count`` trajectories of ``state``, one at a time.
 
         Branch j happens with probability w_j whatever the state, so one
-        uniform draw per application site (each qubit, or the whole state for
-        a reflection) picks every branch at once and only the non-identity
-        unitaries act. A channel with no weight off the identity draws
-        nothing and returns ``state`` itself.
+        uniform per application site (each qubit, or the whole state for a
+        reflection) picks every branch at once and only the non-identity
+        unitaries act; an unbranched copy is ``state`` itself. The uniforms
+        are drawn a chunk of copies at a time, at most 2^m of them (one
+        register's worth) and at most _CHUNK_UNIFORMS, in the order that
+        ``count`` calls of apply_to_pure draw them. A channel with no weight
+        off the identity draws nothing.
         """
-        m = state.num_qubits
-        if m != self.num_qubits:
-            raise ValueError(f"channel acts on {self.num_qubits} qubits, the state has {m}")
+        if state.num_qubits != self.num_qubits:
+            raise ValueError(f"channel acts on {self.num_qubits} qubits, the state has {state.num_qubits}")
         if self._cum is None:
-            return state
+            return itertools.repeat(state, count)
+        return self._sample(state, rng, count)
+
+    def apply_to_pure(self, state: PureState, rng: np.random.Generator) -> PureState:
+        """Sample one trajectory, as the first of ``trajectories``."""
+        return next(self.trajectories(state, rng, 1))
+
+    def _sample(self, state: PureState, rng: np.random.Generator, count: int) -> Iterator[PureState]:
+        sites = 1 if isinstance(self.branches[0][1], tuple) else state.num_qubits
+        chunk = min(1 << state.num_qubits, _CHUNK_UNIFORMS) // sites
+        for start in range(0, count, chunk):
+            drawn = np.searchsorted(self._cum, rng.random((min(chunk, count - start), sites)), side="right")
+            for i, hit in enumerate(drawn.any(axis=1).tolist()):
+                yield self._branch(state, drawn[i]) if hit else state
+
+    def _branch(self, state: PureState, drawn: np.ndarray) -> PureState:
+        """``state`` with branch drawn[site] applied at each site."""
         unitary = self.branches[0][1]
         if isinstance(unitary, tuple):
-            if rng.random() < self._cum[0]:
-                return state
             support, u = unitary
             amps = state.amps.copy()
             amps[support] -= 2.0 * np.vdot(u, amps[support]) * u
-            return PureState(m, amps)
-        drawn = np.searchsorted(self._cum, rng.random(m), side="right")
+            return PureState(state.num_qubits, amps)
         amps = state.amps
         for site in drawn.nonzero()[0]:
             amps = _apply_local(self.branches[drawn[site] - 1][1], amps, site)
-        return state if amps is state.amps else PureState(m, amps)
+        return PureState(state.num_qubits, amps)
 
 
 def standard_channel(kind: str, strength: float, n: int, q0: float | None = None) -> KrausChannel:

@@ -268,7 +268,7 @@ def verify_copy(
     if copy.num_qubits != m:
         raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")
     subset = tuple(sorted(rng.permutation(m)[:n].tolist()))
-    z_outcomes, amps = measure(copy.amps, subset, rng)
+    z_outcomes, amps = measure(copy.amps, subset, rng, law=copy.law)
     total = sum(z_outcomes)
     parties = [q for q in range(m) if q not in subset]
     if total == 0:
@@ -305,6 +305,7 @@ def verify_batch(
                 f"copy source exhausted after {i} of {plan.M} copies"
             ) from None
         verdict = verify_copy(copy, plan.n, plan.q0, plan.p, rng.substream(i).gen, copy_index=i)
+        del copy  # freed before the source builds the next copy
         verdicts.append(verdict)
         if not verdict.accept:
             accept = False
@@ -322,8 +323,8 @@ def run_robust_protocol(
 ) -> RobustResult:
     """Interleave batch verification with sensing rounds under preparation noise.
 
-    Each attempt prepares plan.M noisy copies (trajectory-sampled),
-    verifies them, and on acceptance sends one more noisy copy through
+    Each attempt samples plan.M + 1 noisy trajectories of the target in one
+    stream, verifies the first plan.M, and on acceptance sends the last through
     the phase evolution and the four-outcome measurement; a rejection
     restarts the attempt. After the requested number of accepted rounds
     the accumulated frequencies are inverted into angle estimates.
@@ -348,9 +349,9 @@ def run_robust_protocol(
     completed = 0
     while completed < rounds:
         streams = rng.substream(attempt)
-        noise_gen = streams.substream(0).gen
-        source = (noise.apply_to_pure(target, noise_gen) for _ in range(plan.M))
-        ok, transcript = verify_batch(source, plan, streams.substream(1))
+        # the plan.M verified copies, then the sensing copy
+        copies = noise.trajectories(target, streams.substream(0).gen, plan.M + 1)
+        ok, transcript = verify_batch(copies, plan, streams.substream(1))
         transcripts.append(transcript)
         if not ok:
             restarts += 1
@@ -361,8 +362,7 @@ def run_robust_protocol(
                 )
             attempt += 1
             continue
-        sense_copy = noise.apply_to_pure(target, noise_gen)
-        evolved = evolve_phases(sense_copy, omegas, scenario.t)
+        evolved = evolve_phases(next(copies), omegas, scenario.t)
         probs = np.clip(povm.probabilities(evolved), 0.0, None)
         probs /= probs.sum()
         outcome = int(streams.substream(2).gen.choice(4, p=probs))

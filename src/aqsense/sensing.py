@@ -190,9 +190,12 @@ def estimate_angles(p1: float, p2: float, p3: float, n: int, q0: float) -> tuple
 
     Returns (theta+ estimate, |theta-| estimate); arccos arguments are
     clamped to [-1, 1] and the final magnitude to [0, pi]. Raises
-    ValueError off the probe's domain or when p3 < 0 (theta- is lost).
+    ValueError off the probe's domain, for a frequency that is not finite,
+    or when p3 < 0 (theta- is lost).
     """
     check_probe(n, q0)
+    if not np.isfinite([p1, p2, p3]).all():
+        raise ValueError(f"frequencies must be finite, got p1={p1}, p2={p2}, p3={p3}")
     if p3 < 0.0:
         raise ValueError("no Dicke weight available: theta- is unrecoverable")
     q1 = 1.0 - q0

@@ -24,7 +24,9 @@ fidelities and expectation values of dense states and
 operators, and the diagonal remainder's eigenvalue profile are test-only
 too. The per-copy verification route that measures every stage, the
 one- and two-qubit tails included, with the generic ``measure`` checks
-that the library's scalar tails draw the same outcomes. The sweep CSV
+that the library's scalar tails draw the same outcomes, and the robust
+loop with one ``apply_to_pure`` call per copy checks the loop that takes
+each attempt's copies from one stream of trajectories. The sweep CSV
 written through ``csv.writer``, one ``format`` call per float, checks the
 bytes of the one-format-per-line writer.
 """
@@ -40,8 +42,8 @@ from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target, measu
 from aqsense.qopt import _CSV_HEADER, OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import _block_coefficients
-from aqsense.qsv.protocol import CopyVerdict
-from aqsense.sensing import OutcomeDistribution, Povm
+from aqsense.qsv.protocol import CopyVerdict, RobustResult, verify_batch
+from aqsense.sensing import OutcomeDistribution, Povm, estimate_angles
 from aqsense.symcomb import WeightBasis, binom
 
 SQ2 = np.sqrt(2.0)
@@ -602,3 +604,31 @@ def verify_copy_reference(copy, n, q0, p, rng, copy_index=0):
         branch = "ii"
         accept, sub = _run_dicke_protocol(amps, parties, n - total, rng)
     return CopyVerdict(copy_index, subset, z_outcomes, branch, sub, accept)
+
+
+def run_robust_protocol_reference(scenario, plan, noise, rounds, rng):
+    """The robust loop with one ``noise.apply_to_pure`` call per copy: each
+    attempt's noise stream gives plan.M verified copies and, on acceptance,
+    the sensing copy, the route ``run_robust_protocol`` replaced."""
+    n, q0 = scenario.n, scenario.q0
+    target = make_target(n, q0)
+    omegas = np.zeros(2 * n)
+    omegas[scenario.t1 - 1] = scenario.omega1
+    omegas[scenario.t2 - 1] = scenario.omega2
+    counts, transcripts, restarts = [0, 0, 0, 0], [], 0
+    while sum(counts) < rounds:
+        streams = rng.substream(len(transcripts))
+        noise_gen = streams.substream(0).gen
+        source = (noise.apply_to_pure(target, noise_gen) for _ in range(plan.M))
+        ok, transcript = verify_batch(source, plan, streams.substream(1))
+        transcripts.append(transcript)
+        if not ok:
+            restarts += 1
+            continue
+        evolved = evolve_phases(noise.apply_to_pure(target, noise_gen), omegas, scenario.t)
+        probs = np.clip(Povm(n).probabilities(evolved), 0.0, None)
+        probs /= probs.sum()
+        counts[int(streams.substream(2).gen.choice(4, p=probs))] += 1
+    freq = [c / rounds for c in counts]
+    return RobustResult(rounds, restarts, tuple(counts), *estimate_angles(freq[0], freq[1], freq[2], n, q0),
+                        tuple(transcripts))

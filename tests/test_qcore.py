@@ -130,6 +130,25 @@ class TestStates:
     def test_purestate_norm_validated(self):
         with pytest.raises(ValueError):
             PureState(1, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"not normalized: \|norm - 1\| = nan"):
+            PureState(1, np.array([np.nan, 0.0]))
+
+    def test_amplitudes_read_only(self):
+        # a state's law is formed once, so its amplitudes cannot change
+        st = make_target(3, 0.33)
+        with pytest.raises(ValueError, match="read-only"):
+            st.amps[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            st.amps *= 1.0
+
+    @pytest.mark.parametrize("kind", ["none", "dephase", "depolarize", "coherent_mix"])
+    def test_law_is_the_fresh_cumulative_sum(self, kind):
+        # bit for bit, on the target and on noisy copies of it
+        st = make_target(4, 0.33)
+        strength = 0.0 if kind == "none" else 0.3
+        for copy in standard_channel(kind, strength, 4, q0=0.33).trajectories(st, RngStream(8).gen, 20):
+            np.testing.assert_array_equal(copy.law, np.cumsum(np.abs(copy.amps) ** 2))
+            assert copy.law is copy.law
 
 
 class TestEvolvePhases:
@@ -304,6 +323,47 @@ class TestChannels:
         assert standard_channel(kind, 0.0, 3, q0=0.33).apply_to_pure(st, gen) is st
         assert gen.bit_generator.state == before
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["none", "dephase", "depolarize", "coherent_mix"])
+    def test_trajectories_are_successive_single_copies(self, n, kind):
+        # the same uniforms in the same order as one apply_to_pure per copy,
+        # whether the count ends inside a chunk or on its edge, and the
+        # generator left where those calls leave it
+        st = make_target(n, 0.33)
+        ch = standard_channel(kind, 0.0 if kind == "none" else 0.1, n, q0=0.33)
+        chunk = (1 << 2 * n) // (1 if kind == "coherent_mix" else 2 * n)
+        for count in (1, chunk - 1, chunk, chunk + 1, 284):
+            mine, single = RngStream(17).gen, RngStream(17).gen
+            copies = list(ch.trajectories(st, mine, count))
+            assert len(copies) == count
+            for copy in copies:
+                alone = ch.apply_to_pure(st, single)
+                assert (copy is st) == (alone is st)
+                np.testing.assert_array_equal(copy.amps, alone.amps)
+            assert mine.random() == single.random()
+        if kind != "none":
+            assert any(c is st for c in copies) and not all(c is st for c in copies)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("kind", ["dephase", "depolarize", "coherent_mix"])
+    def test_no_draw_exceeds_a_register(self, n, kind):
+        class Recording:
+            def __init__(self, gen):
+                self.gen, self.sizes = gen, []
+
+            def random(self, size=None):
+                self.sizes.append(int(np.prod(size)))
+                return self.gen.random(size)
+
+        ch = standard_channel(kind, 0.05, n, q0=0.33)
+        sites = 1 if kind == "coherent_mix" else 2 * n
+        count = 3 * (1 << 2 * n) // sites + 1
+        rng = Recording(RngStream(5).gen)
+        for _ in ch.trajectories(make_target(n, 0.33), rng, count):
+            pass
+        assert len(rng.sizes) == 4 and max(rng.sizes) <= 1 << 2 * n
+        assert sum(rng.sizes) == count * sites
+
     def test_channels_compare_by_identity(self):
         # the branch arrays are never compared element-wise, which raised
         a, b = standard_channel("dephase", 0.3, 3), standard_channel("dephase", 0.3, 3)
@@ -350,6 +410,23 @@ class TestProbeBudget:
         finally:
             tracemalloc.stop()
         assert peak <= _probe_bytes(n) < SUPPORT_BYTES_LIMIT
+
+    def test_formula_bounds_trajectories_that_form_their_laws(self):
+        # most dephase:0.3 copies at n = 8 branch, so each forms its own law
+        # next to the target's; a copy is dropped before the next is drawn,
+        # as verify_batch drops it
+        n = 8
+        RngStream(1).gen.random()
+        tracemalloc.start()
+        try:
+            target = make_target(n, 0.33)
+            copies = standard_channel("dephase", 0.3, n).trajectories(target, RngStream(2).gen, 50)
+            for i in range(50):
+                verify_copy(next(copies), n, 0.33, 0.0, RngStream(3).substream(i).gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _probe_bytes(n)
 
     def test_largest_n_accepted(self):
         assert _probe_bytes(12) <= SUPPORT_BYTES_LIMIT < _probe_bytes(13)
@@ -424,6 +501,23 @@ class TestMeasurement:
             _, post = measure(amps, [0], RngStream(seed).gen)
             assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_array_equal(amps, before)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_law_passed_or_formed_measures_alike(self, n):
+        st = make_target(n, 0.33)
+        gen = np.random.default_rng(3)
+        for _ in range(200):
+            qubits = sorted(gen.permutation(2 * n)[:n].tolist())
+            seed = int(gen.integers(1 << 30))
+            with_law = measure(st.amps, qubits, RngStream(seed).gen, law=st.law)
+            without = measure(st.amps, qubits, RngStream(seed).gen)
+            assert with_law[0] == without[0]
+            np.testing.assert_array_equal(with_law[1], without[1])
+
+    def test_law_refused_with_bases(self):
+        st = make_target(3, 0.33)
+        with pytest.raises(ValueError, match="without bases"):
+            measure(st.amps, [0], RngStream(1).gen, [np.eye(2)], law=st.law)
 
     def test_basis_outcome_leaves_its_ket(self):
         # a Y-basis outcome o leaves the other qubits in <row o| psi,

@@ -26,7 +26,9 @@ from aqsense.qsv import (
     verify_batch,
     verify_copy,
 )
+from aqsense.qsv import protocol
 from aqsense.sensing import SensingScenario, analytic_probs
+import oracles
 from oracles import expectation, make_dicke, make_ghz, to_dense, verify_copy_reference
 
 # theta+ = pi/2 and theta- = -pi/4 at t = 1: omega1,2 = (theta+ +- theta-) / 2t
@@ -300,6 +302,32 @@ class TestRobustProtocol:
             assert abs(count - rounds * prob) < 5 * sigma + 1e-9
         assert result.theta_plus == pytest.approx(np.pi / 2, abs=0.45)
         assert result.theta_minus_abs == pytest.approx(np.pi / 4, abs=0.75)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind, strength", [("none", 0.0), ("dephase", 0.1), ("depolarize", 0.1),
+                                                ("coherent_mix", 0.1)])
+    def test_result_equals_the_per_copy_source(self, n, kind, strength, monkeypatch):
+        # copies from one stream of trajectories per attempt give the same
+        # result, transcripts included, as one apply_to_pure per copy, and
+        # the same sensing copies
+        sensed = {}
+
+        def recording(route, evolve):
+            def evolve_and_record(state, omegas, t):
+                sensed.setdefault(route, []).append(state.amps)
+                return evolve(state, omegas, t)
+            return evolve_and_record
+
+        monkeypatch.setattr(protocol, "evolve_phases", recording("stream", protocol.evolve_phases))
+        monkeypatch.setattr(oracles, "evolve_phases", recording("per_copy", oracles.evolve_phases))
+        scenario = SensingScenario(n=n, q0=0.33, t1=1, t2=n + 1, omega1=np.pi / 8, omega2=3 * np.pi / 8, t=1.0)
+        plan = VerificationPlan(n, 0.33, epsilon=1.0, delta=0.5)
+        noise = standard_channel(kind, strength, n, q0=0.33)
+        result = run_robust_protocol(scenario, plan, noise, 20, RngStream(47))
+        assert result == oracles.run_robust_protocol_reference(scenario, plan, noise, 20, RngStream(47))
+        np.testing.assert_array_equal(sensed["stream"], sensed["per_copy"])
+        branched = [not np.array_equal(amps, sensed["stream"][0]) for amps in sensed["stream"]]
+        assert (result.restarts > 0 and any(branched)) or kind == "none"
 
     def test_zero_rounds(self):
         scenario = SCENARIO

@@ -333,6 +333,13 @@ class TestEstimateAngles:
         with pytest.raises(ValueError, match="^no Dicke weight available: theta- is unrecoverable$"):
             estimate_angles(0.3, 0.3, -0.01, 3, 0.33)
 
+    @pytest.mark.parametrize("which", range(3))
+    def test_non_finite_frequency_rejected(self, which):
+        freqs = [0.3, 0.1, 0.5]
+        freqs[which] = np.nan
+        with pytest.raises(ValueError, match="^frequencies must be finite, got p1="):
+            estimate_angles(*freqs, 3, 0.33)
+
 
 class TestSensitivityBounds:
     def test_g_plus_frozen(self):
