@@ -73,10 +73,15 @@ CASES = [
     _case("opt", "--n-min", "511", "--n-max", "514", "--examples", "K,A", "--out", "sweep.csv", "--self-check"),
     _case("opt", "--n-min", "3", "--n-max", "3", "--examples", "L", "--out", "sweep.csv"),
     *[_case("qsv", "spectrum", "--n", str(n), "--q0", "0.33", "--check-numeric") for n in range(3, 7)],
-    # the spectrum's other closed-form paths at n = 3: the root taken for q0 >= 1/2, branch
+    # the spectrum's other paths at n = 3: q0 >= 1/2 (alpha_plus > -alpha_minus), branch
     # bc1 (q0 <= 0.2) and the a/bc1 boundary tie
     *[_case("qsv", "spectrum", "--n", "3", "--q0", q0, "--check-numeric")
       for q0 in ("0.6", "0.15", "0.21052631578947367")],
+    # large n: alpha_plus ~ 1e59 at n = 200, the last n before the core coupling d leaves
+    # the normal float64 range at q0 = 0.33 and the first after it, and n = 513, where
+    # n C(2n, n) is past float64 range
+    _case("qsv", "spectrum", "--n", "200", "--q0", "0.33", "--p", "0.3"),
+    *[_case("qsv", "spectrum", "--n", str(n), "--q0", "0.33") for n in (343, 344, 513)],
     _case(*ROBUST[:-4], "--rounds", "0", "--seed", "3"),
     # config files
     _config("n=3\nq0=0.33\nepsilon=0.1\ndelta=0.01\n", "qsv", "complexity"),

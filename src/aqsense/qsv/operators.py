@@ -10,6 +10,7 @@ sector blocks for cross-checks at small n.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -121,8 +122,11 @@ def _block_coefficients(n: int, q0: float, p: float):
     c = 1.0 / (2 * n * (2 * n - 1))
     d = (1 - p) * np.sqrt(lam0 * lam1) / c_big
     alpha = (n + 1) * (1.0 / (4 * (2 * n - 1)) + (1 - p) / c_big * (1 - 1.0 / n - (1 - 2.0 / n) * lam0))
+    # n C(2n,n) passes the float64 range from n = 511: it enters scaled by
+    # 2^-64 (int true division, correctly rounded) and ldexp undoes that
+    share = (1 - p) / (n * c_big / 2**64)
     omega3 = tuple(
-        (1 - p) / (n * c_big) * binom(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1))
+        math.ldexp(share * binom(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1)), -64)
         for l in range(1, n - 1)
     )
     return lam0, lam1, a, b, c, d, alpha, omega3

@@ -1,9 +1,9 @@
 """Closed-form spectrum of the combined verification strategy.
 
 The strategy splits into three sector-disjoint pieces; the second-largest
-eigenvalue (hence the spectral gap) comes from the GHZ/Dicke core, whose
-two coupled eigenvalues follow from a 2x2 reduction on the symmetric
-subspace. Everything here is exact arithmetic on the block coefficients.
+eigenvalue (hence the spectral gap) comes from the GHZ/Dicke core. Its
+two coupled eigenpairs are closed forms: the target is the eigenvector of
+eigenvalue 1 of their 2x2 reduction on the symmetric subspace.
 The strategy commutes with every qubit permutation, so ``check_numeric``
 diagonalizes it through Schrijver's symmetric blocks (``symmetric``): each
 piece is checked on its own rows of those blocks, which have size at most
@@ -91,33 +91,22 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
     m = 2 * n
     c_big = binom(m, n)
     # d ~ C(2n,n)^(-3/2) leaves the normal float64 range from about n = 340;
-    # the roots below divide by it
+    # the check guards the reported d
     if not d >= sys.float_info.min:
         raise ValueError(
             f"core coupling d = {float(d):.3g} at n={n}, q0={q0} is below the smallest normal float64"
         )
 
-    # 2x2 reduction on span{(|0..0>+|1..1>)/sqrt2, uniform weight-n vector}:
-    # alpha solves 2d alpha^2 - (a - s_mid) alpha - d C(2n,n) = 0. Both a and
-    # s_mid = 1 - 2(1-p) lambda0 / C(2n,n) round to 1 at large n, so a - s_mid
-    # is formed directly, the root without cancellation comes from the
-    # formula and the other from the product alpha_plus alpha_minus = -C/2.
-    # a - s_mid and d enter scaled by the power of two that brings the larger
-    # into [1/2, 1), which is exact in binary, so the squares under the root
-    # do not underflow (from about n = 150 at q0 = 0.33 they would).
+    # 2x2 reduction on span{|0..0>+|1..1>, sum of the weight-n basis states}:
+    # alpha (|0..0>+|1..1>) + sum is an eigenvector of eigenvalue s_mid + 2 d alpha.
+    # The target's alpha_plus = sqrt(lambda0/lambda1) gives 1, the alphas multiply
+    # to -C(2n,n)/2, and the trace a + s_mid gives 1 - lambda_minus =
+    # (1-p)(lambda1 + 2 lambda0/C(2n,n)): both terms positive, nothing cancels.
     s_mid = b + c * n * n
-    a_minus_s = (1 - p) * (2 * lam0 / c_big - lam1)
-    e = -math.frexp(max(abs(a_minus_s), d))[1]
-    a_minus_s, d_scaled = math.ldexp(a_minus_s, e), math.ldexp(d, e)
-    disc = math.sqrt(a_minus_s**2 + 8 * d_scaled * d_scaled * c_big)
-    if a_minus_s >= 0:
-        alpha_plus = (a_minus_s + disc) / (4 * d_scaled)
-        alpha_minus = -c_big / (2 * alpha_plus)
-    else:
-        alpha_minus = (a_minus_s - disc) / (4 * d_scaled)
-        alpha_plus = -c_big / (2 * alpha_minus)
+    alpha_plus = math.sqrt(lam0 / lam1)
+    alpha_minus = -c_big / (2 * alpha_plus)
     lambda_plus = s_mid + 2 * d * alpha_plus
-    lambda_minus = s_mid + 2 * d * alpha_minus
+    lambda_minus = 1 - (1 - p) * (lam1 + 2 * lam0 / c_big)
 
     lambda_a = a
     lambda_bc1 = b + c * johnson_eigenvalue(m, n, 1)

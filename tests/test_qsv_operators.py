@@ -6,6 +6,9 @@ subset (oracles.brute_strategy_dense), dense numpy linear algebra, and the
 projection cross-check for the lambda map.
 """
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -31,7 +34,7 @@ from aqsense.qsv import (
     lambda_map,
     q_min,
 )
-from aqsense.qsv.operators import N_MAX
+from aqsense.qsv.operators import N_MAX, strategy_orbits
 
 
 def in_unit_interval(mat):
@@ -257,6 +260,21 @@ class TestAssemble:
             np.testing.assert_allclose(block, coeff * np.eye(binom(2 * n, l)), atol=1e-14)
             far = o3.blocks[(2 * n - l, 2 * n - l)]
             np.testing.assert_allclose(far, coeff * np.eye(binom(2 * n, l)), atol=1e-14)
+
+    def test_omega3_orbits_match_exact_rational_to_n_max(self):
+        # n C(2n, n) passes float64 range from n = 511; the exact value of the
+        # same formula at the returned lambda0, within 8e-16 relative times the
+        # condition number of its bracket n lambda0 - l(2 lambda0 - 1)
+        p = 0.3
+        for n in range(3, N_MAX + 1):
+            orbits = strategy_orbits(n, 0.33, p)
+            lam0 = Fraction(lambda_map(n, 0.33)[0])
+            for l in {1, 2, n // 2, n - 3, n - 2} & set(range(1, n - 1)):
+                bracket = n * lam0 - l * (2 * lam0 - 1)
+                exact = (1 - Fraction(p)) * comb(2 * n - l, n) * bracket / (n * comb(2 * n, n))
+                kappa = (n * lam0 + l * (2 * lam0 - 1)) / bracket
+                assert orbits[(l, l, l)] == orbits[(2 * n - l, 2 * n - l, 2 * n - l)]
+                assert abs(Fraction(orbits[(l, l, l)]) - exact) <= Fraction(8, 10**16) * kappa * exact, (n, l)
 
     def test_all_eigenvalues_in_unit_interval(self):
         w = np.linalg.eigvalsh(brute_strategy_dense(3, 0.33, 0.0))

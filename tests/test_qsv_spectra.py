@@ -8,7 +8,7 @@ checked against dense matrices built entry by entry.
 
 import warnings
 from fractions import Fraction
-from math import comb
+from math import comb, ulp
 
 import numpy as np
 import pytest
@@ -222,6 +222,33 @@ def exact_gap(n, q0, p):
     b = Fraction(3 * n - 2, 2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
     lambda_bc1 = b + Fraction(n * n - 2 * n, 2 * n * (2 * n - 1))
     return 1 - max(lambda_a, lambda_bc1)
+
+
+def within_ulps_of_sqrt(x, square, ulps):
+    """Whether |x| lies within ulps * ulp(x) of sqrt(square), decided on exact squares."""
+    x, step = Fraction(abs(x)), ulps * Fraction(ulp(x))
+    return (x - step) ** 2 <= square <= (x + step) ** 2
+
+
+class TestCoreClosedForms:
+    @pytest.mark.parametrize("n", [*range(3, 41), 60, 100, 200, 300, 339])
+    def test_eigenpairs_within_ulps_of_exact(self, n):
+        # alpha_plus^2 = lambda0/lambda1, alpha_minus = -C/(2 alpha_plus) and
+        # lambda_minus = 1 - (1-p)(lambda1 + 2 lambda0/C), exact at the given q0 and p
+        c_big = comb(2 * n, n)
+        for q0 in (0.05, 0.15, 0.33, 0.5, 0.6, 0.9):
+            if q0 < q_min(n):
+                continue
+            q = Fraction(q0)
+            lam0 = c_big * q / (c_big * q + 2 * (1 - q))
+            plus_sq = lam0 / (1 - lam0)
+            for p in (0.0, 0.3, 0.9):
+                s = analytic_spectrum(n, q0, p)
+                lam_minus = 1 - (1 - Fraction(p)) * (1 - lam0 + 2 * lam0 / c_big)
+                assert abs(Fraction(s.lambda_minus) - lam_minus) <= Fraction(ulp(s.lambda_minus)), (q0, p)
+                assert s.alpha_plus > 0 > s.alpha_minus
+                assert within_ulps_of_sqrt(s.alpha_plus, plus_sq, Fraction(3, 2)), (q0, p)
+                assert within_ulps_of_sqrt(s.alpha_minus, Fraction(c_big**2, 4) / plus_sq, Fraction(3, 2)), (q0, p)
 
 
 class TestLargeN:
