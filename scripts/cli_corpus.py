@@ -82,6 +82,9 @@ CASES = [
     # n C(2n, n) is past float64 range
     _case("qsv", "spectrum", "--n", "200", "--q0", "0.33", "--p", "0.3"),
     *[_case("qsv", "spectrum", "--n", str(n), "--q0", "0.33") for n in (343, 344, 513)],
+    # omega3 at l = 24 here is where n lambda0 - l(2 lambda0 - 1) cancels most on the
+    # tests' grid; the table forms it as the positive sum (n - l) lambda0 + l lambda1
+    _case("qsv", "spectrum", "--n", "26", "--q0", "0.6", "--p", "0.9", "--check-numeric"),
     _case(*ROBUST[:-4], "--rounds", "0", "--seed", "3"),
     # config files
     _config("n=3\nq0=0.33\nepsilon=0.1\ndelta=0.01\n", "qsv", "complexity"),
@@ -109,6 +112,7 @@ CASES = [
     _case(*SENSE[:1], "--n", "12", *SENSE[1:], "--audit"),
     _case("qsv", "spectrum", "--n", "3", "--q0", "1.5"),
     _case("qsv", "spectrum", "--n", "3", "--q0", "1"),
+    _case(*SPECTRUM, "--p", "1"),
     _case("qsv", "complexity", "--n", "3", "--q0", "0.001", "--epsilon", "0.1", "--delta", "0.01"),
     _case(*SENSE[:1], "--n", "3", *SENSE[1:], "--shots", "100000000000000000000", "--seed", "1"),
     _case(*VERIFY, "--noise", "dephase"),

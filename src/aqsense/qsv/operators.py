@@ -2,10 +2,10 @@
 
 The strategy Omega is block structured by total excitation number:
 diagonal sector blocks plus a few fixed cross-sector couplings. Its
-closed-form coefficients reach the package through the orbit table
-``strategy_orbits``, which the symmetric-block spectrum check reads;
-``assemble_strategy_decomposed`` lays the same coefficients out as dense
-sector blocks for cross-checks at small n.
+closed-form coefficients have one source, the orbit table
+``strategy_orbits``: the closed-form spectrum reads it by orbit key and its
+symmetric-block check diagonalizes it, and ``assemble_strategy_decomposed``
+lays the same entries out as dense sector blocks for cross-checks at small n.
 """
 
 from __future__ import annotations
@@ -105,40 +105,28 @@ def lambda_map(n: int, q0: float) -> tuple[float, float]:
     return c * q0 / denom, 2 * (1.0 - q0) / denom
 
 
-def _block_coefficients(n: int, q0: float, p: float):
-    """Closed-form block coefficients of the subset-averaged strategy.
+def strategy_orbits(n: int, q0: float, p: float) -> dict[tuple[int, int, int], float]:
+    """Orbit coefficients of the subset-averaged strategy: <x|Omega|y> for
+    |x| = i, |y| = j, |x AND y| = t, keyed (i, j, t); unlisted triples are 0.
 
-    Returns (lam0, lam1, a, b, c, d, alpha, omega3): the ``lambda_map`` pair,
-    a on the weight-0 and 2n scalars, b I + c J(2n,n) on the weight-n
-    block, d on every entry of the couplings
-    between weights 0, n and 2n, alpha on the identity blocks of weights n-1
-    and n+1, and omega3[l-1] on the identity blocks of weights l and 2n-l
-    for l = 1..n-2, strictly decreasing in l.
+    The strategy's one source of closed forms (C = C(2n,n), lambda0 and
+    lambda1 from ``lambda_map``): a on weights 0 and 2n, b I + c J(2n,n) on
+    weight n, d on the couplings of weights 0, n and 2n, alpha I on weights
+    n-1 and n+1 with c on their coupling, and omega3_l = (1-p)/(n C) C(2n-l,n)
+    ((n-l) lambda0 + l lambda1), positive terms strictly decreasing in l, on
+    weights l and 2n-l for l = 1..n-2. p outside [0, 1) is refused ahead of
+    ``lambda_map``'s (n, q0) check.
     """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"p must lie in [0, 1), got {p}")
     lam0, lam1 = lambda_map(n, q0)
-    c_big = binom(2 * n, n)
+    m = 2 * n
+    c_big = binom(m, n)
     a = p + (1 - p) * lam0
     b = (3 * n - 2) / (2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
     c = 1.0 / (2 * n * (2 * n - 1))
     d = (1 - p) * np.sqrt(lam0 * lam1) / c_big
     alpha = (n + 1) * (1.0 / (4 * (2 * n - 1)) + (1 - p) / c_big * (1 - 1.0 / n - (1 - 2.0 / n) * lam0))
-    # n C(2n,n) passes the float64 range from n = 511: it enters scaled by
-    # 2^-64 (int true division, correctly rounded) and ldexp undoes that
-    share = (1 - p) / (n * c_big / 2**64)
-    omega3 = tuple(
-        math.ldexp(share * binom(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1)), -64)
-        for l in range(1, n - 1)
-    )
-    return lam0, lam1, a, b, c, d, alpha, omega3
-
-
-def strategy_orbits(n: int, q0: float, p: float) -> dict[tuple[int, int, int], float]:
-    """Orbit coefficients of the subset-averaged strategy: <x|Omega|y> for
-    |x| = i, |y| = j, |x AND y| = t, keyed (i, j, t); unlisted triples are 0.
-    They are the entries of the ``assemble_strategy_decomposed`` blocks.
-    """
-    _, _, a, b, c, d, alpha, omega3 = _block_coefficients(n, q0, p)
-    m = 2 * n
     orbits = {
         (0, 0, 0): a,
         (m, m, m): a,
@@ -153,7 +141,11 @@ def strategy_orbits(n: int, q0: float, p: float) -> dict[tuple[int, int, int], f
         (n - 1, n + 1, n - 1): c,
         (n + 1, n - 1, n - 1): c,
     }
-    for l, coeff in enumerate(omega3, start=1):
+    # n C(2n,n) passes the float64 range from n = 511: it enters scaled by
+    # 2^-64 (int true division, correctly rounded) and ldexp undoes that
+    share = (1 - p) / (n * c_big / 2**64)
+    for l in range(1, n - 1):
+        coeff = math.ldexp(share * binom(m - l, n) * ((n - l) * lam0 + l * lam1), -64)
         orbits[(l, l, l)] = orbits[(m - l, m - l, m - l)] = coeff
     return orbits
 
@@ -165,9 +157,11 @@ def assemble_strategy_decomposed(
     pieces: the GHZ/Dicke core on weights {0, n, 2n}, the adjacent-weight
     piece on {n-1, n+1}, and the diagonal remainder on the other weights.
     """
-    _, _, a, b, c, d, alpha, omega3_values = _block_coefficients(n, q0, p)
+    orbits = strategy_orbits(n, q0, p)
     m = 2 * n
     c_big = binom(m, n)
+    a, b, c = orbits[(0, 0, 0)], orbits[(n, n, n)], orbits[(n, n, n - 1)]
+    d, alpha = orbits[(0, n, 0)], orbits[(n - 1, n - 1, n - 1)]
     # b I + c J formed in place: J is C(2n,n)^2, 94 MB at n = 7
     core = johnson_adjacency(m, n)
     core *= c
@@ -194,8 +188,8 @@ def assemble_strategy_decomposed(
     )
 
     blocks3: dict[tuple[int, int], np.ndarray] = {}
-    for l, coeff in enumerate(omega3_values, start=1):
-        blocks3[(l, l)] = coeff * np.eye(binom(m, l))
-        blocks3[(m - l, m - l)] = coeff * np.eye(binom(m, l))
+    for l in range(1, n - 1):
+        blocks3[(l, l)] = orbits[(l, l, l)] * np.eye(binom(m, l))
+        blocks3[(m - l, m - l)] = orbits[(l, l, l)] * np.eye(binom(m, l))
     omega3 = StrategyOperator(m, blocks3)
     return omega1, omega2, omega3

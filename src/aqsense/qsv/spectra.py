@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..symcomb import binom, johnson_eigenvalue
-from .operators import _block_coefficients, strategy_orbits
+from .operators import lambda_map, strategy_orbits
 from .symmetric import block_spectrum, schrijver_blocks
 
 __all__ = [
@@ -85,10 +85,12 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
     nu rests on its closed form, which the tests check against exact
     rational arithmetic.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must lie in [0, 1), got {p}")
-    lam0, lam1, a, b, c, d, alpha2, omega3_values = _block_coefficients(n, q0, p)
+    orbits = strategy_orbits(n, q0, p)
+    lam0, lam1 = lambda_map(n, q0)
     m = 2 * n
+    a, b, c = orbits[(0, 0, 0)], orbits[(n, n, n)], orbits[(n, n, n - 1)]
+    d, alpha2 = orbits[(0, n, 0)], orbits[(n - 1, n - 1, n - 1)]
+    omega3_values = tuple(orbits[(l, l, l)] for l in range(1, n - 1))
     c_big = binom(m, n)
     # d ~ C(2n,n)^(-3/2) leaves the normal float64 range from about n = 340;
     # the check guards the reported d
@@ -129,7 +131,7 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
 
     residuals: dict[str, float] | None = None
     if check_numeric:
-        blocks = schrijver_blocks(m, strategy_orbits(n, q0, p))
+        blocks = schrijver_blocks(m, orbits)
         vals, mults = block_spectrum(blocks, (0, n, m))
         # each value at most twice: enough to read the top two with multiplicity
         w1 = np.sort(np.repeat(vals, [min(mult, 2) for mult in mults]))

@@ -41,7 +41,7 @@ import numpy as np
 from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target, measure, probe_on
 from aqsense.qopt import _CSV_HEADER, OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
-from aqsense.qsv.operators import _block_coefficients
+from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.protocol import CopyVerdict, RobustResult, verify_batch
 from aqsense.sensing import OutcomeDistribution, Povm, estimate_angles
 from aqsense.symcomb import WeightBasis, binom
@@ -89,10 +89,11 @@ def expectation(state, op):
 def omega3_profile(n, q0, p=0.0):
     """Eigenvalues of the diagonal remainder piece, one per weight l=1..n-2.
 
-    Value at l: (1-p)/(n C(2n,n)) * C(2n-l, n) * [n lambda0 - l(2 lambda0 - 1)];
-    strictly decreasing in l.
+    Value at l: (1-p)/(n C(2n,n)) * C(2n-l, n) * [(n-l) lambda0 + l lambda1],
+    read off the orbit table at (l, l, l); strictly decreasing in l.
     """
-    return _block_coefficients(n, q0, p)[-1]
+    orbits = strategy_orbits(n, q0, p)
+    return tuple(orbits[(l, l, l)] for l in range(1, n - 1))
 
 
 def kron_chain(vecs):

@@ -7,7 +7,7 @@ projection cross-check for the lambda map.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, ulp
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from aqsense.qcore import make_target
 from aqsense.symcomb import binom, johnson_adjacency
 from aqsense.qsv import (
     StrategyOperator,
+    analytic_spectrum,
     assemble_strategy_decomposed,
     lambda_map,
     q_min,
@@ -275,6 +276,32 @@ class TestAssemble:
                 kappa = (n * lam0 + l * (2 * lam0 - 1)) / bracket
                 assert orbits[(l, l, l)] == orbits[(2 * n - l, 2 * n - l, 2 * n - l)]
                 assert abs(Fraction(orbits[(l, l, l)]) - exact) <= Fraction(8, 10**16) * kappa * exact, (n, l)
+
+    def test_omega3_orbits_within_4_ulp_of_exact(self):
+        # the exact value at the float q0 and p, lambda0 and lambda1 formed in
+        # fractions; the bracket (n-l) lambda0 + l lambda1 has positive terms only
+        for n in (*range(3, 41), 60, 100):
+            c_big = comb(2 * n, n)
+            for q0 in (0.05, 0.15, 0.33, 0.5, 0.6, 0.9):
+                if q0 < q_min(n):
+                    continue
+                denom = c_big * Fraction(q0) + 2 * (1 - Fraction(q0))
+                lam0, lam1 = c_big * Fraction(q0) / denom, 2 * (1 - Fraction(q0)) / denom
+                for p in (0.0, 0.3, 0.9):
+                    orbits = strategy_orbits(n, q0, p)
+                    for l in range(1, n - 1):
+                        exact = (1 - Fraction(p)) * comb(2 * n - l, n) * ((n - l) * lam0 + l * lam1) / (n * c_big)
+                        ulps = abs(Fraction(orbits[(l, l, l)]) - exact) / Fraction(ulp(float(exact)))
+                        assert ulps <= 4, (n, q0, p, l, float(ulps))
+
+    @pytest.mark.parametrize("p", [-0.5, 1.0, 1.5, float("nan")])
+    def test_p_outside_unit_interval_rejected(self, p):
+        for build in (strategy_orbits, assemble_strategy_decomposed, analytic_spectrum):
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\), got"):
+                build(3, 0.33, p)
+        # reported ahead of the (n, q0) check
+        with pytest.raises(ValueError, match="p must lie"):
+            strategy_orbits(2, 0.01, p)
 
     def test_all_eigenvalues_in_unit_interval(self):
         w = np.linalg.eigvalsh(brute_strategy_dense(3, 0.33, 0.0))

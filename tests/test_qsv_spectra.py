@@ -266,7 +266,7 @@ class TestLargeN:
     def test_core_amplitudes_match_exact_rational(self, n, p):
         # alpha_plus^2 = lambda0/lambda1 = C q0 / (2 q1) and alpha_plus alpha_minus
         # = -C/2, compared through the squares, which are rational; q0 = 0.9
-        # and the other two take different roots of the quadratic first
+        # > 1/2 gives alpha_plus > -alpha_minus, the other two the reverse
         c_big = comb(2 * n, n)
         for q0 in (0.33, 0.9, 2 * q_min(n)):
             s = analytic_spectrum(n, q0, p)
