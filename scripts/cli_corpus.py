@@ -127,8 +127,14 @@ CASES = [
     _case(*ROBUST, "--rounds", "-1"),
     _case("qsv", "verify", "--n", "16", "--q0", "0.33", "--epsilon", "0.1", "--delta", "0.01", "--seed", "1"),
     _case(*ROBUST[:2], "13", *ROBUST[3:], "--noise", "coherent_mix:0.5"),
-    # below n = 3, through q_min's check; NaN and infinite values, each refused before any work
+    # below n = 3, through q_min's check (check_probe's for sense), and with p = 1,
+    # which every strategy command reports first; NaN and infinite values, each
+    # refused before any work
     _case("opt", "--n-min", "2", "--n-max", "5", "--out", "sweep.csv"),
+    _case(*SENSE[:1], "--n", "2", *SENSE[1:], "--shots", "10", "--seed", "1"),
+    _case(*COMPLEXITY[:3], "2", *COMPLEXITY[4:], "--epsilon", "0.1", "--p", "1"),
+    _case(*VERIFY[:3], "2", *VERIFY[4:], "--p", "1"),
+    _case(*ROBUST[:2], "2", *ROBUST[3:], "--p", "1"),
     _case(*SPECTRUM, "--check-numeric", "--tol", "nan"),
     _case(*SENSE[:1], "--n", "3", *SENSE[1:-2], "--t", "nan"),
     _case(*SENSE[:1], "--n", "3", *SENSE[1:-4], "--omega-b", "inf", "--t", "0"),

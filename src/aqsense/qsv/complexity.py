@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .operators import lambda_map
+from .operators import check_p, lambda_map
 
 __all__ = [
     "sample_complexity",
@@ -29,11 +29,10 @@ def sample_complexity_terms(
     Term 1 covers the branch where the inverse gap is below 2n-1; term 2
     covers the other branch through the Wallis bound C(2n,n) < 4^n/sqrt(pi n)
     and carries the 1/(1-p) slowdown of a nonzero Z-test probability.
-    (n, q0) must pass lambda_map, and a term leaving float64 range is refused.
+    p must pass check_p, then (n, q0) lambda_map; a term leaving float64 range is refused.
     """
+    check_p(p)
     lambda_map(n, q0)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must lie in [0, 1), got {p}")
     _validate(epsilon, delta)
     budget = math.log(1.0 / delta) / epsilon
     # 4^n as two factors of 2^n, since 4.0 ** n alone overflows from n = 512

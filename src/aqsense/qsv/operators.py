@@ -88,6 +88,12 @@ def q_min(n: int) -> float:
     return 2.0 / (binom(2 * n, n) + 2)
 
 
+def check_p(p: float) -> None:
+    """Raise ValueError unless the Z-test probability p lies in [0, 1)."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"p must lie in [0, 1), got {p}")
+
+
 def lambda_map(n: int, q0: float) -> tuple[float, float]:
     """Squared amplitudes of the post-selected GHZ-like state.
 
@@ -114,11 +120,10 @@ def strategy_orbits(n: int, q0: float, p: float) -> dict[tuple[int, int, int], f
     weight n, d on the couplings of weights 0, n and 2n, alpha I on weights
     n-1 and n+1 with c on their coupling, and omega3_l = (1-p)/(n C) C(2n-l,n)
     ((n-l) lambda0 + l lambda1), positive terms strictly decreasing in l, on
-    weights l and 2n-l for l = 1..n-2. p outside [0, 1) is refused ahead of
+    weights l and 2n-l for l = 1..n-2. ``check_p`` runs ahead of
     ``lambda_map``'s (n, q0) check.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must lie in [0, 1), got {p}")
+    check_p(p)
     lam0, lam1 = lambda_map(n, q0)
     m = 2 * n
     c_big = binom(m, n)

@@ -29,7 +29,7 @@ from ..qcore import (
 )
 from ..sensing import Povm, SensingScenario, estimate_angles
 from .complexity import sample_complexity
-from .operators import lambda_map
+from .operators import check_p, lambda_map
 
 __all__ = [
     "CopyVerdict",
@@ -259,11 +259,11 @@ def verify_copy(
     zero dispatches the GHZ-like test, n dispatches its X-conjugated
     variant, anything in between dispatches the Dicke test with the
     complementary excitation number. The acceptance probability on any
-    copy equals the expectation of the assembled strategy operator.
+    copy equals the expectation of the assembled strategy operator. p must
+    pass ``check_p``, ahead of ``lambda_map``'s (n, q0) check.
     """
+    check_p(p)
     rows = _trusted_rows(n, q0)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
     m = 2 * n
     if copy.num_qubits != m:
         raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")

@@ -372,6 +372,14 @@ def test_strategy_commands_refuse_n_outside_3_to_n_max_alike(n, message, tmp_pat
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_strategy_commands_report_p_first_alike(capsys):
+    # p's one check runs ahead of the (n, q0) checks, so n = 2 is not what is reported
+    plan = ["--n", "2", "--q0", "0.33", "--p", "1", "--epsilon", "0.1", "--delta", "0.01"]
+    for argv in (["qsv", "spectrum", *plan[:6]], ["qsv", "complexity", *plan], ["qsv", "verify", *plan, "--seed", "1"],
+                 ["robust", *plan, "--rounds", "1", "--seed", "1"]):
+        assert run_cli(argv, capsys) == (EXIT_USAGE, "", "error: p must lie in [0, 1), got 1.0\n"), argv
+
+
 # a valid value for every required flag and every float flag of a subcommand
 VALID = {
     "n": "3", "q0": "0.33", "omega_a": OMEGA_A, "omega_b": OMEGA_B, "t": "1.0", "p": "0.1", "tol": "1e-9",

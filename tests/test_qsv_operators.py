@@ -6,6 +6,7 @@ subset (oracles.brute_strategy_dense), dense numpy linear algebra, and the
 projection cross-check for the lambda map.
 """
 
+import re
 from fractions import Fraction
 from math import comb, ulp
 
@@ -26,14 +27,17 @@ from oracles import (
 )
 from test_qcore import collapse_subset
 
-from aqsense.qcore import make_target
+from aqsense.qcore import RngStream, make_target
 from aqsense.symcomb import binom, johnson_adjacency
 from aqsense.qsv import (
     StrategyOperator,
+    VerificationPlan,
     analytic_spectrum,
     assemble_strategy_decomposed,
     lambda_map,
     q_min,
+    sample_complexity_terms,
+    verify_copy,
 )
 from aqsense.qsv.operators import N_MAX, strategy_orbits
 
@@ -296,12 +300,17 @@ class TestAssemble:
 
     @pytest.mark.parametrize("p", [-0.5, 1.0, 1.5, float("nan")])
     def test_p_outside_unit_interval_rejected(self, p):
-        for build in (strategy_orbits, assemble_strategy_decomposed, analytic_spectrum):
-            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\), got"):
-                build(3, 0.33, p)
-        # reported ahead of the (n, q0) check
-        with pytest.raises(ValueError, match="p must lie"):
-            strategy_orbits(2, 0.01, p)
+        # one check of p for every strategy computation, reported ahead of the (n, q0) check
+        copy = make_target(3, 0.33)
+        builds = (strategy_orbits, assemble_strategy_decomposed, analytic_spectrum,
+                  lambda n, q0, p: sample_complexity_terms(n, q0, 0.1, 0.01, p),
+                  lambda n, q0, p: VerificationPlan(n, q0, 0.1, 0.01, p),
+                  lambda n, q0, p: verify_copy(copy, n, q0, p, RngStream(1).gen))
+        message = "^" + re.escape(f"p must lie in [0, 1), got {p}") + "$"
+        for build in builds:
+            for n, q0 in ((3, 0.33), (2, 0.01)):
+                with pytest.raises(ValueError, match=message):
+                    build(n, q0, p)
 
     def test_all_eigenvalues_in_unit_interval(self):
         w = np.linalg.eigvalsh(brute_strategy_dense(3, 0.33, 0.0))
