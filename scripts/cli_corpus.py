@@ -72,6 +72,9 @@ CASES = [
     # floor, and a one-row sweep
     _case("opt", "--n-min", "511", "--n-max", "514", "--examples", "K,A", "--out", "sweep.csv", "--self-check"),
     _case("opt", "--n-min", "3", "--n-max", "3", "--examples", "L", "--out", "sweep.csv"),
+    # the one (n, example) of 3..514 x A..L whose printed q_H sits within an ulp of a
+    # 12-digit rounding boundary (exact root 0.59436332088449996...)
+    _case("opt", "--n-min", "351", "--n-max", "351", "--examples", "A", "--out", "sweep.csv"),
     *[_case("qsv", "spectrum", "--n", str(n), "--q0", "0.33", "--check-numeric") for n in range(3, 7)],
     # the spectrum's other paths at n = 3: q0 >= 1/2 (alpha_plus > -alpha_minus), branch
     # bc1 (q0 <= 0.2) and the a/bc1 boundary tie

@@ -4,7 +4,9 @@ Traffic is every case of ``scripts/cli_corpus.py`` run in-process through
 ``aqsense.cli.main``, then set-up, warm-up and one pass of each aqbench
 workload. A ``sys.settrace`` line tracer, installed before the package is
 imported, records the lines run in ``src/``; a line is executable when a
-compiled code object of its module carries it. Each stretch of lines with
+compiled code object of its module carries it. A line counts as run when any
+part of it runs, so the census cannot see an arm of a one-line conditional
+(``a if c else b``) that only tests take. Each stretch of lines with
 none run in between prints as ``path:first-last`` and its first line; the
 census's own run time goes to stderr:
 

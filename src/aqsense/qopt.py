@@ -75,21 +75,20 @@ ANGLE_EXAMPLES: tuple[AngleExample, ...] = (
 class OptimumReport:
     """Landmark weights and the located minimum of the objective.
 
-    The pair-dependent fields are floats for one (n, angle pair) and arrays
-    for many (see ``minimize_H``); q_min and q_beta are arrays only when n
-    is. Every check holds for each pair.
+    The pair fields are arrays of the broadcast shape of n and the angles
+    (see ``minimize_H``). Every check holds for each pair.
     """
 
     n: int | np.ndarray
     theta_plus: float | np.ndarray
     theta_minus: float | np.ndarray
-    q_min: float | np.ndarray
-    q_beta: float | np.ndarray
-    q_G: float | np.ndarray
-    q_H: float | np.ndarray
-    H_min: float | np.ndarray
+    q_min: np.ndarray
+    q_beta: np.ndarray
+    q_G: np.ndarray
+    q_H: np.ndarray
+    H_min: np.ndarray
     evaluations: int
-    warned_full_domain: bool | np.ndarray
+    warned_full_domain: np.ndarray
 
     def __post_init__(self) -> None:
         if np.any(np.asarray(self.q_min) > np.asarray(self.q_beta) + 1e-15):
@@ -100,10 +99,6 @@ class OptimumReport:
         expected = objective_H(self.n, self.q_H, self.theta_plus, self.theta_minus)
         if not np.all(np.isclose(self.H_min, expected, rtol=1e-9, atol=0.0)):
             raise ValueError(f"H_min={self.H_min} does not equal the objective {expected}")
-
-
-def _scalar_or_array(x: np.ndarray):
-    return x if x.ndim else float(x)
 
 
 def _per_n(fn, n: np.ndarray) -> np.ndarray:
@@ -122,12 +117,12 @@ def gamma_eta(n, theta_plus, theta_minus):
     gamma = n^2 sin^2(theta-/2) + 2(n^2-n)(1 - cos(theta+/2)cos(theta-/2)),
     the last factor by ``sensing.one_minus_cos_cos``, and
     eta = (n-1)^2 sin^2(theta+/2); intended for theta+ in (0, pi] and
-    theta- in [-pi/2, 0). n and the angles broadcast; scalars give floats.
+    theta- in [-pi/2, 0). Both have the broadcast shape of n and the angles.
     """
-    tp, tm = np.asarray(theta_plus, dtype=float), np.asarray(theta_minus, dtype=float)
+    tp, tm = np.broadcast_arrays(np.asarray(theta_plus, dtype=float), np.asarray(theta_minus, dtype=float))
     gamma = n ** 2 * np.sin(tm / 2) ** 2 + 2 * (n ** 2 - n) * one_minus_cos_cos(tp, tm)
     eta = (n - 1) ** 2 * np.sin(tp / 2) ** 2
-    return _scalar_or_array(gamma), _scalar_or_array(eta)
+    return gamma, eta
 
 
 def _q_beta(n: int) -> float:
@@ -139,35 +134,35 @@ def q_landmarks(n, theta_plus, theta_minus):
     """The three landmark weights (q_min, q_beta, q_G).
 
     q_min bounds the admissible domain, q_beta marks the eigenvalue branch
-    crossing at p = 0, and q_G minimizes the theta- variance bound. q_G
-    broadcasts over n and the angles like gamma_eta; q_min and q_beta are
-    floats for an integer n and arrays for an array of n.
+    crossing at p = 0, and q_G minimizes the theta- variance bound. All three
+    have the broadcast shape of n and the angles.
 
     With r = eta/gamma, q_G = sqrt(r (1 + r)) - r = 1/(1 + sqrt(1 + 1/r)),
     evaluated as sqrt(eta)/(sqrt(eta) + sqrt(eta + gamma)): no difference
     of large numbers, no overflow, and 0 where eta is 0.
     """
-    n_arr = np.asarray(n)
     gamma, eta = gamma_eta(n, theta_plus, theta_minus)
     root = np.sqrt(eta)
-    landmarks = (_scalar_or_array(_per_n(fn, n_arr)) for fn in (q_min, _q_beta))
-    return *landmarks, _scalar_or_array(root / (root + np.sqrt(eta + gamma)))
+    q_g = root / (root + np.sqrt(eta + gamma))
+    return *(_per_n(fn, np.broadcast_to(n, q_g.shape)) for fn in (q_min, _q_beta)), q_g
 
 
 def beta_p0(n, q0):
     """Largest subunit strategy eigenvalue at p = 0 as a function of q0.
 
     Below the branch crossing: 1 - 1/(2n-1) - 2 q0/(2 + (C-2) q0); above:
-    C q0/(2 + (C-2) q0) with C = C(2n,n). Vectorized in n and q0.
+    C q0/(2 + (C-2) q0) with C = C(2n,n). n and q0 broadcast.
     """
     n_arr = np.asarray(n)
     q = np.asarray(q0, dtype=float)
     qm, qb, c = (_per_n(fn, n_arr) for fn in (q_min, _q_beta, _central))
-    if not np.all((qm <= q) & (q < 1.0)):
-        raise ValueError(f"q0 must lie in [q_min(n), 1), got {q0} at n = {n}")
+    inside = (qm <= q) & (q < 1.0)
+    if not inside.all():
+        k = np.argmin(inside)  # the first pair outside, in flat order
+        q_k, n_k = (np.broadcast_to(x, inside.shape).flat[k] for x in (q, n_arr))
+        raise ValueError(f"q0 must lie in [q_min(n), 1), got {q_k} at n = {n_k}")
     denom = 2.0 + (c - 2.0) * q
-    value = np.where(q < qb, 1.0 - 1.0 / (2 * n_arr - 1) - 2.0 * q / denom, c * q / denom)
-    return _scalar_or_array(value)
+    return np.where(q < qb, 1.0 - 1.0 / (2 * n_arr - 1) - 2.0 * q / denom, c * q / denom)
 
 
 def objective_H(n: int, q0, theta_plus: float, theta_minus: float):
@@ -184,10 +179,9 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     holds, and H must be a finite float64, which fails as theta- -> 0 (for
     n = 3, theta+ = 1 below |theta-| ~ 1e-153); ValueError otherwise.
 
-    With f = 1 - 1/n, s = sin^2(theta-/2) and C = C(2n, n), the theta-
-    bound is g-(q) = (A q + B)/(q(1-q)) with
-    A = 1 + 2f(1 - cos(theta+/2)cos(theta-/2))/s and
-    B = f^2 sin^2(theta+/2)/s, so H(q) = (A q + B) beta(q)/(q^2 (1-q)).
+    With C = C(2n, n), the theta- bound is g-(q) = (A q + B)/(q(1-q)) with
+    (A, B) = (gamma, eta)/(n^2 sin^2(theta-/2)) (see gamma_eta), so
+    H(q) = (A q + B) beta(q)/(q^2 (1-q)).
 
     Below the branch crossing q_beta, H is strictly decreasing:
     d ln H/dq = A/(Aq+B) - 2/q + 1/(1-q) + d ln beta/dq, where
@@ -195,7 +189,8 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     -1/q + 1/(1-q) < 0 because q < q_beta = 4(n-1)/(C+8n-6) <= 4/19 < 1/2
     for every n >= 3. So no minimum lies below q_beta. Above it,
     beta = C q/(2 + (C-2) q), and a stationary point of H is a real root of
-    2A(C-2) q^3 + (3B(C-2) - A(C-4)) q^2 - 2B(C-4) q - 2B = 0.
+    2A(C-2) q^3 + (3B(C-2) - A(C-4)) q^2 - 2B(C-4) q - 2B = 0, which is
+    homogeneous in (A, B): gamma and eta give the same roots.
 
     Per pair, the search starts at q_G, or at q_min (and the pair is
     flagged) when the branch crossing sits at or above q_G. With
@@ -204,37 +199,35 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     of the cubic in (a, 1): at most four evaluations per pair. The roots of
     every pair come from one eigvals call on a stack of companion matrices.
 
-    With scalar arguments the report holds floats. Otherwise q_G, q_H,
-    H_min and warned_full_domain are arrays of the broadcast shape, so are
-    q_min and q_beta when n is an array, and evaluations is the total over
-    the pairs. n and the angles are kept as given.
+    The report's pair fields are arrays of the broadcast shape, 0-d for one
+    pair; evaluations is the total over the pairs, and n and the angles are
+    kept as given.
     """
     n_all, tp, tm = np.broadcast_arrays(
         np.asarray(n), np.asarray(theta_plus, float), np.asarray(theta_minus, float)
     )
-    if not np.all((0.0 < tp) & (tp <= np.pi) & (-np.pi / 2 <= tm) & (tm < 0.0)):
-        raise ValueError(
-            f"angles must lie in theta+ in (0, pi], theta- in [-pi/2, 0), got {theta_plus}, {theta_minus}"
-        )
     shape, ns, tp, tm = tp.shape, n_all.ravel(), tp.ravel(), tm.ravel()
+    in_domain = (0.0 < tp) & (tp <= np.pi) & (-np.pi / 2 <= tm) & (tm < 0.0)
+    if not in_domain.all():
+        k = np.argmin(in_domain)  # the first pair outside
+        raise ValueError(f"angles must lie in theta+ in (0, pi], theta- in [-pi/2, 0), got theta+ = {tp[k]}, "
+                         f"theta- = {tm[k]} at n = {ns[k]}")
     qm, qb, qg = q_landmarks(ns, tp, tm)
     warned = qb >= qg
     # max(start, q_beta): q_G, or q_beta for a flagged pair
     lowest = np.maximum(qg, qb)
-    # s divides A and B: pairs whose H leaves float64 range are refused below, not warned about
+    # gamma can underflow to 0 as theta- -> 0: pairs whose H leaves float64 range are refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f, s, c = 1.0 - 1.0 / ns, np.sin(tm / 2) ** 2, _per_n(_central, ns)
-        a = 1.0 + 2.0 * f * one_minus_cos_cos(tp, tm) / s
-        b = f ** 2 * np.sin(tp / 2) ** 2 / s
+        (gamma, eta), c = gamma_eta(ns, tp, tm), _per_n(_central, ns)
         # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
         # a power of two scales it exactly and keeps every product in range
         scale = np.ldexp(1.0, -np.frexp(c)[1])
         c_2, c_4 = c * scale - 2.0 * scale, c * scale - 4.0 * scale
-        lead = 2.0 * a * c_2
+        lead = 2.0 * gamma * c_2
         companion = np.zeros((tp.size, 3, 3))
-        companion[:, 0, 0] = -(3.0 * b * c_2 - a * c_4) / lead
-        companion[:, 0, 1] = 2.0 * b * c_4 / lead
-        companion[:, 0, 2] = 2.0 * b * scale / lead
+        companion[:, 0, 0] = -(3.0 * eta * c_2 - gamma * c_4) / lead
+        companion[:, 0, 1] = 2.0 * eta * c_4 / lead
+        companion[:, 0, 2] = 2.0 * eta * scale / lead
         companion[:, 1, 0] = companion[:, 2, 1] = 1.0
         # a non-finite coefficient means H is not finite at any candidate either
         roots = np.linalg.eigvals(np.where(np.isfinite(companion), companion, 0.0))
@@ -250,21 +243,17 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
         k = np.flatnonzero(~np.isfinite(h_min))[0]
         raise ValueError(f"H at n = {ns[k]}, theta+ = {tp[k]:.3g}, theta- = {tm[k]:.3g} is not a finite "
                          f"float64 (largest {np.finfo(float).max:.4g})")
-
-    def as_given(x):
-        return x.reshape(shape) if shape else x[0].item()
-
     return OptimumReport(
         n=n,
         theta_plus=theta_plus,
         theta_minus=theta_minus,
-        q_min=as_given(qm) if np.ndim(n) else qm[0].item(),
-        q_beta=as_given(qb) if np.ndim(n) else qb[0].item(),
-        q_G=as_given(qg),
-        q_H=as_given(q_h),
-        H_min=as_given(h_min),
+        q_min=qm.reshape(shape),
+        q_beta=qb.reshape(shape),
+        q_G=qg.reshape(shape),
+        q_H=q_h.reshape(shape),
+        H_min=h_min.reshape(shape),
         evaluations=rows.size,
-        warned_full_domain=as_given(warned),
+        warned_full_domain=warned.reshape(shape),
     )
 
 

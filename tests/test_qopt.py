@@ -145,8 +145,8 @@ class TestBetaP0:
             beta_p0(3, np.array([0.3, 1.2]))
         with pytest.raises(ValueError, match=r"got nan at n = 3"):
             beta_p0(3, np.nan)
-        with pytest.raises(ValueError, match=r"got \[0.3 nan\]"):
-            beta_p0(3, np.array([0.3, np.nan]))
+        with pytest.raises(ValueError, match=r"got nan at n = 4$"):
+            beta_p0(np.array([3, 4]), np.array([0.3, np.nan]))
 
 
 class TestObjectiveH:
@@ -211,7 +211,7 @@ class TestMinimize:
         for ex in ANGLE_EXAMPLES:
             report = minimize_H(3, ex.theta_plus, ex.theta_minus)
             assert report.q_min <= report.q_beta
-            assert report.warned_full_domain is False
+            assert report.warned_full_domain.item() is False
             assert report.q_H >= report.q_G
             assert report.H_min == pytest.approx(
                 objective_H(3, report.q_H, ex.theta_plus, ex.theta_minus), rel=1e-12
@@ -222,7 +222,7 @@ class TestMinimize:
         # a theta+ small enough that q_G drops below q_beta
         report = minimize_H(3, np.pi / 12, -np.pi / 6)
         assert report.q_G < report.q_beta
-        assert report.warned_full_domain is True
+        assert report.warned_full_domain.item() is True
         assert abs(report.q_H - 0.48063181775312325) < 2e-6
 
     @pytest.mark.parametrize(
@@ -275,7 +275,8 @@ class TestMinimize:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_finite_h_is_kept(self):
         report = minimize_H(3, 1.0, -1e-153)
-        assert (report.q_H, report.H_min) == (0.576094589243987, 5.1956317737869e306)
+        # exact values (80-digit mpmath): q_H 0.57609458924398762, H_min 5.19563177378689767e306
+        assert (report.q_H, report.H_min) == (0.5760945892439872, 5.195631773786899e306)
         pair = minimize_H(np.array([3, 3]), np.array([1.0, 1.0]), np.array([-1e-153, -0.5]))
         assert (pair.q_H[0], pair.H_min[0]) == (report.q_H, report.H_min)
 
@@ -348,7 +349,7 @@ class TestMinimize:
             def rising(q, step=d("1e-20")):
                 return h(q + step) > h(q - step)
 
-            lo, hi = d(max(report.q_G, report.q_beta)), 1 - d("1e-6")
+            lo, hi = d(float(max(report.q_G, report.q_beta))), 1 - d("1e-6")
             assert not rising(lo) and rising(hi)
             while hi - lo > d("1e-30"):
                 mid = (lo + hi) / 2
@@ -429,8 +430,36 @@ class TestBatchedSearch:
         oracle = minimize_H_rowwise(n, theta_plus, theta_minus)
         assert_matches_nested_grid(dataclasses.asdict(report), oracle)
         assert report.warned_full_domain == oracle.warned_full_domain
-        assert type(report.q_H) is float and type(report.H_min) is float
-        assert type(report.q_G) is float and type(report.warned_full_domain) is bool
+        for key in ("q_G", "q_H", "H_min"):
+            assert (getattr(report, key).shape, getattr(report, key).dtype) == ((), np.float64), key
+        assert (report.warned_full_domain.shape, report.warned_full_domain.dtype) == ((), np.bool_)
+
+    @pytest.mark.parametrize(
+        "n, theta_plus, theta_minus, shape",
+        [(3, *A, ()), (3, A[0], THETA_MINUS, (12,)), (np.array([[3], [9]]), THETA_PLUS[:4], THETA_MINUS[:4], (2, 4))],
+        ids=["scalar", "theta_minus_array", "broadcast"],
+    )
+    def test_every_pair_field_has_the_broadcast_shape(self, n, theta_plus, theta_minus, shape):
+        report = minimize_H(n, theta_plus, theta_minus)
+        for key in ("q_min", "q_beta") + FIELDS:
+            assert np.shape(getattr(report, key)) == shape, key
+        assert type(report.evaluations) is int
+        for value in (*gamma_eta(n, theta_plus, theta_minus), *q_landmarks(n, theta_plus, theta_minus)):
+            assert (np.shape(value), value.dtype) == (shape, np.float64)
+        assert (np.shape(beta_p0(n, np.full(shape, 0.5))), beta_p0(n, 0.5).dtype) == (shape, np.float64)
+
+    def test_domain_errors_name_the_first_bad_pair(self):
+        ns = 3 + np.arange(600) % 512
+        theta_plus, q0 = np.full(600, 1.0), np.full(600, 0.5)
+        theta_plus[[417, 500]] = 3.5
+        q0[[417, 500]] = 1.0
+        domain = r"^angles must lie in theta\+ in \(0, pi\], theta- in \[-pi/2, 0\), "
+        with pytest.raises(ValueError, match=domain + r"got theta\+ = 3.5, theta- = -0.5 at n = 420$") as info:
+            minimize_H(ns, theta_plus, -0.5)
+        assert len(str(info.value)) < 200
+        with pytest.raises(ValueError, match=r"^q0 must lie in \[q_min\(n\), 1\), got 1.0 at n = 420$") as info:
+            beta_p0(ns, q0)
+        assert len(str(info.value)) < 200
 
     def test_array_report_rejects_one_bad_pair(self):
         report = minimize_H(3, THETA_PLUS, THETA_MINUS)
@@ -483,8 +512,7 @@ class TestBatchedSearch:
         singles = [minimize_H(n, tp, tm) for tp, tm in pairs]
         assert report.evaluations == sum(single.evaluations for single in singles)
         for i, single in enumerate(singles):
-            assert (report.q_min, report.q_beta) == (single.q_min, single.q_beta)
-            for key in FIELDS:
+            for key in FIELDS + ("q_min", "q_beta"):
                 assert getattr(report, key)[i] == getattr(single, key), key
 
 
