@@ -25,7 +25,6 @@ on every call.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -146,12 +145,12 @@ def _cmd_sense(opt: dict) -> int:
     bound = sensitivity_bounds(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
     payload = {
         "scenario": {
-            **dataclasses.asdict(scenario),
+            **vars(scenario),
             "theta_plus": scenario.theta_plus,
             "theta_minus": scenario.theta_minus,
         },
-        "probabilities": dataclasses.asdict(dist),
-        "sensitivity": dataclasses.asdict(bound),
+        "probabilities": vars(dist),
+        "sensitivity": vars(bound),
         "shots": opt["shots"],
         "seed": opt["seed"],
     }
@@ -170,7 +169,7 @@ def _cmd_sense(opt: dict) -> int:
         audit = anonymity_audit(
             scenario.n, scenario.q0, scenario.omega1, scenario.omega2, scenario.t
         )
-        payload["audit"] = dataclasses.asdict(audit)
+        payload["audit"] = vars(audit)
     _emit(payload, opt["out"])
     if audit is not None and not audit.passed:
         print("error: anonymity audit failed", file=sys.stderr)
@@ -182,7 +181,7 @@ def _cmd_qsv_spectrum(opt: dict) -> int:
     if not opt["tol"] >= 0.0:
         raise ValueError(f"--tol must be a non-negative number, got {opt['tol']}")
     summary = analytic_spectrum(opt["n"], opt["q0"], opt["p"], check_numeric=opt["check_numeric"])
-    _emit(dataclasses.asdict(summary), opt["out"])
+    _emit(vars(summary), opt["out"])
     if opt["check_numeric"]:
         worst = np.max(list(summary.residuals.values()))  # NaN if any residual is NaN
         if not worst <= opt["tol"]:
@@ -206,7 +205,7 @@ def _cmd_qsv_verify(opt: dict) -> int:
     payload = {
         "accepted": accepted,
         "copies_tested": len(transcript.verdicts),
-        "plan": dataclasses.asdict(plan),
+        "plan": vars(plan),
         "noise": {"kind": channel.label, "strength": channel.strength},
         "seed": opt["seed"],
         "transcript": opt["transcript"],

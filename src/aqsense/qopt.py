@@ -101,14 +101,14 @@ class OptimumReport:
             raise ValueError(f"H_min={self.H_min} does not equal the objective {expected}")
 
 
-def _per_n(fn, n: np.ndarray) -> np.ndarray:
-    """fn(k) for every entry k of the integer array n, one call per distinct k."""
+def _per_n(n: np.ndarray):
+    """q_min, q_beta and float(C(2n, n)) for every entry of the integer array
+    n, from one pass over its distinct values; q_beta = 4(n-1)/(C(2n,n) + 8n - 6)
+    is the branch crossing of the p = 0 strategy eigenvalue."""
     distinct, where = np.unique(n, return_inverse=True)
-    return np.array([fn(int(k)) for k in distinct])[where].reshape(n.shape)
-
-
-def _central(n: int) -> float:
-    return float(binom(2 * n, n))
+    table = np.array([(q_min(k), 4.0 * (k - 1) / (binom(2 * k, k) + 8 * k - 6), float(binom(2 * k, k)))
+                      for k in map(int, distinct)])
+    return tuple(column[where].reshape(n.shape) for column in table.T)
 
 
 def gamma_eta(n, theta_plus, theta_minus):
@@ -125,11 +125,6 @@ def gamma_eta(n, theta_plus, theta_minus):
     return gamma, eta
 
 
-def _q_beta(n: int) -> float:
-    """Branch crossing of the p = 0 strategy eigenvalue, 4(n-1)/(C(2n,n) + 8n - 6)."""
-    return 4.0 * (n - 1) / (binom(2 * n, n) + 8 * n - 6)
-
-
 def q_landmarks(n, theta_plus, theta_minus):
     """The three landmark weights (q_min, q_beta, q_G).
 
@@ -144,7 +139,7 @@ def q_landmarks(n, theta_plus, theta_minus):
     gamma, eta = gamma_eta(n, theta_plus, theta_minus)
     root = np.sqrt(eta)
     q_g = root / (root + np.sqrt(eta + gamma))
-    return *(_per_n(fn, np.broadcast_to(n, q_g.shape)) for fn in (q_min, _q_beta)), q_g
+    return *_per_n(np.broadcast_to(n, q_g.shape))[:2], q_g
 
 
 def beta_p0(n, q0):
@@ -155,7 +150,7 @@ def beta_p0(n, q0):
     """
     n_arr = np.asarray(n)
     q = np.asarray(q0, dtype=float)
-    qm, qb, c = (_per_n(fn, n_arr) for fn in (q_min, _q_beta, _central))
+    qm, qb, c = _per_n(n_arr)
     inside = (qm <= q) & (q < 1.0)
     if not inside.all():
         k = np.argmin(inside)  # the first pair outside, in flat order
@@ -218,7 +213,7 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     lowest = np.maximum(qg, qb)
     # gamma can underflow to 0 as theta- -> 0: pairs whose H leaves float64 range are refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        (gamma, eta), c = gamma_eta(ns, tp, tm), _per_n(_central, ns)
+        (gamma, eta), c = gamma_eta(ns, tp, tm), _per_n(ns)[2]
         # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
         # a power of two scales it exactly and keeps every product in range
         scale = np.ldexp(1.0, -np.frexp(c)[1])
@@ -270,12 +265,9 @@ def sweep(n_min: int, n_max: int, examples: Sequence[AngleExample] | None = None
     theta_plus = np.tile([ex.theta_plus for ex in chosen], count)
     theta_minus = np.tile([ex.theta_minus for ex in chosen], count)
     report = minimize_H(ns, theta_plus, theta_minus)
-    columns = [getattr(report, key).tolist() for key in _CSV_HEADER[4:]]
-    return [
-        {"n": n, "label": ex.label, "theta_plus": ex.theta_plus, "theta_minus": ex.theta_minus,
-         **dict(zip(_CSV_HEADER[4:], values))}
-        for n, ex, values in zip(ns.tolist(), chosen * count, zip(*columns))
-    ]
+    columns = (ns.tolist(), [ex.label for ex in chosen] * count, theta_plus.tolist(), theta_minus.tolist(),
+               *(getattr(report, key).tolist() for key in _CSV_HEADER[4:]))
+    return [dict(zip(_CSV_HEADER, row)) for row in zip(*columns)]
 
 
 def write_sweep_csv(rows: Sequence[dict], path) -> None:

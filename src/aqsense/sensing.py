@@ -157,11 +157,14 @@ def analytic_probs(n: int, q0: float, theta_plus: float, theta_minus: float) -> 
 
 
 # Bytes per entry of the largest ket (the Dicke ket, C(2n, n) entries) that
-# one placement_probabilities call allocates: about _ENTRY_BYTES for the
-# index, the ket amplitude, the probe amplitude and their product, plus the
-# 64 unpacked bits of the index (one byte each) and two (entries, 2n)
-# float64 bit matrices. Under qcore.SUPPORT_BYTES_LIMIT (1 GiB) the audit
-# runs to n = 11.
+# one placement_probabilities call allocates. A protocol ket holds the int64
+# index and its big-endian copy, the ket and probe amplitudes, v and dv
+# (complex128 each), the index's ceil(2n/8) low bytes unpacked to a byte per
+# bit and the (entries, 2n) float32 bit matrix: 145 to 170 bytes by
+# tracemalloc at n = 6..10. A negative control (dv nonzero) takes the bit
+# matrix in float64 and a weighted copy of it, 32n bytes. The budget,
+# _ENTRY_BYTES + 64 + 32n per entry, covers both and keeps the audit to
+# n = 11 under qcore.SUPPORT_BYTES_LIMIT (1 GiB).
 _ENTRY_BYTES = 96
 
 
@@ -278,32 +281,39 @@ def placement_probabilities(
     r = B^T v and S = B^T diag(v) B at (t1, t2): a few matrix products per
     ket in place of one evolution per placement.
 
-    v is split as v[0] + dv. The constant v[0] meets B through integer
-    counts, exact in float64: the support size, and B^T B, whose diagonal
-    is B's column sums. So a ket on which v is constant, as on each of the
-    protocol's kets, gives every placement the same float amplitude. B is
-    real, so dv's share of r and S comes from its real and imaginary parts
-    by real products, skipped where they are 0.
+    v is split as v[0] + dv. The constant v[0] meets B, unpacked from the
+    ceil(2n/8) low bytes of each index, through integer counts: the support
+    size, and B^T B, whose diagonal is B's column sums, formed in float32
+    and exact, as every partial sum is an integer no larger than the
+    support (2^(2n) <= 2^22 < 2^24 under the support budget). So a ket on
+    which v is constant, as on each of the protocol's kets, gives every
+    placement the same float amplitude. B is real, so dv's share of r and S
+    comes from its real and imaginary parts by real float64 products,
+    skipped where they are 0. The support is gathered only where the probe
+    vanishes on part of the ket, never on the protocol's kets.
     """
     check_probe(n, q0)
     check_support_budget(n)
     if povm is None:
         povm = Povm(n)
     m = 2 * n
+    low = -(-m // 8)
     a0, b0 = cmath.exp(0.5j * omega_a * t), cmath.exp(0.5j * omega_b * t)
     da, db = a0.conjugate() - a0, b0.conjugate() - b0
     placed = ~np.eye(m, dtype=bool)
     probs = []
     for idx, amps in povm.kets:
         v = amps.conj() * probe_on(n, np.sqrt(q0), np.sqrt(1.0 - q0), idx)
-        support = np.flatnonzero(v)
-        v = v[support]
-        # qubit j's bit of each index, from the big-endian bytes of the index
-        octets = idx[support].astype(">u8").view(np.uint8).reshape(-1, 8)
-        bits = np.unpackbits(octets, axis=1)[:, 64 - m :].astype(np.float64)
+        if not v.all():
+            support = np.flatnonzero(v)
+            v, idx = v[support], idx[support]
         ref = v[0] if v.size else 0.0
         dv = v - ref
-        counts = bits.T @ bits
+        # qubit j's bit of each index, from the low big-endian bytes of the
+        # index: float32 counts are exact; dv's float64 sums would cast B anyway
+        octets = idx.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - low :]
+        bits = np.unpackbits(octets, axis=1)[:, 8 * low - m :].astype(np.float64 if dv.any() else np.float32)
+        counts = (bits.T @ bits).astype(np.float64)
         r_re, s_re = _weighted_sums(bits, dv.real)
         r_im, s_im = _weighted_sums(bits, dv.imag)
         r = ref * np.diag(counts) + r_re + 1j * r_im

@@ -13,7 +13,8 @@ tests use, lives here too. Dense routes check the
 symmetric-block spectra: an operator built entry by entry from its orbit
 coefficients, a sector-block operator written out as a 2^m x 2^m
 matrix, the Gram route on the strategy's (n-1, n+1) piece, and the
-anonymity audit's law from one evolution per placement. The sensing law
+anonymity audit's law from one evolution per placement, and by the
+float64 bit-matrix route that the float32 counts replaced. The sensing law
 also keeps its dense route: the probe as a 2^(2n) vector, evolved and
 measured against the POVM kets written out as 2^(2n) vectors, and the
 law by evolution on the kets' supports that checks the closed form the
@@ -38,12 +39,12 @@ import math
 
 import numpy as np
 
-from aqsense.qcore import PureState, eig_top2, evolve_phases, make_target, measure, probe_on
+from aqsense.qcore import PureState, check_probe, eig_top2, evolve_phases, make_target, measure, probe_on
 from aqsense.qopt import _CSV_HEADER, OptimumReport, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.protocol import CopyVerdict, RobustResult, verify_batch
-from aqsense.sensing import OutcomeDistribution, Povm, estimate_angles
+from aqsense.sensing import OutcomeDistribution, Povm, check_support_budget, estimate_angles
 from aqsense.symcomb import WeightBasis, binom
 
 SQ2 = np.sqrt(2.0)
@@ -370,6 +371,44 @@ def placement_probabilities_by_evolution(n, q0, omega_a, omega_b, t, povm=None):
         omegas[t2] = omega_b
         rows.append(povm.probabilities(evolve_phases(probe, omegas, t)))
     return np.array(rows)
+
+
+def placement_probabilities_float64(n, q0, omega_a, omega_b, t, povm=None):
+    """The placement law by the route that the float32 counts replaced:
+    the support gathered for every ket, all 64 bits of each index unpacked
+    and cast to a float64 bit matrix, and B^T B formed in float64."""
+    check_probe(n, q0)
+    check_support_budget(n)
+    if povm is None:
+        povm = Povm(n)
+    m = 2 * n
+    a0, b0 = cmath.exp(0.5j * omega_a * t), cmath.exp(0.5j * omega_b * t)
+    da, db = a0.conjugate() - a0, b0.conjugate() - b0
+    placed = ~np.eye(m, dtype=bool)
+    probs = []
+    for idx, amps in povm.kets:
+        v = amps.conj() * probe_on(n, np.sqrt(q0), np.sqrt(1.0 - q0), idx)
+        support = np.flatnonzero(v)
+        v = v[support]
+        # qubit j's bit of each index, from the big-endian bytes of the index
+        octets = idx[support].astype(">u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(octets, axis=1)[:, 64 - m :].astype(np.float64)
+        ref = v[0] if v.size else 0.0
+        dv = v - ref
+        counts = bits.T @ bits
+        r_re, s_re = _weighted_sums_float64(bits, dv.real)
+        r_im, s_im = _weighted_sums_float64(bits, dv.imag)
+        r = ref * np.diag(counts) + r_re + 1j * r_im
+        s = ref * counts + s_re + 1j * s_im
+        amp = a0 * b0 * (ref * v.size + dv.sum()) + a0 * db * r[None, :] + da * b0 * r[:, None] + da * db * s
+        probs.append(np.abs(amp[placed]) ** 2)
+    probs = np.array(probs).T
+    return np.column_stack([probs, 1.0 - probs.sum(axis=1)])
+
+
+def _weighted_sums_float64(bits, w):
+    """(bits^T w, bits^T diag(w) bits) for real w by real products; 0 when w is 0."""
+    return (bits.T @ w, bits.T @ (bits * w[:, None])) if w.any() else (0.0, 0.0)
 
 
 class DenseKetPovm(Povm):

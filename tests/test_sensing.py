@@ -9,6 +9,7 @@ Independent oracles:
   * frozen hand-evaluated probability values.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,10 +39,14 @@ from oracles import (
     make_dicke,
     make_ghz,
     placement_probabilities_by_evolution,
+    placement_probabilities_float64,
     simulate_probs,
     simulate_probs_dense,
     validate_povm,
 )
+
+# (omega_a, omega_b, t) settings at which the placement law is checked
+PLACEMENT_SETTINGS = ((0.3, 0.7, 1.0), (1.1, 0.2, 0.9), (0.05, 1.5, 2.0))
 
 # theta+ = pi/2 and theta- = -pi/6 at t = 1: omega1,2 = (theta+ +- theta-) / 2t
 SCENARIO = SensingScenario(n=3, q0=0.33, t1=1, t2=2, omega1=(np.pi / 2 - np.pi / 6) / 2,
@@ -433,6 +438,14 @@ class TestAnonymityAudit:
         assert not report.passed
         assert report.max_distance > 1e-3
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_placement_law_equals_the_float64_route(self, n):
+        # the float32 bit counts are exact integers, so the protocol law is
+        # bit for bit the one the float64 bit matrix gave
+        for omega_a, omega_b, t in PLACEMENT_SETTINGS:
+            fast = placement_probabilities(n, 0.33, omega_a, omega_b, t)
+            assert np.array_equal(fast, placement_probabilities_float64(n, 0.33, omega_a, omega_b, t))
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_placement_law_matches_per_placement_evolution(self, n):
         # the broken POVM of the negative control, and a random ket whose law
@@ -444,7 +457,7 @@ class TestAnonymityAudit:
         draw = np.random.default_rng(90 + n)
         generic = draw.normal(size=ket.size) + 1j * draw.normal(size=ket.size)
         generic = DenseKetPovm(n, (generic / np.linalg.norm(generic), povm[1], povm[2]))
-        for omega_a, omega_b, t in ((0.3, 0.7, 1.0), (1.1, 0.2, 0.9), (0.05, 1.5, 2.0)):
+        for omega_a, omega_b, t in PLACEMENT_SETTINGS:
             for measurement in (None, broken, generic):
                 fast = placement_probabilities(n, 0.33, omega_a, omega_b, t, povm=measurement)
                 slow = placement_probabilities_by_evolution(n, 0.33, omega_a, omega_b, t, povm=measurement)
@@ -457,6 +470,14 @@ class TestSupportBudget:
         check_support_budget(11)
         with pytest.raises(ValueError, match="the largest n accepted is 11"):
             check_support_budget(12)
+
+    def test_largest_support_admitted_counts_exactly_in_float32(self):
+        # a bit count is an integer no larger than the support, at most 2^(2n)
+        # basis states; float32 holds every integer up to 2^24 exactly
+        with pytest.raises(ValueError, match="the largest n accepted is") as refused:
+            check_support_budget(40)
+        largest = int(re.search(r"the largest n accepted is (\d+)", str(refused.value))[1])
+        assert 2 ** (2 * largest) == 2 ** 22 < 2 ** 24
 
     def test_library_entry_points_refuse_before_allocating(self):
         with pytest.raises(ValueError, match="GiB limit"):
