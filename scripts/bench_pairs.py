@@ -9,14 +9,8 @@ the parent first, even pairs the change first. Each run's ``{"env": ...}``
 line and last stdout line (the result JSON) are kept. Per workload and
 end-to-end metric the file holds both sides' median and quartiles
 (statistics.quantiles, inclusive), the pairs in which the change reads
-lower, and the relative change of the median. It also states the verdict,
-with the direction and bound of each metric read from the change's
-BENCHMARK.json: whether the gain rule holds (the change reads better in at
-least 9/10 of the pairs, ties counting for neither, and its median beats
-the parent's by more than the parent's interquartile range), and whether
-the change's median is worse than the parent's by more than the bound, a
-fraction of the parent's median. Nothing is written into either checkout's
-``aqbench/``; the runner itself writes ``.aqbench_out/``.
+lower, and the relative change of the median. Nothing is written into
+either checkout's ``aqbench/``; the runner itself writes ``.aqbench_out/``.
 """
 
 from __future__ import annotations
@@ -45,22 +39,7 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def verdict(values: dict, stats: dict, spec: dict) -> dict:
-    """The gain rule and the regression bound for one metric, whose
-    BENCHMARK.json entry ``spec`` gives its direction and bound."""
-    sign = 1.0 if spec["better"] == "lower" else -1.0
-    better = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
-    gap = sign * (stats["parent"]["median"] - stats["change"]["median"])
-    return {
-        "better": spec["better"],
-        "change_better_in_pairs": better,
-        "gain_rule_holds": 10 * better >= 9 * len(values["change"]) and gap > stats["parent"]["iqr"],
-        "bound": spec["bound"],
-        "worse_than_bound": -gap > spec["bound"] * abs(stats["parent"]["median"]),
-    }
-
-
-def summary(runs: list[dict], specs: dict[str, dict]) -> dict:
+def summary(runs: list[dict]) -> dict:
     results = {side: [run[side]["result"] for run in runs] for side in SIDES}
     out = {}
     for metric in results["parent"][0]["metrics"]:
@@ -71,7 +50,6 @@ def summary(runs: list[dict], specs: dict[str, dict]) -> dict:
             "change_lower_in_pairs": sum(c < p for p, c in zip(values["parent"], values["change"])),
             "pairs": len(runs),
             "median_change_rel": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
-            "verdict": verdict(values, stats, specs[metric]),
         }
     out["failed"] = {side: sum(r["failed"] for r in results[side]) for side in SIDES}
     out["attempted"] = {side: [r["attempted"] for r in results[side]] for side in SIDES}
@@ -96,7 +74,6 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     names = args.workload or [w["name"] for w in spec["workloads"]]
-    specs = {metric["name"]: metric for metric in spec["end_to_end"]}
     report = {
         "what": f"aqbench/run.py --seconds {args.seconds:g} --trace 0, {args.pairs} alternated pairs of "
                 "parent and change per workload (odd pairs run the parent first, even pairs the change "
@@ -117,12 +94,7 @@ def main(argv=None) -> int:
                 item = run[side]["result"]["metrics"]["item_ms"]["value"]
                 print(f"{name} pair {pair} {side}: item_ms {item:.6g}", file=sys.stderr, flush=True)
             runs.append(run)
-        report["workloads"][name] = {"summary": summary(runs, specs), "runs": runs}
-        for metric in specs:
-            v = report["workloads"][name]["summary"][metric]["verdict"]
-            print(f"{name} {metric}: better in {v['change_better_in_pairs']} of {args.pairs} pairs, gain rule "
-                  f"{'holds' if v['gain_rule_holds'] else 'fails'}, {'worse' if v['worse_than_bound'] else 'not worse'}"
-                  f" than the {v['bound']:g} bound", file=sys.stderr, flush=True)
+        report["workloads"][name] = {"summary": summary(runs), "runs": runs}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

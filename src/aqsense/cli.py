@@ -25,6 +25,7 @@ on every call.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -145,12 +146,12 @@ def _cmd_sense(opt: dict) -> int:
     bound = sensitivity_bounds(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
     payload = {
         "scenario": {
-            **vars(scenario),
+            **dataclasses.asdict(scenario),
             "theta_plus": scenario.theta_plus,
             "theta_minus": scenario.theta_minus,
         },
-        "probabilities": vars(dist),
-        "sensitivity": vars(bound),
+        "probabilities": dataclasses.asdict(dist),
+        "sensitivity": dataclasses.asdict(bound),
         "shots": opt["shots"],
         "seed": opt["seed"],
     }
@@ -169,7 +170,7 @@ def _cmd_sense(opt: dict) -> int:
         audit = anonymity_audit(
             scenario.n, scenario.q0, scenario.omega1, scenario.omega2, scenario.t
         )
-        payload["audit"] = vars(audit)
+        payload["audit"] = dataclasses.asdict(audit)
     _emit(payload, opt["out"])
     if audit is not None and not audit.passed:
         print("error: anonymity audit failed", file=sys.stderr)
@@ -181,7 +182,7 @@ def _cmd_qsv_spectrum(opt: dict) -> int:
     if not opt["tol"] >= 0.0:
         raise ValueError(f"--tol must be a non-negative number, got {opt['tol']}")
     summary = analytic_spectrum(opt["n"], opt["q0"], opt["p"], check_numeric=opt["check_numeric"])
-    _emit(vars(summary), opt["out"])
+    _emit(dataclasses.asdict(summary), opt["out"])
     if opt["check_numeric"]:
         worst = np.max(list(summary.residuals.values()))  # NaN if any residual is NaN
         if not worst <= opt["tol"]:
@@ -205,7 +206,7 @@ def _cmd_qsv_verify(opt: dict) -> int:
     payload = {
         "accepted": accepted,
         "copies_tested": len(transcript.verdicts),
-        "plan": vars(plan),
+        "plan": dataclasses.asdict(plan),
         "noise": {"kind": channel.label, "strength": channel.strength},
         "seed": opt["seed"],
         "transcript": opt["transcript"],

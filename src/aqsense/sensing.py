@@ -157,14 +157,14 @@ def analytic_probs(n: int, q0: float, theta_plus: float, theta_minus: float) -> 
 
 
 # Bytes per entry of the largest ket (the Dicke ket, C(2n, n) entries) that
-# one placement_probabilities call allocates. A protocol ket holds the int64
+# one placement_probabilities call allocates. Every ket holds the int64
 # index and its big-endian copy, the ket and probe amplitudes, v and dv
-# (complex128 each), the index's ceil(2n/8) low bytes unpacked to a byte per
-# bit and the (entries, 2n) float32 bit matrix: 145 to 170 bytes by
-# tracemalloc at n = 6..10. A negative control (dv nonzero) takes the bit
-# matrix in float64 and a weighted copy of it, 32n bytes. The budget,
-# _ENTRY_BYTES + 64 + 32n per entry, covers both and keeps the audit to
-# n = 11 under qcore.SUPPORT_BYTES_LIMIT (1 GiB).
+# (complex128), the unpacked ceil(2n/8) low index bytes and the float32 bit
+# matrix. A ket on which v is not constant (the 2-entry GHZ-minus ket, the
+# negative controls) adds two float64 copies of that matrix for dv's sums.
+# Traced at n = 6..10: 140-170 bytes for the protocol, 320-440 for a
+# Dicke-sized control ket, under the 352-480 of _ENTRY_BYTES + 64 + 32n,
+# which keeps the audit to n = 11 under qcore.SUPPORT_BYTES_LIMIT (1 GiB).
 _ENTRY_BYTES = 96
 
 
@@ -286,11 +286,10 @@ def placement_probabilities(
     size, and B^T B, whose diagonal is B's column sums, formed in float32
     and exact, as every partial sum is an integer no larger than the
     support (2^(2n) <= 2^22 < 2^24 under the support budget). So a ket on
-    which v is constant, as on each of the protocol's kets, gives every
-    placement the same float amplitude. B is real, so dv's share of r and S
-    comes from its real and imaginary parts by real float64 products,
-    skipped where they are 0. The support is gathered only where the probe
-    vanishes on part of the ket, never on the protocol's kets.
+    which v is constant, as on the protocol's GHZ-plus and Dicke kets,
+    gives every placement the same float amplitude. B is real, so dv's
+    share of r and S comes from its real and imaginary parts by real
+    float64 products, skipped where they are 0.
     """
     check_probe(n, q0)
     check_support_budget(n)
@@ -310,9 +309,9 @@ def placement_probabilities(
         ref = v[0] if v.size else 0.0
         dv = v - ref
         # qubit j's bit of each index, from the low big-endian bytes of the
-        # index: float32 counts are exact; dv's float64 sums would cast B anyway
+        # index, as exact float32 counts; dv's sums promote B to float64
         octets = idx.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - low :]
-        bits = np.unpackbits(octets, axis=1)[:, 8 * low - m :].astype(np.float64 if dv.any() else np.float32)
+        bits = np.unpackbits(octets, axis=1)[:, 8 * low - m :].astype(np.float32)
         counts = (bits.T @ bits).astype(np.float64)
         r_re, s_re = _weighted_sums(bits, dv.real)
         r_im, s_im = _weighted_sums(bits, dv.imag)

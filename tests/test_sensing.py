@@ -11,6 +11,7 @@ Independent oracles:
 
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from aqsense.qcore import SUPPORT_BYTES_LIMIT, PureState, RngStream
 from aqsense.sensing import (
+    Povm,
     SensingScenario,
     analytic_probs,
     anonymity_audit,
@@ -493,3 +495,18 @@ class TestSupportBudget:
         finally:
             tracemalloc.stop()
         assert peak <= _support_bytes(n) < SUPPORT_BYTES_LIMIT
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_estimate_bounds_a_control_kets_traced_peak(self, n):
+        # a Dicke-sized ket with random phases: v is not constant on it, so
+        # dv's float64 products of the bit matrix come on top
+        idx, amps = Povm(n).kets[2]
+        phases = np.exp(1j * np.random.default_rng(n).uniform(0.0, 2 * np.pi, idx.size))
+        control = SimpleNamespace(kets=((idx, amps * phases),))
+        tracemalloc.start()
+        try:
+            placement_probabilities(n, 0.33, 0.3, 0.7, 1.0, povm=control)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _support_bytes(n)
