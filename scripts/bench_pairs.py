@@ -11,6 +11,11 @@ end-to-end metric the file holds both sides' median and quartiles
 (statistics.quantiles, inclusive), the pairs in which the change reads
 lower, and the relative change of the median. Nothing is written into
 either checkout's ``aqbench/``; the runner itself writes ``.aqbench_out/``.
+
+It refuses to start when the checkouts hold different sets of
+``__pycache__/*.pyc`` files under ``src/`` and ``aqbench/``: a checkout that
+imports from cached bytecode sets up faster, which would read as a
+``setup_s`` change. Clear or fill both caches alike first.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+BYTECODE_ROOTS = ("src", "aqbench")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -32,6 +38,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = out.stdout.strip().splitlines()
     env = next(json.loads(line)["env"] for line in lines if line.startswith('{"env"'))
     return {"env": env, "result": json.loads(lines[-1])}
+
+
+def bytecode_difference(parent: Path, change: Path) -> str | None:
+    """The first path, in sorted order, of a ``__pycache__/*.pyc`` file under
+    src/ or aqbench/ that one checkout holds and the other lacks; None when
+    both hold the same set. Reads the trees only."""
+    held = [{path.relative_to(checkout).as_posix() for root in BYTECODE_ROOTS
+             for path in (checkout / root).glob("**/__pycache__/*.pyc")} for checkout in (parent, change)]
+    return min(held[0] ^ held[1], default=None)
 
 
 def spread(values: list[float]) -> dict:
@@ -72,6 +87,9 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    differing = bytecode_difference(checkouts["parent"], checkouts["change"])
+    if differing is not None:
+        parser.error(f"only one checkout holds {differing}; give both the same __pycache__ files, or none")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     names = args.workload or [w["name"] for w in spec["workloads"]]
     report = {

@@ -142,6 +142,9 @@ CASES = [
     _case(*SENSE[:1], "--n", "3", *SENSE[1:-2], "--t", "nan"),
     _case(*SENSE[:1], "--n", "3", *SENSE[1:-4], "--omega-b", "inf", "--t", "0"),
     _case(*ROBUST, "--t", "nan"),
+    # t = 0, where the probe senses nothing
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:-2], "--t", "0"),
+    _case(*ROBUST, "--t", "0"),
 ]
 
 

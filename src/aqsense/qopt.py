@@ -76,12 +76,9 @@ class OptimumReport:
     """Landmark weights and the located minimum of the objective.
 
     The pair fields are arrays of the broadcast shape of n and the angles
-    (see ``minimize_H``). Every check holds for each pair.
+    (see ``minimize_H``).
     """
 
-    n: int | np.ndarray
-    theta_plus: float | np.ndarray
-    theta_minus: float | np.ndarray
     q_min: np.ndarray
     q_beta: np.ndarray
     q_G: np.ndarray
@@ -89,16 +86,6 @@ class OptimumReport:
     H_min: np.ndarray
     evaluations: int
     warned_full_domain: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(np.asarray(self.q_min) > np.asarray(self.q_beta) + 1e-15):
-            raise ValueError(f"q_min={self.q_min} exceeds q_beta={self.q_beta}")
-        restricted = ~np.asarray(self.warned_full_domain)
-        if np.any(restricted & (np.asarray(self.q_H) < np.asarray(self.q_G) - 1e-12)):
-            raise ValueError("q_H fell below q_G inside the restricted search")
-        expected = objective_H(self.n, self.q_H, self.theta_plus, self.theta_minus)
-        if not np.all(np.isclose(self.H_min, expected, rtol=1e-9, atol=0.0)):
-            raise ValueError(f"H_min={self.H_min} does not equal the objective {expected}")
 
 
 def _per_n(n: np.ndarray):
@@ -195,8 +182,7 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     every pair come from one eigvals call on a stack of companion matrices.
 
     The report's pair fields are arrays of the broadcast shape, 0-d for one
-    pair; evaluations is the total over the pairs, and n and the angles are
-    kept as given.
+    pair; evaluations is the total over the pairs.
     """
     n_all, tp, tm = np.broadcast_arrays(
         np.asarray(n), np.asarray(theta_plus, float), np.asarray(theta_minus, float)
@@ -239,9 +225,6 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
         raise ValueError(f"H at n = {ns[k]}, theta+ = {tp[k]:.3g}, theta- = {tm[k]:.3g} is not a finite "
                          f"float64 (largest {np.finfo(float).max:.4g})")
     return OptimumReport(
-        n=n,
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
         q_min=qm.reshape(shape),
         q_beta=qb.reshape(shape),
         q_G=qg.reshape(shape),

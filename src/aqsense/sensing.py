@@ -48,9 +48,10 @@ class SensingScenario:
     """One sensing run: probe shape, field positions, frequencies, time.
 
     Positions t1, t2 are 1-based and distinct; omega1 sits at t1 and omega2
-    at t2 with 0 < omega1 < omega2 <= pi/(2t), both finite. All other local
-    frequencies are zero. Derived angles: theta_plus = (omega1+omega2) t in
-    (0, pi], theta_minus = (omega1-omega2) t in [-pi/2, 0).
+    at t2 with 0 < omega1 < omega2 <= pi/(2t), both finite, and the time
+    t > 0. All other local frequencies are zero. Derived angles:
+    theta_plus = (omega1+omega2) t in (0, pi], theta_minus =
+    (omega1-omega2) t in [-pi/2, 0).
     """
 
     n: int
@@ -70,9 +71,9 @@ class SensingScenario:
             raise ValueError("the two field positions must differ")
         if not 0.0 < self.omega1 < self.omega2 < np.inf:
             raise ValueError("frequencies must be finite and satisfy 0 < omega1 < omega2")
-        if not self.t >= 0.0:
-            raise ValueError(f"interaction time must be nonnegative, got {self.t}")
-        if self.t > 0.0 and self.omega2 > np.pi / (2 * self.t) + 1e-12:
+        if not self.t > 0.0:
+            raise ValueError(f"interaction time must be positive, got {self.t}")
+        if self.omega2 > np.pi / (2 * self.t) + 1e-12:
             raise ValueError("omega2 exceeds pi/(2t)")
 
     @property

@@ -292,9 +292,6 @@ def minimize_H_rowwise(n, theta_plus, theta_minus):
             break
         grid = np.linspace(bracket[0], bracket[1], REFINE_POINTS)
     return OptimumReport(
-        n=n,
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
         q_min=qm,
         q_beta=qb,
         q_G=qg,

@@ -409,7 +409,7 @@ def test_nan_on_every_float_flag_is_usage(leaf, flag, capsys):
 class TestNonFiniteScenario:
     @pytest.mark.parametrize(
         "values, message",
-        [({"t": "nan"}, "interaction time must be nonnegative, got nan"),
+        [({"t": "nan"}, "interaction time must be positive, got nan"),
          ({"omega_b": "inf", "t": "0"}, "frequencies must be finite and satisfy 0 < omega1 < omega2")],
     )
     @pytest.mark.parametrize("leaf", ["sense", "robust"])

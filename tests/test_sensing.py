@@ -192,7 +192,7 @@ class TestScenario:
 
     @pytest.mark.parametrize(
         "omega1, omega2, t, message",
-        [(0.1, 0.2, np.nan, "^interaction time must be nonnegative, got nan$"),
+        [(0.1, 0.2, np.nan, "^interaction time must be positive, got nan$"),
          (0.1, np.inf, 0.0, "^frequencies must be finite and satisfy 0 < omega1 < omega2$"),
          (np.nan, 0.2, 1.0, "^frequencies must be finite"),
          (0.1, np.nan, 1.0, "^frequencies must be finite")],
@@ -255,9 +255,12 @@ class TestSimulateProbs:
         )
 
     def test_zero_time(self):
-        sc = SensingScenario(n=3, q0=0.33, t1=1, t2=2, omega1=0.1, omega2=0.2, t=0.0)
-        d = simulate_probs(sc)
-        np.testing.assert_allclose([d.p1, d.p2, d.p3, d.p4], [0.33, 0, 0.67, 0], atol=1e-12)
+        # a scenario needs t > 0; the placement law takes t = 0, where no field acts
+        with pytest.raises(ValueError, match=r"^interaction time must be positive, got 0.0$"):
+            SensingScenario(n=3, q0=0.33, t1=1, t2=2, omega1=0.1, omega2=0.2, t=0.0)
+        law = placement_probabilities(3, 0.33, 0.1, 0.2, 0.0)
+        assert law.shape == (30, 4)
+        np.testing.assert_allclose(law, np.tile([0.33, 0, 0.67, 0], (30, 1)), rtol=0, atol=1e-12)
 
     def test_position_swap_invariance(self):
         base = None
