@@ -12,10 +12,11 @@ end-to-end metric the file holds both sides' median and quartiles
 lower, and the relative change of the median. Nothing is written into
 either checkout's ``aqbench/``; the runner itself writes ``.aqbench_out/``.
 
-It refuses to start when the checkouts hold different sets of
-``__pycache__/*.pyc`` files under ``src/`` and ``aqbench/``: a checkout that
-imports from cached bytecode sets up faster, which would read as a
-``setup_s`` change. Clear or fill both caches alike first.
+It refuses to start when either checkout holds a ``__pycache__/*.pyc`` file
+under ``src/`` or ``aqbench/``: a checkout that imports from cached bytecode
+sets up faster, which would read as a ``setup_s`` change, and a cache left
+stale by a move to another commit is recompiled on every import when
+``PYTHONDONTWRITEBYTECODE`` is set. Remove those caches from both first.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"env": env, "result": json.loads(lines[-1])}
 
 
-def bytecode_difference(parent: Path, change: Path) -> str | None:
+def cached_bytecode(checkout: Path) -> str | None:
     """The first path, in sorted order, of a ``__pycache__/*.pyc`` file under
-    src/ or aqbench/ that one checkout holds and the other lacks; None when
-    both hold the same set. Reads the trees only."""
-    held = [{path.relative_to(checkout).as_posix() for root in BYTECODE_ROOTS
-             for path in (checkout / root).glob("**/__pycache__/*.pyc")} for checkout in (parent, change)]
-    return min(held[0] ^ held[1], default=None)
+    the checkout's src/ or aqbench/; None when it holds none. Reads the tree only."""
+    return min((path.relative_to(checkout).as_posix() for root in BYTECODE_ROOTS
+                for path in (checkout / root).glob("**/__pycache__/*.pyc")), default=None)
 
 
 def spread(values: list[float]) -> dict:
@@ -87,9 +86,11 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    differing = bytecode_difference(checkouts["parent"], checkouts["change"])
-    if differing is not None:
-        parser.error(f"only one checkout holds {differing}; give both the same __pycache__ files, or none")
+    for side, checkout in checkouts.items():
+        cached = cached_bytecode(checkout)
+        if cached is not None:
+            parser.error(f"the {side} checkout holds {cached}; remove the __pycache__ files "
+                         "under src/ and aqbench/ from both checkouts")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     names = args.workload or [w["name"] for w in spec["workloads"]]
     report = {

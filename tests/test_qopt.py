@@ -213,8 +213,8 @@ class TestMinimize:
         theta_minus = np.tile([ex.theta_minus for ex in ANGLE_EXAMPLES], count)
         report = minimize_H(ns, theta_plus, theta_minus)
         assert np.all(report.q_min <= report.q_beta)
-        restricted = ~report.warned_full_domain
-        assert np.all(report.q_H[restricted] >= report.q_G[restricted])
+        assert not report.warned_full_domain.any()
+        assert np.all(report.q_H >= report.q_G)
         np.testing.assert_allclose(report.H_min, objective_H(ns, report.q_H, theta_plus, theta_minus),
                                    rtol=1e-12, atol=0)
         assert ns.size <= report.evaluations <= 4 * ns.size
