@@ -9,8 +9,11 @@ the parent first, even pairs the change first. Each run's ``{"env": ...}``
 line and last stdout line (the result JSON) are kept. Per workload and
 end-to-end metric the file holds both sides' median and quartiles
 (statistics.quantiles, inclusive), the pairs in which the change reads
-lower, and the relative change of the median. Nothing is written into
-either checkout's ``aqbench/``; the runner itself writes ``.aqbench_out/``.
+lower, and the relative change of the median. After a workload's pairs,
+one ``--trace 1`` run of each side, on seed --seed and in pair 1's order,
+records the per-layer metrics, to show in which layer a change lands.
+Nothing is written into either checkout's ``aqbench/``; the runner itself
+writes ``.aqbench_out/``.
 
 It refuses to start when either checkout holds a ``__pycache__/*.pyc`` file
 under ``src/`` or ``aqbench/``: a checkout that imports from cached bytecode
@@ -32,9 +35,9 @@ SIDES = ("parent", "change")
 BYTECODE_ROOTS = ("src", "aqbench")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     argv = [sys.executable, "aqbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     lines = out.stdout.strip().splitlines()
     env = next(json.loads(line)["env"] for line in lines if line.startswith('{"env"'))
@@ -96,7 +99,8 @@ def main(argv=None) -> int:
     report = {
         "what": f"aqbench/run.py --seconds {args.seconds:g} --trace 0, {args.pairs} alternated pairs of "
                 "parent and change per workload (odd pairs run the parent first, even pairs the change "
-                f"first), seeds {args.seed}-{args.seed + args.pairs - 1}",
+                f"first), seeds {args.seed}-{args.seed + args.pairs - 1}; then one --trace 1 run of each "
+                f"side per workload, seed {args.seed}, parent first",
         "parent": args.parent_label,
         "change": args.change_label,
         "host": args.host,
@@ -113,7 +117,8 @@ def main(argv=None) -> int:
                 item = run[side]["result"]["metrics"]["item_ms"]["value"]
                 print(f"{name} pair {pair} {side}: item_ms {item:.6g}", file=sys.stderr, flush=True)
             runs.append(run)
-        report["workloads"][name] = {"summary": summary(runs), "runs": runs}
+        traced = {side: run_once(checkouts[side], name, args.seed, args.seconds, trace=1) for side in SIDES}
+        report["workloads"][name] = {"summary": summary(runs), "runs": runs, "traced": traced}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

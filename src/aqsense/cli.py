@@ -238,17 +238,15 @@ def _cmd_qsv_complexity(opt: dict) -> int:
 
 def _cmd_opt(opt: dict) -> int:
     examples = _parse_examples(opt["examples"])
-    rows = sweep(opt["n_min"], opt["n_max"], examples)
-    write_sweep_csv(rows, opt["out"])
-    print(f"wrote {len(rows)} rows to {opt['out']}")
+    table = sweep(opt["n_min"], opt["n_max"], examples)
+    write_sweep_csv(table, opt["out"])
+    q_g = table[2].q_G  # a row per n, a column per example in --examples order
+    print(f"wrote {q_g.size} rows to {opt['out']}")
     if opt["self_check"]:
-        q_gs = {ex.label: [] for ex in examples}
-        for row in rows:
-            q_gs[row["label"]].append(row["q_G"])
-        for label, q in q_gs.items():
-            if any(b <= a for a, b in zip(q, q[1:])):
-                print(f"error: q_G not increasing in n for example {label}", file=sys.stderr)
-                return EXIT_MISMATCH
+        falling = (np.diff(q_g, axis=0) <= 0).any(axis=0)
+        if falling.any():
+            print(f"error: q_G not increasing in n for example {examples[np.argmax(falling)].label}", file=sys.stderr)
+            return EXIT_MISMATCH
     return EXIT_OK
 
 

@@ -4,17 +4,16 @@ Combines the two estimation-variance bounds with the residual acceptance
 of imperfect copies into a single figure of merit H(q0), locates its
 landmark weights (domain minimum, eigenvalue-branch crossing, Dicke-bound
 minimizer), and minimizes H per (n, angle pair). H is rational in q0, so
-its minimum is a root of a cubic; n broadcasts with the angles, and one
-minimize_H call solves the cubics of every (n, angle pair) together, so the
-sweep that generates the figure data makes one call in all; its rows are
-written as CSV with CRLF line ends, one line per (n, example) pair. n runs up
-to N_MAX = 514, the largest n whose C(2n, n) lies inside float64 range.
+its minimum is a root of a cubic, taken in closed form; n broadcasts with
+the angles, so the sweep that generates the figure data solves its
+(n, example) grid in one minimize_H call and writes it as CSV with CRLF
+line ends, one line per pair. n runs up to N_MAX = 514, the largest n
+whose C(2n, n) lies inside float64 range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 _CSV_HEADER = ("n", "label", "theta_plus", "theta_minus", "q_min", "q_beta", "q_G", "q_H", "H_min")
-_CSV_LINE = "%s,%s" + ",%.12g" * 7
+_TURNS = 2.0 * np.pi * np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def _per_n(n: np.ndarray):
     is the branch crossing of the p = 0 strategy eigenvalue."""
     distinct, where = np.unique(n, return_inverse=True)
     table = np.array([(q_min(k), 4.0 * (k - 1) / (binom(2 * k, k) + 8 * k - 6), float(binom(2 * k, k)))
-                      for k in map(int, distinct)])
+                      for k in map(int, distinct)]).reshape(-1, 3)  # (0, 3) for no n
     return tuple(column[where].reshape(n.shape) for column in table.T)
 
 
@@ -178,8 +177,9 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     flagged) when the branch crossing sits at or above q_G. With
     a = max(start, q_beta), H is continuous on [a, 1) and grows without
     bound as q -> 1, so q_H is the argmin of H over a and the real roots
-    of the cubic in (a, 1): at most four evaluations per pair. The roots of
-    every pair come from one eigvals call on a stack of companion matrices.
+    of the cubic in (a, 1): at most four evaluations per pair. The roots are
+    closed forms (three by the trigonometric form, or Cardano's one real
+    root), each polished by two Newton steps.
 
     The report's pair fields are arrays of the broadcast shape, 0-d for one
     pair; evaluations is the total over the pairs.
@@ -194,26 +194,30 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
         raise ValueError(f"angles must lie in theta+ in (0, pi], theta- in [-pi/2, 0), got theta+ = {tp[k]}, "
                          f"theta- = {tm[k]} at n = {ns[k]}")
     qm, qb, qg = q_landmarks(ns, tp, tm)
-    warned = qb >= qg
     # max(start, q_beta): q_G, or q_beta for a flagged pair
-    lowest = np.maximum(qg, qb)
+    lowest = np.maximum(qg, qb)[:, None]
     # gamma can underflow to 0 as theta- -> 0: pairs whose H leaves float64 range are refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        (gamma, eta), c = gamma_eta(ns, tp, tm), _per_n(ns)[2]
+        (gamma, eta), c = gamma_eta(ns[:, None], tp[:, None], tm[:, None]), _per_n(ns[:, None])[2]
         # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
         # a power of two scales it exactly and keeps every product in range
         scale = np.ldexp(1.0, -np.frexp(c)[1])
         c_2, c_4 = c * scale - 2.0 * scale, c * scale - 4.0 * scale
         lead = 2.0 * gamma * c_2
-        companion = np.zeros((tp.size, 3, 3))
-        companion[:, 0, 0] = -(3.0 * eta * c_2 - gamma * c_4) / lead
-        companion[:, 0, 1] = 2.0 * eta * c_4 / lead
-        companion[:, 0, 2] = 2.0 * eta * scale / lead
-        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-        # a non-finite coefficient means H is not finite at any candidate either
-        roots = np.linalg.eigvals(np.where(np.isfinite(companion), companion, 0.0))
-        inside = (roots.imag == 0.0) & (roots.real > lowest[:, None]) & (roots.real < 1.0)
-        candidates = np.concatenate([lowest[:, None], roots.real], axis=1)
+        # the monic cubic q^3 + a2 q^2 + a1 q + a0; q = t - s turns it into t^3 + 3 f t + 2 g,
+        # which has three real roots, in trigonometric form, where d = g^2 + f^3 < 0
+        a2, a1, a0 = (3.0 * eta * c_2 - gamma * c_4) / lead, -2.0 * eta * c_4 / lead, -2.0 * eta * scale / lead
+        s = a2 / 3.0
+        f, g = a1 / 3.0 - s * s, (s * s - a1 / 2.0) * s + a0 / 2.0
+        d, m = g * g + f * f * f, np.sqrt(-f)
+        three = 2.0 * m * np.cos((np.arccos(np.clip(-g / (m * m * m), -1.0, 1.0)) - _TURNS) / 3.0)
+        # elsewhere Cardano's one real root, in the first column; NaN coefficients give NaN roots
+        u = np.cbrt(-g - np.copysign(np.sqrt(d), g))
+        roots = np.where(d < 0.0, three, np.where(_TURNS == 0.0, u - f / u, np.nan)) - s
+        for _ in range(2):  # Newton steps on the monic cubic
+            roots -= (((roots + a2) * roots + a1) * roots + a0) / ((3.0 * roots + 2.0 * a2) * roots + a1)
+        inside = (roots > lowest) & (roots < 1.0)
+        candidates = np.concatenate([lowest, roots], axis=1)
         valid = np.concatenate([np.ones((tp.size, 1), bool), inside], axis=1)
         rows = np.nonzero(valid)[0]
         values = np.full(candidates.shape, np.inf)
@@ -231,31 +235,37 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
         q_H=q_h.reshape(shape),
         H_min=h_min.reshape(shape),
         evaluations=rows.size,
-        warned_full_domain=warned.reshape(shape),
+        warned_full_domain=(qb >= qg).reshape(shape),
     )
 
 
-def sweep(n_min: int, n_max: int, examples: Sequence[AngleExample] | None = None) -> list[dict]:
-    """One optimization row per (n, example) pair, from one minimize_H call
-    over all of them; deterministic."""
+def sweep(n_min: int, n_max: int, examples: Sequence[AngleExample] | None = None):
+    """Every (n, example) pair optimized by one minimize_H call; deterministic.
+    Returns (ns, examples, report) with ns = n_min..n_max and the report's
+    pair fields of shape (len(ns), len(examples)): row i for ns[i], column
+    j for examples[j]."""
     q_min(n_min)  # refuses an n outside the strategy's range, naming it
     if n_max < n_min:
         raise ValueError(f"n_max={n_max} is below n_min={n_min}")
     q_min(n_max)
     chosen = ANGLE_EXAMPLES if examples is None else tuple(examples)
-    ns = np.repeat(np.arange(n_min, n_max + 1), len(chosen))
-    count = n_max - n_min + 1
-    theta_plus = np.tile([ex.theta_plus for ex in chosen], count)
-    theta_minus = np.tile([ex.theta_minus for ex in chosen], count)
-    report = minimize_H(ns, theta_plus, theta_minus)
-    columns = (ns.tolist(), [ex.label for ex in chosen] * count, theta_plus.tolist(), theta_minus.tolist(),
-               *(getattr(report, key).tolist() for key in _CSV_HEADER[4:]))
-    return [dict(zip(_CSV_HEADER, row)) for row in zip(*columns)]
+    ns = np.arange(n_min, n_max + 1)
+    theta_plus, theta_minus = [ex.theta_plus for ex in chosen], [ex.theta_minus for ex in chosen]
+    return ns, chosen, minimize_H(ns[:, None], theta_plus, theta_minus)
 
 
-def write_sweep_csv(rows: Sequence[dict], path) -> None:
-    """Write sweep rows as CSV with CRLF line ends: the fixed header, then one
-    line per row, labels unquoted, floats to 12 significant digits."""
-    lines = [",".join(_CSV_HEADER), *map(_CSV_LINE.__mod__, map(itemgetter(*_CSV_HEADER), rows)), ""]
+def write_sweep_csv(table, path) -> None:
+    """Write sweep's (ns, examples, report) as CSV with CRLF line ends: the
+    fixed header, then one line per (n, example) pair, n-major, labels
+    unquoted, floats to 12 significant digits. Each example's angles and
+    each n's q_min and q_beta are formatted once."""
+    ns, examples, report = table
+    angles = ["%s,%.12g,%.12g," % (ex.label, ex.theta_plus, ex.theta_minus) for ex in examples]
+    # q_min and q_beta depend on n only: column 0 holds them (none, and no line, without examples)
+    per_n = ["%.12g,%.12g," % pair for pair in zip(report.q_min[:, :1].flat, report.q_beta[:, :1].flat)]
+    found = zip(*(getattr(report, key).tolist() for key in _CSV_HEADER[6:]))  # (q_G, q_H, H_min) rows per n
+    lines = [",".join(_CSV_HEADER)]
+    for n, landmarks, rows in zip(ns.tolist(), per_n, found):
+        lines += [f"{n},{ex}{landmarks}" + "%.12g,%.12g,%.12g" % pair for ex, pair in zip(angles, zip(*rows))]
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+        fh.write("\r\n".join([*lines, ""]))

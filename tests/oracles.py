@@ -8,7 +8,8 @@ strategy Omega. The exact Kraus-sum action of a noise channel, from
 Kraus operators built by the definition of its kind, checks its sampled
 trajectories, a dense scan of the q0 objective and a nested-grid
 search of it, one angle pair at a time, check the optimizer's closed-form
-minimum. The all-X witness bound on the target state, which only the
+minimum, and its cubic's roots as eigenvalues of companion matrices check
+the closed-form roots. The all-X witness bound on the target state, which only the
 tests use, lives here too. Dense routes check the
 symmetric-block spectra: an operator built entry by entry from its orbit
 coefficients, a sector-block operator written out as a 2^m x 2^m
@@ -28,8 +29,9 @@ one- and two-qubit tails included, with the generic ``measure`` checks
 that the library's scalar tails draw the same outcomes, and the robust
 loop with one ``apply_to_pure`` call per copy checks the loop that takes
 each attempt's copies from one stream of trajectories. The sweep CSV
-written through ``csv.writer``, one ``format`` call per float, checks the
-bytes of the one-format-per-line writer.
+written through ``csv.writer``, one ``format`` call per float at each
+(n, example) position, checks the bytes of the writer that formats each
+n's and each example's fields once.
 """
 
 import cmath
@@ -40,7 +42,7 @@ import math
 import numpy as np
 
 from aqsense.qcore import PureState, check_probe, eig_top2, evolve_phases, make_target, measure, probe_on
-from aqsense.qopt import _CSV_HEADER, OptimumReport, objective_H, q_landmarks
+from aqsense.qopt import _CSV_HEADER, OptimumReport, _per_n, gamma_eta, objective_H, q_landmarks
 from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.protocol import CopyVerdict, RobustResult, verify_batch
@@ -302,17 +304,68 @@ def minimize_H_rowwise(n, theta_plus, theta_minus):
     )
 
 
-def sweep_csv_reference(rows, path):
-    """The sweep CSV through ``csv.writer``: the route ``write_sweep_csv``
-    replaced, one ``format(x, ".12g")`` call per float."""
+def companion_roots(n, theta_plus, theta_minus):
+    """The three roots of the stationary-point cubic of H for each pair of
+    the broadcast 1-D arrays, as eigenvalues of a stack of 3 x 3 companion
+    matrices (one ``eigvals`` call; non-finite entries read as 0): the
+    route the closed-form roots of ``minimize_H`` replaced. Complex
+    conjugate pairs come back with a nonzero imaginary part."""
+    ns, tp, tm = np.broadcast_arrays(np.asarray(n), np.asarray(theta_plus, float), np.asarray(theta_minus, float))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        (gamma, eta), c = gamma_eta(ns, tp, tm), _per_n(ns)[2]
+        scale = np.ldexp(1.0, -np.frexp(c)[1])
+        c_2, c_4 = c * scale - 2.0 * scale, c * scale - 4.0 * scale
+        lead = 2.0 * gamma * c_2
+        companion = np.zeros((tp.size, 3, 3))
+        companion[:, 0, 0] = -(3.0 * eta * c_2 - gamma * c_4) / lead
+        companion[:, 0, 1] = 2.0 * eta * c_4 / lead
+        companion[:, 0, 2] = 2.0 * eta * scale / lead
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        return np.linalg.eigvals(np.where(np.isfinite(companion), companion, 0.0))
+
+
+def minimize_H_eigvals(n, theta_plus, theta_minus):
+    """``minimize_H`` with its cubic solved by ``companion_roots``: the best
+    of max(q_G, q_beta) and the real roots in (that, 1), for n and angles
+    that broadcast, with no domain or finiteness checks."""
+    n_all, tp, tm = np.broadcast_arrays(np.asarray(n), np.asarray(theta_plus, float),
+                                        np.asarray(theta_minus, float))
+    shape, ns, tp, tm = tp.shape, n_all.ravel(), tp.ravel(), tm.ravel()
+    qm, qb, qg = q_landmarks(ns, tp, tm)
+    lowest = np.maximum(qg, qb)
+    roots = companion_roots(ns, tp, tm)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inside = (roots.imag == 0.0) & (roots.real > lowest[:, None]) & (roots.real < 1.0)
+        candidates = np.concatenate([lowest[:, None], roots.real], axis=1)
+        valid = np.concatenate([np.ones((tp.size, 1), bool), inside], axis=1)
+        rows = np.nonzero(valid)[0]
+        values = np.full(candidates.shape, np.inf)
+        values[valid] = objective_H(ns[rows], candidates[valid], tp[rows], tm[rows])
+    best = (np.arange(tp.size), np.argmin(values, axis=1))
+    return OptimumReport(
+        q_min=qm.reshape(shape),
+        q_beta=qb.reshape(shape),
+        q_G=qg.reshape(shape),
+        q_H=candidates[best].reshape(shape),
+        H_min=values[best].reshape(shape),
+        evaluations=rows.size,
+        warned_full_domain=(qb >= qg).reshape(shape),
+    )
+
+
+def sweep_csv_reference(table, path):
+    """The sweep CSV through ``csv.writer``: one row per (n, example) pair,
+    every field read at its own (i, j) position and each float formatted by
+    its own ``format(x, ".12g")`` call, the route the per-n and per-example
+    formatting of ``write_sweep_csv`` replaced."""
+    ns, examples, report = table
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row["n"], row["label"]]
-                + [format(row[key], ".12g") for key in _CSV_HEADER[2:]]
-            )
+        for i, n in enumerate(ns):
+            for j, ex in enumerate(examples):
+                floats = [ex.theta_plus, ex.theta_minus] + [getattr(report, key)[i, j] for key in _CSV_HEADER[4:]]
+                writer.writerow([n, ex.label] + [format(x, ".12g") for x in floats])
 
 
 def orbit_operator_dense(m, orbits):

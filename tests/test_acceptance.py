@@ -242,24 +242,21 @@ def test_criterion_09_optimization_sweep_properties():
     restricted branch, q_G/q_H/H_min increase with n, and the q_G and q_H
     example orderings coincide at every n; all inside five minutes."""
     start = time.perf_counter()
-    rows = sweep(3, 50)
+    ns, examples, report = sweep(3, 50)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
-    assert len(rows) == 48 * 12
-    labels = sorted({row["label"] for row in rows})
-    ns = sorted({row["n"] for row in rows})
-    by = {(row["n"], row["label"]): row for row in rows}
-    for row in rows:
-        if row["q_beta"] < row["q_G"]:
-            assert row["q_H"] >= row["q_G"] - 1e-12
-    for label in labels:
-        for a, b in zip(ns, ns[1:]):
-            assert by[(b, label)]["q_G"] > by[(a, label)]["q_G"]
-            assert by[(b, label)]["q_H"] > by[(a, label)]["q_H"] - 1e-9
-            assert by[(b, label)]["H_min"] > by[(a, label)]["H_min"]
-    for n in ns:
-        order_qg = sorted(labels, key=lambda lab: by[(n, lab)]["q_G"])
-        order_qh = sorted(labels, key=lambda lab: by[(n, lab)]["q_H"])
+    assert report.q_H.shape == (48, 12)
+    assert ns.tolist() == list(range(3, 51)) and len({ex.label for ex in examples}) == 12
+    restricted = report.q_beta < report.q_G
+    assert np.all(report.q_H[restricted] >= report.q_G[restricted] - 1e-12)
+    # along n, one column per example
+    assert np.all(np.diff(report.q_G, axis=0) > 0)
+    assert np.all(np.diff(report.q_H, axis=0) > -1e-9)
+    assert np.all(np.diff(report.H_min, axis=0) > 0)
+    labels = np.array([ex.label for ex in examples])
+    for row in range(ns.size):
+        order_qg = labels[np.argsort(report.q_G[row], kind="stable")].tolist()
+        order_qh = labels[np.argsort(report.q_H[row], kind="stable")].tolist()
         assert order_qg == order_qh
 
 

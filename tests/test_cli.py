@@ -549,12 +549,10 @@ class TestOpt:
         """q_G falls (or stays level) from n = 4 to 5 for both K and C: exit 2,
         one line naming K, the first failing example in --examples order."""
         def falling_sweep(n_min, n_max, examples):
-            rows = sweep(n_min, n_max, examples)
-            at_4 = {row["label"]: row["q_G"] for row in rows if row["n"] == 4}
-            for row in rows:
-                if row["n"] == 5:
-                    row["q_G"] = at_4[row["label"]] + step
-            return rows
+            ns, chosen, report = sweep(n_min, n_max, examples)
+            q_g = report.q_G.copy()
+            q_g[ns == 5] = q_g[ns == 4] + step
+            return ns, chosen, dataclasses.replace(report, q_G=q_g)
 
         monkeypatch.setattr("aqsense.cli.sweep", falling_sweep)
         path = tmp_path / "sweep.csv"

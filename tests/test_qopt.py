@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_scan_H, minimize_H_rowwise, sweep_csv_reference
+from oracles import companion_roots, dense_scan_H, minimize_H_eigvals, minimize_H_rowwise, sweep_csv_reference
 
 from aqsense.qopt import (
     ANGLE_EXAMPLES,
     N_MAX,
     AngleExample,
+    OptimumReport,
     beta_p0,
     gamma_eta,
     minimize_H,
@@ -29,6 +30,7 @@ from aqsense.sensing import g_minus, g_plus
 
 A = (np.pi / 4, -np.pi / 6)
 K = (np.pi / 2, -np.pi / 3)
+CSV_FIELDS = ("q_min", "q_beta", "q_G", "q_H", "H_min")
 N_MAX_MESSAGE = rf"^n=\d+ exceeds {N_MAX}, the largest n accepted \(C\(2n, n\) leaves float64 range above it\)$"
 
 
@@ -261,8 +263,9 @@ class TestMinimize:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_finite_h_is_kept(self):
         report = minimize_H(3, 1.0, -1e-153)
-        # exact values (80-digit mpmath): q_H 0.57609458924398762, H_min 5.19563177378689767e306
-        assert (report.q_H, report.H_min) == (0.5760945892439872, 5.195631773786899e306)
+        # exact values (80-digit mpmath): q_H 0.57609458924398762, H_min 5.19563177378689767e306;
+        # q_H is the correctly rounded float
+        assert (report.q_H, report.H_min) == (0.5760945892439876, 5.195631773786899e306)
         pair = minimize_H(np.array([3, 3]), np.array([1.0, 1.0]), np.array([-1e-153, -0.5]))
         assert (pair.q_H[0], pair.H_min[0]) == (report.q_H, report.H_min)
 
@@ -302,9 +305,9 @@ class TestMinimize:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_runs_to_n_max_without_warnings(self):
-        rows = sweep(N_MAX - 3, N_MAX)
-        assert all(np.isfinite(list(row.values())[4:]).all() for row in rows)
-        assert all(row["q_G"] <= row["q_H"] < 1.0 for row in rows)
+        _, _, report = sweep(N_MAX - 3, N_MAX)
+        assert all(np.isfinite(getattr(report, key)).all() for key in CSV_FIELDS)
+        assert np.all((report.q_G <= report.q_H) & (report.q_H < 1.0))
         with pytest.raises(ValueError, match=f"n={N_MAX + 1} exceeds {N_MAX}, the largest n accepted"):
             minimize_H(N_MAX + 1, *A)
         with pytest.raises(ValueError, match=f"exceeds {N_MAX}, the largest n accepted"):
@@ -390,12 +393,14 @@ def assert_matches_nested_grid(got, oracle):
 
 class TestBatchedSearch:
     def test_sweep_matches_nested_grid_oracle(self):
-        rows = sweep(3, 50)
-        assert len(rows) == 48 * len(ANGLE_EXAMPLES)
-        for row in rows:
-            oracle = minimize_H_rowwise(row["n"], row["theta_plus"], row["theta_minus"])
-            assert oracle.evaluations == 2048 + 5 * 65
-            assert_matches_nested_grid(row, oracle)
+        ns, examples, report = sweep(3, 50)
+        assert report.q_H.shape == (48, len(ANGLE_EXAMPLES))
+        for i, n in enumerate(ns):
+            for j, ex in enumerate(examples):
+                oracle = minimize_H_rowwise(n, ex.theta_plus, ex.theta_minus)
+                assert oracle.evaluations == 2048 + 5 * 65
+                got = {key: getattr(report, key)[i, j] for key in CSV_FIELDS}
+                assert_matches_nested_grid(got, oracle)
 
     def test_one_call_per_sweep_counts_every_pair(self):
         ns = np.repeat(np.arange(3, 51), len(ANGLE_EXAMPLES))
@@ -483,38 +488,101 @@ class TestBatchedSearch:
                 assert getattr(report, key)[i] == getattr(single, key), key
 
 
+def root_grid(seed, size):
+    """size pairs over n = 3..N_MAX: half with uniform angles over the
+    sensing domain, half log-uniform, theta+ down to 1e-12 and theta- down
+    to -1e-150, where some cubics have one real root."""
+    rng = np.random.default_rng(seed)
+    half = size // 2
+    n = rng.integers(3, N_MAX + 1, size)
+    theta_plus = np.concatenate([np.pi - rng.uniform(0.0, np.pi, half),
+                                 10.0 ** rng.uniform(-12.0, np.log10(np.pi), size - half)])
+    theta_minus = -np.concatenate([np.pi / 2 - rng.uniform(0.0, np.pi / 2, half),
+                                   10.0 ** rng.uniform(-150.0, np.log10(np.pi / 2), size - half)])
+    return n, theta_plus, theta_minus
+
+
+class TestClosedFormRoots:
+    """The closed-form roots against the companion-matrix eigvals route."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_optimum_matches_the_eigvals_route(self):
+        n, theta_plus, theta_minus = root_grid(2929, 40_000)
+        complex_pair = (companion_roots(n, theta_plus, theta_minus).imag != 0.0).any(axis=1)
+        assert 0 < complex_pair.sum() < n.size  # both one and three real roots occur
+        got, oracle = minimize_H(n, theta_plus, theta_minus), minimize_H_eigvals(n, theta_plus, theta_minus)
+        for key in ("q_H", "H_min"):
+            assert np.max(np.abs(getattr(got, key) / getattr(oracle, key) - 1.0)) <= 1e-14, key
+        for key in ("q_min", "q_beta", "q_G", "warned_full_domain"):
+            assert np.array_equal(getattr(got, key), getattr(oracle, key)), key
+        # a near-double root that eigvals returns as a complex pair can add a candidate
+        assert n.size <= got.evaluations <= 4 * n.size
+
+    @pytest.mark.parametrize("n_max", [50, N_MAX])
+    def test_sweep_counts_the_eigvals_route_candidates(self, n_max):
+        ns = np.arange(3, n_max + 1)[:, None]
+        got = minimize_H(ns, THETA_PLUS, THETA_MINUS)
+        assert got.evaluations == minimize_H_eigvals(ns, THETA_PLUS, THETA_MINUS).evaluations
+        assert ns.size * 12 <= got.evaluations <= 4 * ns.size * 12
+
+    def test_sweep_csv_equals_the_eigvals_route(self, tmp_path, monkeypatch):
+        write_sweep_csv(sweep(3, N_MAX), tmp_path / "closed_form.csv")
+        monkeypatch.setattr("aqsense.qopt.minimize_H", minimize_H_eigvals)
+        write_sweep_csv(sweep(3, N_MAX), tmp_path / "eigvals.csv")
+        assert (tmp_path / "closed_form.csv").read_bytes() == (tmp_path / "eigvals.csv").read_bytes()
+
+
 class TestSweep:
     def test_rows_and_determinism(self):
-        rows = sweep(3, 5)
-        assert len(rows) == 3 * len(ANGLE_EXAMPLES)
-        assert rows == sweep(3, 5)
-        keys = ["n", "label", "theta_plus", "theta_minus", "q_min", "q_beta", "q_G", "q_H", "H_min"]
-        for row in rows:
-            assert list(row) == keys
+        ns, examples, report = sweep(3, 5)
+        assert ns.tolist() == [3, 4, 5]
+        assert examples == ANGLE_EXAMPLES
+        again = sweep(3, 5)
+        assert np.array_equal(again[0], ns) and again[1] == examples
+        assert again[2].evaluations == report.evaluations
+        for key in ("q_min", "q_beta") + FIELDS:
+            assert getattr(report, key).shape == (3, len(ANGLE_EXAMPLES)), key
+            assert np.array_equal(getattr(again[2], key), getattr(report, key)), key
 
     def test_landmarks_increase_with_n(self):
-        rows = sweep(3, 5)
-        for label in "ABCDEFGHIJKL":
-            per_n = [r for r in rows if r["label"] == label]
-            assert [r["n"] for r in per_n] == [3, 4, 5]
-            for key in ("q_G", "q_H", "H_min"):
-                values = [r[key] for r in per_n]
-                assert all(a < b for a, b in zip(values, values[1:]))
+        ns, examples, report = sweep(3, 5)
+        assert ns.tolist() == [3, 4, 5]
+        assert [ex.label for ex in examples] == list("ABCDEFGHIJKL")
+        for key in ("q_G", "q_H", "H_min"):
+            assert np.all(np.diff(getattr(report, key), axis=0) > 0), key
 
     def test_qh_and_qg_orderings_coincide(self):
-        rows = [r for r in sweep(4, 4)]
-        by_qg = sorted(r["label"] for r in sorted(rows, key=lambda r: r["q_G"]))
-        order_qg = [r["label"] for r in sorted(rows, key=lambda r: r["q_G"])]
-        order_qh = [r["label"] for r in sorted(rows, key=lambda r: r["q_H"])]
-        order_hm = [r["label"] for r in sorted(rows, key=lambda r: r["H_min"])]
-        assert by_qg == sorted("ABCDEFGHIJKL")
+        _, examples, report = sweep(4, 4)
+        labels = np.array([ex.label for ex in examples])
+        order_qg, order_qh, order_hm = (
+            labels[np.argsort(getattr(report, key)[0], kind="stable")].tolist() for key in ("q_G", "q_H", "H_min")
+        )
+        assert sorted(order_qg) == sorted("ABCDEFGHIJKL")
         assert order_qg == order_qh
         assert order_hm != order_qg
 
     def test_subset_of_examples(self):
-        subset = tuple(ex for ex in ANGLE_EXAMPLES if ex.label in "AK")
-        rows = sweep(3, 4, subset)
-        assert [(r["n"], r["label"]) for r in rows] == [(3, "A"), (3, "K"), (4, "A"), (4, "K")]
+        subset = tuple(ex for ex in ANGLE_EXAMPLES if ex.label in "KA")[::-1]
+        ns, examples, report = sweep(3, 4, subset)
+        assert [(n, ex.label) for n in ns for ex in examples] == [(3, "K"), (3, "A"), (4, "K"), (4, "A")]
+        for j, ex in enumerate(subset):
+            single = minimize_H(ns, ex.theta_plus, ex.theta_minus)
+            for key in ("q_min", "q_beta") + FIELDS:
+                assert np.array_equal(getattr(report, key)[:, j], getattr(single, key)), key
+
+    def test_zero_pairs_give_an_empty_report(self, tmp_path):
+        ns, examples, report = sweep(3, 5, [])
+        assert ns.tolist() == [3, 4, 5] and examples == ()
+        assert report.evaluations == 0
+        for key in ("q_min", "q_beta") + FIELDS:
+            assert getattr(report, key).shape == (3, 0), key
+        none = np.array([], dtype=int)
+        empty = minimize_H(none, [], [])
+        assert empty.evaluations == 0 and empty.q_H.shape == (0,)
+        assert [x.shape for x in q_landmarks(none, [], [])] == [(0,)] * 3
+        assert beta_p0(none, []).shape == (0,)
+        write_sweep_csv((ns, examples, report), tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == b"n,label,theta_plus,theta_minus,q_min,q_beta,q_G,q_H,H_min\r\n"
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -533,53 +601,60 @@ class TestSweep:
             sweep(n_min, n_max)
 
     def test_csv_exact_header_and_values(self, tmp_path):
-        rows = sweep(3, 3)
+        table = sweep(3, 3)
+        _, examples, report = table
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
+        write_sweep_csv(table, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "n,label,theta_plus,theta_minus,q_min,q_beta,q_G,q_H,H_min"
-        assert len(lines) == 1 + len(rows)
-        for line, row in zip(lines[1:], rows):
+        assert len(lines) == 1 + report.q_H.size
+        for j, (line, ex) in enumerate(zip(lines[1:], examples)):
             fields = line.split(",")
-            assert int(fields[0]) == row["n"]
-            assert fields[1] == row["label"]
-            for text, key in zip(fields[2:], list(row)[2:]):
-                assert float(text) == pytest.approx(row[key], rel=1e-11)
+            assert len(fields) == 9
+            assert int(fields[0]) == 3
+            assert fields[1] == ex.label
+            values = [ex.theta_plus, ex.theta_minus] + [getattr(report, key)[0, j] for key in CSV_FIELDS]
+            for text, value in zip(fields[2:], values):
+                assert float(text) == pytest.approx(value, rel=1e-11)
 
     @staticmethod
-    def _hand_made_rows():
-        """Signed zeros, nan, infinities and extremes. Label C carries four
-        angle pairs and n = 7 four (q_min, q_beta) pairs, among them zeros
-        that compare equal but print "-0" and "0", so a writer that formats
-        a repeated field once must key on its value and tell the zeros apart."""
+    def _hand_made_table():
+        """Signed zeros, nan, infinities and extremes in every place the
+        writer formats: each example's angles, each n's (q_min, q_beta) and
+        each pair's (q_G, q_H, H_min). Label C carries four angle pairs and
+        n = 7 four (q_min, q_beta) pairs, among them zeros that compare equal
+        but print "-0" and "0", so a writer that keyed a repeated field on its
+        value instead of its position would be caught."""
         nan, inf = float("nan"), float("inf")
-        base = {"n": 7, "label": "C", "theta_plus": 1.5, "theta_minus": -0.5, "q_min": 0.1,
-                "q_beta": 0.2, "q_G": 0.3, "q_H": 0.4, "H_min": 5.0}
-        changes = [
-            {},
-            {"theta_plus": 0.0, "theta_minus": -0.0},
-            {"theta_plus": -0.0, "theta_minus": 0.0},
-            {"theta_plus": 2.5},
-            {"q_min": -0.0, "q_beta": 0.0},
-            {"q_min": 0.0, "q_beta": -0.0},
-            {"q_min": 0.15},
-            {"q_G": nan, "q_H": inf, "H_min": -inf},
-            {"q_G": 1e300, "q_H": -1e-300, "H_min": 5e-324},
-            {"n": 8, "label": "K", "q_min": np.float64(-0.0), "H_min": np.float64(1 / 3)},
-            {"q_G": 0, "q_H": 1},
-        ]
-        return [{**base, **change} for change in changes]
+        examples = (AngleExample("C", 1.5, -0.5), AngleExample("C", 0.0, -0.0), AngleExample("C", -0.0, 0.0),
+                    AngleExample("C", 2.5, -0.5), AngleExample("K", nan, -inf), AngleExample("", 1e300, 5e-324))
+        ns = np.array([7, 7, 7, 7, 8])
+        q_min = np.array([0.1, -0.0, 0.0, 0.15, nan])
+        q_beta = np.array([0.2, 0.0, -0.0, 0.2, -inf])
+        shape = (ns.size, len(examples))
+        specials = np.array([0.3, 0.4, 5.0, nan, inf, -inf, 1e300, -1e-300, 5e-324, -0.0, 0.0, 1 / 3, 1.0])
+        found = specials[np.arange(3 * ns.size * len(examples)) % specials.size].reshape(3, *shape)
+        report = OptimumReport(
+            q_min=np.broadcast_to(q_min[:, None], shape),
+            q_beta=np.broadcast_to(q_beta[:, None], shape),
+            q_G=found[0],
+            q_H=found[1],
+            H_min=found[2],
+            evaluations=0,
+            warned_full_domain=np.zeros(shape, bool),
+        )
+        return ns, examples, report
 
     @pytest.mark.parametrize("case", ["3..50", "N_MAX-3..N_MAX", "K,A at 3..4", "hand-made"])
     def test_csv_bytes_equal_csv_writer(self, tmp_path, case):
-        rows = {
+        table = {
             "3..50": lambda: sweep(3, 50),
             "N_MAX-3..N_MAX": lambda: sweep(N_MAX - 3, N_MAX),
             "K,A at 3..4": lambda: sweep(3, 4, (ANGLE_EXAMPLES[10], ANGLE_EXAMPLES[0])),
-            "hand-made": self._hand_made_rows,
+            "hand-made": self._hand_made_table,
         }[case]()
-        write_sweep_csv(rows, tmp_path / "new.csv")
-        sweep_csv_reference(rows, tmp_path / "reference.csv")
+        write_sweep_csv(table, tmp_path / "new.csv")
+        sweep_csv_reference(table, tmp_path / "reference.csv")
         written = (tmp_path / "new.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
-        assert written.endswith(b"\r\n") and written.count(b"\r\n") == 1 + len(rows)
+        assert written.endswith(b"\r\n") and written.count(b"\r\n") == 1 + table[2].q_H.size
