@@ -106,6 +106,14 @@ CASES = [
     _case("bogus"),
     _case("--help"),
     _case("qsv", "spectrum", "--help"),
+    _case("qsv"),
+    _case("qsv", "--help"),
+    # the parser's other paths: an unknown flag, a stray positional, an abbreviated
+    # flag and the --flag=value form
+    _case(*SPECTRUM, "--bogus", "1"),
+    _case(*SENSE[:1], "--n", "3", *SENSE[1:], "stray"),
+    _case(*SPECTRUM, "--check"),
+    _case("qsv", "spectrum", "--n=3", "--q0=0.33"),
     _case("sense", "--n", "3"),
     _case("robust"),
     _case(*SENSE[:1], "--n", "three", *SENSE[1:]),

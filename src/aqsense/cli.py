@@ -14,18 +14,17 @@ subcommand's flags, required or with a default) are the one place a flag is
 declared: the parser, the config-file reader and the missing-flag check are
 all built from them.
 
-The parser is built once per process, on the first ``main`` call, not at
-import. Reusing it is safe because it holds no per-call state: every flag
-defaults to ``argparse.SUPPRESS``, so a parse returns only the flags given
-on its command line, and ``main`` reads the defaults, the required flags
-and the handler from ``_LEAVES`` and the ``--config`` values from the file
-on every call.
+The parsers (the root and one per ``_LEAVES`` entry) are built once per process, on the first
+``main`` call. ``main`` parses a command line with the leaf its first words name and reports
+leftovers through the root, as a root parse would; one that names no leaf (no words, an unknown
+command, a bare ``qsv``, ``--help``) meets the root, which exits. Reuse is safe: every flag
+defaults to ``argparse.SUPPRESS``, so a parse returns only the flags given, and ``main`` reads
+the defaults, the required flags, the handler and the ``--config`` values on every call.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -146,12 +145,12 @@ def _cmd_sense(opt: dict) -> int:
     bound = sensitivity_bounds(scenario.n, scenario.q0, scenario.theta_plus, scenario.theta_minus)
     payload = {
         "scenario": {
-            **dataclasses.asdict(scenario),
+            **vars(scenario),
             "theta_plus": scenario.theta_plus,
             "theta_minus": scenario.theta_minus,
         },
-        "probabilities": dataclasses.asdict(dist),
-        "sensitivity": dataclasses.asdict(bound),
+        "probabilities": vars(dist),
+        "sensitivity": vars(bound),
         "shots": opt["shots"],
         "seed": opt["seed"],
     }
@@ -170,7 +169,7 @@ def _cmd_sense(opt: dict) -> int:
         audit = anonymity_audit(
             scenario.n, scenario.q0, scenario.omega1, scenario.omega2, scenario.t
         )
-        payload["audit"] = dataclasses.asdict(audit)
+        payload["audit"] = vars(audit)
     _emit(payload, opt["out"])
     if audit is not None and not audit.passed:
         print("error: anonymity audit failed", file=sys.stderr)
@@ -182,7 +181,7 @@ def _cmd_qsv_spectrum(opt: dict) -> int:
     if not opt["tol"] >= 0.0:
         raise ValueError(f"--tol must be a non-negative number, got {opt['tol']}")
     summary = analytic_spectrum(opt["n"], opt["q0"], opt["p"], check_numeric=opt["check_numeric"])
-    _emit(dataclasses.asdict(summary), opt["out"])
+    _emit(vars(summary), opt["out"])
     if opt["check_numeric"]:
         worst = np.max(list(summary.residuals.values()))  # NaN if any residual is NaN
         if not worst <= opt["tol"]:
@@ -206,7 +205,7 @@ def _cmd_qsv_verify(opt: dict) -> int:
     payload = {
         "accepted": accepted,
         "copies_tested": len(transcript.verdicts),
-        "plan": dataclasses.asdict(plan),
+        "plan": vars(plan),
         "noise": {"kind": channel.label, "strength": channel.strength},
         "seed": opt["seed"],
         "transcript": opt["transcript"],
@@ -345,18 +344,19 @@ _QSV_HELP = "strategy spectrum, verification, sample complexity"
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """One leaf parser per _LEAVES entry, built on the first call and reused.
-    Every flag defaults to SUPPRESS, so a parsed namespace holds only the
-    flags given on the command line."""
+def _build_parser() -> dict[tuple[str, ...], _Parser]:
+    """The root parser, keyed (), and one leaf parser per _LEAVES entry, keyed by its command
+    words, as ("qsv", "spectrum"); built on the first call and reused. Every flag defaults
+    to SUPPRESS, so a parsed namespace holds only the flags given on the command line."""
     root = _Parser(prog="aqsense", description="anonymous sensing with verified probes")
     subs = {"": root.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    parsers = {(): root}
     for name, (_, leaf_help, flags) in _LEAVES.items():
         group, _, leaf = name.rpartition(" ")
         if group not in subs:  # "qsv", made before its first leaf
             qsv = subs[""].add_parser(group, help=_QSV_HELP)
             subs[group] = qsv.add_subparsers(dest="qsv_command", required=True, parser_class=_Parser)
-        parser = subs[group].add_parser(leaf, help=leaf_help)
+        parser = parsers[tuple(name.split())] = subs[group].add_parser(leaf, help=leaf_help)
         for flag in {**_COMMON, **flags}:
             kind, flag_help = _FLAGS[flag]
             option = "--" + flag.replace("_", "-")
@@ -364,7 +364,7 @@ def _build_parser() -> _Parser:
                 parser.add_argument(option, action="store_true", default=argparse.SUPPRESS, help=flag_help)
             else:
                 parser.add_argument(option, type=kind, default=argparse.SUPPRESS, help=flag_help)
-    return root
+    return parsers
 
 
 _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -402,12 +402,17 @@ def _read_config(path: str, flags: dict) -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
+    parsers = _build_parser()
+    words = next(tuple(args[:k]) for k in (2, 1, 0) if tuple(args[:k]) in parsers)  # a leaf, else the root
     try:
-        given = vars(_build_parser().parse_args(sys.argv[1:] if argv is None else argv))
+        parsed, extra = parsers[words].parse_known_args(args[len(words):])
+        if extra:  # reported by the root, as its parse_args reports them
+            parsers[()].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    name = " ".join(given.pop(dest) for dest in ("command", "qsv_command") if dest in given)
-    handler, _, leaf_flags = _LEAVES[name]
+    given = vars(parsed)
+    handler, _, leaf_flags = _LEAVES[" ".join(words)]
     flags = {**_COMMON, **leaf_flags}
     # precedence: explicit flag, then config file, then the table's default
     opt = {flag: default for flag, default in flags.items() if default is not _REQUIRED}

@@ -120,12 +120,14 @@ def q_landmarks(n, theta_plus, theta_minus):
 
     With r = eta/gamma, q_G = sqrt(r (1 + r)) - r = 1/(1 + sqrt(1 + 1/r)),
     evaluated as sqrt(eta)/(sqrt(eta) + sqrt(eta + gamma)): no difference
-    of large numbers, no overflow, and 0 where eta is 0.
+    of large numbers, no overflow, and 0 where eta is 0 (NaN where gamma is 0 too).
     """
-    gamma, eta = gamma_eta(n, theta_plus, theta_minus)
-    root = np.sqrt(eta)
-    q_g = root / (root + np.sqrt(eta + gamma))
+    q_g = _q_g(*gamma_eta(n, theta_plus, theta_minus))
     return *_per_n(np.broadcast_to(n, q_g.shape))[:2], q_g
+
+
+def _q_g(gamma, eta):
+    return np.sqrt(eta) / (np.sqrt(eta) + np.sqrt(eta + gamma))
 
 
 def beta_p0(n, q0):
@@ -142,8 +144,13 @@ def beta_p0(n, q0):
         k = np.argmin(inside)  # the first pair outside, in flat order
         q_k, n_k = (np.broadcast_to(x, inside.shape).flat[k] for x in (q, n_arr))
         raise ValueError(f"q0 must lie in [q_min(n), 1), got {q_k} at n = {n_k}")
+    return _beta_p0(n_arr, q, qb, c)
+
+
+def _beta_p0(n, q, q_beta, c):
+    """beta_p0 from n's q_beta and C = float(C(2n, n)), with no domain check."""
     denom = 2.0 + (c - 2.0) * q
-    return np.where(q < qb, 1.0 - 1.0 / (2 * n_arr - 1) - 2.0 * q / denom, c * q / denom)
+    return np.where(q < q_beta, 1.0 - 1.0 / (2 * n - 1) - 2.0 * q / denom, c * q / denom)
 
 
 def objective_H(n: int, q0, theta_plus: float, theta_minus: float):
@@ -193,12 +200,13 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
         k = np.argmin(in_domain)  # the first pair outside
         raise ValueError(f"angles must lie in theta+ in (0, pi], theta- in [-pi/2, 0), got theta+ = {tp[k]}, "
                          f"theta- = {tm[k]} at n = {ns[k]}")
-    qm, qb, qg = q_landmarks(ns, tp, tm)
-    # max(start, q_beta): q_G, or q_beta for a flagged pair
-    lowest = np.maximum(qg, qb)[:, None]
-    # gamma can underflow to 0 as theta- -> 0: pairs whose H leaves float64 range are refused below
+    qm, qb, c = _per_n(ns)
+    # gamma (and eta, making q_G 0/0) can underflow to 0: pairs whose H leaves float64 range are refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        (gamma, eta), c = gamma_eta(ns[:, None], tp[:, None], tm[:, None]), _per_n(ns[:, None])[2]
+        (gamma, eta), c = gamma_eta(ns[:, None], tp[:, None], tm[:, None]), c[:, None]
+        qg = _q_g(gamma, eta)[:, 0]
+        # max(start, q_beta): q_G, or q_beta for a flagged pair
+        lowest = np.maximum(qg, qb)[:, None]
         # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
         # a power of two scales it exactly and keeps every product in range
         scale = np.ldexp(1.0, -np.frexp(c)[1])
@@ -219,9 +227,9 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
         inside = (roots > lowest) & (roots < 1.0)
         candidates = np.concatenate([lowest, roots], axis=1)
         valid = np.concatenate([np.ones((tp.size, 1), bool), inside], axis=1)
-        rows = np.nonzero(valid)[0]
-        values = np.full(candidates.shape, np.inf)
-        values[valid] = objective_H(ns[rows], candidates[valid], tp[rows], tm[rows])
+        rows = np.nonzero(valid)[0]  # objective_H at each candidate q below, with its q_beta and C in hand
+        q, n_q, values = candidates[valid], ns[rows], np.full(candidates.shape, np.inf)
+        values[valid] = g_plus(q) * g_minus(n_q, q, tp[rows], tm[rows]) * _beta_p0(n_q, q, qb[rows], c[rows, 0])
     best = (np.arange(tp.size), np.argmin(values, axis=1))
     q_h, h_min = candidates[best], values[best]
     if not np.all(np.isfinite(h_min)):

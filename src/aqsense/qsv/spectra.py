@@ -63,7 +63,8 @@ class SpectralSummary:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
+            items = value if isinstance(value, tuple) else [value] if isinstance(value, float) else []
+            if not all(map(math.isfinite, items)):
                 raise ValueError(f"{name} is not finite at n={self.n}: float64 range exceeded")
         if abs(self.lambda_plus - 1.0) > 1e-9:
             raise ValueError(f"top eigenvalue should be 1, got {self.lambda_plus}")

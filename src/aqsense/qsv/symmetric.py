@@ -73,7 +73,8 @@ def schrijver_blocks(m: int, orbits: Mapping[tuple[int, int, int], float]) -> li
 
 
 def block_spectrum(blocks: list[np.ndarray], weights: Iterable[int] | None = None) -> tuple[np.ndarray, list[int]]:
-    """Eigenvalues and their multiplicities, from ``eigvalsh`` of each block.
+    """Eigenvalues and their multiplicities, in no set order, from one
+    ``eigvalsh`` call on the stacked kept sub-blocks of each size.
 
     With ``weights``, only the rows and columns of those weights are kept,
     which gives the spectrum of A on those weight sectors when A couples
@@ -81,11 +82,11 @@ def block_spectrum(blocks: list[np.ndarray], weights: Iterable[int] | None = Non
     """
     m = blocks[0].shape[0] - 1
     keep = sorted(range(m + 1) if weights is None else set(weights))
-    values, mults = [], []
+    by_size: dict[int, dict[int, np.ndarray]] = {}  # size -> {k: kept rows and columns of B_k}
     for k, block in enumerate(blocks):
         rows = [w - k for w in keep if k <= w <= m - k]
         if rows:
-            vals = np.linalg.eigvalsh(block[np.ix_(rows, rows)])
-            values.append(vals)
-            mults += [johnson_multiplicity(m, k)] * len(vals)
+            by_size.setdefault(len(rows), {})[k] = block[np.ix_(rows, rows)]
+    values = [np.linalg.eigvalsh(np.stack(list(subs.values()))).ravel() for subs in by_size.values()]
+    mults = [mult for size, subs in by_size.items() for k in subs for mult in [johnson_multiplicity(m, k)] * size]
     return np.concatenate(values), mults

@@ -124,11 +124,11 @@ class OutcomeDistribution:
     p4: float
 
     def __post_init__(self) -> None:
-        probs = np.array([self.p1, self.p2, self.p3, self.p4])
-        if not np.all((-1e-12 <= probs) & (probs <= 1 + 1e-12)):
+        probs = (self.p1, self.p2, self.p3, self.p4)
+        if not all(-1e-12 <= p <= 1 + 1e-12 for p in probs):
             raise ValueError(f"probabilities out of [0, 1]: {probs}")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+        if abs(sum(probs) - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
 
     def as_array(self) -> np.ndarray:
         return np.clip(np.array([self.p1, self.p2, self.p3, self.p4]), 0.0, 1.0)
@@ -242,9 +242,9 @@ class SensitivityBound:
     g_minus: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.g_plus) and self.g_plus > 0):
+        if not 0.0 < self.g_plus < np.inf:
             raise ValueError(f"g_plus must be finite and positive, got {self.g_plus}")
-        if not (np.isfinite(self.g_minus) and self.g_minus > 0):
+        if not 0.0 < self.g_minus < np.inf:
             raise ValueError(f"g_minus must be finite and positive, got {self.g_minus}")
 
 

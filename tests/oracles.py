@@ -12,7 +12,8 @@ minimum, and its cubic's roots as eigenvalues of companion matrices check
 the closed-form roots. The all-X witness bound on the target state, which only the
 tests use, lives here too. Dense routes check the
 symmetric-block spectra: an operator built entry by entry from its orbit
-coefficients, a sector-block operator written out as a 2^m x 2^m
+coefficients, one ``eigvalsh`` call per block (the loop that the calls
+stacked by block size replaced), a sector-block operator written out as a 2^m x 2^m
 matrix, the Gram route on the strategy's (n-1, n+1) piece, and the
 anonymity audit's law from one evolution per placement, and by the
 float64 bit-matrix route that the float32 counts replaced. The sensing law
@@ -47,7 +48,7 @@ from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.protocol import CopyVerdict, RobustResult, verify_batch
 from aqsense.sensing import OutcomeDistribution, Povm, check_support_budget, estimate_angles
-from aqsense.symcomb import WeightBasis, binom
+from aqsense.symcomb import WeightBasis, binom, johnson_multiplicity
 
 SQ2 = np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / SQ2
@@ -377,6 +378,21 @@ def orbit_operator_dense(m, orbits):
         for y in range(dim):
             out[x, y] = orbits.get((x.bit_count(), y.bit_count(), (x & y).bit_count()), 0.0)
     return out
+
+
+def block_spectrum_per_block(blocks, weights=None):
+    """``symmetric.block_spectrum`` with one ``eigvalsh`` call per block:
+    (eigenvalues, multiplicities) in block order."""
+    m = blocks[0].shape[0] - 1
+    keep = sorted(range(m + 1) if weights is None else set(weights))
+    values, mults = [], []
+    for k, block in enumerate(blocks):
+        rows = [w - k for w in keep if k <= w <= m - k]
+        if rows:
+            vals = np.linalg.eigvalsh(block[np.ix_(rows, rows)])
+            values.append(vals)
+            mults += [johnson_multiplicity(m, k)] * len(vals)
+    return np.concatenate(values), mults
 
 
 def to_dense(op):

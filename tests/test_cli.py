@@ -126,6 +126,19 @@ class TestParsing:
         code, _, _ = run_cli(argv, capsys)
         assert code == EXIT_USAGE
 
+    def test_only_a_command_line_naming_no_leaf_meets_the_root_parser(self, monkeypatch, capsys):
+        # the root parser's usage errors and help all exit; a stand-in exits with 7
+        reached = []
+        root = cli._build_parser()[()]
+        monkeypatch.setattr(root, "parse_known_args", lambda args: reached.append(args) or sys.exit(7))
+        assert run_cli(["qsv", "spectrum", "--n", "3", "--q0", "0.33"], capsys)[0] == EXIT_OK
+        code, out, err = run_cli([*SENSE_BASE, "stray"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("\naqsense: error: unrecognized arguments: stray\n")
+        assert reached == []
+        assert [main(argv) for argv in (["qsv"], ["qsv", "--help"], ["bogus", "spectrum"])] == [7, 7, 7]
+        assert reached == [["qsv"], ["qsv", "--help"], ["bogus", "spectrum"]]
+
 
 @pytest.mark.parametrize("leaf", sorted(FLAG_SURFACE))
 def test_flag_surface(leaf, capsys):

@@ -96,6 +96,10 @@ class TestLandmarks:
     def test_qg_vanishes_with_theta_plus(self):
         assert q_landmarks(3, 0.0, -np.pi / 6)[2] == 0.0
 
+    def test_qg_undefined_where_gamma_and_eta_vanish(self):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(q_landmarks(3, 1e-200, -1e-200)[2])
+
     def test_q_min_below_q_beta(self):
         for n in range(3, 30):
             qm, qb, _ = q_landmarks(n, *A)
@@ -259,6 +263,12 @@ class TestMinimize:
             minimize_H(3, 1.0, theta_minus)
         with pytest.raises(ValueError, match=r"n = 4, .* is not a finite float64 \(largest 1.798e\+308\)"):
             minimize_H(np.array([3, 4]), np.array([1.0, 1.0]), np.array([-0.5, theta_minus]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_both_angles_underflowing_refused(self):
+        # sin^2 of either angle underflows to 0, so gamma = eta = 0 and q_G = 0/0
+        with pytest.raises(ValueError, match=r"^H at n = 3, theta\+ = 1e-200, theta- = -1e-200 is not a finite"):
+            minimize_H(3, 1e-200, -1e-200)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_finite_h_is_kept(self):

@@ -6,6 +6,7 @@ blocks directly, and the symmetric blocks behind ``check_numeric`` are
 checked against dense matrices built entry by entry.
 """
 
+import dataclasses
 import warnings
 from fractions import Fraction
 from math import comb, ulp
@@ -16,6 +17,7 @@ import pytest
 from aqsense.qcore import make_target
 from aqsense.symcomb import binom, johnson_eigenvalue, johnson_multiplicity
 from aqsense.qsv import (
+    SpectralSummary,
     StrategyOperator,
     analytic_spectrum,
     assemble_strategy_decomposed,
@@ -27,6 +29,7 @@ from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.symmetric import _beta, block_spectrum, schrijver_blocks
 from oracles import (
     bipartite_top,
+    block_spectrum_per_block,
     make_dicke,
     make_ghz,
     omega3_profile,
@@ -68,6 +71,37 @@ class TestFrozenValues:
     def test_p_one_rejected(self):
         with pytest.raises(ValueError):
             analytic_spectrum(3, 0.33, 1.0)
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(SpectralSummary) if f.type == "float"]
+
+
+class TestSummaryChecks:
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} is not finite at n=3: float64 range exceeded$"):
+            dataclasses.replace(analytic_spectrum(3, 0.33), **{name: value})
+
+    def test_non_finite_omega3_value_refused(self):
+        s = analytic_spectrum(4, 0.33)
+        for bad in ((s.omega3_values[0], np.nan), (np.inf, s.omega3_values[1])):
+            with pytest.raises(ValueError, match="^omega3_values is not finite at n=4"):
+                dataclasses.replace(s, omega3_values=bad)
+
+    def test_top_eigenvalue_other_than_one_refused(self):
+        with pytest.raises(ValueError, match="^top eigenvalue should be 1"):
+            dataclasses.replace(analytic_spectrum(3, 0.33), lambda_plus=1.0 + 1e-8)
+
+    @pytest.mark.parametrize("nu", [0.0, -0.5])
+    def test_gap_not_positive_refused(self, nu):
+        with pytest.raises(ValueError, match="^spectral gap must be positive"):
+            dataclasses.replace(analytic_spectrum(3, 0.33), nu=nu, beta=1.0 - nu)
+
+    def test_gap_other_than_one_minus_beta_refused(self):
+        s = analytic_spectrum(3, 0.33)
+        with pytest.raises(ValueError, match="^gap must equal 1 - beta$"):
+            dataclasses.replace(s, nu=s.nu + 1e-12)
 
 
 class TestNumericAgreement:
@@ -158,6 +192,22 @@ def full_spectrum(blocks):
     return np.sort(np.repeat(vals, mults))
 
 
+def random_orbit_table(m, draw):
+    """Any symmetric table on valid triples of m qubits: half of them, with
+    coefficients uniform in [-1, 1]."""
+    triples = [
+        (i, j, t)
+        for i in range(m + 1)
+        for j in range(i, m + 1)
+        for t in range(max(0, i + j - m), min(i, j) + 1)
+    ]
+    orbits = {}
+    for idx in draw.choice(len(triples), size=len(triples) // 2, replace=False):
+        i, j, t = triples[idx]
+        orbits[(i, j, t)] = orbits[(j, i, t)] = float(draw.uniform(-1, 1))
+    return orbits
+
+
 class TestSymmetricRoute:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("p", [0.0, 0.3])
@@ -174,19 +224,29 @@ class TestSymmetricRoute:
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_random_orbit_coefficients_match_entrywise_operator(self, m):
         # independent of the strategy: any symmetric table on valid triples
-        draw = np.random.default_rng(6000 + m)
-        triples = [
-            (i, j, t)
-            for i in range(m + 1)
-            for j in range(i, m + 1)
-            for t in range(max(0, i + j - m), min(i, j) + 1)
-        ]
-        orbits = {}
-        for idx in draw.choice(len(triples), size=len(triples) // 2, replace=False):
-            i, j, t = triples[idx]
-            orbits[(i, j, t)] = orbits[(j, i, t)] = float(draw.uniform(-1, 1))
+        orbits = random_orbit_table(m, np.random.default_rng(6000 + m))
         dense = np.linalg.eigvalsh(orbit_operator_dense(m, orbits))
         np.testing.assert_allclose(full_spectrum(schrijver_blocks(m, orbits)), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_stacked_spectrum_equals_per_block_calls(self, m):
+        # the same (value, multiplicity) pairs, bit for bit, as one eigvalsh call per block;
+        # {m // 2} keeps one row of every block, {0} rows of block 0 only
+        draw = np.random.default_rng(6100 + m)
+        blocks = schrijver_blocks(m, random_orbit_table(m, draw))
+        subsets = [None, {0}, {m // 2}, {0, m // 2, m}]
+        subsets += [set(draw.choice(m + 1, size=size, replace=False).tolist()) for size in range(1, m + 2)]
+        for weights in subsets:
+            got, want = block_spectrum(blocks, weights), block_spectrum_per_block(blocks, weights)
+            assert sorted(zip(map(float.hex, got[0].tolist()), got[1])) == sorted(
+                zip(map(float.hex, want[0].tolist()), want[1]))
+
+    def test_one_eigvalsh_call_per_block_size(self, monkeypatch):
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        block_spectrum(schrijver_blocks(8, strategy_orbits(4, 0.33, 0.0)), (0, 1, 4, 7, 8))
+        # rows kept: 5 of block 0, 3 of block 1 (weights 1, 4, 7), 1 of blocks 2..4 (weight 4)
+        assert sorted(shapes) == [(1, 3, 3), (1, 5, 5), (3, 1, 1)]
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_weight_projector_beta(self, m):

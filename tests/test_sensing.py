@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from aqsense.qcore import SUPPORT_BYTES_LIMIT, PureState, RngStream
 from aqsense.sensing import (
+    OutcomeDistribution,
     Povm,
+    SensitivityBound,
     SensingScenario,
     analytic_probs,
     anonymity_audit,
@@ -172,6 +174,29 @@ class TestAnalyticProbs:
         # a NaN probability fails the law's range check instead of passing it
         with pytest.raises(ValueError, match=r"^probabilities out of \[0, 1\]"):
             analytic_probs(3, 0.33, theta_plus, theta_minus)
+
+
+class TestReportChecks:
+    @pytest.mark.parametrize("probs", [(1.5, -0.5, 0.0, 0.0), (0.2, 0.2, -1e-11, 0.6), (np.nan, 0.5, 0.25, 0.25),
+                                       (0.5, 0.5, 0.0, np.inf)])
+    def test_probability_outside_unit_interval_refused(self, probs):
+        with pytest.raises(ValueError, match=r"^probabilities out of \[0, 1\]"):
+            OutcomeDistribution(*probs)
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.5, 0.5, 0.0), (0.25, 0.25, 0.25, 0.25 + 1e-11)])
+    def test_probabilities_not_summing_to_one_refused(self, probs):
+        with pytest.raises(ValueError, match="^probabilities sum to .*, not 1$"):
+            OutcomeDistribution(*probs)
+
+    def test_rounding_within_tolerance_kept(self):
+        assert OutcomeDistribution(1.0 + 1e-13, -1e-13, 0.0, 0.0).as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bound_not_finite_and_positive_refused(self, bad):
+        with pytest.raises(ValueError, match="^g_plus must be finite and positive"):
+            SensitivityBound(bad, 1.0)
+        with pytest.raises(ValueError, match="^g_minus must be finite and positive"):
+            SensitivityBound(1.0, bad)
 
 
 class TestScenario:
