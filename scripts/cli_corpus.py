@@ -66,6 +66,10 @@ CASES = [
     *[_case("qsv", "verify", "--n", str(n), "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--seed", "11",
             *extra, "--transcript", "session.jsonl")
       for n in (4, 5) for extra in (("--noise", "dephase:0.05"), ("--p", "0.3"))],
+    # n = 6 (M = 162), where the GHZ-like test measures five other parties
+    *[_case("qsv", "verify", "--n", "6", "--q0", "0.33", "--epsilon", "1", "--delta", "0.5", "--seed", "11",
+            *extra, "--transcript", "session.jsonl")
+      for extra in (("--noise", "depolarize:0.05"), ("--p", "0.3"))],
     *[_case(*ROBUST, "--noise", noise, "--out", "robust.json") for noise in NOISES],
     _case("opt", "--n-min", "3", "--n-max", "50", "--examples", "A,C,K", "--out", "sweep.csv", "--self-check"),
     # the top of the n range, where q_min (2.8e-308 at n = 514) nears the float64

@@ -7,10 +7,10 @@ indices, local phase evolution generated by single-qubit Z terms, noise
 channels held as a table of weighted unitary branches (a 2x2 unitary on
 every qubit, or one reflection of the whole state) that sample streams of
 trajectories from that state-independent branch law, drawing the uniforms
-of a chunk of copies at once, one joint measurement of any set of qubits
-in per-qubit bases that keeps only the unmeasured qubits' conditional
-state, seeded random streams (item i of a stream is a Philox generator
-whose key the stream derives once for all its items), and the two largest
+of a chunk of copies at once, one joint Z measurement of any set of
+qubits that keeps only the unmeasured qubits' amplitudes, unscaled,
+seeded random streams (item i of a stream is a Philox generator whose key
+the stream derives once for all its items), and the two largest
 eigenvalues of a Hermitian matrix by dense diagonalization. The probe psi
 and phi = sqrt(q0)|D> - sqrt(1-q0)|GHZ>, which ``coherent_mix`` swaps, live
 on the C(2n,n) + 2 basis states of weight 0, n and 2n, so the swap is the
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -40,7 +39,7 @@ __all__ = [
     "probe_on",
     "make_target",
     "evolve_phases",
-    "measure",
+    "collapse",
     "check_bytes_limit",
     "standard_channel",
     "eig_top2",
@@ -236,43 +235,39 @@ def evolve_phases(state: PureState, omegas: Sequence[float], t: float) -> PureSt
     return PureState(m, amps)
 
 
-def measure(
+def collapse(
     amps: np.ndarray,
     qubits: Sequence[int],
     rng: np.random.Generator,
-    bases: Sequence[np.ndarray] | None = None,
     law: np.ndarray | None = None,
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Measure several qubits of a normalized amplitude vector at once.
+    """Measure several qubits of an amplitude vector in Z at once.
 
-    ``bases[j]`` is a 2x2 matrix whose orthonormal rows are the kets measured
-    on ``qubits[j]``; without ``bases`` every listed qubit is measured in Z.
-    Each listed qubit is rotated so that row o of its basis becomes |o>; one
-    uniform draw then picks a basis state from |amplitude|^2, whose bits on
-    the listed qubits follow their joint marginal law and are the outcome.
-    ``law``, the cumulative |amplitude|^2 of ``amps`` (``PureState.law``),
-    spares forming it; it is the law in Z, so it cannot come with ``bases``.
-    Returns the outcome bits in the order of ``qubits`` and the normalized
-    conditional state of the unmeasured qubits alone: 2^(m-k) amplitudes,
-    the unmeasured qubits in ascending order, so a later measurement
-    addresses a qubit by its position among them.
+    One uniform draw times the total weight picks the first basis state
+    whose cumulative |amplitude|^2 exceeds it (clamped to the last), and
+    its bits on ``qubits`` are the outcome, in the order listed. ``law``,
+    the cumulative |amplitude|^2 of ``amps`` (``PureState.law``), spares
+    forming it. Returns the outcome and the unmeasured qubits' amplitudes
+    in ascending qubit order, not rescaled: 2^(m-k) entries, so a later
+    measurement addresses a qubit by its position among them. Measuring
+    the leading qubits 0..k-1 returns a view of ``amps``, which is never
+    written.
+
+    Every draw scales its uniform by the total weight it is given, so the
+    block's norm is a scale factor no draw needs. Nor can the missing scale
+    starve a draw: a block of weight w is drawn with probability w, so a
+    block whose squares underflow (w < 1e-300) is never drawn in practice.
     """
     m = amps.shape[0].bit_length() - 1
-    if bases is not None:
-        if law is not None:
-            raise ValueError("a cumulative law is the law in Z; measure takes it without bases")
-        for q, rows in zip(qubits, bases):
-            amps = _apply_local(rows.conj(), amps, q)
     if law is None:
         law = _cumulative_law(amps)
     drawn = min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
-    outcomes = tuple([(drawn >> (m - 1 - q)) & 1 for q in qubits])
     # block fixes each measured axis to its bit in the drawn basis state
-    block = [slice(None)] * m
-    for q, o in zip(qubits, outcomes):
-        block[q] = o
-    rest = amps.reshape((2,) * m)[tuple(block)].reshape(-1)
-    return outcomes, rest * (1.0 / math.sqrt(np.vdot(rest, rest).real))
+    block, outcomes = [slice(None)] * m, []
+    for q in qubits:
+        block[q] = bit = (drawn >> (m - 1 - q)) & 1
+        outcomes.append(bit)
+    return tuple(outcomes), amps.reshape((2,) * m)[tuple(block)].reshape(-1)
 
 
 def _cumulative_law(amps: np.ndarray) -> np.ndarray:

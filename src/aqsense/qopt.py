@@ -27,11 +27,8 @@ __all__ = [
     "AngleExample",
     "N_MAX",
     "OptimumReport",
-    "beta_p0",
     "gamma_eta",
     "minimize_H",
-    "objective_H",
-    "q_landmarks",
     "sweep",
     "write_sweep_csv",
 ]
@@ -111,51 +108,20 @@ def gamma_eta(n, theta_plus, theta_minus):
     return gamma, eta
 
 
-def q_landmarks(n, theta_plus, theta_minus):
-    """The three landmark weights (q_min, q_beta, q_G).
-
-    q_min bounds the admissible domain, q_beta marks the eigenvalue branch
-    crossing at p = 0, and q_G minimizes the theta- variance bound. All three
-    have the broadcast shape of n and the angles.
-
-    With r = eta/gamma, q_G = sqrt(r (1 + r)) - r = 1/(1 + sqrt(1 + 1/r)),
-    evaluated as sqrt(eta)/(sqrt(eta) + sqrt(eta + gamma)): no difference
-    of large numbers, no overflow, and 0 where eta is 0 (NaN where gamma is 0 too).
-    """
-    q_g = _q_g(*gamma_eta(n, theta_plus, theta_minus))
-    return *_per_n(np.broadcast_to(n, q_g.shape))[:2], q_g
-
-
 def _q_g(gamma, eta):
+    """q_G, the minimizer of the theta- bound: with r = eta/gamma it is
+    sqrt(r (1 + r)) - r, evaluated as sqrt(eta)/(sqrt(eta) + sqrt(eta + gamma)):
+    no difference of large numbers, no overflow, and 0 where eta is 0 (NaN
+    where gamma is 0 too)."""
     return np.sqrt(eta) / (np.sqrt(eta) + np.sqrt(eta + gamma))
 
 
-def beta_p0(n, q0):
-    """Largest subunit strategy eigenvalue at p = 0 as a function of q0.
-
-    Below the branch crossing: 1 - 1/(2n-1) - 2 q0/(2 + (C-2) q0); above:
-    C q0/(2 + (C-2) q0) with C = C(2n,n). n and q0 broadcast.
-    """
-    n_arr = np.asarray(n)
-    q = np.asarray(q0, dtype=float)
-    qm, qb, c = _per_n(n_arr)
-    inside = (qm <= q) & (q < 1.0)
-    if not inside.all():
-        k = np.argmin(inside)  # the first pair outside, in flat order
-        q_k, n_k = (np.broadcast_to(x, inside.shape).flat[k] for x in (q, n_arr))
-        raise ValueError(f"q0 must lie in [q_min(n), 1), got {q_k} at n = {n_k}")
-    return _beta_p0(n_arr, q, qb, c)
-
-
 def _beta_p0(n, q, q_beta, c):
-    """beta_p0 from n's q_beta and C = float(C(2n, n)), with no domain check."""
+    """Largest subunit strategy eigenvalue at p = 0 at weight q, from n's
+    q_beta and C = float(C(2n, n)), with no domain check: below the branch
+    crossing 1 - 1/(2n-1) - 2q/(2 + (C-2)q), above it Cq/(2 + (C-2)q)."""
     denom = 2.0 + (c - 2.0) * q
     return np.where(q < q_beta, 1.0 - 1.0 / (2 * n - 1) - 2.0 * q / denom, c * q / denom)
-
-
-def objective_H(n: int, q0, theta_plus: float, theta_minus: float):
-    """Figure of merit: product of both variance bounds with beta at p = 0."""
-    return g_plus(q0) * g_minus(n, q0, theta_plus, theta_minus) * beta_p0(n, q0)
 
 
 def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
@@ -227,7 +193,7 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
         inside = (roots > lowest) & (roots < 1.0)
         candidates = np.concatenate([lowest, roots], axis=1)
         valid = np.concatenate([np.ones((tp.size, 1), bool), inside], axis=1)
-        rows = np.nonzero(valid)[0]  # objective_H at each candidate q below, with its q_beta and C in hand
+        rows = np.nonzero(valid)[0]  # H at each candidate q below, with its q_beta and C in hand
         q, n_q, values = candidates[valid], ns[rows], np.full(candidates.shape, np.inf)
         values[valid] = g_plus(q) * g_minus(n_q, q, tp[rows], tm[rows]) * _beta_p0(n_q, q, qb[rows], c[rows, 0])
     best = (np.arange(tp.size), np.argmin(values, axis=1))

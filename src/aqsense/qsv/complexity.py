@@ -53,7 +53,10 @@ def sample_complexity(n: int, q0: float, epsilon: float, delta: float, p: float 
 def exact_sample_bound(nu: float, epsilon: float, delta: float) -> int:
     """The un-relaxed copy count ceil(ln delta / ln(1 - nu epsilon)).
 
-    Never exceeds ``sample_complexity`` when nu is the strategy's gap.
+    ln(1 - nu epsilon) is formed as log1p(-nu epsilon), which keeps every
+    digit as nu epsilon shrinks, where 1 - nu epsilon loses them (it is 1
+    in float64 once nu epsilon <= 2^-54), so the count never exceeds
+    ``sample_complexity`` when nu is the strategy's gap.
     """
     _validate(epsilon, delta)
     if not 0.0 < nu <= 1.0:
@@ -61,16 +64,19 @@ def exact_sample_bound(nu: float, epsilon: float, delta: float) -> int:
     x = nu * epsilon
     if x >= 1.0:
         return 0
-    return math.ceil(math.log(delta) / math.log(1.0 - x))
+    return math.ceil(math.log(delta) / math.log1p(-x))
 
 
 def failure_bound(nu: float, epsilon: float, copies: int) -> float:
     """Acceptance-probability bound (1 - nu epsilon)^copies for a source
-    whose every copy is epsilon-far from the target.
+    whose every copy is epsilon-far from the target, formed as
+    exp(copies log1p(-nu epsilon)); 1 for no copies.
     """
     if copies < 0:
         raise ValueError(f"copies must be nonnegative, got {copies}")
     x = nu * epsilon
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"nu*epsilon must lie in [0, 1], got {x}")
-    return float((1.0 - x) ** copies)
+    if copies == 0:
+        return 1.0
+    return 0.0 if x == 1.0 else math.exp(copies * math.log1p(-x))

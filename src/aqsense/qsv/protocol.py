@@ -23,9 +23,9 @@ from ..qcore import (
     KrausChannel,
     PureState,
     RngStream,
+    collapse,
     evolve_phases,
     make_target,
-    measure,
 )
 from ..sensing import Povm, SensingScenario, estimate_angles
 from .complexity import sample_complexity
@@ -119,10 +119,11 @@ class RobustResult:
 
 
 def _ghz_rows(r: int, x_conj: bool) -> np.ndarray:
-    """Basis for an untrusted party: rows S^r Z^o |+> (o = 0, 1)."""
+    """Basis for an untrusted party, conjugated: rows S^r Z^o |+> (o = 0, 1),
+    so that the matrix maps the ket of row o to |o>."""
     phase = 1j ** r
     rows = np.array([[1.0, phase], [1.0, -phase]], dtype=np.complex128) / _SQ2
-    return rows[:, ::-1] if x_conj else rows
+    return (rows[:, ::-1] if x_conj else rows).conj()
 
 
 _GHZ_ROWS = {(r, x): _ghz_rows(r, x) for r in (0, 1) for x in (False, True)}
@@ -146,7 +147,7 @@ def _trusted_rows(n: int, q0: float) -> dict:
 
 
 def _draw(amps: Iterable[complex], rng: np.random.Generator) -> int:
-    """measure's rule on a few amplitudes held as Python numbers: the first
+    """collapse's rule on a few amplitudes held as Python numbers: the first
     basis state whose cumulative |amplitude|^2 exceeds one uniform draw
     times the total, clamped to the last one."""
     total, cum = 0.0, []
@@ -160,16 +161,17 @@ def _draw(amps: Iterable[complex], rng: np.random.Generator) -> int:
 def _run_ghz_protocol(amps, parties, rows, p, x_conj, rng):
     """GHZ-like subprotocol on the listed qubits; returns (accept, record).
 
-    ``amps`` holds the parties' qubits alone, in the order of ``parties``.
-    With probability p all parties are Z-measured and equal outcomes
-    accept. Otherwise one trusted party k is chosen, the others measure
-    with random phase settings r_i, and k measures in the basis derived
-    from the parity data, ``rows`` (from _trusted_rows); outcome 0 accepts.
+    ``amps`` holds the parties' qubits alone, in the order of ``parties``,
+    at any scale. With probability p all parties are Z-measured and equal
+    outcomes accept. Otherwise one trusted party k is chosen, the others
+    measure with random phase settings r_i, and k measures in the basis
+    derived from the parity data, ``rows`` (from _trusted_rows); outcome 0
+    accepts.
     x_conj conjugates every measurement by Pauli X.
     """
     count = len(parties)
     if p > 0.0 and rng.random() < p:
-        outcomes, _ = measure(amps, range(count), rng)
+        outcomes, _ = collapse(amps, range(count), rng)
         accept = len(set(outcomes)) == 1
         sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": list(outcomes), "x_conj": x_conj}
         return accept, sub
@@ -177,7 +179,10 @@ def _run_ghz_protocol(amps, parties, rows, p, x_conj, rng):
     others = [j for j in range(count) if j != k_pos]
     settings = int(rng.integers(1 << len(others)))
     r_others = [(settings >> j) & 1 for j in range(len(others))]
-    o_others, amps = measure(amps, others, rng, [_GHZ_ROWS[r, x_conj] for r in r_others])
+    # each other party's basis rotated onto Z, as one 2x2 product on its axis
+    for q, r in zip(others, r_others):
+        amps = (_GHZ_ROWS[r, x_conj] @ amps.reshape(1 << q, 2, -1)).reshape(-1)
+    o_others, amps = collapse(amps, others, rng)
     r_k = sum(r_others) % 2
     total_r = sum(r_others) + r_k
     e = (sum(o_others) + total_r // 2) % 2
@@ -199,9 +204,9 @@ def _run_dicke_protocol(amps, parties, k, rng):
     """Dicke subprotocol with excitation number k; returns (accept, record).
 
     ``amps`` holds the parties' qubits alone, in the order of ``parties``
-    (ascending). A random pair is set aside, the rest are Z-measured, and
-    the pair is measured in Z or X depending on how many excitations are
-    missing.
+    (ascending), at any scale. A random pair is set aside, the rest are
+    Z-measured, and the pair is measured in Z or X depending on how many
+    excitations are missing.
     """
     count = len(parties)
     i = int(rng.integers(count))
@@ -209,7 +214,10 @@ def _run_dicke_protocol(amps, parties, k, rng):
     if j >= i:
         j += 1
     pair = sorted((parties[i], parties[j]))
-    o_rest, amps = measure(amps, [q for q in range(count) if q not in (i, j)], rng)
+    rest = list(range(count))
+    rest.remove(i)
+    rest.remove(j)
+    o_rest, amps = collapse(amps, rest, rng)
     s_rest = sum(o_rest)
     pair_basis = None
     pair_outcomes = None
@@ -224,7 +232,7 @@ def _run_dicke_protocol(amps, parties, k, rng):
     elif s_rest == k - 1:
         pair_basis = "X"
         # the Hadamard on the first qubit, then on the second, each entry a
-        # sum of products as measure forms it, so the weights round alike
+        # sum of products as a 2x2 rotation forms it, so the weights round alike
         a00, a01, a10, a11 = amps.tolist()
         b00, b01 = _H * a00 + _H * a10, _H * a01 + _H * a11
         b10, b11 = _H * a00 - _H * a10, _H * a01 - _H * a11
@@ -267,10 +275,11 @@ def verify_copy(
     m = 2 * n
     if copy.num_qubits != m:
         raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")
-    subset = tuple(sorted(rng.permutation(m)[:n].tolist()))
-    z_outcomes, amps = measure(copy.amps, subset, rng, law=copy.law)
+    order = rng.permutation(m).tolist()
+    subset = tuple(sorted(order[:n]))
+    z_outcomes, amps = collapse(copy.amps, subset, rng, copy.law)
     total = sum(z_outcomes)
-    parties = [q for q in range(m) if q not in subset]
+    parties = sorted(order[n:])
     if total == 0:
         branch = "i"
         accept, sub = _run_ghz_protocol(amps, parties, rows, p, False, rng)

@@ -6,7 +6,9 @@ closed-form shortcuts, so agreement with the library is a real check: the
 GHZ-like and Dicke sub-strategies, and from them the subset-averaged
 strategy Omega. The exact Kraus-sum action of a noise channel, from
 Kraus operators built by the definition of its kind, checks its sampled
-trajectories, a dense scan of the q0 objective and a nested-grid
+trajectories, a dense scan of the q0 objective (``objective_H``, from
+``q_landmarks`` and ``beta_p0`` with its domain check, the functions that
+``minimize_H`` evaluates from its own per-n table) and a nested-grid
 search of it, one angle pair at a time, check the optimizer's closed-form
 minimum, and its cubic's roots as eigenvalues of companion matrices check
 the closed-form roots. The all-X witness bound on the target state, which only the
@@ -25,9 +27,12 @@ dense kets for negative controls, the dense GHZ and Dicke constructors,
 the coherent_mix swap as a 2^(2n) x 2^(2n) unitary from its definition,
 fidelities and expectation values of dense states and
 operators, and the diagonal remainder's eigenvalue profile are test-only
-too. The per-copy verification route that measures every stage, the
-one- and two-qubit tails included, with the generic ``measure`` checks
-that the library's scalar tails draw the same outcomes, and the robust
+too. ``measure``, the generic joint measurement in per-qubit bases that
+returns the normalized conditional state, checks ``qcore.collapse``, the
+library's one measurement (Z only, unscaled). The per-copy verification
+route that measures every stage with it, the one- and two-qubit tails
+included, checks that the library's unscaled stages and scalar tails draw
+the same outcomes, and the robust
 loop with one ``apply_to_pure`` call per copy checks the loop that takes
 each attempt's copies from one stream of trajectories. The sweep CSV
 written through ``csv.writer``, one ``format`` call per float at each
@@ -42,12 +47,21 @@ import math
 
 import numpy as np
 
-from aqsense.qcore import PureState, check_probe, eig_top2, evolve_phases, make_target, measure, probe_on
-from aqsense.qopt import _CSV_HEADER, OptimumReport, _per_n, gamma_eta, objective_H, q_landmarks
+from aqsense.qcore import (
+    PureState,
+    _apply_local,
+    _cumulative_law,
+    check_probe,
+    eig_top2,
+    evolve_phases,
+    make_target,
+    probe_on,
+)
+from aqsense.qopt import _CSV_HEADER, OptimumReport, _beta_p0, _per_n, _q_g, gamma_eta
 from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.protocol import CopyVerdict, RobustResult, verify_batch
-from aqsense.sensing import OutcomeDistribution, Povm, check_support_budget, estimate_angles
+from aqsense.sensing import OutcomeDistribution, Povm, check_support_budget, estimate_angles, g_minus, g_plus
 from aqsense.symcomb import WeightBasis, binom, johnson_multiplicity
 
 SQ2 = np.sqrt(2.0)
@@ -266,6 +280,46 @@ def kraus_density(channel, mat, q0=None):
         embedded = [np.kron(np.kron(np.eye(2 ** q), k), np.eye(2 ** (m - q - 1))) for k in ops]
         mat = sum(e @ mat @ e.conj().T for e in embedded)
     return mat
+
+
+def q_landmarks(n, theta_plus, theta_minus):
+    """The three landmark weights (q_min, q_beta, q_G).
+
+    q_min bounds the admissible domain, q_beta marks the eigenvalue branch
+    crossing at p = 0, and q_G minimizes the theta- variance bound. All three
+    have the broadcast shape of n and the angles.
+
+    With r = eta/gamma, q_G = sqrt(r (1 + r)) - r = 1/(1 + sqrt(1 + 1/r)),
+    evaluated as sqrt(eta)/(sqrt(eta) + sqrt(eta + gamma)): no difference
+    of large numbers, no overflow, and 0 where eta is 0 (NaN where gamma is 0 too).
+    The reference for the landmarks ``minimize_H`` reports.
+    """
+    q_g = _q_g(*gamma_eta(n, theta_plus, theta_minus))
+    return *_per_n(np.broadcast_to(n, q_g.shape))[:2], q_g
+
+
+def beta_p0(n, q0):
+    """Largest subunit strategy eigenvalue at p = 0 as a function of q0.
+
+    Below the branch crossing: 1 - 1/(2n-1) - 2 q0/(2 + (C-2) q0); above:
+    C q0/(2 + (C-2) q0) with C = C(2n,n). n and q0 broadcast. ``qopt._beta_p0``
+    with the domain check that ``minimize_H``, checking its own domain, skips.
+    """
+    n_arr = np.asarray(n)
+    q = np.asarray(q0, dtype=float)
+    qm, qb, c = _per_n(n_arr)
+    inside = (qm <= q) & (q < 1.0)
+    if not inside.all():
+        k = np.argmin(inside)  # the first pair outside, in flat order
+        q_k, n_k = (np.broadcast_to(x, inside.shape).flat[k] for x in (q, n_arr))
+        raise ValueError(f"q0 must lie in [q_min(n), 1), got {q_k} at n = {n_k}")
+    return _beta_p0(n_arr, q, qb, c)
+
+
+def objective_H(n: int, q0, theta_plus: float, theta_minus: float):
+    """Figure of merit: product of both variance bounds with beta at p = 0,
+    the H that ``minimize_H`` evaluates on its candidates."""
+    return g_plus(q0) * g_minus(n, q0, theta_plus, theta_minus) * beta_p0(n, q0)
 
 
 def dense_scan_H(n, theta_plus, theta_minus, lo, hi, points=1_000_001):
@@ -586,6 +640,40 @@ def pauli_witness_bound(n: int, q0: float) -> float:
                 f"witness self-check failed: expectation {expectation} below bound {bound}"
             )
     return float(bound)
+
+
+def measure(amps, qubits, rng, bases=None, law=None):
+    """Measure several qubits of a normalized amplitude vector at once.
+
+    ``bases[j]`` is a 2x2 matrix whose orthonormal rows are the kets measured
+    on ``qubits[j]``; without ``bases`` every listed qubit is measured in Z.
+    Each listed qubit is rotated so that row o of its basis becomes |o>; one
+    uniform draw then picks a basis state from |amplitude|^2, whose bits on
+    the listed qubits follow their joint marginal law and are the outcome.
+    ``law``, the cumulative |amplitude|^2 of ``amps`` (``PureState.law``),
+    spares forming it; it is the law in Z, so it cannot come with ``bases``.
+    Returns the outcome bits in the order of ``qubits`` and the normalized
+    conditional state of the unmeasured qubits alone: 2^(m-k) amplitudes,
+    the unmeasured qubits in ascending order, so a later measurement
+    addresses a qubit by its position among them. The generic route that
+    ``qcore.collapse`` (Z only, unscaled) replaced in the library.
+    """
+    m = amps.shape[0].bit_length() - 1
+    if bases is not None:
+        if law is not None:
+            raise ValueError("a cumulative law is the law in Z; measure takes it without bases")
+        for q, rows in zip(qubits, bases):
+            amps = _apply_local(rows.conj(), amps, q)
+    if law is None:
+        law = _cumulative_law(amps)
+    drawn = min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
+    outcomes = tuple([(drawn >> (m - 1 - q)) & 1 for q in qubits])
+    # block fixes each measured axis to its bit in the drawn basis state
+    block = [slice(None)] * m
+    for q, o in zip(qubits, outcomes):
+        block[q] = o
+    rest = amps.reshape((2,) * m)[tuple(block)].reshape(-1)
+    return outcomes, rest * (1.0 / math.sqrt(np.vdot(rest, rest).real))
 
 
 _X_ROWS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / SQ2

@@ -3,7 +3,9 @@
 Oracles: closed-form amplitude vectors, brute-force amplitude sums for
 partial measurements, the exact Kraus-sum density for channel
 trajectories, dense numpy diagonalization for eig_top2, and exact
-binomial outcome distributions for the sampling law.
+binomial outcome distributions for the sampling law. The generic
+``measure`` of the oracles, with bases and normalization, keeps its own
+tests here, and checks the library's Z ``collapse``.
 """
 
 import time
@@ -19,6 +21,7 @@ from oracles import (
     kraus_ops,
     make_dicke,
     make_ghz,
+    measure,
     phase_evolved,
 )
 from test_symcomb import sector_projector
@@ -29,10 +32,10 @@ from aqsense.qcore import (
     PureState,
     RngStream,
     _probe_bytes,
+    collapse,
     eig_top2,
     evolve_phases,
     make_target,
-    measure,
     standard_channel,
 )
 from aqsense.qsv import verify_copy
@@ -529,6 +532,50 @@ class TestMeasurement:
         rest = np.einsum("abc,b->ac", psi, ket.conj())
         rest /= np.linalg.norm(rest)
         np.testing.assert_allclose(post, rest.reshape(-1), atol=1e-12)
+
+
+class TestCollapse:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_law_passed_or_formed_collapses_alike(self, n):
+        st = make_target(n, 0.33)
+        gen = np.random.default_rng(5)
+        for _ in range(200):
+            qubits = sorted(gen.permutation(2 * n)[:n].tolist())
+            seed = int(gen.integers(1 << 30))
+            with_law = collapse(st.amps, qubits, RngStream(seed).gen, st.law)
+            without = collapse(st.amps, qubits, RngStream(seed).gen)
+            assert with_law[0] == without[0]
+            np.testing.assert_array_equal(with_law[1], without[1])
+
+    def test_block_is_the_unscaled_conditional_state(self):
+        # same stream, same outcome as measure; the block, once normalized,
+        # is measure's conditional state, and its squared norm is the
+        # outcome's probability
+        gen = RngStream(8).gen
+        for m in (3, 5, 6):
+            amps = gen.normal(size=1 << m) + 1j * gen.normal(size=1 << m)
+            amps /= np.linalg.norm(amps)
+            for _ in range(40):
+                qubits = gen.permutation(m)[: int(gen.integers(1, m + 1))].tolist()
+                seed = int(gen.integers(1 << 30))
+                outcomes, block = collapse(amps, qubits, RngStream(seed).gen)
+                expected, post = measure(amps, qubits, RngStream(seed).gen)
+                assert outcomes == expected
+                _, prob = collapse_subset(amps, m, qubits, outcomes)
+                assert np.vdot(block, block).real == pytest.approx(prob, rel=1e-12)
+                np.testing.assert_allclose(block / np.linalg.norm(block), post, atol=1e-12)
+
+    def test_read_only_amplitudes_untouched_and_leading_block_a_view(self):
+        st = make_target(3, 0.33)
+        before = st.amps.copy()
+        for seed in range(8):
+            for qubits in ([0], [0, 1, 2], [1, 4], [5, 0]):
+                _, block = collapse(st.amps, qubits, RngStream(seed).gen, st.law)
+                # a block that shares the caller's memory is read-only too
+                assert block.flags.writeable != np.shares_memory(block, st.amps)
+            _, lead = collapse(st.amps, [0, 1], RngStream(seed).gen)
+            assert np.shares_memory(lead, st.amps) and lead.base is not None
+        np.testing.assert_array_equal(st.amps, before)
 
 
 class TestEigTop2:

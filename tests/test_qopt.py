@@ -10,18 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import companion_roots, dense_scan_H, minimize_H_eigvals, minimize_H_rowwise, sweep_csv_reference
+from oracles import (
+    beta_p0,
+    companion_roots,
+    dense_scan_H,
+    minimize_H_eigvals,
+    minimize_H_rowwise,
+    objective_H,
+    q_landmarks,
+    sweep_csv_reference,
+)
 
 from aqsense.qopt import (
     ANGLE_EXAMPLES,
     N_MAX,
     AngleExample,
     OptimumReport,
-    beta_p0,
     gamma_eta,
     minimize_H,
-    objective_H,
-    q_landmarks,
     sweep,
     write_sweep_csv,
 )

@@ -104,6 +104,19 @@ class TestExactBound:
         with pytest.raises(ValueError):
             exact_sample_bound(0.0, 0.5, 0.01)
 
+    @pytest.mark.parametrize("x", [1e-16, 1e-20])
+    def test_tiny_gap_keeps_its_digits(self, x):
+        # ln(1 - x) = -x - x^2/2 - x^3/3 to float precision for x <= 1e-6;
+        # 1 - x rounds to 1 here, which a plain log turns into 0 or a 10 % error
+        series = math.log(0.01) / (-x - x * x / 2 - x ** 3 / 3)
+        assert exact_sample_bound(x, 1.0, 0.01) == pytest.approx(series, rel=1e-15)
+
+    def test_paper_gap_count_finite_and_below_the_formula(self):
+        # the gap falls like 4^-n, so nu * epsilon passes 1e-17 from n = 28
+        for n in range(3, 344):
+            copies = exact_sample_bound(analytic_spectrum(n, 0.33).nu, 0.1, 0.01)
+            assert 0 < copies <= sample_complexity(n, 0.33, 0.1, 0.01), n
+
 
 class TestFailureBound:
     def test_trivials(self):
@@ -113,6 +126,10 @@ class TestFailureBound:
     def test_frozen_value(self):
         nu = analytic_spectrum(3, 0.33, 0.0).nu
         assert failure_bound(nu, 0.67, 10) == pytest.approx(3.0121633873169329e-01, rel=1e-12)
+
+    def test_tiny_gap_many_copies(self):
+        # (1 - 1e-17)^(1e17) is about e^-1, while 1 - 1e-17 rounds to 1
+        assert failure_bound(1e-17, 1.0, 10 ** 17) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -215,6 +215,23 @@ class TestVerifyCopy:
             tails.add(verdict.sub["a"] if verdict.branch != "ii" else verdict.sub["pair_basis"])
         assert tails >= {1, "Z", "X"} | ({0} if p else set())
 
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_records_equal_the_generic_measure_route_on_random_states(self, n, p):
+        # criterion 04's Haar-random states (normalized complex Gaussian
+        # vectors), a new one per copy, so every stage sees generic amplitudes
+        draw = np.random.default_rng(424242 + n)
+        mine, reference = RngStream(33), RngStream(33)
+        tails = set()
+        for i in range(1000):
+            vec = draw.normal(size=1 << (2 * n)) + 1j * draw.normal(size=1 << (2 * n))
+            copy = PureState(2 * n, vec / np.linalg.norm(vec))
+            verdict = verify_copy(copy, n, 0.33, p, mine.substream(i).gen, i)
+            record = verify_copy_reference(copy, n, 0.33, p, reference.substream(i).gen, i).as_record()
+            assert verdict.as_record() == record
+            tails.add(verdict.sub["a"] if verdict.branch != "ii" else verdict.sub["pair_basis"])
+        assert tails >= {1, "Z", "X"} | ({0} if p else set())
+
     def test_reproducible_with_equal_streams(self):
         copy = make_dicke(6, 3)
         first = [verify_copy(copy, 3, 0.33, 0.1, RngStream(7).substream(i).gen) for i in range(50)]
