@@ -66,6 +66,12 @@ CASES = [
     *[_case("qsv", "verify", "--n", str(n), "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--seed", "11",
             *extra, "--transcript", "session.jsonl")
       for n in (4, 5) for extra in (("--noise", "dephase:0.05"), ("--p", "0.3"))],
+    # n = 5 at M = 497 (709 with p = 0.3), on 32-amplitude blocks: every tail's draws,
+    # a = 0 included, over sessions long enough to reach each branch many times; seed 12,
+    # since a verdict depends only on (seed, copy) and seed 11's first copies are above
+    *[_case("qsv", "verify", "--n", "5", "--q0", "0.33", "--epsilon", "0.3", "--delta", "0.1", "--seed", "12",
+            *extra, "--transcript", "session.jsonl")
+      for extra in (("--noise", "none"), ("--noise", "dephase:0.05"), ("--noise", "none", "--p", "0.3"))],
     # n = 6 (M = 162), where the GHZ-like test measures five other parties
     *[_case("qsv", "verify", "--n", "6", "--q0", "0.33", "--epsilon", "1", "--delta", "0.5", "--seed", "11",
             *extra, "--transcript", "session.jsonl")

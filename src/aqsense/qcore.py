@@ -40,6 +40,7 @@ __all__ = [
     "make_target",
     "evolve_phases",
     "collapse",
+    "draw_index",
     "check_bytes_limit",
     "standard_channel",
     "eig_top2",
@@ -259,15 +260,23 @@ def collapse(
     block whose squares underflow (w < 1e-300) is never drawn in practice.
     """
     m = amps.shape[0].bit_length() - 1
-    if law is None:
-        law = _cumulative_law(amps)
-    drawn = min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
+    drawn = draw_index(amps, rng, law)
     # block fixes each measured axis to its bit in the drawn basis state
     block, outcomes = [slice(None)] * m, []
     for q in qubits:
         block[q] = bit = (drawn >> (m - 1 - q)) & 1
         outcomes.append(bit)
     return tuple(outcomes), amps.reshape((2,) * m)[tuple(block)].reshape(-1)
+
+
+def draw_index(amps: np.ndarray, rng: np.random.Generator, law: np.ndarray | None = None) -> int:
+    """collapse's draw alone: the index of the first basis state whose
+    cumulative |amplitude|^2 (``law``, formed when not given) exceeds one
+    uniform draw times the total, clamped to the last. A caller that needs
+    only a few amplitudes of the drawn block reads them off this index."""
+    if law is None:
+        law = _cumulative_law(amps)
+    return min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
 
 
 def _cumulative_law(amps: np.ndarray) -> np.ndarray:

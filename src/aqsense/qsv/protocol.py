@@ -15,7 +15,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from ..qcore import (
     PureState,
     RngStream,
     collapse,
+    draw_index,
     evolve_phases,
     make_target,
 )
@@ -66,8 +67,7 @@ class VerificationPlan:
         object.__setattr__(self, "M", sample_complexity(self.n, self.q0, self.epsilon, self.delta, self.p))
 
 
-@dataclass(frozen=True)
-class CopyVerdict:
+class CopyVerdict(NamedTuple):
     """Outcome record of one per-copy verification measurement."""
 
     copy_index: int
@@ -147,7 +147,7 @@ def _trusted_rows(n: int, q0: float) -> dict:
 
 
 def _draw(amps: Iterable[complex], rng: np.random.Generator) -> int:
-    """collapse's rule on a few amplitudes held as Python numbers: the first
+    """draw_index's rule on a few amplitudes held as Python numbers: the first
     basis state whose cumulative |amplitude|^2 exceeds one uniform draw
     times the total, clamped to the last one."""
     total, cum = 0.0, []
@@ -162,18 +162,20 @@ def _run_ghz_protocol(amps, parties, rows, p, x_conj, rng):
     """GHZ-like subprotocol on the listed qubits; returns (accept, record).
 
     ``amps`` holds the parties' qubits alone, in the order of ``parties``,
-    at any scale. With probability p all parties are Z-measured and equal
-    outcomes accept. Otherwise one trusted party k is chosen, the others
-    measure with random phase settings r_i, and k measures in the basis
-    derived from the parity data, ``rows`` (from _trusted_rows); outcome 0
-    accepts.
+    at any scale; each Z measurement is one draw_index on the whole block,
+    its outcome the drawn index's bits. With probability p all parties are
+    Z-measured and equal outcomes accept. Otherwise one trusted party k is
+    chosen, the others measure with random phase settings r_i, and k
+    measures in the basis derived from the parity data, ``rows`` (from
+    _trusted_rows); outcome 0 accepts.
     x_conj conjugates every measurement by Pauli X.
     """
     count = len(parties)
     if p > 0.0 and rng.random() < p:
-        outcomes, _ = collapse(amps, range(count), rng)
+        index = draw_index(amps, rng)
+        outcomes = [(index >> (count - 1 - q)) & 1 for q in range(count)]
         accept = len(set(outcomes)) == 1
-        sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": list(outcomes), "x_conj": x_conj}
+        sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": outcomes, "x_conj": x_conj}
         return accept, sub
     k_pos = int(rng.integers(count))
     others = [j for j in range(count) if j != k_pos]
@@ -182,22 +184,24 @@ def _run_ghz_protocol(amps, parties, rows, p, x_conj, rng):
     # each other party's basis rotated onto Z, as one 2x2 product on its axis
     for q, r in zip(others, r_others):
         amps = (_GHZ_ROWS[r, x_conj] @ amps.reshape(1 << q, 2, -1)).reshape(-1)
-    o_others, amps = collapse(amps, others, rng)
+    index = draw_index(amps, rng)
+    o = [(index >> (count - 1 - q)) & 1 for q in range(count)]
     r_k = sum(r_others) % 2
     total_r = sum(r_others) + r_k
-    e = (sum(o_others) + total_r // 2) % 2
-    # the trusted party is the one qubit left
-    a0, a1 = amps.tolist()
-    o_k = _draw((c0 * a0 + c1 * a1 for c0, c1 in rows[e, r_k, x_conj]), rng)
+    e = (sum(o) - o[k_pos] + total_r // 2) % 2
+    # the trusted party's two amplitudes: the drawn block at its bit 0 and 1
+    k_bit = 1 << (count - 1 - k_pos)
+    a0, a1 = amps.item(index & ~k_bit), amps.item(index | k_bit)
+    o[k_pos] = _draw((c0 * a0 + c1 * a1 for c0, c1 in rows[e, r_k, x_conj]), rng)
     sub = {
         "type": "ghz",
         "a": 1,
         "k": parties[k_pos],
         "r": r_others[:k_pos] + [r_k] + r_others[k_pos:],
-        "o": list(o_others[:k_pos]) + [o_k] + list(o_others[k_pos:]),
+        "o": o,
         "x_conj": x_conj,
     }
-    return o_k == 0, sub
+    return o[k_pos] == 0, sub
 
 
 def _run_dicke_protocol(amps, parties, k, rng):
@@ -205,8 +209,8 @@ def _run_dicke_protocol(amps, parties, k, rng):
 
     ``amps`` holds the parties' qubits alone, in the order of ``parties``
     (ascending), at any scale. A random pair is set aside, the rest are
-    Z-measured, and the pair is measured in Z or X depending on how many
-    excitations are missing.
+    Z-measured (one draw_index on the whole block), and the pair is measured
+    in Z or X depending on how many excitations are missing.
     """
     count = len(parties)
     i = int(rng.integers(count))
@@ -214,18 +218,19 @@ def _run_dicke_protocol(amps, parties, k, rng):
     if j >= i:
         j += 1
     pair = sorted((parties[i], parties[j]))
-    rest = list(range(count))
-    rest.remove(i)
-    rest.remove(j)
-    o_rest, amps = collapse(amps, rest, rng)
+    index = draw_index(amps, rng)
+    o_rest = [(index >> (count - 1 - q)) & 1 for q in range(count) if q != i and q != j]
     s_rest = sum(o_rest)
+    # the pair's four amplitudes in the drawn block, in ascending qubit order
+    first, second = 1 << (count - 1 - min(i, j)), 1 << (count - 1 - max(i, j))
+    base = index & ~(first | second)
+    a00, a01, a10, a11 = (amps.item(base | b) for b in (0, second, first, first | second))
     pair_basis = None
     pair_outcomes = None
     accept = False
-    # the pair is the two qubits left, in ascending order
     if s_rest in (k, k - 2):
         pair_basis = "Z"
-        drawn = _draw(amps.tolist(), rng)
+        drawn = _draw((a00, a01, a10, a11), rng)
         pair_outcomes = (drawn >> 1, drawn & 1)
         want = 0 if s_rest == k else 1
         accept = pair_outcomes == (want, want)
@@ -233,7 +238,6 @@ def _run_dicke_protocol(amps, parties, k, rng):
         pair_basis = "X"
         # the Hadamard on the first qubit, then on the second, each entry a
         # sum of products as a 2x2 rotation forms it, so the weights round alike
-        a00, a01, a10, a11 = amps.tolist()
         b00, b01 = _H * a00 + _H * a10, _H * a01 + _H * a11
         b10, b11 = _H * a00 - _H * a10, _H * a01 - _H * a11
         drawn = _draw((_H * b00 + _H * b01, _H * b00 - _H * b01,
@@ -244,7 +248,7 @@ def _run_dicke_protocol(amps, parties, k, rng):
         "type": "dicke",
         "k": k,
         "pair": pair,
-        "o_rest": list(o_rest),
+        "o_rest": o_rest,
         "s_rest": s_rest,
         "pair_basis": pair_basis,
         "pair_outcomes": None if pair_outcomes is None else list(pair_outcomes),
@@ -275,7 +279,9 @@ def verify_copy(
     m = 2 * n
     if copy.num_qubits != m:
         raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")
-    order = rng.permutation(m).tolist()
+    # the same draws as rng.permutation(m).tolist(), without the array
+    order = list(range(m))
+    rng.shuffle(order)
     subset = tuple(sorted(order[:n]))
     z_outcomes, amps = collapse(copy.amps, subset, rng, copy.law)
     total = sum(z_outcomes)

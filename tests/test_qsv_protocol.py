@@ -216,10 +216,11 @@ class TestVerifyCopy:
         assert tails >= {1, "Z", "X"} | ({0} if p else set())
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_records_equal_the_generic_measure_route_on_random_states(self, n, p):
         # criterion 04's Haar-random states (normalized complex Gaussian
-        # vectors), a new one per copy, so every stage sees generic amplitudes
+        # vectors), a new one per copy, so every stage sees generic amplitudes;
+        # n = 7 gives 128-amplitude blocks and six rotated GHZ-like parties
         draw = np.random.default_rng(424242 + n)
         mine, reference = RngStream(33), RngStream(33)
         tails = set()
