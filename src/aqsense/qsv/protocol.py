@@ -177,9 +177,10 @@ def _run_ghz_protocol(amps, parties, rows, p, x_conj, rng):
         accept = len(set(outcomes)) == 1
         sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": outcomes, "x_conj": x_conj}
         return accept, sub
-    k_pos = int(rng.integers(count))
+    # one exactly uniform integer: the trusted party's position, then the
+    # count - 1 others' settings as its low bits
+    k_pos, settings = divmod(int(rng.integers(count << (count - 1))), 1 << (count - 1))
     others = [j for j in range(count) if j != k_pos]
-    settings = int(rng.integers(1 << len(others)))
     r_others = [(settings >> j) & 1 for j in range(len(others))]
     # each other party's basis rotated onto Z, as one 2x2 product on its axis
     for q, r in zip(others, r_others):
@@ -213,8 +214,8 @@ def _run_dicke_protocol(amps, parties, k, rng):
     in Z or X depending on how many excitations are missing.
     """
     count = len(parties)
-    i = int(rng.integers(count))
-    j = int(rng.integers(count - 1))
+    # one exactly uniform integer over the count (count - 1) ordered pairs
+    i, j = divmod(int(rng.integers(count * (count - 1))), count - 1)
     if j >= i:
         j += 1
     pair = sorted((parties[i], parties[j]))

@@ -29,10 +29,12 @@ fidelities and expectation values of dense states and
 operators, and the diagonal remainder's eigenvalue profile are test-only
 too. ``measure``, the generic joint measurement in per-qubit bases that
 returns the normalized conditional state, checks ``qcore.collapse``, the
-library's one measurement (Z only, unscaled). The per-copy verification
-route that measures every stage with it, the one- and two-qubit tails
-included, checks that the library's unscaled stages and scalar tails draw
-the same outcomes, and the robust
+library's one measurement (Z only, unscaled), and ``qcore.draw_index``, its
+draw alone. The per-copy verification route that measures every stage with
+it, the one- and two-qubit tails included, checks that the library's stages,
+which read their outcomes and scalar tails off one drawn index per block,
+draw the same outcomes; it draws R by ``rng.permutation``, so it also pins
+the library's list shuffle to the same draws. The robust
 loop with one ``apply_to_pure`` call per copy checks the loop that takes
 each attempt's copies from one stream of trajectories. The sweep CSV
 written through ``csv.writer``, one ``format`` call per float at each
@@ -705,9 +707,10 @@ def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
         accept = len(set(outcomes)) == 1
         sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": list(outcomes), "x_conj": x_conj}
         return accept, sub
-    k_pos = int(rng.integers(count))
+    # one exactly uniform integer: the trusted party's position, then the
+    # count - 1 others' settings as its low bits
+    k_pos, settings = divmod(int(rng.integers(count << (count - 1))), 1 << (count - 1))
     others = [j for j in range(count) if j != k_pos]
-    settings = int(rng.integers(1 << len(others)))
     r_others = [(settings >> j) & 1 for j in range(len(others))]
     o_others, amps = measure(amps, others, rng, [_GHZ_ROWS[r, x_conj] for r in r_others])
     r_k = sum(r_others) % 2
@@ -741,8 +744,8 @@ def _run_dicke_protocol(amps, parties, k, rng):
     missing.
     """
     count = len(parties)
-    i = int(rng.integers(count))
-    j = int(rng.integers(count - 1))
+    # one exactly uniform integer over the count (count - 1) ordered pairs
+    i, j = divmod(int(rng.integers(count * (count - 1))), count - 1)
     if j >= i:
         j += 1
     pair = sorted((parties[i], parties[j]))
