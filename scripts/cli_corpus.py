@@ -77,6 +77,9 @@ CASES = [
             *extra, "--transcript", "session.jsonl")
       for extra in (("--noise", "depolarize:0.05"), ("--p", "0.3"))],
     *[_case(*ROBUST, "--noise", noise, "--out", "robust.json") for noise in NOISES],
+    # the robust loop with the all-Z test (p > 0), at n = 3 (M = 22) and n = 4 (M = 65)
+    *[_case(*ROBUST[:2], n, *ROBUST[3:], "--p", "0.3", "--noise", "dephase:0.05", "--out", "robust.json")
+      for n in ("3", "4")],
     _case("opt", "--n-min", "3", "--n-max", "50", "--examples", "A,C,K", "--out", "sweep.csv", "--self-check"),
     # the top of the n range, where q_min (2.8e-308 at n = 514) nears the float64
     # floor, and a one-row sweep

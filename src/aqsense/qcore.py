@@ -7,8 +7,9 @@ indices, local phase evolution generated by single-qubit Z terms, noise
 channels held as a table of weighted unitary branches (a 2x2 unitary on
 every qubit, or one reflection of the whole state) that sample streams of
 trajectories from that state-independent branch law, drawing the uniforms
-of a chunk of copies at once, one joint Z measurement of any set of
-qubits that keeps only the unmeasured qubits' amplitudes, unscaled,
+of a chunk of copies at once, one Z draw of the whole register, whose
+index gives every measured qubit's outcome bit, and the slice of the
+unmeasured qubits' amplitudes, unscaled, that such an index leaves,
 seeded random streams (item i of a stream is a Philox generator whose key
 the stream derives once for all its items), and the two largest
 eigenvalues of a Hermitian matrix by dense diagonalization. The probe psi
@@ -236,47 +237,40 @@ def evolve_phases(state: PureState, omegas: Sequence[float], t: float) -> PureSt
     return PureState(m, amps)
 
 
-def collapse(
-    amps: np.ndarray,
-    qubits: Sequence[int],
-    rng: np.random.Generator,
-    law: np.ndarray | None = None,
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Measure several qubits of an amplitude vector in Z at once.
+def draw_index(amps: np.ndarray, rng: np.random.Generator, law: np.ndarray | None = None) -> int:
+    """One joint Z measurement of every qubit of an amplitude vector: the
+    index of the first basis state whose cumulative |amplitude|^2 (``law``,
+    ``PureState.law``, formed when not given) exceeds one uniform draw times
+    the total, clamped to the last. Its bits on any set of qubits follow
+    that set's joint law, so Z measurements of disjoint sets in sequence all
+    read their outcomes off one index, and ``collapse`` cuts out the block
+    that it leaves the other qubits.
 
-    One uniform draw times the total weight picks the first basis state
-    whose cumulative |amplitude|^2 exceeds it (clamped to the last), and
-    its bits on ``qubits`` are the outcome, in the order listed. ``law``,
-    the cumulative |amplitude|^2 of ``amps`` (``PureState.law``), spares
-    forming it. Returns the outcome and the unmeasured qubits' amplitudes
-    in ascending qubit order, not rescaled: 2^(m-k) entries, so a later
-    measurement addresses a qubit by its position among them. Measuring
-    the leading qubits 0..k-1 returns a view of ``amps``, which is never
-    written.
-
-    Every draw scales its uniform by the total weight it is given, so the
+    Every draw scales its uniform by the total weight it is given, so a
     block's norm is a scale factor no draw needs. Nor can the missing scale
     starve a draw: a block of weight w is drawn with probability w, so a
     block whose squares underflow (w < 1e-300) is never drawn in practice.
     """
-    m = amps.shape[0].bit_length() - 1
-    drawn = draw_index(amps, rng, law)
-    # block fixes each measured axis to its bit in the drawn basis state
-    block, outcomes = [slice(None)] * m, []
-    for q in qubits:
-        block[q] = bit = (drawn >> (m - 1 - q)) & 1
-        outcomes.append(bit)
-    return tuple(outcomes), amps.reshape((2,) * m)[tuple(block)].reshape(-1)
-
-
-def draw_index(amps: np.ndarray, rng: np.random.Generator, law: np.ndarray | None = None) -> int:
-    """collapse's draw alone: the index of the first basis state whose
-    cumulative |amplitude|^2 (``law``, formed when not given) exceeds one
-    uniform draw times the total, clamped to the last. A caller that needs
-    only a few amplitudes of the drawn block reads them off this index."""
     if law is None:
         law = _cumulative_law(amps)
     return min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
+
+
+def collapse(amps: np.ndarray, qubits: Sequence[int], index: int) -> np.ndarray:
+    """The amplitudes that a Z measurement of ``qubits`` leaves the other
+    qubits once it has drawn basis state ``index`` (``draw_index``): the
+    block of ``amps`` that agrees with ``index`` on ``qubits``, in ascending
+    qubit order, not rescaled. It has 2^(m-k) entries, so a later
+    measurement addresses a qubit by its position among them. Fixing the
+    leading qubits 0..k-1 returns a view of ``amps``, which is never
+    written.
+    """
+    m = amps.shape[0].bit_length() - 1
+    # block fixes each measured axis to its bit in the drawn basis state
+    block = [slice(None)] * m
+    for q in qubits:
+        block[q] = (index >> (m - 1 - q)) & 1
+    return amps.reshape((2,) * m)[tuple(block)].reshape(-1)
 
 
 def _cumulative_law(amps: np.ndarray) -> np.ndarray:

@@ -158,25 +158,25 @@ def _draw(amps: Iterable[complex], rng: np.random.Generator) -> int:
     return min(bisect_right(cum, rng.random() * total), len(cum) - 1)
 
 
-def _run_ghz_protocol(amps, parties, rows, p, x_conj, rng):
+def _run_ghz_protocol(amps, index, subset, parties, rows, p, x_conj, rng):
     """GHZ-like subprotocol on the listed qubits; returns (accept, record).
 
-    ``amps`` holds the parties' qubits alone, in the order of ``parties``,
-    at any scale; each Z measurement is one draw_index on the whole block,
-    its outcome the drawn index's bits. With probability p all parties are
-    Z-measured and equal outcomes accept. Otherwise one trusted party k is
-    chosen, the others measure with random phase settings r_i, and k
-    measures in the basis derived from the parity data, ``rows`` (from
-    _trusted_rows); outcome 0 accepts.
+    ``amps`` is the whole register and ``index`` its Z draw, whose bits on
+    ``subset`` (R) selected this test. With probability p all parties are
+    Z-measured, their outcomes the index's bits, and equal outcomes accept.
+    Otherwise one trusted party k is chosen, the others measure with random
+    phase settings r_i (rotated onto Z, then one draw_index on the parties'
+    block), and k measures in the basis derived from the parity data,
+    ``rows`` (from _trusted_rows); outcome 0 accepts.
     x_conj conjugates every measurement by Pauli X.
     """
-    count = len(parties)
     if p > 0.0 and rng.random() < p:
-        index = draw_index(amps, rng)
-        outcomes = [(index >> (count - 1 - q)) & 1 for q in range(count)]
+        outcomes = [(index >> (2 * len(parties) - 1 - q)) & 1 for q in parties]
         accept = len(set(outcomes)) == 1
         sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": outcomes, "x_conj": x_conj}
         return accept, sub
+    count = len(parties)
+    amps = collapse(amps, subset, index)
     # one exactly uniform integer: the trusted party's position, then the
     # count - 1 others' settings as its low bits
     k_pos, settings = divmod(int(rng.integers(count << (count - 1))), 1 << (count - 1))
@@ -205,13 +205,14 @@ def _run_ghz_protocol(amps, parties, rows, p, x_conj, rng):
     return o[k_pos] == 0, sub
 
 
-def _run_dicke_protocol(amps, parties, k, rng):
+def _run_dicke_protocol(amps, index, parties, k, rng):
     """Dicke subprotocol with excitation number k; returns (accept, record).
 
-    ``amps`` holds the parties' qubits alone, in the order of ``parties``
-    (ascending), at any scale. A random pair is set aside, the rest are
-    Z-measured (one draw_index on the whole block), and the pair is measured
-    in Z or X depending on how many excitations are missing.
+    ``amps`` is the whole register and ``index`` its Z draw; ``parties``
+    (ascending) are the qubits outside R. A random pair is set aside, the
+    rest are Z-measured, their outcomes the index's bits, and the pair is
+    measured in Z or X depending on how many excitations are missing, on
+    its four amplitudes at the index's other bits.
     """
     count = len(parties)
     # one exactly uniform integer over the count (count - 1) ordered pairs
@@ -219,11 +220,10 @@ def _run_dicke_protocol(amps, parties, k, rng):
     if j >= i:
         j += 1
     pair = sorted((parties[i], parties[j]))
-    index = draw_index(amps, rng)
-    o_rest = [(index >> (count - 1 - q)) & 1 for q in range(count) if q != i and q != j]
+    o_rest = [(index >> (2 * count - 1 - q)) & 1 for q in parties if q not in pair]
     s_rest = sum(o_rest)
-    # the pair's four amplitudes in the drawn block, in ascending qubit order
-    first, second = 1 << (count - 1 - min(i, j)), 1 << (count - 1 - max(i, j))
+    # the pair's four amplitudes at the drawn index's other bits, in ascending qubit order
+    first, second = 1 << (2 * count - 1 - pair[0]), 1 << (2 * count - 1 - pair[1])
     base = index & ~(first | second)
     a00, a01, a10, a11 = (amps.item(base | b) for b in (0, second, first, first | second))
     pair_basis = None
@@ -284,18 +284,21 @@ def verify_copy(
     order = list(range(m))
     rng.shuffle(order)
     subset = tuple(sorted(order[:n]))
-    z_outcomes, amps = collapse(copy.amps, subset, rng, copy.law)
+    # one Z draw of the whole register, whose joint law Z measurements of
+    # disjoint qubits in sequence share: R's outcome and every later Z outcome are its bits
+    index = draw_index(copy.amps, rng, copy.law)
+    z_outcomes = tuple([(index >> (m - 1 - q)) & 1 for q in subset])
     total = sum(z_outcomes)
     parties = sorted(order[n:])
     if total == 0:
         branch = "i"
-        accept, sub = _run_ghz_protocol(amps, parties, rows, p, False, rng)
+        accept, sub = _run_ghz_protocol(copy.amps, index, subset, parties, rows, p, False, rng)
     elif total == n:
         branch = "iii"
-        accept, sub = _run_ghz_protocol(amps, parties, rows, p, True, rng)
+        accept, sub = _run_ghz_protocol(copy.amps, index, subset, parties, rows, p, True, rng)
     else:
         branch = "ii"
-        accept, sub = _run_dicke_protocol(amps, parties, n - total, rng)
+        accept, sub = _run_dicke_protocol(copy.amps, index, parties, n - total, rng)
     return CopyVerdict(copy_index, subset, z_outcomes, branch, sub, accept)
 
 

@@ -28,13 +28,16 @@ the coherent_mix swap as a 2^(2n) x 2^(2n) unitary from its definition,
 fidelities and expectation values of dense states and
 operators, and the diagonal remainder's eigenvalue profile are test-only
 too. ``measure``, the generic joint measurement in per-qubit bases that
-returns the normalized conditional state, checks ``qcore.collapse``, the
-library's one measurement (Z only, unscaled), and ``qcore.draw_index``, its
-draw alone. The per-copy verification route that measures every stage with
-it, the one- and two-qubit tails included, checks that the library's stages,
-which read their outcomes and scalar tails off one drawn index per block,
-draw the same outcomes; it draws R by ``rng.permutation``, so it also pins
-the library's list shuffle to the same draws. The robust
+returns the normalized conditional state, checks ``qcore.draw_index``, the
+library's one draw (Z only, unscaled), and ``qcore.collapse``, the block an
+index leaves; ``project`` forms that conditional state for given outcome
+bits. The per-copy verification route checks that the library's stages
+draw the same outcomes: it Z-measures the whole register once with
+``measure``, reads R's bits, the all-Z test's and the Dicke rest's off that
+draw, projects onto them for the GHZ-like block and the Dicke pair, and
+measures the rotated parties, the trusted party and the pair with
+``measure`` in their bases. It draws R by ``rng.permutation``, so it also
+pins the library's list shuffle to the same draws. The robust
 loop with one ``apply_to_pure`` call per copy checks the loop that takes
 each attempt's copies from one stream of trajectories. The sweep CSV
 written through ``csv.writer``, one ``format`` call per float at each
@@ -655,10 +658,9 @@ def measure(amps, qubits, rng, bases=None, law=None):
     ``law``, the cumulative |amplitude|^2 of ``amps`` (``PureState.law``),
     spares forming it; it is the law in Z, so it cannot come with ``bases``.
     Returns the outcome bits in the order of ``qubits`` and the normalized
-    conditional state of the unmeasured qubits alone: 2^(m-k) amplitudes,
-    the unmeasured qubits in ascending order, so a later measurement
-    addresses a qubit by its position among them. The generic route that
-    ``qcore.collapse`` (Z only, unscaled) replaced in the library.
+    conditional state of the unmeasured qubits alone (``project``). The
+    generic route that ``qcore.draw_index`` and ``qcore.collapse`` (Z only,
+    unscaled) replaced in the library.
     """
     m = amps.shape[0].bit_length() - 1
     if bases is not None:
@@ -670,12 +672,21 @@ def measure(amps, qubits, rng, bases=None, law=None):
         law = _cumulative_law(amps)
     drawn = min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
     outcomes = tuple([(drawn >> (m - 1 - q)) & 1 for q in qubits])
-    # block fixes each measured axis to its bit in the drawn basis state
+    return outcomes, project(amps, qubits, outcomes)
+
+
+def project(amps, qubits, bits):
+    """The normalized state that outcome ``bits`` on ``qubits`` leaves the
+    unmeasured qubits: 2^(m-k) amplitudes, the unmeasured qubits in
+    ascending order, so a later measurement addresses a qubit by its
+    position among them."""
+    m = amps.shape[0].bit_length() - 1
+    # block fixes each measured axis to its bit
     block = [slice(None)] * m
-    for q, o in zip(qubits, outcomes):
+    for q, o in zip(qubits, bits):
         block[q] = o
     rest = amps.reshape((2,) * m)[tuple(block)].reshape(-1)
-    return outcomes, rest * (1.0 / math.sqrt(np.vdot(rest, rest).real))
+    return rest * (1.0 / math.sqrt(np.vdot(rest, rest).real))
 
 
 _X_ROWS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / SQ2
@@ -691,22 +702,25 @@ def _ghz_rows(r, x_conj):
 _GHZ_ROWS = {(r, x): _ghz_rows(r, x) for r in (0, 1) for x in (False, True)}
 
 
-def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
+def _run_ghz_protocol(amps, drawn, subset, parties, lam0, lam1, p, x_conj, rng):
     """GHZ-like subprotocol on the listed qubits; returns (accept, record).
 
-    ``amps`` holds the parties' qubits alone, in the order of ``parties``.
-    With probability p all parties are Z-measured and equal outcomes
-    accept. Otherwise one trusted party k is chosen, the others measure
+    ``amps`` is the whole register and ``drawn`` its Z outcome, one bit per
+    qubit, whose bits on ``subset`` (R) selected this test. With
+    probability p all parties are Z-measured, their outcomes the drawn
+    bits, and equal outcomes accept. Otherwise one trusted party k is chosen, the others measure
     with random phase settings r_i, and k measures in the basis derived
     from the parity data; outcome 0 accepts. x_conj conjugates every
     measurement by Pauli X.
     """
     count = len(parties)
     if p > 0.0 and rng.random() < p:
-        outcomes, _ = measure(amps, range(count), rng)
+        outcomes = [drawn[q] for q in parties]
         accept = len(set(outcomes)) == 1
-        sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": list(outcomes), "x_conj": x_conj}
+        sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": outcomes, "x_conj": x_conj}
         return accept, sub
+    # the parties' conditional state given R's bits, in the order of parties
+    amps = project(amps, subset, [drawn[q] for q in subset])
     # one exactly uniform integer: the trusted party's position, then the
     # count - 1 others' settings as its low bits
     k_pos, settings = divmod(int(rng.integers(count << (count - 1))), 1 << (count - 1))
@@ -735,13 +749,14 @@ def _run_ghz_protocol(amps, parties, lam0, lam1, p, x_conj, rng):
     return o_k == 0, sub
 
 
-def _run_dicke_protocol(amps, parties, k, rng):
+def _run_dicke_protocol(amps, drawn, parties, k, rng):
     """Dicke subprotocol with excitation number k; returns (accept, record).
 
-    ``amps`` holds the parties' qubits alone, in the order of ``parties``
-    (ascending). A random pair is set aside, the rest are Z-measured, and
-    the pair is measured in Z or X depending on how many excitations are
-    missing.
+    ``amps`` is the whole register and ``drawn`` its Z outcome, one bit per
+    qubit; ``parties`` (ascending) are the qubits outside R. A random pair
+    is set aside, the rest are Z-measured, their outcomes the drawn bits,
+    and the pair is measured in Z or X depending on how many excitations
+    are missing.
     """
     count = len(parties)
     # one exactly uniform integer over the count (count - 1) ordered pairs
@@ -749,8 +764,11 @@ def _run_dicke_protocol(amps, parties, k, rng):
     if j >= i:
         j += 1
     pair = sorted((parties[i], parties[j]))
-    o_rest, amps = measure(amps, [q for q in range(count) if q not in (i, j)], rng)
+    o_rest = [drawn[q] for q in parties if q not in pair]
     s_rest = sum(o_rest)
+    # the pair's conditional state given R's and the rest's bits
+    fixed = [q for q in range(len(drawn)) if q not in pair]
+    amps = project(amps, fixed, [drawn[q] for q in fixed])
     pair_basis = None
     pair_outcomes = None
     accept = False
@@ -768,7 +786,7 @@ def _run_dicke_protocol(amps, parties, k, rng):
         "type": "dicke",
         "k": k,
         "pair": pair,
-        "o_rest": list(o_rest),
+        "o_rest": o_rest,
         "s_rest": s_rest,
         "pair_basis": pair_basis,
         "pair_outcomes": None if pair_outcomes is None else list(pair_outcomes),
@@ -777,10 +795,12 @@ def _run_dicke_protocol(amps, parties, k, rng):
 
 
 def verify_copy_reference(copy, n, q0, p, rng, copy_index=0):
-    """The per-copy verification measurement with the generic ``measure``
-    at every stage, the trusted party's last qubit and the Dicke pair
-    included: the route ``verify_copy`` replaced, drawing the same uniforms
-    in the same order."""
+    """The per-copy verification measurement with the generic ``measure``:
+    one Z measurement of the whole register, whose bits give R's outcome,
+    the all-Z test's and the Dicke rest's, then ``measure`` on the projected
+    GHZ-like block and Dicke pair, the trusted party's last qubit included:
+    the route ``verify_copy`` replaced, drawing the same uniforms in the
+    same order."""
     lam0, lam1 = lambda_map(n, q0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -788,18 +808,19 @@ def verify_copy_reference(copy, n, q0, p, rng, copy_index=0):
     if copy.num_qubits != m:
         raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")
     subset = tuple(sorted(rng.permutation(m)[:n].tolist()))
-    z_outcomes, amps = measure(copy.amps, subset, rng)
+    drawn, _ = measure(copy.amps, range(m), rng)
+    z_outcomes = tuple(drawn[q] for q in subset)
     total = sum(z_outcomes)
     parties = [q for q in range(m) if q not in subset]
     if total == 0:
         branch = "i"
-        accept, sub = _run_ghz_protocol(amps, parties, lam0, lam1, p, False, rng)
+        accept, sub = _run_ghz_protocol(copy.amps, drawn, subset, parties, lam0, lam1, p, False, rng)
     elif total == n:
         branch = "iii"
-        accept, sub = _run_ghz_protocol(amps, parties, lam0, lam1, p, True, rng)
+        accept, sub = _run_ghz_protocol(copy.amps, drawn, subset, parties, lam0, lam1, p, True, rng)
     else:
         branch = "ii"
-        accept, sub = _run_dicke_protocol(amps, parties, n - total, rng)
+        accept, sub = _run_dicke_protocol(copy.amps, drawn, parties, n - total, rng)
     return CopyVerdict(copy_index, subset, z_outcomes, branch, sub, accept)
 
 

@@ -5,7 +5,8 @@ partial measurements, the exact Kraus-sum density for channel
 trajectories, dense numpy diagonalization for eig_top2, and exact
 binomial outcome distributions for the sampling law. The generic
 ``measure`` of the oracles, with bases and normalization, keeps its own
-tests here, and checks the library's Z ``collapse``.
+tests here, and checks the library's Z draw, ``draw_index``, and the
+block that ``collapse`` slices at the drawn index.
 """
 
 import time
@@ -33,6 +34,7 @@ from aqsense.qcore import (
     RngStream,
     _probe_bytes,
     collapse,
+    draw_index,
     eig_top2,
     evolve_phases,
     make_target,
@@ -534,6 +536,14 @@ class TestMeasurement:
         np.testing.assert_allclose(post, rest.reshape(-1), atol=1e-12)
 
 
+def drawn_collapse(amps, qubits, rng, law=None):
+    """One draw_index, then collapse at the drawn index: the outcome bits on
+    ``qubits``, in the order listed, and the block they leave."""
+    m = amps.shape[0].bit_length() - 1
+    index = draw_index(amps, rng, law)
+    return tuple((index >> (m - 1 - q)) & 1 for q in qubits), collapse(amps, qubits, index)
+
+
 class TestCollapse:
     @pytest.mark.parametrize("n", [3, 4])
     def test_law_passed_or_formed_collapses_alike(self, n):
@@ -542,8 +552,8 @@ class TestCollapse:
         for _ in range(200):
             qubits = sorted(gen.permutation(2 * n)[:n].tolist())
             seed = int(gen.integers(1 << 30))
-            with_law = collapse(st.amps, qubits, RngStream(seed).gen, st.law)
-            without = collapse(st.amps, qubits, RngStream(seed).gen)
+            with_law = drawn_collapse(st.amps, qubits, RngStream(seed).gen, st.law)
+            without = drawn_collapse(st.amps, qubits, RngStream(seed).gen)
             assert with_law[0] == without[0]
             np.testing.assert_array_equal(with_law[1], without[1])
 
@@ -558,7 +568,7 @@ class TestCollapse:
             for _ in range(40):
                 qubits = gen.permutation(m)[: int(gen.integers(1, m + 1))].tolist()
                 seed = int(gen.integers(1 << 30))
-                outcomes, block = collapse(amps, qubits, RngStream(seed).gen)
+                outcomes, block = drawn_collapse(amps, qubits, RngStream(seed).gen)
                 expected, post = measure(amps, qubits, RngStream(seed).gen)
                 assert outcomes == expected
                 _, prob = collapse_subset(amps, m, qubits, outcomes)
@@ -570,10 +580,10 @@ class TestCollapse:
         before = st.amps.copy()
         for seed in range(8):
             for qubits in ([0], [0, 1, 2], [1, 4], [5, 0]):
-                _, block = collapse(st.amps, qubits, RngStream(seed).gen, st.law)
+                _, block = drawn_collapse(st.amps, qubits, RngStream(seed).gen, st.law)
                 # a block that shares the caller's memory is read-only too
                 assert block.flags.writeable != np.shares_memory(block, st.amps)
-            _, lead = collapse(st.amps, [0, 1], RngStream(seed).gen)
+            _, lead = drawn_collapse(st.amps, [0, 1], RngStream(seed).gen)
             assert np.shares_memory(lead, st.amps) and lead.base is not None
         np.testing.assert_array_equal(st.amps, before)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +45,59 @@ def strategy_expectation(n, q0, p, state):
     if isinstance(state, PureState):
         return expectation(state, omega)
     return float(np.trace(omega @ state).real)
+
+
+def copy_cell(verdict):
+    """The outcome cell of one verdict: (branch, s_rest, pair_basis,
+    pair_outcomes) for the Dicke test, and (branch, a, weight of the
+    parties' outcomes when a = 0) for the GHZ-like test."""
+    sub = verdict.sub
+    if verdict.branch == "ii":
+        outcomes = sub["pair_outcomes"]
+        return "ii", sub["s_rest"], sub["pair_basis"], None if outcomes is None else tuple(outcomes)
+    return verdict.branch, sub["a"], sum(sub["o"]) if sub["a"] == 0 else None
+
+
+def sequential_cell_law(amps, n, p):
+    """The exact law of copy_cell for verify_copy, from projectors on the
+    whole register: R Z-measured, then the parties' Z measurements and the
+    pair's Z or X measurement. A run of such projectors on outcome bits x
+    has probability |<x|U psi>|^2, where U is the identity, or a Hadamard on
+    each pair qubit when the pair is measured in X (it commutes with the Z
+    projectors of the other qubits); R, and the pair within the other half,
+    are uniform."""
+    m = 2 * n
+    bits = (np.arange(1 << m)[:, None] >> (m - 1 - np.arange(m))) & 1
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    weight_z = np.abs(amps) ** 2
+    law = Counter()
+    subsets = list(itertools.combinations(range(m), n))
+    for subset in subsets:
+        parties = [q for q in range(m) if q not in subset]
+        total = bits[:, list(subset)].sum(axis=1)
+        for branch, hit in (("i", total == 0), ("iii", total == n)):
+            law[branch, 1, None] += (1.0 - p) * weight_z[hit].sum() / len(subsets)
+            weight = bits[hit][:, parties].sum(axis=1)
+            for w in range(n + 1):
+                law[branch, 0, w] += p * weight_z[hit][weight == w].sum() / len(subsets)
+        pairs = list(itertools.combinations(parties, 2))
+        k = n - total
+        dicke = (total > 0) & (total < n)
+        for a, b in pairs:
+            rotation = np.ones((1, 1))
+            for q in range(m):
+                rotation = np.kron(rotation, hadamard if q in (a, b) else np.eye(2))
+            weight_x = np.abs(rotation @ amps) ** 2
+            s_rest = bits[:, [q for q in parties if q not in (a, b)]].sum(axis=1)
+            for x in np.flatnonzero(dicke):
+                if s_rest[x] in (k[x], k[x] - 2):
+                    cell, weight = ("Z", (int(bits[x, a]), int(bits[x, b]))), weight_z[x]
+                elif s_rest[x] == k[x] - 1:
+                    cell, weight = ("X", (int(bits[x, a]), int(bits[x, b]))), weight_x[x]
+                else:
+                    cell, weight = (None, None), weight_z[x]
+                law["ii", int(s_rest[x]), *cell] += weight / (len(subsets) * len(pairs))
+    return law
 
 
 def empirical_acceptance(copy, n, q0, p, trials, seed):
@@ -232,6 +287,31 @@ class TestVerifyCopy:
             assert verdict.as_record() == record
             tails.add(verdict.sub["a"] if verdict.branch != "ii" else verdict.sub["pair_basis"])
         assert tails >= {1, "Z", "X"} | ({0} if p else set())
+
+    @pytest.mark.parametrize("copy_kind", ["haar", "dephased"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_outcome_cells_follow_the_sequential_measurement_law(self, n, copy_kind):
+        # one register draw must give each stage the law of measuring the
+        # stages in sequence: the frequencies of every outcome cell over
+        # 20 000 copies against the projectors' law, within 4 sigma each
+        m = 2 * n
+        if copy_kind == "haar":
+            draw = np.random.default_rng(515 + n)
+            vec = draw.normal(size=1 << m) + 1j * draw.normal(size=1 << m)
+            copy = PureState(m, vec / np.linalg.norm(vec))
+        else:
+            # the target after a Z error on qubits 0 and 2, a dephasing trajectory
+            flips = ((np.arange(1 << m) >> (m - 1)) ^ (np.arange(1 << m) >> (m - 3))) & 1
+            copy = PureState(m, make_target(n, 0.33).amps * (1 - 2 * flips))
+        trials, p = 20000, 0.3
+        gen = RngStream(516 + n).gen
+        counts = Counter(copy_cell(verify_copy(copy, n, 0.33, p, gen)) for _ in range(trials))
+        law = sequential_cell_law(copy.amps, n, p)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert set(counts) <= set(law)
+        for cell, exact in law.items():
+            sigma = np.sqrt(exact * (1 - exact) / trials)
+            assert abs(counts[cell] / trials - exact) <= 4 * sigma, cell
 
     def test_reproducible_with_equal_streams(self):
         copy = make_dicke(6, 3)
