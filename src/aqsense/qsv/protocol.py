@@ -284,8 +284,8 @@ def verify_copy(
     order = list(range(m))
     rng.shuffle(order)
     subset = tuple(sorted(order[:n]))
-    # one Z draw of the whole register, whose joint law Z measurements of
-    # disjoint qubits in sequence share: R's outcome and every later Z outcome are its bits
+    # one Z draw of the whole register: Z measurements of disjoint qubits in
+    # sequence have its joint law, so R's outcome and every later Z outcome are its bits
     index = draw_index(copy.amps, rng, copy.law)
     z_outcomes = tuple([(index >> (m - 1 - q)) & 1 for q in subset])
     total = sum(z_outcomes)

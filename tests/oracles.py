@@ -708,10 +708,10 @@ def _run_ghz_protocol(amps, drawn, subset, parties, lam0, lam1, p, x_conj, rng):
     ``amps`` is the whole register and ``drawn`` its Z outcome, one bit per
     qubit, whose bits on ``subset`` (R) selected this test. With
     probability p all parties are Z-measured, their outcomes the drawn
-    bits, and equal outcomes accept. Otherwise one trusted party k is chosen, the others measure
-    with random phase settings r_i, and k measures in the basis derived
-    from the parity data; outcome 0 accepts. x_conj conjugates every
-    measurement by Pauli X.
+    bits, and equal outcomes accept. Otherwise one trusted party k is
+    chosen, the others measure with random phase settings r_i, and k
+    measures in the basis derived from the parity data; outcome 0 accepts.
+    x_conj conjugates every measurement by Pauli X.
     """
     count = len(parties)
     if p > 0.0 and rng.random() < p:
