@@ -8,8 +8,9 @@ channels held as a table of weighted unitary branches (a 2x2 unitary on
 every qubit, or one reflection of the whole state) that sample streams of
 trajectories from that state-independent branch law, drawing the uniforms
 of a chunk of copies at once, one Z draw of the whole register, whose
-index gives every measured qubit's outcome bit, and the slice of the
-unmeasured qubits' amplitudes, unscaled, that such an index leaves,
+index gives every measured qubit's outcome bit (every draw takes one
+uniform from its caller), and the slice of the unmeasured qubits'
+amplitudes, unscaled, that such an index leaves,
 seeded random streams (item i of a stream is a Philox generator whose key
 the stream derives once for all its items), and the two largest
 eigenvalues of a Hermitian matrix by dense diagonalization. The probe psi
@@ -237,14 +238,15 @@ def evolve_phases(state: PureState, omegas: Sequence[float], t: float) -> PureSt
     return PureState(m, amps)
 
 
-def draw_index(amps: np.ndarray, rng: np.random.Generator, law: np.ndarray | None = None) -> int:
+def draw_index(amps: np.ndarray, u: float, law: np.ndarray | None = None) -> int:
     """One joint Z measurement of every qubit of an amplitude vector: the
     index of the first basis state whose cumulative |amplitude|^2 (``law``,
-    ``PureState.law``, formed when not given) exceeds one uniform draw times
-    the total, clamped to the last. Its bits on any set of qubits follow
-    that set's joint law, so Z measurements of disjoint sets in sequence all
-    read their outcomes off one index, and ``collapse`` cuts out the block
-    that it leaves the other qubits.
+    ``PureState.law``, formed when not given) exceeds ``u``, a uniform the
+    caller draws from [0, 1), times the total, clamped to the last. Its
+    bits on any set of qubits follow that set's joint law, so Z
+    measurements of disjoint sets in sequence all read their outcomes off
+    one index, and ``collapse`` cuts out the block that it leaves the other
+    qubits.
 
     Every draw scales its uniform by the total weight it is given, so a
     block's norm is a scale factor no draw needs. Nor can the missing scale
@@ -253,7 +255,7 @@ def draw_index(amps: np.ndarray, rng: np.random.Generator, law: np.ndarray | Non
     """
     if law is None:
         law = _cumulative_law(amps)
-    return min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
+    return min(int(law.searchsorted(u * law[-1], side="right")), law.size - 1)
 
 
 def collapse(amps: np.ndarray, qubits: Sequence[int], index: int) -> np.ndarray:

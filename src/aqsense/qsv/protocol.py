@@ -146,46 +146,46 @@ def _trusted_rows(n: int, q0: float) -> dict:
     return rows
 
 
-def _draw(amps: Iterable[complex], rng: np.random.Generator) -> int:
+def _draw(amps: Iterable[complex], u: float) -> int:
     """draw_index's rule on a few amplitudes held as Python numbers: the first
-    basis state whose cumulative |amplitude|^2 exceeds one uniform draw
-    times the total, clamped to the last one."""
+    basis state whose cumulative |amplitude|^2 exceeds the uniform u times
+    the total, clamped to the last one."""
     total, cum = 0.0, []
     for a in amps:
         w = abs(a)
         total += w * w
         cum.append(total)
-    return min(bisect_right(cum, rng.random() * total), len(cum) - 1)
+    return min(bisect_right(cum, u * total), len(cum) - 1)
 
 
-def _run_ghz_protocol(amps, index, subset, parties, rows, p, x_conj, rng):
+def _run_ghz_protocol(amps, index, subset, parties, k, rows, p, x_conj, u):
     """GHZ-like subprotocol on the listed qubits; returns (accept, record).
 
     ``amps`` is the whole register and ``index`` its Z draw, whose bits on
-    ``subset`` (R) selected this test. With probability p all parties are
+    ``subset`` (R) selected this test. If u[1] < p all parties are
     Z-measured, their outcomes the index's bits, and equal outcomes accept.
-    Otherwise one trusted party k is chosen, the others measure with random
-    phase settings r_i (rotated onto Z, then one draw_index on the parties'
-    block), and k measures in the basis derived from the parity data,
-    ``rows`` (from _trusted_rows); outcome 0 accepts.
+    Otherwise party k is trusted, the others measure with phase settings
+    r_i read off u[2] (rotated onto Z, then drawn with u[3]), and k measures
+    with u[4] in the basis derived from the parity data, ``rows`` (from
+    _trusted_rows); outcome 0 accepts.
     x_conj conjugates every measurement by Pauli X.
     """
-    if p > 0.0 and rng.random() < p:
+    if u[1] < p:
         outcomes = [(index >> (2 * len(parties) - 1 - q)) & 1 for q in parties]
         accept = len(set(outcomes)) == 1
         sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": outcomes, "x_conj": x_conj}
         return accept, sub
     count = len(parties)
     amps = collapse(amps, subset, index)
-    # one exactly uniform integer: the trusted party's position, then the
-    # count - 1 others' settings as its low bits
-    k_pos, settings = divmod(int(rng.integers(count << (count - 1))), 1 << (count - 1))
+    k_pos = parties.index(k)
+    # the others' settings, exactly uniform bits: u[2] is a multiple of 2^-53
+    settings = int(u[2] * (1 << (count - 1)))
     others = [j for j in range(count) if j != k_pos]
     r_others = [(settings >> j) & 1 for j in range(len(others))]
     # each other party's basis rotated onto Z, as one 2x2 product on its axis
     for q, r in zip(others, r_others):
         amps = (_GHZ_ROWS[r, x_conj] @ amps.reshape(1 << q, 2, -1)).reshape(-1)
-    index = draw_index(amps, rng)
+    index = draw_index(amps, u[3])
     o = [(index >> (count - 1 - q)) & 1 for q in range(count)]
     r_k = sum(r_others) % 2
     total_r = sum(r_others) + r_k
@@ -193,11 +193,11 @@ def _run_ghz_protocol(amps, index, subset, parties, rows, p, x_conj, rng):
     # the trusted party's two amplitudes: the drawn block at its bit 0 and 1
     k_bit = 1 << (count - 1 - k_pos)
     a0, a1 = amps.item(index & ~k_bit), amps.item(index | k_bit)
-    o[k_pos] = _draw((c0 * a0 + c1 * a1 for c0, c1 in rows[e, r_k, x_conj]), rng)
+    o[k_pos] = _draw((c0 * a0 + c1 * a1 for c0, c1 in rows[e, r_k, x_conj]), u[4])
     sub = {
         "type": "ghz",
         "a": 1,
-        "k": parties[k_pos],
+        "k": k,
         "r": r_others[:k_pos] + [r_k] + r_others[k_pos:],
         "o": o,
         "x_conj": x_conj,
@@ -205,44 +205,38 @@ def _run_ghz_protocol(amps, index, subset, parties, rows, p, x_conj, rng):
     return o[k_pos] == 0, sub
 
 
-def _run_dicke_protocol(amps, index, parties, k, rng):
+def _run_dicke_protocol(amps, index, parties, pair, k, u):
     """Dicke subprotocol with excitation number k; returns (accept, record).
 
     ``amps`` is the whole register and ``index`` its Z draw; ``parties``
-    (ascending) are the qubits outside R. A random pair is set aside, the
-    rest are Z-measured, their outcomes the index's bits, and the pair is
-    measured in Z or X depending on how many excitations are missing, on
-    its four amplitudes at the index's other bits.
+    (ascending) are the qubits outside R and ``pair`` (ascending) two of
+    them, set aside while the rest are Z-measured. The pair is measured in
+    Z or X depending on how many excitations are missing. Every Z outcome
+    is the index's bit; the X pair is drawn with u[4] on its four
+    amplitudes at the index's other bits.
     """
-    count = len(parties)
-    # one exactly uniform integer over the count (count - 1) ordered pairs
-    i, j = divmod(int(rng.integers(count * (count - 1))), count - 1)
-    if j >= i:
-        j += 1
-    pair = sorted((parties[i], parties[j]))
-    o_rest = [(index >> (2 * count - 1 - q)) & 1 for q in parties if q not in pair]
+    m = 2 * len(parties)
+    o_rest = [(index >> (m - 1 - q)) & 1 for q in parties if q not in pair]
     s_rest = sum(o_rest)
-    # the pair's four amplitudes at the drawn index's other bits, in ascending qubit order
-    first, second = 1 << (2 * count - 1 - pair[0]), 1 << (2 * count - 1 - pair[1])
-    base = index & ~(first | second)
-    a00, a01, a10, a11 = (amps.item(base | b) for b in (0, second, first, first | second))
-    pair_basis = None
-    pair_outcomes = None
+    pair_basis = pair_outcomes = None
     accept = False
     if s_rest in (k, k - 2):
         pair_basis = "Z"
-        drawn = _draw((a00, a01, a10, a11), rng)
-        pair_outcomes = (drawn >> 1, drawn & 1)
+        pair_outcomes = tuple([(index >> (m - 1 - q)) & 1 for q in pair])
         want = 0 if s_rest == k else 1
         accept = pair_outcomes == (want, want)
     elif s_rest == k - 1:
         pair_basis = "X"
-        # the Hadamard on the first qubit, then on the second, each entry a
-        # sum of products as a 2x2 rotation forms it, so the weights round alike
+        # the pair's amplitudes at the index's other bits, then the Hadamard on
+        # the first qubit and on the second, each entry a sum of products as a
+        # 2x2 rotation forms it, so the weights round alike
+        first, second = 1 << (m - 1 - pair[0]), 1 << (m - 1 - pair[1])
+        base = index & ~(first | second)
+        a00, a01, a10, a11 = (amps.item(base | b) for b in (0, second, first, first | second))
         b00, b01 = _H * a00 + _H * a10, _H * a01 + _H * a11
         b10, b11 = _H * a00 - _H * a10, _H * a01 - _H * a11
         drawn = _draw((_H * b00 + _H * b01, _H * b00 - _H * b01,
-                       _H * b10 + _H * b11, _H * b10 - _H * b11), rng)
+                       _H * b10 + _H * b11, _H * b10 - _H * b11), u[4])
         pair_outcomes = (drawn >> 1, drawn & 1)
         accept = pair_outcomes[0] == pair_outcomes[1]
     sub = {
@@ -280,25 +274,28 @@ def verify_copy(
     m = 2 * n
     if copy.num_qubits != m:
         raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")
-    # the same draws as rng.permutation(m).tolist(), without the array
+    # a copy's two draws: the qubits shuffled (the same draws as
+    # rng.permutation(m)), R the first n and the trusted party or the Dicke
+    # pair the next, and five uniforms, the register's draw and the tails'
     order = list(range(m))
     rng.shuffle(order)
+    u = rng.random(5).tolist()
     subset = tuple(sorted(order[:n]))
     # one Z draw of the whole register: Z measurements of disjoint qubits in
     # sequence have its joint law, so R's outcome and every later Z outcome are its bits
-    index = draw_index(copy.amps, rng, copy.law)
+    index = draw_index(copy.amps, u[0], copy.law)
     z_outcomes = tuple([(index >> (m - 1 - q)) & 1 for q in subset])
     total = sum(z_outcomes)
     parties = sorted(order[n:])
     if total == 0:
         branch = "i"
-        accept, sub = _run_ghz_protocol(copy.amps, index, subset, parties, rows, p, False, rng)
+        accept, sub = _run_ghz_protocol(copy.amps, index, subset, parties, order[n], rows, p, False, u)
     elif total == n:
         branch = "iii"
-        accept, sub = _run_ghz_protocol(copy.amps, index, subset, parties, rows, p, True, rng)
+        accept, sub = _run_ghz_protocol(copy.amps, index, subset, parties, order[n], rows, p, True, u)
     else:
         branch = "ii"
-        accept, sub = _run_dicke_protocol(copy.amps, index, parties, n - total, rng)
+        accept, sub = _run_dicke_protocol(copy.amps, index, parties, sorted(order[n:n + 2]), n - total, u)
     return CopyVerdict(copy_index, subset, z_outcomes, branch, sub, accept)
 
 

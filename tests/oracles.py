@@ -32,12 +32,14 @@ returns the normalized conditional state, checks ``qcore.draw_index``, the
 library's one draw (Z only, unscaled), and ``qcore.collapse``, the block an
 index leaves; ``project`` forms that conditional state for given outcome
 bits. The per-copy verification route checks that the library's stages
-draw the same outcomes: it Z-measures the whole register once with
-``measure``, reads R's bits, the all-Z test's and the Dicke rest's off that
-draw, projects onto them for the GHZ-like block and the Dicke pair, and
-measures the rotated parties, the trusted party and the pair with
-``measure`` in their bases. It draws R by ``rng.permutation``, so it also
-pins the library's list shuffle to the same draws. The robust
+draw the same outcomes from the same draws, one permutation of the qubits
+and five uniforms: it Z-measures the whole register once with ``measure``,
+reads R's bits and those of the all-Z test, the Dicke rest and the Dicke Z
+pair off that draw, projects onto them for the GHZ-like block and the Dicke X pair, and
+measures the rotated parties, the trusted party and the X pair with
+``measure`` in their bases. It draws R, the trusted party and the pair by
+``rng.permutation``, so it also pins the library's list shuffle to the
+same draws. The robust
 loop with one ``apply_to_pure`` call per copy checks the loop that takes
 each attempt's copies from one stream of trajectories. The sweep CSV
 written through ``csv.writer``, one ``format`` call per float at each
@@ -647,14 +649,15 @@ def pauli_witness_bound(n: int, q0: float) -> float:
     return float(bound)
 
 
-def measure(amps, qubits, rng, bases=None, law=None):
+def measure(amps, qubits, u, bases=None, law=None):
     """Measure several qubits of a normalized amplitude vector at once.
 
     ``bases[j]`` is a 2x2 matrix whose orthonormal rows are the kets measured
     on ``qubits[j]``; without ``bases`` every listed qubit is measured in Z.
-    Each listed qubit is rotated so that row o of its basis becomes |o>; one
-    uniform draw then picks a basis state from |amplitude|^2, whose bits on
-    the listed qubits follow their joint marginal law and are the outcome.
+    Each listed qubit is rotated so that row o of its basis becomes |o>; the
+    uniform ``u``, drawn by the caller, then picks a basis state from
+    |amplitude|^2, whose bits on the listed qubits follow their joint
+    marginal law and are the outcome.
     ``law``, the cumulative |amplitude|^2 of ``amps`` (``PureState.law``),
     spares forming it; it is the law in Z, so it cannot come with ``bases``.
     Returns the outcome bits in the order of ``qubits`` and the normalized
@@ -670,7 +673,7 @@ def measure(amps, qubits, rng, bases=None, law=None):
             amps = _apply_local(rows.conj(), amps, q)
     if law is None:
         law = _cumulative_law(amps)
-    drawn = min(int(law.searchsorted(rng.random() * law[-1], side="right")), law.size - 1)
+    drawn = min(int(law.searchsorted(u * law[-1], side="right")), law.size - 1)
     outcomes = tuple([(drawn >> (m - 1 - q)) & 1 for q in qubits])
     return outcomes, project(amps, qubits, outcomes)
 
@@ -702,31 +705,30 @@ def _ghz_rows(r, x_conj):
 _GHZ_ROWS = {(r, x): _ghz_rows(r, x) for r in (0, 1) for x in (False, True)}
 
 
-def _run_ghz_protocol(amps, drawn, subset, parties, lam0, lam1, p, x_conj, rng):
+def _run_ghz_protocol(amps, drawn, subset, parties, k, lam0, lam1, p, x_conj, u):
     """GHZ-like subprotocol on the listed qubits; returns (accept, record).
 
     ``amps`` is the whole register and ``drawn`` its Z outcome, one bit per
-    qubit, whose bits on ``subset`` (R) selected this test. With
-    probability p all parties are Z-measured, their outcomes the drawn
-    bits, and equal outcomes accept. Otherwise one trusted party k is
-    chosen, the others measure with random phase settings r_i, and k
-    measures in the basis derived from the parity data; outcome 0 accepts.
-    x_conj conjugates every measurement by Pauli X.
+    qubit, whose bits on ``subset`` (R) selected this test. If u[1] < p
+    all parties are Z-measured, their outcomes the drawn bits, and equal
+    outcomes accept. Otherwise party k is trusted, the others measure with
+    the phase settings r_i that u[2] gives (drawn with u[3]), and k
+    measures with u[4] in the basis derived from the parity data; outcome
+    0 accepts. x_conj conjugates every measurement by Pauli X.
     """
     count = len(parties)
-    if p > 0.0 and rng.random() < p:
+    if u[1] < p:
         outcomes = [drawn[q] for q in parties]
         accept = len(set(outcomes)) == 1
         sub = {"type": "ghz", "a": 0, "k": None, "r": None, "o": outcomes, "x_conj": x_conj}
         return accept, sub
     # the parties' conditional state given R's bits, in the order of parties
     amps = project(amps, subset, [drawn[q] for q in subset])
-    # one exactly uniform integer: the trusted party's position, then the
-    # count - 1 others' settings as its low bits
-    k_pos, settings = divmod(int(rng.integers(count << (count - 1))), 1 << (count - 1))
+    k_pos = parties.index(k)
+    settings = math.floor(u[2] * 2 ** (count - 1))
     others = [j for j in range(count) if j != k_pos]
     r_others = [(settings >> j) & 1 for j in range(len(others))]
-    o_others, amps = measure(amps, others, rng, [_GHZ_ROWS[r, x_conj] for r in r_others])
+    o_others, amps = measure(amps, others, u[3], [_GHZ_ROWS[r, x_conj] for r in r_others])
     r_k = sum(r_others) % 2
     total_r = sum(r_others) + r_k
     e = (sum(o_others) + total_r // 2) % 2
@@ -737,11 +739,11 @@ def _run_ghz_protocol(amps, drawn, subset, parties, lam0, lam1, p, x_conj, rng):
     accept_ket /= np.linalg.norm(accept_ket)
     reject_ket = np.array([-np.conj(accept_ket[1]), np.conj(accept_ket[0])])
     # the trusted party is the one qubit left
-    (o_k,), _ = measure(amps, [0], rng, [np.array([accept_ket, reject_ket])])
+    (o_k,), _ = measure(amps, [0], u[4], [np.array([accept_ket, reject_ket])])
     sub = {
         "type": "ghz",
         "a": 1,
-        "k": parties[k_pos],
+        "k": k,
         "r": r_others[:k_pos] + [r_k] + r_others[k_pos:],
         "o": list(o_others[:k_pos]) + [o_k] + list(o_others[k_pos:]),
         "x_conj": x_conj,
@@ -749,38 +751,33 @@ def _run_ghz_protocol(amps, drawn, subset, parties, lam0, lam1, p, x_conj, rng):
     return o_k == 0, sub
 
 
-def _run_dicke_protocol(amps, drawn, parties, k, rng):
+def _run_dicke_protocol(amps, drawn, parties, pair, k, u):
     """Dicke subprotocol with excitation number k; returns (accept, record).
 
     ``amps`` is the whole register and ``drawn`` its Z outcome, one bit per
-    qubit; ``parties`` (ascending) are the qubits outside R. A random pair
-    is set aside, the rest are Z-measured, their outcomes the drawn bits,
-    and the pair is measured in Z or X depending on how many excitations
-    are missing.
+    qubit; ``parties`` (ascending) are the qubits outside R and ``pair``
+    two of them, set aside while the rest are Z-measured, their outcomes
+    the drawn bits. The pair is measured in Z, its outcomes the drawn bits
+    too, or in X with u[4], depending on how many excitations are missing.
     """
-    count = len(parties)
-    # one exactly uniform integer over the count (count - 1) ordered pairs
-    i, j = divmod(int(rng.integers(count * (count - 1))), count - 1)
-    if j >= i:
-        j += 1
-    pair = sorted((parties[i], parties[j]))
+    pair = sorted(pair)
     o_rest = [drawn[q] for q in parties if q not in pair]
     s_rest = sum(o_rest)
-    # the pair's conditional state given R's and the rest's bits
-    fixed = [q for q in range(len(drawn)) if q not in pair]
-    amps = project(amps, fixed, [drawn[q] for q in fixed])
     pair_basis = None
     pair_outcomes = None
     accept = False
-    # the pair is the two qubits left, in ascending order
     if s_rest in (k, k - 2):
         pair_basis = "Z"
-        pair_outcomes, _ = measure(amps, (0, 1), rng)
+        pair_outcomes = (drawn[pair[0]], drawn[pair[1]])
         want = 0 if s_rest == k else 1
         accept = pair_outcomes == (want, want)
     elif s_rest == k - 1:
         pair_basis = "X"
-        pair_outcomes, _ = measure(amps, (0, 1), rng, [_X_ROWS, _X_ROWS])
+        # the pair's conditional state given R's and the rest's bits, the
+        # pair the two qubits left, in ascending order
+        fixed = [q for q in range(len(drawn)) if q not in pair]
+        amps = project(amps, fixed, [drawn[q] for q in fixed])
+        pair_outcomes, _ = measure(amps, (0, 1), u[4], [_X_ROWS, _X_ROWS])
         accept = pair_outcomes[0] == pair_outcomes[1]
     sub = {
         "type": "dicke",
@@ -796,31 +793,35 @@ def _run_dicke_protocol(amps, drawn, parties, k, rng):
 
 def verify_copy_reference(copy, n, q0, p, rng, copy_index=0):
     """The per-copy verification measurement with the generic ``measure``:
-    one Z measurement of the whole register, whose bits give R's outcome,
-    the all-Z test's and the Dicke rest's, then ``measure`` on the projected
-    GHZ-like block and Dicke pair, the trusted party's last qubit included:
-    the route ``verify_copy`` replaced, drawing the same uniforms in the
-    same order."""
+    one permutation of the qubits, whose first n are R and whose next one
+    or two are the trusted party or the Dicke pair, then five uniforms: one
+    Z measurement of the whole register, whose bits give R's outcome, the
+    all-Z test's, the Dicke rest's and the Dicke Z pair's, then ``measure``
+    on the projected GHZ-like block, the trusted party's last qubit and the
+    Dicke X pair: the route ``verify_copy`` replaced, taking the same draws
+    for the same stages."""
     lam0, lam1 = lambda_map(n, q0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     m = 2 * n
     if copy.num_qubits != m:
         raise ValueError(f"copy has {copy.num_qubits} qubits, expected {m}")
-    subset = tuple(sorted(rng.permutation(m)[:n].tolist()))
-    drawn, _ = measure(copy.amps, range(m), rng)
+    order = rng.permutation(m).tolist()
+    u = [float(x) for x in rng.random(5)]
+    subset = tuple(sorted(order[:n]))
+    drawn, _ = measure(copy.amps, range(m), u[0])
     z_outcomes = tuple(drawn[q] for q in subset)
     total = sum(z_outcomes)
     parties = [q for q in range(m) if q not in subset]
     if total == 0:
         branch = "i"
-        accept, sub = _run_ghz_protocol(copy.amps, drawn, subset, parties, lam0, lam1, p, False, rng)
+        accept, sub = _run_ghz_protocol(copy.amps, drawn, subset, parties, order[n], lam0, lam1, p, False, u)
     elif total == n:
         branch = "iii"
-        accept, sub = _run_ghz_protocol(copy.amps, drawn, subset, parties, lam0, lam1, p, True, rng)
+        accept, sub = _run_ghz_protocol(copy.amps, drawn, subset, parties, order[n], lam0, lam1, p, True, u)
     else:
         branch = "ii"
-        accept, sub = _run_dicke_protocol(copy.amps, drawn, parties, n - total, rng)
+        accept, sub = _run_dicke_protocol(copy.amps, drawn, parties, order[n:n + 2], n - total, u)
     return CopyVerdict(copy_index, subset, z_outcomes, branch, sub, accept)
 
 

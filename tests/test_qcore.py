@@ -443,7 +443,7 @@ class TestProbeBudget:
 
 class TestMeasurement:
     def test_zero_state_z_measure(self):
-        outcomes, post = measure(np.array([1.0, 0.0], dtype=complex), [0], RngStream(5).gen)
+        outcomes, post = measure(np.array([1.0, 0.0], dtype=complex), [0], RngStream(5).gen.random())
         assert outcomes == (0,)
         # no qubit is left unmeasured: the conditional state is one amplitude
         np.testing.assert_allclose(post, [1.0], atol=1e-14)
@@ -461,7 +461,7 @@ class TestMeasurement:
         # and one joint draw of the three qubits must follow exactly that law
         counts = np.zeros(4)
         for _ in range(20000):
-            outcomes, _ = measure(st.amps, (0, 1, 2), gen)
+            outcomes, _ = measure(st.amps, (0, 1, 2), gen.random())
             counts[sum(outcomes)] += 1
         for l in range(4):
             pexact = binom(3, l) ** 2 / binom(6, 3)
@@ -469,7 +469,7 @@ class TestMeasurement:
             assert abs(counts[l] / 20000 - pexact) < 4 * sigma
 
     def test_ghz_collapse(self):
-        outcomes, post = measure(make_ghz(2).amps, [0], RngStream(2).gen)
+        outcomes, post = measure(make_ghz(2).amps, [0], RngStream(2).gen.random())
         # the unmeasured qubit 1 is left in |o>
         expected = np.zeros(2, dtype=complex)
         expected[outcomes[0]] = 1.0
@@ -478,7 +478,7 @@ class TestMeasurement:
     def test_x_basis(self):
         x_basis = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        outcomes, post = measure(plus, [0], RngStream(2).gen, [x_basis])
+        outcomes, post = measure(plus, [0], RngStream(2).gen.random(), [x_basis])
         assert outcomes == (0,)
         # the measured qubit is removed, so one amplitude is left
         np.testing.assert_allclose(post, [1.0], atol=1e-14)
@@ -491,7 +491,7 @@ class TestMeasurement:
         amps = gen.normal(size=16) + 1j * gen.normal(size=16)
         amps /= np.linalg.norm(amps)
         for _ in range(20):
-            outcomes, post = measure(amps, (2, 0), gen)
+            outcomes, post = measure(amps, (2, 0), gen.random())
             sub, _ = collapse_subset(amps, 4, (2, 0), outcomes)
             assert post.shape == (4,)
             assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
@@ -503,7 +503,7 @@ class TestMeasurement:
         amps = make_ghz(3).amps
         before = amps.copy()
         for seed in range(4):
-            _, post = measure(amps, [0], RngStream(seed).gen)
+            _, post = measure(amps, [0], RngStream(seed).gen.random())
             assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_array_equal(amps, before)
 
@@ -514,22 +514,22 @@ class TestMeasurement:
         for _ in range(200):
             qubits = sorted(gen.permutation(2 * n)[:n].tolist())
             seed = int(gen.integers(1 << 30))
-            with_law = measure(st.amps, qubits, RngStream(seed).gen, law=st.law)
-            without = measure(st.amps, qubits, RngStream(seed).gen)
+            with_law = measure(st.amps, qubits, RngStream(seed).gen.random(), law=st.law)
+            without = measure(st.amps, qubits, RngStream(seed).gen.random())
             assert with_law[0] == without[0]
             np.testing.assert_array_equal(with_law[1], without[1])
 
     def test_law_refused_with_bases(self):
         st = make_target(3, 0.33)
         with pytest.raises(ValueError, match="without bases"):
-            measure(st.amps, [0], RngStream(1).gen, [np.eye(2)], law=st.law)
+            measure(st.amps, [0], RngStream(1).gen.random(), [np.eye(2)], law=st.law)
 
     def test_basis_outcome_leaves_its_ket(self):
         # a Y-basis outcome o leaves the other qubits in <row o| psi,
         # normalized, with the measured qubit removed
         y_basis = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
         psi = make_ghz(3).amps.reshape(2, 2, 2)
-        outcomes, post = measure(psi.reshape(-1), [1], RngStream(6).gen, [y_basis])
+        outcomes, post = measure(psi.reshape(-1), [1], RngStream(6).gen.random(), [y_basis])
         ket = y_basis[outcomes[0]]
         rest = np.einsum("abc,b->ac", psi, ket.conj())
         rest /= np.linalg.norm(rest)
@@ -537,10 +537,11 @@ class TestMeasurement:
 
 
 def drawn_collapse(amps, qubits, rng, law=None):
-    """One draw_index, then collapse at the drawn index: the outcome bits on
-    ``qubits``, in the order listed, and the block they leave."""
+    """One draw_index on a uniform from ``rng``, then collapse at the drawn
+    index: the outcome bits on ``qubits``, in the order listed, and the
+    block they leave."""
     m = amps.shape[0].bit_length() - 1
-    index = draw_index(amps, rng, law)
+    index = draw_index(amps, rng.random(), law)
     return tuple((index >> (m - 1 - q)) & 1 for q in qubits), collapse(amps, qubits, index)
 
 
@@ -569,7 +570,7 @@ class TestCollapse:
                 qubits = gen.permutation(m)[: int(gen.integers(1, m + 1))].tolist()
                 seed = int(gen.integers(1 << 30))
                 outcomes, block = drawn_collapse(amps, qubits, RngStream(seed).gen)
-                expected, post = measure(amps, qubits, RngStream(seed).gen)
+                expected, post = measure(amps, qubits, RngStream(seed).gen.random())
                 assert outcomes == expected
                 _, prob = collapse_subset(amps, m, qubits, outcomes)
                 assert np.vdot(block, block).real == pytest.approx(prob, rel=1e-12)
