@@ -82,7 +82,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict, out: str | None) -> None:
     """Write a JSON report to the output path, or stdout when none given."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist()) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -160,7 +160,7 @@ def _cmd_sense(opt: dict) -> int:
         counts = sample_run(scenario, opt["shots"], RngStream(opt["seed"]).gen)
         freq = counts / opt["shots"]
         est = estimate_angles(freq[0], freq[1], freq[2], scenario.n, scenario.q0)
-        payload["counts"] = counts
+        payload["counts"] = counts.tolist()
     else:
         est = estimate_angles(dist.p1, dist.p2, dist.p3, scenario.n, scenario.q0)
     payload["estimates"] = {"theta_plus": est[0], "theta_minus_abs": est[1]}

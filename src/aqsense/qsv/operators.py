@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..qcore import check_probe
-from ..symcomb import binom, containment_adjacency, johnson_adjacency
+from ..symcomb import WeightBasis, binom
 
 __all__ = [
     "N_MAX",
@@ -161,40 +161,18 @@ def assemble_strategy_decomposed(
     """The subset-averaged strategy as three sector-disjoint closed-form
     pieces: the GHZ/Dicke core on weights {0, n, 2n}, the adjacent-weight
     piece on {n-1, n+1}, and the diagonal remainder on the other weights.
+
+    Each block (i, j), i <= j, is read off ``strategy_orbits``: its entry at
+    weight-basis strings (x, y) is the table's coefficient at t = |x AND y|.
     """
-    orbits = strategy_orbits(n, q0, p)
     m = 2 * n
-    c_big = binom(m, n)
-    a, b, c = orbits[(0, 0, 0)], orbits[(n, n, n)], orbits[(n, n, n - 1)]
-    d, alpha = orbits[(0, n, 0)], orbits[(n - 1, n - 1, n - 1)]
-    # b I + c J formed in place: J is C(2n,n)^2, 94 MB at n = 7
-    core = johnson_adjacency(m, n)
-    core *= c
-    core.flat[:: c_big + 1] += b
-
-    omega1 = StrategyOperator(
-        m,
-        {
-            (0, 0): np.array([[a]]),
-            (m, m): np.array([[a]]),
-            (n, n): core,
-            (0, n): d * np.ones((1, c_big)),
-            (n, m): d * np.ones((c_big, 1)),
-        },
-    )
-
-    omega2 = StrategyOperator(
-        m,
-        {
-            (n - 1, n - 1): alpha * np.eye(binom(m, n - 1)),
-            (n + 1, n + 1): alpha * np.eye(binom(m, n + 1)),
-            (n - 1, n + 1): containment_adjacency(m, n - 1, n + 1) * c,
-        },
-    )
-
-    blocks3: dict[tuple[int, int], np.ndarray] = {}
-    for l in range(1, n - 1):
-        blocks3[(l, l)] = orbits[(l, l, l)] * np.eye(binom(m, l))
-        blocks3[(m - l, m - l)] = orbits[(l, l, l)] * np.eye(binom(m, l))
-    omega3 = StrategyOperator(m, blocks3)
-    return omega1, omega2, omega3
+    tables: dict[tuple[int, int], np.ndarray] = {}  # (i, j) -> coefficient at each t
+    for (i, j, t), coeff in strategy_orbits(n, q0, p).items():
+        if i <= j:
+            tables.setdefault((i, j), np.zeros(i + 1))[t] = coeff
+    pieces = ({}, {}, {})
+    for (i, j), table in tables.items():
+        rows, cols = WeightBasis(m, i).indices, WeightBasis(m, j).indices
+        piece = 0 if i in (0, n, m) else 1 if i in (n - 1, n + 1) else 2
+        pieces[piece][(i, j)] = table[np.bitwise_count(rows[:, None] & cols[None, :])]
+    return tuple(StrategyOperator(m, blocks) for blocks in pieces)

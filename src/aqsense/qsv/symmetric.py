@@ -72,16 +72,16 @@ def schrijver_blocks(m: int, orbits: Mapping[tuple[int, int, int], float]) -> li
     return blocks
 
 
-def block_spectrum(blocks: list[np.ndarray], weights: Iterable[int] | None = None) -> tuple[np.ndarray, list[int]]:
+def block_spectrum(blocks: list[np.ndarray], weights: Iterable[int]) -> tuple[np.ndarray, list[int]]:
     """Eigenvalues and their multiplicities, in no set order, from one
     ``eigvalsh`` call on the stacked kept sub-blocks of each size.
 
-    With ``weights``, only the rows and columns of those weights are kept,
-    which gives the spectrum of A on those weight sectors when A couples
-    them to no other weight. Multiplicities are exact Python integers.
+    Only the rows and columns of ``weights`` are kept, which gives the
+    spectrum of A on those weight sectors when A couples them to no other
+    weight. Multiplicities are exact Python integers.
     """
     m = blocks[0].shape[0] - 1
-    keep = sorted(range(m + 1) if weights is None else set(weights))
+    keep = sorted(set(weights))
     by_size: dict[int, dict[int, np.ndarray]] = {}  # size -> {k: kept rows and columns of B_k}
     for k, block in enumerate(blocks):
         rows = [w - k for w in keep if k <= w <= m - k]

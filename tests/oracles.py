@@ -441,11 +441,11 @@ def orbit_operator_dense(m, orbits):
     return out
 
 
-def block_spectrum_per_block(blocks, weights=None):
+def block_spectrum_per_block(blocks, weights):
     """``symmetric.block_spectrum`` with one ``eigvalsh`` call per block:
     (eigenvalues, multiplicities) in block order."""
     m = blocks[0].shape[0] - 1
-    keep = sorted(range(m + 1) if weights is None else set(weights))
+    keep = sorted(set(weights))
     values, mults = [], []
     for k, block in enumerate(blocks):
         rows = [w - k for w in keep if k <= w <= m - k]

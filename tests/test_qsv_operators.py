@@ -328,6 +328,21 @@ class TestAssemble:
         expected = b * np.eye(c_big) + c * johnson_adjacency(2 * n, n)
         np.testing.assert_allclose(o1.blocks[(n, n)], expected, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("q0,p", [(0.33, 0.0), (0.2, 0.3)])
+    def test_pieces_lay_out_the_orbit_table_exactly(self, n, q0, p):
+        # the pieces sum to the entrywise table operator bit for bit, and each
+        # table entry (i <= j) sits in one piece, whose sectors hold i and j
+        m = 2 * n
+        orbits = strategy_orbits(n, q0, p)
+        pieces = assemble_strategy_decomposed(n, q0, p)
+        assert np.array_equal(sum(to_dense(piece) for piece in pieces), orbit_operator_dense(m, orbits))
+        groups = [{0, n, m}, {n - 1, n + 1}, set(range(1, m)) - {n - 1, n, n + 1}]
+        for i, j, t in orbits:
+            if i <= j:
+                holders = [k for k, piece in enumerate(pieces) if (i, j) in piece.blocks]
+                assert len(holders) == 1 and {i, j} <= groups[holders[0]], (i, j, t, holders)
+
     def test_q0_pre_enforced(self):
         with pytest.raises(ValueError):
             assemble_strategy_decomposed(3, 0.05, 0.0)

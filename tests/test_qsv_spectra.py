@@ -187,8 +187,9 @@ class TestCheckRoutes:
 
 
 def full_spectrum(blocks):
-    """Every eigenvalue of the symmetric blocks, repeated by multiplicity."""
-    vals, mults = block_spectrum(blocks)
+    """Every eigenvalue of the symmetric blocks, repeated by multiplicity;
+    block 0 has one row per weight."""
+    vals, mults = block_spectrum(blocks, range(len(blocks[0])))
     return np.sort(np.repeat(vals, mults))
 
 
@@ -234,7 +235,7 @@ class TestSymmetricRoute:
         # {m // 2} keeps one row of every block, {0} rows of block 0 only
         draw = np.random.default_rng(6100 + m)
         blocks = schrijver_blocks(m, random_orbit_table(m, draw))
-        subsets = [None, {0}, {m // 2}, {0, m // 2, m}]
+        subsets = [set(range(m + 1)), {0}, {m // 2}, {0, m // 2, m}]
         subsets += [set(draw.choice(m + 1, size=size, replace=False).tolist()) for size in range(1, m + 2)]
         for weights in subsets:
             got, want = block_spectrum(blocks, weights), block_spectrum_per_block(blocks, weights)
