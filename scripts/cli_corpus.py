@@ -76,6 +76,10 @@ CASES = [
     *[_case("qsv", "verify", "--n", "6", "--q0", "0.33", "--epsilon", "1", "--delta", "0.5", "--seed", "11",
             *extra, "--transcript", "session.jsonl")
       for extra in (("--noise", "depolarize:0.05"), ("--p", "0.3"))],
+    # a Dicke copy rejected outright (no pair measured: pair_basis and pair_outcomes null),
+    # the last of its 4 records
+    _case("qsv", "verify", "--n", "4", "--q0", "0.33", "--epsilon", "0.67", "--delta", "0.2", "--seed", "12",
+          "--noise", "depolarize:0.3", "--transcript", "session.jsonl"),
     *[_case(*ROBUST, "--noise", noise, "--out", "robust.json") for noise in NOISES],
     # the robust loop with the all-Z test (p > 0), at n = 3 (M = 22) and n = 4 (M = 65)
     *[_case(*ROBUST[:2], n, *ROBUST[3:], "--p", "0.3", "--noise", "dephase:0.05", "--out", "robust.json")

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .symcomb import WeightBasis, binom
+from .symcomb import WeightBasis
 
 __all__ = [
     "SUPPORT_BYTES_LIMIT",
@@ -156,7 +157,7 @@ def probe_on(n: int, ghz: float, dicke: float, idx: np.ndarray) -> np.ndarray:
     coherent_mix's phi is probe_on(n, -sqrt(1-q0), sqrt(q0), idx)."""
     weight = np.bitwise_count(idx)
     ghz_amp = np.where((weight == 0) | (weight == 2 * n), 1 / np.sqrt(2), 0.0)
-    dicke_amp = np.where(weight == n, 1 / np.sqrt(binom(2 * n, n)), 0.0)
+    dicke_amp = np.where(weight == n, 1 / np.sqrt(math.comb(2 * n, n)), 0.0)
     return ghz * ghz_amp + dicke * dicke_amp
 
 
@@ -197,7 +198,7 @@ def _probe_bytes(n: int) -> int:
     """Peak bytes of a verification session at n: the arrays built on the
     probe's support, and the target, a noisy copy and one measurement's
     weights on the 2^(2n) register."""
-    return binom(2 * n, n) * _PROBE_ENTRY_BYTES + _REGISTER_AMP_BYTES * (1 << (2 * n))
+    return math.comb(2 * n, n) * _PROBE_ENTRY_BYTES + _REGISTER_AMP_BYTES * (1 << (2 * n))
 
 
 def _probe_support(n: int, q0: float) -> np.ndarray:

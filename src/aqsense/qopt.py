@@ -13,6 +13,7 @@ whose C(2n, n) lies inside float64 range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from .qsv.operators import N_MAX, q_min
 from .sensing import g_minus, g_plus, one_minus_cos_cos
-from .symcomb import binom
 
 __all__ = [
     "ANGLE_EXAMPLES",
@@ -81,7 +81,6 @@ class OptimumReport:
     q_H: np.ndarray
     H_min: np.ndarray
     evaluations: int
-    warned_full_domain: np.ndarray
 
 
 def _per_n(n: np.ndarray):
@@ -89,7 +88,7 @@ def _per_n(n: np.ndarray):
     n, from one pass over its distinct values; q_beta = 4(n-1)/(C(2n,n) + 8n - 6)
     is the branch crossing of the p = 0 strategy eigenvalue."""
     distinct, where = np.unique(n, return_inverse=True)
-    table = np.array([(q_min(k), 4.0 * (k - 1) / (binom(2 * k, k) + 8 * k - 6), float(binom(2 * k, k)))
+    table = np.array([(q_min(k), 4.0 * (k - 1) / (math.comb(2 * k, k) + 8 * k - 6), float(math.comb(2 * k, k)))
                       for k in map(int, distinct)]).reshape(-1, 3)  # (0, 3) for no n
     return tuple(column[where].reshape(n.shape) for column in table.T)
 
@@ -128,7 +127,7 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     """Minimize the figure of merit over the admissible weights, for one
     (n, angle pair) or for arrays of them: n and the angles broadcast.
 
-    n must lie in 3..N_MAX and the angles in the sensing domain
+    n must be integers in 3..N_MAX and the angles in the sensing domain
     theta+ in (0, pi], theta- in [-pi/2, 0), where every formula below
     holds, and H must be a finite float64, which fails as theta- -> 0 (for
     n = 3, theta+ = 1 below |theta-| ~ 1e-153); ValueError otherwise.
@@ -146,13 +145,13 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     2A(C-2) q^3 + (3B(C-2) - A(C-4)) q^2 - 2B(C-4) q - 2B = 0, which is
     homogeneous in (A, B): gamma and eta give the same roots.
 
-    Per pair, the search starts at q_G, or at q_min (and the pair is
-    flagged) when the branch crossing sits at or above q_G. With
-    a = max(start, q_beta), H is continuous on [a, 1) and grows without
-    bound as q -> 1, so q_H is the argmin of H over a and the real roots
-    of the cubic in (a, 1): at most four evaluations per pair. The roots are
-    closed forms (three by the trigonometric form, or Cardano's one real
-    root), each polished by two Newton steps.
+    Per pair, the search starts at q_G, or at q_min when the branch
+    crossing sits at or above q_G. With a = max(start, q_beta), H is
+    continuous on [a, 1) and grows without bound as q -> 1, so q_H is the
+    argmin of H over a and the real roots of the cubic in (a, 1): at most
+    four evaluations per pair. The roots are closed forms (three by the
+    trigonometric form, or Cardano's one real root), each polished by two
+    Newton steps.
 
     The report's pair fields are arrays of the broadcast shape, 0-d for one
     pair; evaluations is the total over the pairs.
@@ -160,6 +159,8 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     n_all, tp, tm = np.broadcast_arrays(
         np.asarray(n), np.asarray(theta_plus, float), np.asarray(theta_minus, float)
     )
+    if not np.issubdtype(n_all.dtype, np.integer):
+        raise ValueError(f"n must be an integer, got {n}")
     shape, ns, tp, tm = tp.shape, n_all.ravel(), tp.ravel(), tm.ravel()
     in_domain = (0.0 < tp) & (tp <= np.pi) & (-np.pi / 2 <= tm) & (tm < 0.0)
     if not in_domain.all():
@@ -171,7 +172,7 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         (gamma, eta), c = gamma_eta(ns[:, None], tp[:, None], tm[:, None]), c[:, None]
         qg = _q_g(gamma, eta)[:, 0]
-        # max(start, q_beta): q_G, or q_beta for a flagged pair
+        # max(start, q_beta): q_G, or q_beta where the branch crossing sits at or above q_G
         lowest = np.maximum(qg, qb)[:, None]
         # C enters the monic cubic through (C - 2) and (C - 4) in ratios only, so
         # a power of two scales it exactly and keeps every product in range
@@ -209,7 +210,6 @@ def minimize_H(n, theta_plus, theta_minus) -> OptimumReport:
         q_H=q_h.reshape(shape),
         H_min=h_min.reshape(shape),
         evaluations=rows.size,
-        warned_full_domain=(qb >= qg).reshape(shape),
     )
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..qcore import check_probe
-from ..symcomb import WeightBasis, binom
+from ..symcomb import WeightBasis
 
 __all__ = [
     "N_MAX",
@@ -47,7 +47,7 @@ class StrategyOperator:
                 raise ValueError(f"sector pair ({j}, {k}) out of range for {m} qubits")
             arr = np.asarray(block)
             arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
-            expected = (binom(m, j), binom(m, k))
+            expected = (math.comb(m, j), math.comb(m, k))
             if arr.shape != expected:
                 raise ValueError(f"block ({j}, {k}) has shape {arr.shape}, expected {expected}")
             if j == k and np.max(np.abs(arr - arr.conj().T)) > 1e-12:
@@ -59,7 +59,7 @@ class StrategyOperator:
     def component_matrix(self, group: Iterable[int]) -> np.ndarray:
         """Dense matrix of the operator restricted to the given sectors."""
         group = tuple(sorted(group))
-        sizes = [binom(self.num_qubits, w) for w in group]
+        sizes = [math.comb(self.num_qubits, w) for w in group]
         offsets = dict(zip(group, np.concatenate([[0], np.cumsum(sizes)[:-1]])))
         dim = int(np.sum(sizes))
         out = np.zeros((dim, dim), dtype=self.dtype)
@@ -85,7 +85,7 @@ def q_min(n: int) -> float:
         raise ValueError(f"n must be at least 3, got {n}")
     if n > N_MAX:
         raise ValueError(f"n={n} exceeds {N_MAX}, the largest n accepted (C(2n, n) leaves float64 range above it)")
-    return 2.0 / (binom(2 * n, n) + 2)
+    return 2.0 / (math.comb(2 * n, n) + 2)
 
 
 def check_p(p: float) -> None:
@@ -106,7 +106,7 @@ def lambda_map(n: int, q0: float) -> tuple[float, float]:
     check_probe(n, q0)
     if q0 < lowest:
         raise ValueError(f"q0={q0} below the admissible minimum {lowest}")
-    c = binom(2 * n, n)
+    c = math.comb(2 * n, n)
     denom = c * q0 + 2 * (1.0 - q0)
     return c * q0 / denom, 2 * (1.0 - q0) / denom
 
@@ -126,7 +126,7 @@ def strategy_orbits(n: int, q0: float, p: float) -> dict[tuple[int, int, int], f
     check_p(p)
     lam0, lam1 = lambda_map(n, q0)
     m = 2 * n
-    c_big = binom(m, n)
+    c_big = math.comb(m, n)
     a = p + (1 - p) * lam0
     b = (3 * n - 2) / (2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
     c = 1.0 / (2 * n * (2 * n - 1))
@@ -150,7 +150,7 @@ def strategy_orbits(n: int, q0: float, p: float) -> dict[tuple[int, int, int], f
     # 2^-64 (int true division, correctly rounded) and ldexp undoes that
     share = (1 - p) / (n * c_big / 2**64)
     for l in range(1, n - 1):
-        coeff = math.ldexp(share * binom(m - l, n) * ((n - l) * lam0 + l * lam1), -64)
+        coeff = math.ldexp(share * math.comb(m - l, n) * ((n - l) * lam0 + l * lam1), -64)
         orbits[(l, l, l)] = orbits[(m - l, m - l, m - l)] = coeff
     return orbits
 

@@ -68,25 +68,15 @@ class VerificationPlan:
 
 
 class CopyVerdict(NamedTuple):
-    """Outcome record of one per-copy verification measurement."""
+    """Outcome record of one per-copy verification measurement; its fields
+    are the transcript record's keys."""
 
-    copy_index: int
-    subset: tuple[int, ...]
+    copy: int
+    R: tuple[int, ...]
     z_outcomes: tuple[int, ...]
     branch: str
     sub: dict
     accept: bool
-
-    def as_record(self) -> dict:
-        """JSON-ready dictionary with the transcript field names."""
-        return {
-            "copy": int(self.copy_index),
-            "R": [int(q) for q in self.subset],
-            "z_outcomes": [int(o) for o in self.z_outcomes],
-            "branch": self.branch,
-            "sub": self.sub,
-            "accept": bool(self.accept),
-        }
 
 
 @dataclass(frozen=True)
@@ -101,9 +91,7 @@ class SessionTranscript:
             raise ValueError("final accept flag contradicts the per-copy verdicts")
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(v.as_record(), sort_keys=True) + "\n" for v in self.verdicts
-        )
+        return "".join(json.dumps(v._asdict(), sort_keys=True) + "\n" for v in self.verdicts)
 
 
 @dataclass(frozen=True)
@@ -361,10 +349,9 @@ def run_robust_protocol(
     counts = [0, 0, 0, 0]
     transcripts = []
     restarts = 0
-    attempt = 0
     completed = 0
     while completed < rounds:
-        streams = rng.substream(attempt)
+        streams = rng.substream(restarts + completed)  # every earlier attempt restarted or completed
         # the plan.M verified copies, then the sensing copy
         copies = noise.trajectories(target, streams.substream(0).gen, plan.M + 1)
         ok, transcript = verify_batch(copies, plan, streams.substream(1))
@@ -376,7 +363,6 @@ def run_robust_protocol(
                     f"restart cap {restart_cap} exhausted after "
                     f"{completed} accepted rounds"
                 )
-            attempt += 1
             continue
         evolved = evolve_phases(next(copies), omegas, scenario.t)
         probs = np.clip(povm.probabilities(evolved), 0.0, None)
@@ -384,7 +370,6 @@ def run_robust_protocol(
         outcome = int(streams.substream(2).gen.choice(4, p=probs))
         counts[outcome] += 1
         completed += 1
-        attempt += 1
     if completed == 0:
         theta_plus = theta_minus_abs = None
     else:

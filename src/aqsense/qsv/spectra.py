@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..symcomb import binom, johnson_eigenvalue
+from ..symcomb import johnson_eigenvalue
 from .operators import lambda_map, strategy_orbits
 from .symmetric import block_spectrum, schrijver_blocks
 
@@ -92,7 +92,7 @@ def analytic_spectrum(n: int, q0: float, p: float = 0.0, check_numeric: bool = F
     a, b, c = orbits[(0, 0, 0)], orbits[(n, n, n)], orbits[(n, n, n - 1)]
     d, alpha2 = orbits[(0, n, 0)], orbits[(n - 1, n - 1, n - 1)]
     omega3_values = tuple(orbits[(l, l, l)] for l in range(1, n - 1))
-    c_big = binom(m, n)
+    c_big = math.comb(m, n)
     # d ~ C(2n,n)^(-3/2) leaves the normal float64 range from about n = 340;
     # the check guards the reported d
     if not d >= sys.float_info.min:

@@ -17,12 +17,13 @@ on a 2^(2n) vector.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qcore import PureState, check_bytes_limit, check_probe, probe_on
-from .symcomb import WeightBasis, binom
+from .symcomb import WeightBasis
 
 __all__ = [
     "SensingScenario",
@@ -170,7 +171,7 @@ _ENTRY_BYTES = 96
 
 
 def _support_bytes(n: int) -> int:
-    return binom(2 * n, n) * (_ENTRY_BYTES + 64 + 16 * 2 * n)
+    return math.comb(2 * n, n) * (_ENTRY_BYTES + 64 + 16 * 2 * n)
 
 
 def check_support_budget(n: int) -> None:

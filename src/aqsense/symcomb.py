@@ -1,4 +1,4 @@
-"""Exact combinatorics over Hamming-weight classes and the Johnson graph.
+"""Hamming-weight bases and the Johnson graph; binomials are ``math.comb``.
 
 Shared by every operator builder in the package.  All basis orderings are
 lexicographic over bit strings, which (with the big-endian bit convention
@@ -15,15 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def binom(m: int, k: int) -> int:
-    """Exact binomial coefficient C(m, k); returns 0 when k > m or k < 0."""
-    if m < 0:
-        raise ValueError(f"negative population m={m}")
-    if k < 0 or k > m:
-        return 0
-    return math.comb(m, k)
 
 
 def _weight_indices(m: int, k: int) -> np.ndarray:
@@ -109,4 +100,4 @@ def johnson_eigenvalue(m: int, k: int, l: int) -> float:
 
 def johnson_multiplicity(m: int, l: int) -> int:
     """Multiplicity C(m,l) - C(m,l-1) of the (l+1)-th largest eigenvalue."""
-    return binom(m, l) - binom(m, l - 1)
+    return math.comb(m, l) - (math.comb(m, l - 1) if l else 0)

@@ -69,7 +69,7 @@ from aqsense.qsv import lambda_map
 from aqsense.qsv.operators import strategy_orbits
 from aqsense.qsv.protocol import CopyVerdict, RobustResult, verify_batch
 from aqsense.sensing import OutcomeDistribution, Povm, check_support_budget, estimate_angles, g_minus, g_plus
-from aqsense.symcomb import WeightBasis, binom, johnson_multiplicity
+from aqsense.symcomb import WeightBasis, johnson_multiplicity
 
 SQ2 = np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / SQ2
@@ -362,7 +362,6 @@ def minimize_H_rowwise(n, theta_plus, theta_minus):
         q_H=float(grid[best]),
         H_min=float(vals[best]),
         evaluations=evaluations,
-        warned_full_domain=warned,
     )
 
 
@@ -411,7 +410,6 @@ def minimize_H_eigvals(n, theta_plus, theta_minus):
         q_H=candidates[best].reshape(shape),
         H_min=values[best].reshape(shape),
         evaluations=rows.size,
-        warned_full_domain=(qb >= qg).reshape(shape),
     )
 
 
@@ -636,7 +634,7 @@ def pauli_witness_bound(n: int, q0: float) -> float:
         raise ValueError(f"n must be at least 3, got {n}")
     if not 0.0 < q0 < 1.0:
         raise ValueError(f"q0 must lie strictly between 0 and 1, got {q0}")
-    bound = 2.0 * np.sqrt(2.0 * q0 * (1.0 - q0) / binom(2 * n, n))
+    bound = 2.0 * np.sqrt(2.0 * q0 * (1.0 - q0) / math.comb(2 * n, n))
     if n <= 5:
         amps = make_target(n, q0).amps
         flip = ((1 << n) - 1) << n

@@ -11,6 +11,7 @@ block that ``collapse`` slices at the drawn index.
 
 import time
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from aqsense.qcore import (
     standard_channel,
 )
 from aqsense.qsv import verify_copy
-from aqsense.symcomb import WeightBasis, binom, johnson_adjacency
+from aqsense.symcomb import WeightBasis, johnson_adjacency
 
 
 def collapse_subset(amps, m, qubits, outcomes):
@@ -106,7 +107,7 @@ class TestStates:
                 expected = make_dicke(3, 3 - l).amps
                 np.testing.assert_allclose(sub, expected, atol=1e-12)
                 # fixing 3 bits of weight l leaves C(3, 3-l) completions
-                assert prob == pytest.approx(binom(3, 3 - l) / binom(6, 3), rel=1e-12)
+                assert prob == pytest.approx(comb(3, 3 - l) / comb(6, 3), rel=1e-12)
 
     def test_target_fidelities(self):
         st = make_target(3, 0.33)
@@ -289,7 +290,7 @@ class TestChannels:
         assert elapsed < 1.0
         assert peak < 32 << 20
         ((_, (support, u)),) = ch.branches
-        assert support.shape == u.shape == (binom(2 * n, n) + 2,)
+        assert support.shape == u.shape == (comb(2 * n, n) + 2,)
         # each trajectory is the target or phi, the swap's image of it
         assert all(abs(fidelity(out, st) - 0.5) > 0.49 for out in outs)
 
@@ -455,7 +456,7 @@ class TestMeasurement:
         projs = [np.diag(sector_projector(6, (0, 1, 2), l).astype(float)) for l in range(4)]
         gen = RngStream(9).gen
         for l in range(4):
-            exact = binom(3, l) ** 2 / binom(6, 3)
+            exact = comb(3, l) ** 2 / comb(6, 3)
             prob = expectation(st, projs[l])
             assert prob == pytest.approx(exact, abs=1e-13)
         # and one joint draw of the three qubits must follow exactly that law
@@ -464,7 +465,7 @@ class TestMeasurement:
             outcomes, _ = measure(st.amps, (0, 1, 2), gen.random())
             counts[sum(outcomes)] += 1
         for l in range(4):
-            pexact = binom(3, l) ** 2 / binom(6, 3)
+            pexact = comb(3, l) ** 2 / comb(6, 3)
             sigma = np.sqrt(pexact * (1 - pexact) / 20000)
             assert abs(counts[l] / 20000 - pexact) < 4 * sigma
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -225,17 +226,16 @@ class TestMinimize:
         theta_minus = np.tile([ex.theta_minus for ex in ANGLE_EXAMPLES], count)
         report = minimize_H(ns, theta_plus, theta_minus)
         assert np.all(report.q_min <= report.q_beta)
-        assert not report.warned_full_domain.any()
+        assert np.all(report.q_beta < report.q_G)
         assert np.all(report.q_H >= report.q_G)
         np.testing.assert_allclose(report.H_min, objective_H(ns, report.q_H, theta_plus, theta_minus),
                                    rtol=1e-12, atol=0)
         assert ns.size <= report.evaluations <= 4 * ns.size
 
-    def test_full_domain_search_flagged(self):
+    def test_full_domain_search(self):
         # a theta+ small enough that q_G drops below q_beta
         report = minimize_H(3, np.pi / 12, -np.pi / 6)
         assert report.q_G < report.q_beta
-        assert report.warned_full_domain.item() is True
         assert abs(report.q_H - 0.48063181775312325) < 2e-6
 
     @pytest.mark.parametrize(
@@ -246,7 +246,7 @@ class TestMinimize:
     )
     def test_matches_dense_scan(self, n, theta_plus, theta_minus):
         report = minimize_H(n, theta_plus, theta_minus)
-        lo = report.q_min if report.warned_full_domain else report.q_G
+        lo = report.q_min if report.q_beta >= report.q_G else report.q_G
         q_scan, h_scan, spacing = dense_scan_H(n, theta_plus, theta_minus, lo, 1 - 1e-9)
         assert abs(report.q_H - q_scan) <= spacing
         assert report.H_min <= h_scan * (1 + 1e-12)
@@ -395,7 +395,7 @@ class TestMinimize:
 
 THETA_PLUS = np.array([ex.theta_plus for ex in ANGLE_EXAMPLES])
 THETA_MINUS = np.array([ex.theta_minus for ex in ANGLE_EXAMPLES])
-FIELDS = ("q_G", "q_H", "H_min", "warned_full_domain")
+FIELDS = ("q_G", "q_H", "H_min")
 
 
 def assert_matches_nested_grid(got, oracle):
@@ -436,10 +436,8 @@ class TestBatchedSearch:
         report = minimize_H(n, theta_plus, theta_minus)
         oracle = minimize_H_rowwise(n, theta_plus, theta_minus)
         assert_matches_nested_grid(dataclasses.asdict(report), oracle)
-        assert report.warned_full_domain == oracle.warned_full_domain
         for key in ("q_G", "q_H", "H_min"):
             assert (getattr(report, key).shape, getattr(report, key).dtype) == ((), np.float64), key
-        assert (report.warned_full_domain.shape, report.warned_full_domain.dtype) == ((), np.bool_)
 
     @pytest.mark.parametrize(
         "n, theta_plus, theta_minus, shape",
@@ -487,6 +485,13 @@ class TestBatchedSearch:
         with pytest.raises(ValueError, match="angles must lie"):
             minimize_H(2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n, shown", [(3.5, "3.5"), ([3, 4.5], "[3, 4.5]"), (2.9, "2.9")])
+    def test_non_integer_n_is_refused_as_given(self, n, shown):
+        # n = 3.5 would take n = 3's landmarks beside H at 3.5, and 2.9 would be
+        # refused as "got 2"
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {shown}") + "$"):
+            minimize_H(n, np.pi / 4, -np.pi / 6)
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         n=st.integers(3, 50),
@@ -529,7 +534,7 @@ class TestClosedFormRoots:
         got, oracle = minimize_H(n, theta_plus, theta_minus), minimize_H_eigvals(n, theta_plus, theta_minus)
         for key in ("q_H", "H_min"):
             assert np.max(np.abs(getattr(got, key) / getattr(oracle, key) - 1.0)) <= 1e-14, key
-        for key in ("q_min", "q_beta", "q_G", "warned_full_domain"):
+        for key in ("q_min", "q_beta", "q_G"):
             assert np.array_equal(getattr(got, key), getattr(oracle, key)), key
         # a near-double root that eigvals returns as a complex pair can add a candidate
         assert n.size <= got.evaluations <= 4 * n.size
@@ -657,7 +662,6 @@ class TestSweep:
             q_H=found[1],
             H_min=found[2],
             evaluations=0,
-            warned_full_domain=np.zeros(shape, bool),
         )
         return ns, examples, report
 

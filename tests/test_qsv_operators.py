@@ -28,7 +28,7 @@ from oracles import (
 from test_qcore import collapse_subset
 
 from aqsense.qcore import RngStream, make_target
-from aqsense.symcomb import binom, johnson_adjacency
+from aqsense.symcomb import johnson_adjacency
 from aqsense.qsv import (
     StrategyOperator,
     VerificationPlan,
@@ -171,7 +171,7 @@ class TestGhzLike:
         dense = brute_ghz_like_dense(m, p, lam0)
         expected = [1.0, p]
         for a in range(1, m):
-            expected += [(1 - p) * (lam0 + a * (1 - 2 * lam0) / m)] * binom(m, a)
+            expected += [(1 - p) * (lam0 + a * (1 - 2 * lam0) / m)] * comb(m, a)
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(dense)), np.sort(expected), atol=1e-12)
 
     def test_eigenvalues_in_unit_interval(self):
@@ -194,8 +194,8 @@ class TestDicke:
         orbits = {
             (k, k, k): m * (m - 1) - k * (m - k),
             (k, k, k - 1): 1,
-            (k - 1, k - 1, k - 1): binom(m - k + 1, 2),
-            (k + 1, k + 1, k + 1): binom(k + 1, 2),
+            (k - 1, k - 1, k - 1): comb(m - k + 1, 2),
+            (k + 1, k + 1, k + 1): comb(k + 1, 2),
             (k - 1, k + 1, k - 1): 1,
             (k + 1, k - 1, k - 1): 1,
         }
@@ -236,7 +236,7 @@ class TestAssemble:
         omega = brute_strategy_dense(n, q0, p)
         lam0, _ = lambda_map(n, q0)
         v = np.sqrt(1 - q0) * make_ghz(6).amps - np.sqrt(q0) * make_dicke(6, 3).amps
-        lam_minus = p + lam0 * (1 - p) * (1 - 2 / binom(6, 3))
+        lam_minus = p + lam0 * (1 - p) * (1 - 2 / comb(6, 3))
         assert lam_minus == pytest.approx(0.7481108312342570, abs=1e-13)
         np.testing.assert_allclose(omega @ v, lam_minus * v, atol=1e-12)
 
@@ -258,13 +258,13 @@ class TestAssemble:
         n, q0, p = 4, 0.33, 0.0
         lam0, _ = lambda_map(n, q0)
         _, _, o3 = assemble_strategy_decomposed(n, q0, p)
-        c = binom(2 * n, n)
+        c = comb(2 * n, n)
         for l in (1, 2):
-            coeff = (1 - p) / (n * c) * binom(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1))
+            coeff = (1 - p) / (n * c) * comb(2 * n - l, n) * (n * lam0 - l * (2 * lam0 - 1))
             block = o3.blocks[(l, l)]
-            np.testing.assert_allclose(block, coeff * np.eye(binom(2 * n, l)), atol=1e-14)
+            np.testing.assert_allclose(block, coeff * np.eye(comb(2 * n, l)), atol=1e-14)
             far = o3.blocks[(2 * n - l, 2 * n - l)]
-            np.testing.assert_allclose(far, coeff * np.eye(binom(2 * n, l)), atol=1e-14)
+            np.testing.assert_allclose(far, coeff * np.eye(comb(2 * n, l)), atol=1e-14)
 
     def test_omega3_orbits_match_exact_rational_to_n_max(self):
         # n C(2n, n) passes float64 range from n = 511; the exact value of the
@@ -321,7 +321,7 @@ class TestAssemble:
         # the weight-n diagonal block of omega1 is b*I + c*J(2n, n)
         n, q0, p = 3, 0.33, 0.0
         lam0, lam1 = lambda_map(n, q0)
-        c_big = binom(2 * n, n)
+        c_big = comb(2 * n, n)
         o1, _, _ = assemble_strategy_decomposed(n, q0, p)
         b = (3 * n - 2) / (2 * (2 * n - 1)) - 2 * (1 - p) * lam0 / c_big
         c = 1 / (2 * n * (2 * n - 1))

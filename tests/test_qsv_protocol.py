@@ -120,7 +120,7 @@ def ghz_cell(verdict):
     sub = verdict.sub
     if verdict.branch == "ii" or sub["a"] == 0:
         return None
-    parties = [q for q in range(2 * len(verdict.subset)) if q not in verdict.subset]
+    parties = [q for q in range(2 * len(verdict.R)) if q not in verdict.R]
     k_pos = parties.index(sub["k"])
     o_k = sub["o"][k_pos]
     e = (sum(sub["o"]) - o_k + sum(sub["r"]) // 2) % 2
@@ -223,14 +223,14 @@ class TestVerifyCopy:
         seen = set()
         for i in range(400):
             v = verify_copy(copy, n, 0.33, 0.2, gen, copy_index=i)
-            assert v.copy_index == i
-            assert len(v.subset) == n
-            assert v.subset == tuple(sorted(set(v.subset)))
-            assert all(0 <= q < 2 * n for q in v.subset)
+            assert v.copy == i
+            assert len(v.R) == n
+            assert v.R == tuple(sorted(set(v.R)))
+            assert all(0 <= q < 2 * n for q in v.R)
             assert len(v.z_outcomes) == n
             assert set(v.z_outcomes) <= {0, 1}
             total = sum(v.z_outcomes)
-            rest = tuple(q for q in range(2 * n) if q not in v.subset)
+            rest = tuple(q for q in range(2 * n) if q not in v.R)
             seen.add(v.branch)
             if total == 0:
                 assert v.branch == "i"
@@ -340,8 +340,7 @@ class TestVerifyCopy:
         for i in range(1000):
             copy = channel.apply_to_pure(target, noise)
             verdict = verify_copy(copy, n, 0.33, p, mine.substream(i).gen, i)
-            record = verify_copy_reference(copy, n, 0.33, p, reference.substream(i).gen, i).as_record()
-            assert verdict.as_record() == record
+            assert verdict == verify_copy_reference(copy, n, 0.33, p, reference.substream(i).gen, i)
             tails.add(verdict.sub["a"] if verdict.branch != "ii" else verdict.sub["pair_basis"])
         assert tails >= {1, "Z", "X"} | ({0} if p else set())
 
@@ -358,8 +357,7 @@ class TestVerifyCopy:
             vec = draw.normal(size=1 << (2 * n)) + 1j * draw.normal(size=1 << (2 * n))
             copy = PureState(2 * n, vec / np.linalg.norm(vec))
             verdict = verify_copy(copy, n, 0.33, p, mine.substream(i).gen, i)
-            record = verify_copy_reference(copy, n, 0.33, p, reference.substream(i).gen, i).as_record()
-            assert verdict.as_record() == record
+            assert verdict == verify_copy_reference(copy, n, 0.33, p, reference.substream(i).gen, i)
             tails.add(verdict.sub["a"] if verdict.branch != "ii" else verdict.sub["pair_basis"])
         assert tails >= {1, "Z", "X"} | ({0} if p else set())
 
@@ -434,7 +432,7 @@ class TestVerifyCopy:
         copy = make_dicke(6, 3)
         first = [verify_copy(copy, 3, 0.33, 0.1, RngStream(7).substream(i).gen) for i in range(50)]
         second = [verify_copy(copy, 3, 0.33, 0.1, RngStream(7).substream(i).gen) for i in range(50)]
-        assert [v.as_record() for v in first] == [v.as_record() for v in second]
+        assert first == second
 
 
 class TestVerifyBatch:
@@ -456,7 +454,7 @@ class TestVerifyBatch:
         assert accept and len(transcript.verdicts) == plan.M
         for i in (0, 141, 282):
             alone = verify_copy(copy, 3, 0.33, 0.0, RngStream(36).substream(5).substream(i).gen, copy_index=i)
-            assert transcript.verdicts[i].as_record() == alone.as_record()
+            assert transcript.verdicts[i] == alone
 
     def test_exhausted_source(self):
         plan = VerificationPlan(3, 0.33, epsilon=1.0, delta=0.5)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from aqsense.qcore import make_target
-from aqsense.symcomb import binom, johnson_eigenvalue, johnson_multiplicity
+from aqsense.symcomb import johnson_eigenvalue, johnson_multiplicity
 from aqsense.qsv import (
     SpectralSummary,
     StrategyOperator,
@@ -56,7 +56,7 @@ class TestFrozenValues:
         s = analytic_spectrum(3, 0.33, 0.0)
         lam0, lam1 = lambda_map(3, 0.33)
         assert s.alpha_plus == pytest.approx(np.sqrt(lam0 / lam1), rel=1e-12)
-        assert s.alpha_minus == pytest.approx(-np.sqrt(binom(6, 3) * 0.67 / (2 * 0.33)), rel=1e-12)
+        assert s.alpha_minus == pytest.approx(-np.sqrt(comb(6, 3) * 0.67 / (2 * 0.33)), rel=1e-12)
 
     def test_branch_bc1_point(self):
         s = analytic_spectrum(3, 0.10, 0.0)
@@ -127,7 +127,7 @@ class TestNumericAgreement:
         n, q0, p = 3, 0.33, 0.0
         s = analytic_spectrum(n, q0, p)
         o1, _, _ = assemble_strategy_decomposed(n, q0, p)
-        m, c_big = 2 * n, binom(2 * n, n)
+        m, c_big = 2 * n, comb(2 * n, n)
         ghz = make_ghz(m).amps
         dicke = make_dicke(m, n).amps
         for alpha, lam in [(s.alpha_plus, s.lambda_plus), (s.alpha_minus, s.lambda_minus)]:

@@ -1,12 +1,13 @@
 """Tests for the Hamming-weight combinatorics layer.
 
 Oracles used here are deliberately independent of the implementation:
-Pascal-triangle recurrence for binomials, full enumeration for ranking,
-dense numpy diagonalization for Johnson spectra, and brute-force subset
-sums for the projector composition identity.
+full enumeration for ranking, dense numpy diagonalization for Johnson
+spectra, and brute-force subset sums for the projector composition
+identity.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from aqsense.symcomb import (
     WeightBasis,
     _weight_indices,
-    binom,
     johnson_adjacency,
     johnson_eigenvalue,
     johnson_multiplicity,
@@ -28,41 +28,9 @@ def sector_projector(num_qubits, qubits, weight):
     return (np.bitwise_count(np.arange(2 ** num_qubits) & mask) == weight).astype(np.int64)
 
 
-def pascal_binom(m, k):
-    """Pascal-triangle oracle, exact integers, no factorials."""
-    if k < 0 or k > m:
-        return 0
-    row = [1]
-    for _ in range(m):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
-
-
 def enumerate_weight_class(m, k):
     """All m-bit integers of Hamming weight k in ascending (lexicographic) order."""
     return [x for x in range(2 ** m) if bin(x).count("1") == k]
-
-
-class TestBinom:
-    def test_standard_identity(self):
-        assert binom(6, 3) == 20
-
-    def test_boundary(self):
-        for m in range(10):
-            assert binom(m, 0) == 1
-
-    def test_large_exact(self):
-        # frozen from the Pascal-triangle oracle
-        assert binom(40, 20) == 137846528820
-        assert binom(40, 20) == pascal_binom(40, 20)
-
-    def test_k_above_m_is_zero(self):
-        assert binom(3, 5) == 0
-
-    def test_matches_pascal_oracle_grid(self):
-        for m in range(0, 16):
-            for k in range(0, m + 2):
-                assert binom(m, k) == pascal_binom(m, k)
 
 
 class TestWeightBasis:
@@ -99,7 +67,7 @@ class TestWeightIndices:
     def test_size_is_the_binomial_without_a_full_scan(self):
         # 2^40 integers could not be scanned; C(40, 3) are listed directly
         got = _weight_indices(40, 3)
-        assert got.size == binom(40, 3)
+        assert got.size == comb(40, 3)
         assert np.all(np.diff(got) > 0) and np.all(np.bitwise_count(got) == 3)
 
 
@@ -204,7 +172,7 @@ class TestSectorProjector:
                 for subset in family:
                     rest = tuple(q for q in range(v) if q not in subset)
                     total += sector_projector(v, subset, a) * sector_projector(v, rest, b)
-                coeff = binom(a + b, a) * binom(v - (a + b), r - a)
+                coeff = comb(a + b, a) * comb(v - (a + b), r - a)
                 np.testing.assert_array_equal(total, coeff * sector_projector(v, tuple(range(v)), a + b))
 
     def test_composition_identity_other_sizes(self):
@@ -215,7 +183,7 @@ class TestSectorProjector:
                 for subset in family:
                     rest = tuple(q for q in range(v) if q not in subset)
                     total += sector_projector(v, subset, a) * sector_projector(v, rest, b)
-                coeff = binom(a + b, a) * binom(v - (a + b), r - a)
+                coeff = comb(a + b, a) * comb(v - (a + b), r - a)
                 np.testing.assert_array_equal(total, coeff * sector_projector(v, tuple(range(v)), a + b))
 
 
