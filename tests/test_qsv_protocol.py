@@ -475,6 +475,25 @@ class TestVerifyBatch:
             assert rec["accept"] is True
             assert sorted(rec["R"]) == rec["R"] and len(rec["R"]) == 3
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_jsonl_line_is_the_verdict_written_field_by_field(self, n):
+        # to_jsonl dumps each verdict's own fields: its tuples become arrays and
+        # every value is already a plain int, str or bool, in all three branches
+        copy = make_dicke(2 * n, n)
+        verdicts = tuple(verify_copy(copy, n, 0.33, 0.3, RngStream(38).substream(i).gen, copy_index=i)
+                         for i in range(200))
+        transcript = protocol.SessionTranscript(verdicts, all(v.accept for v in verdicts))
+        lines = transcript.to_jsonl().split("\n")
+        assert lines.pop() == "" and len(lines) == len(verdicts)
+        for i, (v, line) in enumerate(zip(verdicts, lines)):
+            assert type(v.copy) is int and v.copy == i and type(v.accept) is bool
+            assert all(type(x) is int for x in v.R + v.z_outcomes)
+            record = {"copy": v.copy, "R": list(v.R), "z_outcomes": list(v.z_outcomes),
+                      "branch": v.branch, "sub": v.sub, "accept": v.accept}
+            assert line == json.dumps(record, sort_keys=True)
+        assert {v.branch for v in verdicts} == {"i", "ii", "iii"}
+        assert not transcript.accepted
+
     def test_coherent_error_rejected_within_failure_bound(self):
         n, q0, eps = 3, 0.33, 0.67
         plan = VerificationPlan(n, q0, epsilon=eps, delta=0.1)

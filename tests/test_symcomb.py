@@ -143,6 +143,21 @@ class TestJohnsonEigenvalue:
                 np.testing.assert_allclose(numeric, expected, atol=1e-10)
 
 
+class TestJohnsonMultiplicity:
+    def test_largest_eigenvalue_is_simple(self):
+        # l = 0 has no C(m, -1) term: the all-ones eigenvector is the only one
+        for m in range(0, 21):
+            assert johnson_multiplicity(m, 0) == 1
+
+    def test_multiplicities_fill_each_weight_sector(self):
+        # J(m, k) for k <= m/2 carries l = 0..k, so the multiplicities add up
+        # to the number of weight-k strings, counted here by enumeration
+        for m in range(0, 13):
+            for k in range(m // 2 + 1):
+                total = sum(johnson_multiplicity(m, l) for l in range(k + 1))
+                assert total == len(enumerate_weight_class(m, k))
+
+
 class TestSectorProjector:
     def test_weight_zero_two_qubits(self):
         diag = sector_projector(2, (0, 1), 0)
